@@ -12,15 +12,18 @@ Formats: zippers and measures as JSON with complex entries serialized as
 [re, im] pairs; disc sweeps and bands as CSV (column order fixed, see the
 writers in fileio).  Grids: the weyl command takes a cartesian grid spec
 "re0:re1:nr,im0:im1:ni"; every grid point must lie in the punctured open
-unit disc.
+unit disc.  Every command runs serially in the calling thread.
+
+The spectrum comparison pairs the two sorted eigenphase lists cyclically,
+with the shift that minimizes the largest circular distance, so that an
+eigenvalue near 1 seen at theta just below 2 pi by one route and just above
+0 by the other is one pair.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,24 +71,37 @@ def cmd_spectrum(args) -> int:
     report = {"L": z.L, "N": z.N, "flavor": z.flavor, "method": args.method}
     osc_spec = dense_spec = None
     if args.method in ("oscillation", "both"):
-        fn = osc.spectrum_by_oscillation if z.flavor == "finite" else osc.spectrum_periodic
-        osc_spec = fn(z, grid_size=args.grid, refine_tol=args.tol)
+        osc_spec = osc.spectrum_by_oscillation(z, grid_size=args.grid, refine_tol=args.tol)
         report["oscillation"] = fileio.spectrum_to_dict(osc_spec)
     if args.method in ("dense", "both"):
         op = zp.assemble_finite(z) if z.flavor == "finite" else zp.assemble_periodic(z)
         dense_spec = zp.dense_spectrum(op)
         report["dense"] = fileio.spectrum_to_dict(dense_spec)
     if args.method == "both":
-        d = np.abs(dense_spec.expanded_thetas() - osc_spec.expanded_thetas())
-        d = np.minimum(d, 2 * np.pi - d)
+        _, discrepancy = _cyclic_pairing(dense_spec.expanded_thetas(), osc_spec.expanded_thetas())
+        agree = len(dense_spec.thetas) == len(osc_spec.thetas)
+        if agree:
+            shift, _ = _cyclic_pairing(dense_spec.thetas, osc_spec.thetas)
+            agree = np.array_equal(dense_spec.multiplicities, np.roll(osc_spec.multiplicities, -shift))
         report["comparison"] = {
-            "max_eigenvalue_discrepancy": float(d.max()) if len(d) else 0.0,
-            "multiplicities_agree": bool(
-                len(dense_spec.thetas) == len(osc_spec.thetas)
-                and np.array_equal(dense_spec.multiplicities, osc_spec.multiplicities)),
+            "max_eigenvalue_discrepancy": discrepancy,
+            "multiplicities_agree": bool(agree),
         }
     _write_output(args.output, fileio.dumps(report))
     return EXIT_OK
+
+
+def _cyclic_pairing(a: np.ndarray, b: np.ndarray):
+    """(k, d): the shift k minimizing the largest circular distance d between a[i] and b[(i + k) % n]."""
+    n = len(a)
+    if n == 0:
+        return 0, 0.0
+    d = np.abs(a[:, None] - b[None, :]) % (2 * np.pi)
+    d = np.minimum(d, 2 * np.pi - d)
+    i = np.arange(n)
+    worst = [d[i, (i + k) % n].max() for k in range(n)]
+    k = int(np.argmin(worst))
+    return k, float(worst[k])
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -110,15 +126,7 @@ def cmd_weyl(args) -> int:
     if bad:
         raise GridOutsideDiscError(
             f"{len(bad)} grid points outside the punctured unit disc, e.g. {bad[0]:.4f}")
-
-    def one(w):
-        return weyl.radial_central(z, w)
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            discs = list(pool.map(one, grid))
-    else:
-        discs = [one(w) for w in grid]
+    discs = [weyl.radial_central(z, w) for w in grid]
     _write_output(args.output, fileio.weyl_csv_rows(discs))
     return EXIT_OK
 
@@ -187,7 +195,7 @@ def cmd_bands(args) -> int:
     z = fileio.load_document(args.input)
     if not isinstance(z, zp.Zipper) or z.flavor != "periodic":
         raise ValidationError("bands needs a periodic zipper file")
-    bs = osc.bands(z, args.grid, refine_tol=args.tol, workers=args.workers)
+    bs = osc.bands(z, args.grid, refine_tol=args.tol)
     _write_output(args.output, fileio.bands_csv(bs))
     return EXIT_OK
 
@@ -231,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("input")
     w.add_argument("--grid", default="0.1:0.9:5,0.0:0.6:5",
                    help="cartesian grid 're0:re1:nr,im0:im1:ni' inside the punctured disc")
-    w.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     w.add_argument("--output", default="-")
     w.set_defaults(func=cmd_weyl)
 
@@ -252,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("input")
     b.add_argument("--grid", type=int, default=64, help="momentum grid size")
     b.add_argument("--tol", type=float, default=1e-10, help="crossing refinement width in theta")
-    b.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     b.add_argument("--output", default="-")
     b.set_defaults(func=cmd_bands)
 

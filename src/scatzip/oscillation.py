@@ -10,7 +10,11 @@ bisecting every upward crossing of a multiple of 2 pi.
 
 Periodic zippers use the doubled (checkerboard) construction: the fixed-point
 condition of the transfer cocycle becomes a Lagrangian intersection in twice
-the dimension, handled by the same sweep on a 2L x 2L Pruefer unitary.
+the dimension, handled by the same sweep on a 2L x 2L Pruefer unitary.  Both
+phases propagate their frames with ``transfer.propagate``: the doubled frame
+carries the identity half of 1 (+) T_n as rows above the 2L rows T_n acts on,
+so ``checkerboard_sum`` is never formed on the way and stays as the reference
+for that row order.
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ from .errors import (
     SizeMismatchError,
     ValidationError,
 )
-from .transfer import TransferFactory, _qr_positive
-from .zipper import SpectrumResult, Zipper, spectrum_result_sorted
-
-TWO_PI = 2.0 * np.pi
+from .transfer import TransferFactory, propagate
+from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters, fiber_zipper
 
 
 @dataclass
@@ -41,11 +43,6 @@ class PruferPhase:
     z: complex
     matrix: np.ndarray
 
-    def eigenphases(self) -> np.ndarray:
-        """Sorted eigenphases in [0, 2 pi)."""
-        lam = np.linalg.eigvals(self.matrix)
-        return np.sort(np.mod(np.angle(lam), TWO_PI))
-
 
 def _check_circle(z: complex) -> complex:
     z = complex(z)
@@ -54,29 +51,36 @@ def _check_circle(z: complex) -> complex:
     return z / abs(z)
 
 
-def prufer(zipper: Zipper, z: complex, factory: Optional[TransferFactory] = None) -> PruferPhase:
-    """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*.
+def _nudged_phase(zipper: Zipper, z: complex, factory: Optional[TransferFactory],
+                  start: Optional[np.ndarray], upper, lower, right: np.ndarray,
+                  error: Exception) -> PruferPhase:
+    """W = b a^(-1) right, with a, b the ``upper`` and ``lower`` rows of the frame
+    propagated from ``start`` over all N sites.
 
-    psi phi^(-1) depends only on the plane spanned by the frame, so the
-    renormalized propagation can be used; with orthonormal frames both frame
-    halves are well-conditioned away from a measure-zero set of theta, where
-    a single machine-scale nudge is attempted before giving up.
+    b a^(-1) depends only on the plane spanned by the frame, so the
+    renormalized propagation can be used; with orthonormal Lagrangian frames
+    a and b are well-conditioned away from a measure-zero set of theta, where
+    a single machine-scale nudge is attempted before ``error`` is raised.
     """
-    from .transfer import propagate
+    fac = factory or TransferFactory(zipper)
+    for attempt in range(2):
+        frame = propagate(zipper, z, zipper.N, factory=fac, start=start).matrix
+        a, b = frame[upper], frame[lower]
+        if mc.smallest_singular_value(a) > 1e-8:
+            return PruferPhase(z, np.linalg.solve(a.T, b.T).T @ right)
+        z = z * np.exp(1e-12j)  # nudge off the degenerate point
+    raise error
 
+
+def prufer(zipper: Zipper, z: complex, factory: Optional[TransferFactory] = None) -> PruferPhase:
+    """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*."""
     z = _check_circle(z)
     if zipper.flavor != "finite":
         raise ValidationError("prufer needs a finite zipper")
-    fac = factory or TransferFactory(zipper)
-    vstar = mc.adj(zipper.boundary_v)
-    for attempt in range(2):
-        frame = propagate(zipper, z, zipper.N, renormalize=True, factory=fac)
-        a, b = frame.upper(), frame.lower()
-        if mc.smallest_singular_value(a) > 1e-8:
-            W = np.linalg.solve(a.T, b.T).T @ vstar
-            return PruferPhase(z, W)
-        z = z * np.exp(1e-12j)  # nudge off the degenerate point
-    raise DegeneratePhiBlockError("phi block of the frame stayed singular after a nudge")
+    L = zipper.L
+    return _nudged_phase(zipper, z, factory, None, slice(0, L), slice(L, 2 * L),
+                         mc.adj(zipper.boundary_v),
+                         DegeneratePhiBlockError("phi block of the frame stayed singular after a nudge"))
 
 
 def checkerboard_sum(T1, T2) -> np.ndarray:
@@ -122,24 +126,20 @@ def prufer_periodic(zipper: Zipper, z: complex,
     renormalization; the eigenvalue-1 multiplicity of the result equals the
     geometric multiplicity of 1 as eigenvalue of the full transfer product,
     hence the multiplicity of z in the periodic operator spectrum.
+    ``propagate`` keeps the rows in the order (carried upper, carried lower,
+    acted upper, acted lower), the checkerboard order with the middle two
+    L-row blocks swapped; the doubled start frame reads the same in both.
+    W = b a^(-1) S, with a and b the positive- and negative-signature halves
+    of the checkerboard-ordered frame and S the block swap; a b^(-1) is
+    unitary on Lagrangian frames, so this is (a b^(-1))* S.
     """
     z = _check_circle(z)
     if zipper.flavor != "periodic":
         raise ValidationError("prufer_periodic needs a periodic zipper")
-    fac = factory or TransferFactory(zipper)
     L = zipper.L
-    eye2L = mc.eye(2 * L)
-    for attempt in range(2):
-        frame = doubled_initial_frame(L)
-        for n in range(1, zipper.N + 1):
-            frame, _ = _qr_positive(checkerboard_sum(eye2L, fac.transfer(n, z)) @ frame)
-        a, b = frame[: 2 * L], frame[2 * L:]
-        if mc.smallest_singular_value(b) > 1e-8:
-            pi_n = np.linalg.solve(b.T, a.T).T
-            W = mc.adj(pi_n) @ _swap(L)
-            return PruferPhase(z, W)
-        z = z * np.exp(1e-12j)
-    raise DegenerateBlockError("doubled frame chart stayed singular after a nudge")
+    return _nudged_phase(zipper, z, factory, doubled_initial_frame(L),
+                         np.r_[0:L, 2 * L:3 * L], np.r_[L:2 * L, 3 * L:4 * L], _swap(L),
+                         DegenerateBlockError("doubled frame chart stayed singular after a nudge"))
 
 
 # -- monotone eigenphase sweep ---------------------------------------------------
@@ -229,30 +229,6 @@ def _refine_crossing(wfn: Callable[[float], np.ndarray], th_a: float, th_b: floa
     return 0.5 * (th_a + th_b)
 
 
-def _merge_crossings(crossings: list, window: float) -> SpectrumResult:
-    """Cluster crossing angles within the window into (theta, multiplicity) pairs."""
-    if not crossings:
-        return SpectrumResult(np.array([]), np.array([], dtype=int))
-    thetas = np.sort(np.mod(np.asarray(crossings), TWO_PI))
-    groups = []
-    start = 0
-    for i in range(1, len(thetas) + 1):
-        if i == len(thetas) or thetas[i] - thetas[i - 1] > window:
-            groups.append((start, i))
-            start = i
-    # merge across the 0 / 2pi seam
-    if len(groups) > 1 and (thetas[0] + TWO_PI - thetas[-1]) <= window:
-        (s0, e0), (s1, e1) = groups[0], groups.pop()
-        groups[0] = (s1 - len(thetas), e0)
-    out_t, out_m = [], []
-    for s, e in groups:
-        vals = thetas[np.arange(s, e) % len(thetas)]
-        mean = np.angle(np.mean(np.exp(1j * vals)))
-        out_t.append(np.mod(mean, TWO_PI))
-        out_m.append(e - s)
-    return spectrum_result_sorted(out_t, out_m)
-
-
 def sweep_spectrum(wfn: Callable[[float], np.ndarray], n_branches: int, expected_total: int,
                    grid_size: int, refine_tol: float = 1e-10, retries: int = 10) -> SpectrumResult:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
@@ -307,7 +283,7 @@ def sweep_spectrum(wfn: Callable[[float], np.ndarray], n_branches: int, expected
                         wfn, prev_theta, th, prev_res, j, start[j], target, refine_tol))
             prev_theta, prev_res = th, tracker.residues()
         if ok and len(crossings) == expected_total:
-            return _merge_crossings(crossings, 10.0 * refine_tol)
+            return _circular_clusters(crossings, 10.0 * refine_tol)[0]
         last_error = (f"found {len(crossings)} crossings, expected {expected_total} "
                       f"(grid {grid}{'' if ok else ', tracking lost'})")
         grid *= 2
@@ -316,38 +292,37 @@ def sweep_spectrum(wfn: Callable[[float], np.ndarray], n_branches: int, expected
 
 # -- spectra -----------------------------------------------------------------------
 
+def _phase_family(zipper: Zipper) -> Callable[[float], np.ndarray]:
+    """theta -> Pruefer unitary at exp(i theta): ``prufer`` for finite zippers,
+    ``prufer_periodic`` for periodic ones, sharing one transfer cache."""
+    fac = TransferFactory(zipper)
+    phase = prufer if zipper.flavor == "finite" else prufer_periodic
+    return lambda theta: phase(zipper, np.exp(1j * theta), factory=fac).matrix
+
+
 def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
                             refine_tol: float = 1e-10) -> SpectrumResult:
-    """All N L eigenvalues of a finite zipper by Pruefer-phase crossing counting."""
-    if zipper.flavor != "finite":
-        raise ValidationError("spectrum_by_oscillation needs a finite zipper")
+    """All N L eigenvalues of a finite or periodic zipper by Pruefer-phase crossing counting.
+
+    Finite zippers sweep the L branches of ``prufer``, periodic ones the 2L
+    branches of the doubled ``prufer_periodic``.
+    """
+    if not isinstance(zipper, Zipper):
+        raise ValidationError("oscillation spectra need a finite or periodic zipper")
     total = zipper.N * zipper.L
     grid = grid_size if grid_size is not None else 8 * total
     if grid < 4 * total:
         raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
-    fac = TransferFactory(zipper)
-
-    def wfn(theta: float) -> np.ndarray:
-        return prufer(zipper, np.exp(1j * theta), factory=fac).matrix
-
-    return sweep_spectrum(wfn, zipper.L, total, grid, refine_tol)
+    branches = zipper.L if zipper.flavor == "finite" else 2 * zipper.L
+    return sweep_spectrum(_phase_family(zipper), branches, total, grid, refine_tol)
 
 
 def spectrum_periodic(zipper: Zipper, grid_size: Optional[int] = None,
                       refine_tol: float = 1e-10) -> SpectrumResult:
-    """All N L eigenvalues of a finite periodic zipper via the doubled phases."""
+    """All N L eigenvalues of a periodic zipper via the doubled phases."""
     if zipper.flavor != "periodic":
         raise ValidationError("spectrum_periodic needs a periodic zipper")
-    total = zipper.N * zipper.L
-    grid = grid_size if grid_size is not None else 8 * total
-    if grid < 4 * total:
-        raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
-    fac = TransferFactory(zipper)
-
-    def wfn(theta: float) -> np.ndarray:
-        return prufer_periodic(zipper, np.exp(1j * theta), factory=fac).matrix
-
-    return sweep_spectrum(wfn, 2 * zipper.L, total, grid, refine_tol)
+    return spectrum_by_oscillation(zipper, grid_size, refine_tol)
 
 
 def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> float:
@@ -356,11 +331,7 @@ def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> 
     Positive values confirm the monotone rotation of the eigenphases; the
     periodic flavor checks the doubled phase matrix.
     """
-    fac = TransferFactory(zipper)
-    if zipper.flavor == "periodic":
-        get = lambda t: prufer_periodic(zipper, np.exp(1j * t), factory=fac).matrix
-    else:
-        get = lambda t: prufer(zipper, np.exp(1j * t), factory=fac).matrix
+    get = _phase_family(zipper)
     W0 = get(theta)
     D = (get(theta + h) - get(theta - h)) / (2.0 * h)
     M = mc.hermitize(mc.adj(W0) @ D / 1j)
@@ -405,28 +376,11 @@ def momentum_grid(N: int, k_grid_size: int) -> np.ndarray:
 
 
 def bands(zipper: Zipper, k_grid_size: int, grid_size: Optional[int] = None,
-          refine_tol: float = 1e-10, workers: int = 1) -> BandStructure:
+          refine_tol: float = 1e-10) -> BandStructure:
     """Band structure: spectrum_periodic of the fiber at every momentum grid point."""
     if zipper.flavor != "periodic":
         raise ValidationError("bands needs a periodic zipper")
     ks = momentum_grid(zipper.N, k_grid_size)
-
-    def one(k: float) -> SpectrumResult:
-        twisted = fiber_zipper(zipper, k)
-        return spectrum_periodic(twisted, grid_size=grid_size, refine_tol=refine_tol)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            spectra = list(pool.map(one, ks))
-    else:
-        spectra = [one(k) for k in ks]
+    spectra = [spectrum_periodic(fiber_zipper(zipper, k), grid_size=grid_size, refine_tol=refine_tol)
+               for k in ks]
     return BandStructure(ks, spectra)
-
-
-def fiber_zipper(zipper: Zipper, k: float) -> Zipper:
-    """The periodic zipper whose assembly equals the Bloch-Floquet fiber at k."""
-    phase = np.exp(1j * float(k))
-    twisted = {n: b.gauge_twisted(phase) for n, b in zipper.blocks.items()}
-    return Zipper(zipper.L, zipper.N, "periodic", twisted)

@@ -46,7 +46,7 @@ class ScatteringBlock:
 
     The assembled 2L x 2L matrix and the four blocks are cached at
     construction; (alpha, u_gauge, v_gauge) is the canonical serialization
-    form.  Instances are immutable and safe to share between workers.
+    form.  Instances are immutable and safe to share between threads.
     """
 
     alpha: np.ndarray

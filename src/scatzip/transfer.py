@@ -11,6 +11,10 @@ transfer conserves the signature-(L, L) form, so frames stay Lagrangian; for
 |z| < 1 a single even step satisfies T* L T = L + P with P >= (1-|z|^2)/2,
 which drives all the Weyl-disc estimates.  The left boundary U enters as the
 z-independent first step T_1 = diag(U, 1).
+
+``propagate`` is the one loop that carries a solution frame forward: the
+Pruefer phases of finite and periodic zippers (``oscillation``) and the
+log-scaled radius norms (``weyl.log_radius_norm``) all run through it.
 """
 
 from __future__ import annotations
@@ -109,11 +113,11 @@ class TransferFactory:
 
 @dataclass
 class SolutionFrame:
-    """A 2L x L full-rank frame at a given site.
+    """A full-rank frame at a given site (2L x L, or taller with carried rows).
 
     When propagated with renormalization, ``matrix`` has orthonormal columns
     and the removed right factor is exp(log_scale) * normalizer with
-    ||normalizer|| = 1; the raw frame is matrix @ normalizer * exp(log_scale).
+    ||normalizer||_F = 1; the raw frame is matrix @ normalizer * exp(log_scale).
     """
 
     matrix: np.ndarray
@@ -157,27 +161,31 @@ def initial_frame(L: int) -> np.ndarray:
 
 
 def propagate(zipper, z: complex, upto: int, renormalize: bool = True,
-              factory: Optional[TransferFactory] = None) -> SolutionFrame:
-    """Propagate the frame (1; 1) through T_1, ..., T_upto.
+              factory: Optional[TransferFactory] = None,
+              start: Optional[np.ndarray] = None) -> SolutionFrame:
+    """Propagate a frame through T_1, ..., T_upto, from (1; 1) unless ``start`` is given.
 
-    With renormalization the frame is column-orthonormalized after every
-    step (QR), which only removes a right factor and therefore leaves the
-    spanned plane unchanged; the factor is accumulated in log-scaled form.
+    T_n acts on the last 2L rows of the frame; any rows above them are
+    carried along unchanged (the doubled periodic frame carries the identity
+    factor of 1 (+) T_n this way).  With renormalization the frame is
+    column-orthonormalized after every step (QR), which only removes a right
+    factor and therefore leaves the spanned plane unchanged; the factor is
+    accumulated as a Frobenius-normalized matrix and a log scale.
     """
     z = _check_z(z)
     fac = factory or TransferFactory(zipper)
     L = fac.L
-    frame = initial_frame(L)
-    if not renormalize:
-        for n in range(1, upto + 1):
-            frame = fac.transfer(n, z) @ frame
-        return SolutionFrame(frame, upto, z)
-    tau = mc.eye(L)
+    frame = np.array(initial_frame(L) if start is None else start, dtype=complex)
+    carried = frame.shape[0] - 2 * L
+    tau = mc.eye(frame.shape[1]) if renormalize else None
     log_scale = 0.0
     for n in range(1, upto + 1):
-        frame, R = _qr_positive(fac.transfer(n, z) @ frame)
+        frame[carried:] = fac.transfer(n, z) @ frame[carried:]
+        if not renormalize:
+            continue
+        frame, R = _qr_positive(frame)
         M = R @ tau
-        nu = float(np.linalg.norm(M, 2))
+        nu = float(np.linalg.norm(M))
         if not np.isfinite(nu) or nu <= 0.0:
             raise DegenerateFrameError(f"renormalization factor degenerated at site {n}")
         tau = M / nu

@@ -25,12 +25,13 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import (
+    DegenerateFrameError,
     NotOnSurfaceError,
     SingularBlockError,
     ValidationError,
     ZeroZError,
 )
-from .transfer import TransferFactory, initial_frame
+from .transfer import TransferFactory, propagate
 from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper
 
 # Direct transfer products are trusted up to this length; beyond it the
@@ -100,25 +101,30 @@ def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = N
     return np.linalg.solve(C - V @ A, V @ B - D)
 
 
+def _f_from_e(E: np.ndarray) -> np.ndarray:
+    one = mc.eye(E.shape[0])
+    return -1j * np.linalg.solve((E - one).T, (E + one).T).T
+
+
+def _g_from_e(E: np.ndarray, z: complex) -> np.ndarray:
+    one = mc.eye(E.shape[0])
+    return np.linalg.solve((one - E).T, E.T).T / z
+
+
 def f_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
     """Resolvent matrix F = (E + 1)(E - 1)^(-1) / i; F(0) = i 1 exactly."""
     z = complex(z)
-    L = zipper.L
     if z == 0:
-        return 1j * mc.eye(L)
-    E = e_matrix(zipper, z, v_boundary, upto, factory)
-    one = mc.eye(L)
-    return -1j * np.linalg.solve((E - one).T, (E + one).T).T
+        return 1j * mc.eye(zipper.L)
+    return _f_from_e(e_matrix(zipper, z, v_boundary, upto, factory))
 
 
 def g_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
     """Green matrix G = E (1 - E)^(-1) / z (the site-1 block of the resolvent)."""
     z = _check_disc_z(z)
-    E = e_matrix(zipper, z, v_boundary, upto, factory)
-    one = mc.eye(zipper.L)
-    return np.linalg.solve((one - E).T, E.T).T / z
+    return _g_from_e(e_matrix(zipper, z, v_boundary, upto, factory), z)
 
 
 @dataclass
@@ -139,10 +145,7 @@ def resolvent_point(zipper, z: complex, v_boundary=None, upto: Optional[int] = N
     """E, F, G at one point, from a single inverse-Moebius chain."""
     z = _check_disc_z(z)
     E = e_matrix(zipper, z, v_boundary, upto)
-    one = mc.eye(zipper.L)
-    F = -1j * np.linalg.solve((E - one).T, (E + one).T).T
-    G = np.linalg.solve((one - E).T, E.T).T / z
-    return ResolventPoint(z, E, F, G)
+    return ResolventPoint(z, E, _f_from_e(E), _g_from_e(E, z))
 
 
 def dense_f(op: BlockBandedUnitary, z: complex) -> np.ndarray:
@@ -259,32 +262,27 @@ def disc_membership(f_value, disc: WeylDisc, defect_threshold: float = 1e-6) -> 
 
 def log_radius_norm(zipper, z: complex, upto: int,
                     factory: Optional[TransferFactory] = None) -> Optional[float]:
-    """log ||R|| at z (|z| != 1) via norm-scaled frame propagation.
+    """log ||R|| at z (|z| != 1) via the renormalized frame propagation.
 
     Works far beyond the direct-product overflow threshold.  R^(-1) is half
-    the (L, L)-form value of the frame grown from (1; 1); its smallest
-    absolute eigenvalue is tracked in log scale.  Returns None if the scaled
-    form degenerates below floating resolution.
+    the (L, L)-form value of the frame grown from (1; 1); with the frame
+    stored as Q tau exp(s), that value is exp(2 s) tau* (Q* L Q) tau, and its
+    smallest absolute eigenvalue is tracked in log scale.  Returns None if
+    the scaled form degenerates below floating resolution.
     """
     z = complex(z)
     if z == 0 or abs(abs(z) - 1.0) < 1e-14:
         raise ValidationError("radius norms need 0 < |z| != 1")
-    fac = factory or TransferFactory(zipper)
-    L = fac.L
-    frame = initial_frame(L).astype(complex)
-    log_scale = 0.0
-    for n in range(1, upto + 1):
-        frame = fac.transfer(n, z) @ frame
-        nu = float(np.linalg.norm(frame))
-        if not np.isfinite(nu) or nu <= 0.0:
-            return None
-        frame /= nu
-        log_scale += np.log(nu)
-    form = mc.adj(frame) @ mc.lform(L) @ frame
+    try:
+        frame = propagate(zipper, z, upto, factory=factory)
+    except DegenerateFrameError:
+        return None
+    Q, tau = frame.matrix, frame.normalizer
+    form = mc.adj(tau) @ (mc.adj(Q) @ mc.lform(Q.shape[1]) @ Q) @ tau
     eigs = np.abs(np.linalg.eigvalsh(mc.hermitize(form)))
     if eigs.min() <= 1e-280:
         return None
-    return float(np.log(2.0) - 2.0 * log_scale - np.log(eigs.min()))
+    return float(np.log(2.0) - 2.0 * frame.log_scale - np.log(eigs.min()))
 
 
 @dataclass

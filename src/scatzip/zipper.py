@@ -33,6 +33,7 @@ from .errors import (
 from .scattering import ScatteringBlock
 
 DENSE_CAP = 512  # largest N*L the dense routines will touch by default
+TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -261,18 +262,23 @@ def assemble_periodic(zipper: Zipper) -> BlockBandedUnitary:
     return BlockBandedUnitary(zipper.L, zipper.N, prod, periodic=True)
 
 
-def fiber(zipper: Zipper, k: float) -> BlockBandedUnitary:
-    """Bloch-Floquet fiber at momentum k of a periodic zipper.
+def fiber_zipper(zipper: Zipper, k: float) -> Zipper:
+    """The periodic zipper whose assembly is the Bloch-Floquet fiber at momentum k.
 
     Each block gets its beta scaled by exp(-ik) and gamma by exp(+ik), which
     is the gauge twist (U, V) -> (exp(-ik) U, exp(ik) V); at k = 0 this is the
-    plain periodic operator.
+    plain periodic zipper.
     """
     if zipper.flavor != "periodic":
         raise ValidationError("fibering applies to periodic zippers")
     phase = np.exp(1j * float(k))
     twisted = {n: b.gauge_twisted(phase) for n, b in zipper.blocks.items()}
-    return assemble_periodic(Zipper(zipper.L, zipper.N, "periodic", twisted))
+    return Zipper(zipper.L, zipper.N, "periodic", twisted)
+
+
+def fiber(zipper: Zipper, k: float) -> BlockBandedUnitary:
+    """Bloch-Floquet fiber at momentum k of a periodic zipper (see fiber_zipper)."""
+    return assemble_periodic(fiber_zipper(zipper, k))
 
 
 def apply(op: BlockBandedUnitary, vec: np.ndarray) -> np.ndarray:
@@ -312,11 +318,10 @@ class SpectrumResult:
         return np.sort(np.repeat(self.thetas, self.multiplicities))
 
 
-def spectrum_result_sorted(thetas, multiplicities) -> SpectrumResult:
-    t = np.mod(np.asarray(thetas, dtype=float), 2.0 * np.pi)
-    m = np.asarray(multiplicities, dtype=int)
-    order = np.argsort(t)
-    return SpectrumResult(t[order], m[order])
+def _fold(thetas) -> np.ndarray:
+    """Phases reduced to [0, 2 pi); 2 pi itself, the reduction of a tiny negative angle, goes to 0."""
+    t = np.mod(np.asarray(thetas, dtype=float), TWO_PI)
+    return np.where(t < TWO_PI, t, 0.0)
 
 
 def _cluster_sorted(values: np.ndarray, tol: float) -> list:
@@ -328,6 +333,25 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> list:
             groups.append(list(range(start, i)))
             start = i
     return groups
+
+
+def _circular_clusters(thetas, window: float):
+    """Cluster phases on the circle into eigenvalues with multiplicities.
+
+    Neighbouring phases within ``window`` of each other, also across the
+    0 / 2 pi seam, form one eigenvalue at their circular mean.  Returns the
+    SpectrumResult and, per eigenvalue, the indices of its input phases.
+    """
+    t = _fold(thetas)
+    order = np.argsort(t)
+    groups = _cluster_sorted(t[order], window)
+    if len(groups) > 1 and t[order[0]] + TWO_PI - t[order[-1]] <= window:
+        groups[0] = groups.pop() + groups[0]
+    groups = [order[g] for g in groups]
+    centers = _fold([np.angle(np.mean(np.exp(1j * t[g]))) for g in groups])
+    rank = np.argsort(centers)
+    mults = np.array([len(groups[i]) for i in rank], dtype=int)
+    return SpectrumResult(centers[rank], mults), [groups[i] for i in rank]
 
 
 def eig_unitary(U: np.ndarray, tol_cluster: float = 1e-7):
@@ -363,23 +387,7 @@ def dense_spectrum(op: BlockBandedUnitary, cap: int = DENSE_CAP,
     if op.dim > cap:
         raise CapExceededError(f"dim {op.dim} exceeds dense cap {cap}")
     lam, vectors = eig_unitary(op.to_dense(), tol_cluster)
-    theta = np.mod(np.angle(lam), 2.0 * np.pi)
-    order = np.argsort(theta)
-    theta = theta[order]
-    vectors = vectors[:, order]
-    groups = _cluster_sorted(theta, tol_cluster)
-    # merge a cluster straddling the 0/2pi seam
-    if len(groups) > 1 and (theta[groups[0][0]] + 2 * np.pi - theta[groups[-1][-1]]) <= tol_cluster:
-        groups[0] = groups.pop() + groups[0]
-    thetas, mults, projs = [], [], []
-    for g in groups:
-        th = np.angle(np.mean(np.exp(1j * theta[g])))
-        thetas.append(np.mod(th, 2.0 * np.pi))
-        mults.append(len(g))
-        if want_projections:
-            projs.append(vectors[:, g])
-    order = np.argsort(thetas)
-    result = SpectrumResult(np.asarray(thetas)[order], np.asarray(mults, dtype=int)[order])
+    result, groups = _circular_clusters(np.angle(lam), tol_cluster)
     if want_projections:
-        return result, [projs[i] for i in order]
+        return result, [vectors[:, g] for g in groups]
     return result

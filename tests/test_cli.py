@@ -62,6 +62,20 @@ def test_spectrum_seeded_instance(tmp_path):
     assert report["comparison"]["max_eigenvalue_discrepancy"] < 1e-7
 
 
+def test_spectrum_seam_eigenvalue(tmp_path):
+    # the free L=2, N=16 zipper has the double eigenvalue 1, which the dense
+    # oracle meets just below theta = 2 pi and the sweep just above 0
+    zfile = tmp_path / "z.json"
+    out = tmp_path / "spec.json"
+    run_cli("gen", "--L", "2", "--N", "16", "--ensemble", "free", "--output", str(zfile))
+    assert run_cli("spectrum", str(zfile), "--output", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["comparison"]["multiplicities_agree"]
+    assert report["comparison"]["max_eigenvalue_discrepancy"] < 1e-7
+    for route in ("dense", "oscillation"):
+        assert all(0.0 <= e["theta"] < 2 * np.pi for e in report[route])
+
+
 def test_spectrum_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"L": 1,\n  "broken"')
@@ -75,7 +89,7 @@ def test_weyl_sweep_bound_column(tmp_path):
     out = tmp_path / "sweep.csv"
     run_cli("gen", "--L", "1", "--N", "8", "--seed", "3", "--output", str(zfile))
     assert run_cli("weyl", str(zfile), "--grid", "0.1:0.7:3,0.0:0.5:3",
-                   "--workers", "1", "--output", str(out)) == 0
+                   "--output", str(out)) == 0
     lines = out.read_text().strip().splitlines()
     head = lines[0].split(",")
     i_r, i_b = head.index("norm_R"), head.index("bound")
@@ -90,7 +104,7 @@ def test_weyl_center_near_i_for_small_z(tmp_path):
     out = tmp_path / "sweep.csv"
     run_cli("gen", "--L", "1", "--N", "8", "--seed", "3", "--output", str(zfile))
     run_cli("weyl", str(zfile), "--grid", "0.05:0.05:1,0.0:0.0:1",
-            "--workers", "1", "--output", str(out))
+            "--output", str(out))
     head, row = [ln.split(",") for ln in out.read_text().strip().splitlines()]
     center = float(row[head.index("center_re_0_0")]) + 1j * float(row[head.index("center_im_0_0")])
     assert abs(center - 1j) < 0.2
@@ -164,8 +178,7 @@ def test_bands_free_coverage_and_k0(tmp_path):
     out = tmp_path / "bands.csv"
     run_cli("gen", "--L", "1", "--N", "2", "--flavor", "periodic", "--ensemble", "free",
             "--output", str(zfile))
-    assert run_cli("bands", str(zfile), "--grid", "64", "--workers", "1",
-                   "--output", str(out)) == 0
+    assert run_cli("bands", str(zfile), "--grid", "64", "--output", str(out)) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 65
     phases = np.sort(np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]).ravel())
@@ -180,10 +193,34 @@ def test_bands_deterministic(tmp_path):
     outs = []
     for name in ("b1.csv", "b2.csv"):
         out = tmp_path / name
-        assert run_cli("bands", str(zfile), "--grid", "8", "--workers", "2",
-                       "--output", str(out)) == 0
+        assert run_cli("bands", str(zfile), "--grid", "8", "--output", str(out)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sweeps_call_pruefer_functions_by_module_name(tmp_path, monkeypatch):
+    # spectrum and bands must look prufer, prufer_periodic and sweep_spectrum
+    # up on the oscillation module at call time, so that a wrapper set there
+    # (an evaluation counter or cap) sees every sweep and every evaluation
+    from scatzip import oscillation as osc
+
+    hits = dict.fromkeys(("prufer", "prufer_periodic", "sweep_spectrum"), 0)
+    for name in hits:
+        def counted(*args, _fn=getattr(osc, name), _name=name, **kwargs):
+            hits[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(osc, name, counted)
+    zfin, zper = tmp_path / "z.json", tmp_path / "zper.json"
+    run_cli("gen", "--L", "1", "--N", "4", "--seed", "3", "--output", str(zfin))
+    run_cli("gen", "--L", "1", "--N", "2", "--flavor", "periodic", "--seed", "3",
+            "--output", str(zper))
+    for argv, used in [(("spectrum", str(zfin)), ("prufer", "sweep_spectrum")),
+                       (("spectrum", str(zper)), ("prufer_periodic", "sweep_spectrum")),
+                       (("bands", str(zper), "--grid", "2"), ("prufer_periodic", "sweep_spectrum"))]:
+        before = dict(hits)
+        assert run_cli(*argv, "--output", str(tmp_path / "out")) == 0
+        assert all(hits[name] > before[name] for name in used), argv
+    assert hits["sweep_spectrum"] == 4
 
 
 def test_verify_all_passes(capsys):

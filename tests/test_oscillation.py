@@ -132,6 +132,25 @@ def test_doubled_frame_chart_is_swap():
     assert np.linalg.norm(mc.adj(frame) @ Lh @ frame, 2) < 1e-14
 
 
+def test_prufer_periodic_frame_matches_checkerboard_product():
+    # propagate keeps the doubled frame in the row order (carried upper,
+    # carried lower, acted upper, acted lower); swapping the middle two L-row
+    # blocks gives the checkerboard order of (1 (+) T_N...T_1) times the start
+    for seed, L in [(12, 1), (13, 2)]:
+        z = ensembles.periodic_zipper(seed, L, 6)
+        fac = tr.TransferFactory(z)
+        start = osc.doubled_initial_frame(L)
+        perm = np.r_[0:L, 2 * L:3 * L, L:2 * L, 3 * L:4 * L]
+        for theta in (0.4, 2.1, 5.3):
+            w = np.exp(1j * theta)
+            ref = osc.checkerboard_sum(np.eye(2 * L), fac.product(z.N, w)) @ start
+            frame = tr.propagate(z, w, z.N, factory=fac, start=start).matrix[perm]
+            assert mc.principal_sines(frame, ref).max() < 1e-10
+            W_ref = mc.adj(ref[:2 * L] @ np.linalg.inv(ref[2 * L:])) @ osc._swap(L)
+            W = osc.prufer_periodic(z, w, factory=fac).matrix
+            assert np.linalg.norm(W - W_ref, 2) < 1e-10
+
+
 def test_prufer_periodic_eigenvalue_one(rng):
     z = ensembles.periodic_zipper(12, 2, 4)
     spec = zp.dense_spectrum(zp.assemble_periodic(z))

@@ -205,13 +205,14 @@ def test_limit_f_v_independence_and_scaling(rng):
 
 def test_limit_f_posterior_radius_moderate_n():
     # at short truncations the a-posteriori radius is finitely computable and
-    # dominated by the universal bound
-    sem = ensembles.semi_infinite_zipper(78, 1, "cmv")
+    # matches the radius of the direct-product disc
     w = 0.3 + 0.2j
-    lr = weyl.log_radius_norm(sem, w, 12)
-    disc = weyl.radial_central(sem.truncate(12, np.eye(1)), w)
-    assert lr is not None
-    assert abs(np.exp(lr) - disc.radius_norms()[0]) < 1e-10 * disc.radius_norms()[0] + 1e-14
+    for L, ensemble in [(1, "cmv"), (2, "haar-gauge"), (3, "cmv")]:
+        sem = ensembles.semi_infinite_zipper(78, L, ensemble)
+        lr = weyl.log_radius_norm(sem, w, 12)
+        disc = weyl.radial_central(sem.truncate(12, np.eye(L)), w)
+        assert lr is not None
+        assert abs(np.exp(lr) - disc.radius_norms()[0]) < 1e-10 * disc.radius_norms()[0] + 1e-14
 
 
 def test_radial_central_respects_stability_cap():
