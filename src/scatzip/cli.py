@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("weyl", help="Weyl-disc sweep over a z-grid (CSV)")
     w.add_argument("input")
-    w.add_argument("--grid", default="0.1:0.9:5,0.0:0.6:5",
+    w.add_argument("--grid", default="0.1:0.8:5,0.0:0.5:5",
                    help="cartesian grid 're0:re1:nr,im0:im1:ni' inside the punctured disc")
     w.add_argument("--output", default="-")
     w.set_defaults(func=cmd_weyl)

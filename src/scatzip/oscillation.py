@@ -15,6 +15,12 @@ phases propagate their frames with ``transfer.propagate``: the doubled frame
 carries the identity half of 1 (+) T_n as rows above the 2L rows T_n acts on,
 so ``checkerboard_sum`` is never formed on the way and stays as the reference
 for that row order.
+
+Both phases take an array of circle points and evaluate it in one call of
+``propagate``.  The sweep samples its whole theta grid that way (at most
+SWEEP_BLOCK points per call), keeps the samples when a count mismatch doubles
+the grid, and bisects the brackets of the crossings only once their count
+matches, all of them in lockstep with one batched call per level.
 """
 
 from __future__ import annotations
@@ -35,45 +41,72 @@ from .errors import (
 from .transfer import TransferFactory, propagate
 from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters, fiber_zipper
 
+# Most theta one batched Pruefer evaluation takes; bounds the frame stacks in
+# memory when a sweep doubles its grid to thousands of points.
+SWEEP_BLOCK = 1024
+
 
 @dataclass
 class PruferPhase:
-    """Unitary phase matrix at a circle point (L x L finite, 2L x 2L periodic)."""
+    """Unitary phase matrix at a circle point (L x L finite, 2L x 2L periodic).
+
+    Evaluated at a 1-D array of points, ``z`` is that array (with any nudged
+    point moved) and ``matrix`` the (B, m, m) stack of phase matrices.
+    """
 
     z: complex
     matrix: np.ndarray
 
 
-def _check_circle(z: complex) -> complex:
-    z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise ValidationError(f"|z| = {abs(z):.8f} must be 1")
-    return z / abs(z)
+def _check_circle(z):
+    z = np.asarray(z, dtype=complex)
+    off = np.abs(np.abs(z) - 1.0) > 1e-12
+    if np.any(off):
+        raise ValidationError(f"|z| = {np.abs(z[off]).flat[0]:.8f} must be 1")
+    return z / np.abs(z)
 
 
-def _nudged_phase(zipper: Zipper, z: complex, factory: Optional[TransferFactory],
+def _chart_regular(a: np.ndarray) -> np.ndarray:
+    """Per point of a (B, m, m) stack: is the smallest singular value above 1e-8?"""
+    return np.linalg.svd(a, compute_uv=False)[:, -1] > 1e-8
+
+
+def _nudged_phase(zipper: Zipper, z, factory: Optional[TransferFactory],
                   start: Optional[np.ndarray], upper, lower, right: np.ndarray,
                   error: Exception) -> PruferPhase:
     """W = b a^(-1) right, with a, b the ``upper`` and ``lower`` rows of the frame
-    propagated from ``start`` over all N sites.
+    propagated from ``start`` over all N sites; ``z`` is one point or a 1-D array.
 
     b a^(-1) depends only on the plane spanned by the frame, so the
     renormalized propagation can be used; with orthonormal Lagrangian frames
-    a and b are well-conditioned away from a measure-zero set of theta, where
-    a single machine-scale nudge is attempted before ``error`` is raised.
+    a and b are well-conditioned away from a measure-zero set of theta.  The
+    points that hit it get a single machine-scale nudge, and ``error`` is
+    raised if one of them stays degenerate.
     """
     fac = factory or TransferFactory(zipper)
+    zs = np.atleast_1d(z).copy()
+    W = np.empty((len(zs),) + right.shape, dtype=complex)
+    todo = np.arange(len(zs))
     for attempt in range(2):
-        frame = propagate(zipper, z, zipper.N, factory=fac, start=start).matrix
-        a, b = frame[upper], frame[lower]
-        if mc.smallest_singular_value(a) > 1e-8:
-            return PruferPhase(z, np.linalg.solve(a.T, b.T).T @ right)
-        z = z * np.exp(1e-12j)  # nudge off the degenerate point
+        frame = propagate(zipper, zs[todo], zipper.N, factory=fac, start=start).matrix
+        a, b = frame[:, upper], frame[:, lower]
+        ok = _chart_regular(a)
+        W[todo[ok]] = np.swapaxes(np.linalg.solve(np.swapaxes(a[ok], 1, 2),
+                                                  np.swapaxes(b[ok], 1, 2)), 1, 2) @ right
+        todo = todo[~ok]
+        if len(todo) == 0:
+            if np.ndim(z) == 0:
+                return PruferPhase(complex(zs[0]), W[0])
+            return PruferPhase(zs, W)
+        zs[todo] *= np.exp(1e-12j)  # nudge off the degenerate points
     raise error
 
 
-def prufer(zipper: Zipper, z: complex, factory: Optional[TransferFactory] = None) -> PruferPhase:
-    """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*."""
+def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> PruferPhase:
+    """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*.
+
+    ``z`` is one circle point or a 1-D array of them, evaluated in one call.
+    """
     z = _check_circle(z)
     if zipper.flavor != "finite":
         raise ValidationError("prufer needs a finite zipper")
@@ -118,9 +151,9 @@ def _swap(L: int) -> np.ndarray:
     return np.block([[zero, one], [one, zero]])
 
 
-def prufer_periodic(zipper: Zipper, z: complex,
+def prufer_periodic(zipper: Zipper, z,
                     factory: Optional[TransferFactory] = None) -> PruferPhase:
-    """Doubled Pruefer unitary of a periodic zipper.
+    """Doubled Pruefer unitary of a periodic zipper, at one point or a 1-D array.
 
     Propagates the doubled start frame by 1 (+) T_n(z) with per-step
     renormalization; the eigenvalue-1 multiplicity of the result equals the
@@ -145,7 +178,8 @@ def prufer_periodic(zipper: Zipper, z: complex,
 # -- monotone eigenphase sweep ---------------------------------------------------
 
 def _sorted_phases(W: np.ndarray) -> np.ndarray:
-    return np.sort(np.mod(np.angle(np.linalg.eigvals(W)), TWO_PI))
+    """Sorted eigenphases in [0, 2 pi) of W, or of each matrix of a stack."""
+    return np.sort(np.mod(np.angle(np.linalg.eigvals(W)), TWO_PI), axis=-1)
 
 
 def _match_shift(p: np.ndarray, q: np.ndarray, mono_tol: float = 1e-7):
@@ -202,89 +236,116 @@ class _BranchTracker:
         return start, end
 
 
-def _refine_crossing(wfn: Callable[[float], np.ndarray], th_a: float, th_b: float,
-                     residues_a: np.ndarray, branch: int, value_a: float,
-                     target: float, refine_tol: float, max_iter: int = 60) -> float:
-    """Bisect the theta at which the tracked branch's unwrapped phase hits target."""
-    res = residues_a.copy()
-    j = branch
-    val = value_a
-    m = len(res)
+@dataclass
+class _Bracket:
+    """A grid interval [lo, hi] in which the branch at sorted position ``branch``
+    (unwrapped phase ``value`` at lo, sorted residues ``residues`` at lo)
+    reaches the multiple ``target`` of 2 pi."""
+
+    lo: float
+    hi: float
+    residues: np.ndarray
+    branch: int
+    value: float
+    target: float
+
+
+def _sample(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases, one row per theta, in batched calls of at most SWEEP_BLOCK points."""
+    return np.concatenate([_sorted_phases(wfn(thetas[i:i + SWEEP_BLOCK]))
+                           for i in range(0, len(thetas), SWEEP_BLOCK)])
+
+
+def _track(thetas: np.ndarray, samples: np.ndarray, n_branches: int):
+    """Follow the sampled branches over the grid; returns (brackets, tracking_ok).
+
+    Collection stops at the first grid interval with no monotone matching.
+    """
+    tracker = _BranchTracker(samples[0])
+    brackets: list = []
+    prev_res = tracker.residues()
+    for i in range(1, len(thetas)):
+        advanced = tracker.advance(samples[i])
+        if advanced is None:
+            return brackets, False
+        start, end = advanced
+        for j in range(n_branches):
+            first = int(np.ceil(start[j] / TWO_PI + 1e-13))
+            last = int(np.floor(end[j] / TWO_PI + 1e-13))
+            for mult in range(first, last + 1):
+                target = TWO_PI * mult
+                if target <= start[j]:
+                    continue
+                brackets.append(_Bracket(thetas[i - 1], thetas[i], prev_res, j, start[j], target))
+        prev_res = tracker.residues()
+    return brackets, True
+
+
+def _bisect(wfn: Callable[[np.ndarray], np.ndarray], brackets: list, refine_tol: float,
+            max_iter: int = 60) -> list:
+    """Bisect all brackets in lockstep, one batched evaluation of the midpoints per level.
+
+    Each bracket keeps the half in which its tracked branch's unwrapped phase
+    reaches the target and stops at width refine_tol, or at its current
+    midpoint if a midpoint admits no monotone matching.
+    """
+    live = list(brackets)
     for _ in range(max_iter):
-        if th_b - th_a <= refine_tol:
+        live = [b for b in live if b.hi - b.lo > refine_tol]
+        if not live:
             break
-        mid = 0.5 * (th_a + th_b)
-        q = _sorted_phases(wfn(mid))
-        match = _match_shift(res, q)
-        if match is None:
-            break  # fall back to the current bracket midpoint
-        s, delta = match
-        if val + delta[j] >= target:
-            th_b = mid
-        else:
-            th_a = mid
-            val = val + delta[j]
-            j = (j + s) % m
-            res = q
-    return 0.5 * (th_a + th_b)
+        mids = 0.5 * (np.array([b.lo for b in live]) + np.array([b.hi for b in live]))
+        going = []
+        for b, mid, q in zip(live, mids, _sample(wfn, mids)):
+            match = _match_shift(b.residues, q)
+            if match is None:
+                continue  # the bracket keeps its current midpoint
+            s, delta = match
+            if b.value + delta[b.branch] >= b.target:
+                b.hi = mid
+            else:
+                b.lo = mid
+                b.value += delta[b.branch]
+                b.branch = (b.branch + s) % len(q)
+                b.residues = q
+            going.append(b)
+        live = going
+    return [0.5 * (b.lo + b.hi) for b in brackets]
 
 
-def sweep_spectrum(wfn: Callable[[float], np.ndarray], n_branches: int, expected_total: int,
+def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], n_branches: int, expected_total: int,
                    grid_size: int, refine_tol: float = 1e-10, retries: int = 10) -> SpectrumResult:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
 
-    ``wfn(theta)`` must return the (near-)unitary phase matrix; crossings are
-    multiples of 2 pi of the unwrapped branch phases.  A crossing hides from
-    the sampled sweep when a branch completes a full turn inside one grid
+    ``wfn(thetas)`` must return the stack of (near-)unitary phase matrices at
+    a 1-D array of theta; crossings are multiples of 2 pi of the unwrapped
+    branch phases.  The whole grid is sampled in batched calls and tracked;
+    the brackets of the crossings are bisected, all in lockstep, only once
+    their count matches ``expected_total``.  A crossing hides from the
+    sampled sweep when a branch completes a full turn inside one grid
     interval (a narrow resonance), which no endpoint-based test can detect;
     the grid is therefore doubled on a count mismatch, up to ``retries``
-    times, reusing all previously computed phase samples so the cumulative
-    cost stays proportional to the finest grid actually needed.
+    times.  The previous samples become the even rows of the doubled grid and
+    only the new odd theta are evaluated, so the cumulative cost stays
+    proportional to the finest grid actually needed.
     """
     grid = int(grid_size)
     offset = 0.37 * TWO_PI / grid  # fixed across retries so refined grids nest
-    cache: dict = {}
-
-    def phases_at(th: float) -> np.ndarray:
-        p = cache.get(th)
-        if p is None:
-            p = _sorted_phases(wfn(th))
-            cache[th] = p
-        return p
-
+    samples = None
     last_error = None
     for attempt in range(retries + 1):
-        step = TWO_PI / grid
-        crossings: list = []
-        tracker = None
-        ok = True
-        prev_theta = None
-        prev_res = None
-        for i in range(grid + 1):
-            th = offset + i * step
-            phases = phases_at(th)
-            if tracker is None:
-                tracker = _BranchTracker(phases)
-                prev_theta, prev_res = th, tracker.residues()
-                continue
-            advanced = tracker.advance(phases)
-            if advanced is None:
-                ok = False
-                break
-            start, end = advanced
-            for j in range(n_branches):
-                first = int(np.ceil(start[j] / TWO_PI + 1e-13))
-                last = int(np.floor(end[j] / TWO_PI + 1e-13))
-                for mult in range(first, last + 1):
-                    target = TWO_PI * mult
-                    if target <= start[j]:
-                        continue
-                    crossings.append(_refine_crossing(
-                        wfn, prev_theta, th, prev_res, j, start[j], target, refine_tol))
-            prev_theta, prev_res = th, tracker.residues()
-        if ok and len(crossings) == expected_total:
-            return _circular_clusters(crossings, 10.0 * refine_tol)[0]
-        last_error = (f"found {len(crossings)} crossings, expected {expected_total} "
+        thetas = offset + np.arange(grid + 1) * (TWO_PI / grid)
+        if samples is None:
+            samples = _sample(wfn, thetas)
+        else:
+            doubled = np.empty((grid + 1, samples.shape[1]))
+            doubled[0::2] = samples
+            doubled[1::2] = _sample(wfn, thetas[1::2])
+            samples = doubled
+        brackets, ok = _track(thetas, samples, n_branches)
+        if ok and len(brackets) == expected_total:
+            return _circular_clusters(_bisect(wfn, brackets, refine_tol), 10.0 * refine_tol)[0]
+        last_error = (f"found {len(brackets)} crossings, expected {expected_total} "
                       f"(grid {grid}{'' if ok else ', tracking lost'})")
         grid *= 2
     raise CrossingCountMismatchError(last_error)
@@ -292,12 +353,13 @@ def sweep_spectrum(wfn: Callable[[float], np.ndarray], n_branches: int, expected
 
 # -- spectra -----------------------------------------------------------------------
 
-def _phase_family(zipper: Zipper) -> Callable[[float], np.ndarray]:
-    """theta -> Pruefer unitary at exp(i theta): ``prufer`` for finite zippers,
-    ``prufer_periodic`` for periodic ones, sharing one transfer cache."""
+def _phase_family(zipper: Zipper) -> Callable[[np.ndarray], np.ndarray]:
+    """thetas -> stack of Pruefer unitaries at exp(i theta), one batched call:
+    ``prufer`` for finite zippers, ``prufer_periodic`` for periodic ones,
+    sharing one transfer cache."""
     fac = TransferFactory(zipper)
     phase = prufer if zipper.flavor == "finite" else prufer_periodic
-    return lambda theta: phase(zipper, np.exp(1j * theta), factory=fac).matrix
+    return lambda thetas: phase(zipper, np.exp(1j * np.asarray(thetas)), factory=fac).matrix
 
 
 def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
@@ -331,9 +393,8 @@ def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> 
     Positive values confirm the monotone rotation of the eigenphases; the
     periodic flavor checks the doubled phase matrix.
     """
-    get = _phase_family(zipper)
-    W0 = get(theta)
-    D = (get(theta + h) - get(theta - h)) / (2.0 * h)
+    W0, W_plus, W_minus = _phase_family(zipper)(np.array([theta, theta + h, theta - h]))
+    D = (W_plus - W_minus) / (2.0 * h)
     M = mc.hermitize(mc.adj(W0) @ D / 1j)
     return float(np.linalg.eigvalsh(M).min())
 

@@ -14,7 +14,11 @@ z-independent first step T_1 = diag(U, 1).
 
 ``propagate`` is the one loop that carries a solution frame forward: the
 Pruefer phases of finite and periodic zippers (``oscillation``) and the
-log-scaled radius norms (``weyl.log_radius_norm``) all run through it.
+log-scaled radius norms (``weyl.log_radius_norm``) all run through it.  It
+takes one z or a 1-D array of them; an array carries a (B, rows, k) stack
+of frames through a single site loop, with the even steps applied as
+diag(1, z) phi(S_n) diag(1/z, 1) across the stack and one stacked QR per
+step, so the oscillation sweep evaluates a whole theta grid in one call.
 """
 
 from __future__ import annotations
@@ -118,6 +122,8 @@ class SolutionFrame:
     When propagated with renormalization, ``matrix`` has orthonormal columns
     and the removed right factor is exp(log_scale) * normalizer with
     ||normalizer||_F = 1; the raw frame is matrix @ normalizer * exp(log_scale).
+    Propagated from an array of B points, ``z`` is that array and every other
+    field gains a leading axis of length B.
     """
 
     matrix: np.ndarray
@@ -134,33 +140,34 @@ class SolutionFrame:
         """Reconstruct the unrenormalized frame (overflows for long hyperbolic runs)."""
         if self.normalizer is None:
             return self.matrix
-        return self.matrix @ self.normalizer * np.exp(self.log_scale)
+        return self.matrix @ self.normalizer * np.exp(self.log_scale)[..., None, None]
 
     def upper(self) -> np.ndarray:
-        return self.matrix[: self.matrix.shape[1]]
+        return self.matrix[..., : self.matrix.shape[-1], :]
 
     def lower(self) -> np.ndarray:
-        return self.matrix[self.matrix.shape[1]:]
+        return self.matrix[..., self.matrix.shape[-1]:, :]
 
     def lform_value(self) -> np.ndarray:
         """The frame's value of the (L, L) form, Phi* L Phi (for the stored matrix)."""
-        L = self.matrix.shape[1]
-        return mc.adj(self.matrix) @ mc.lform(L) @ self.matrix
+        L = self.matrix.shape[-1]
+        return np.swapaxes(self.matrix.conj(), -1, -2) @ mc.lform(L) @ self.matrix
 
 
 def _qr_positive(A: np.ndarray):
-    """Reduced QR with positive-real R diagonal, for deterministic frames."""
+    """Reduced QR with positive-real R diagonal, for deterministic frames (stacks too)."""
     Q, R = np.linalg.qr(A)
-    d = R.diagonal().copy()
-    phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    return Q * phase, (R.T / phase).T
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    size = np.abs(d)
+    phase = np.divide(d, size, out=np.ones_like(d), where=size > 0)
+    return Q * phase[..., None, :], R / phase[..., :, None]
 
 
 def initial_frame(L: int) -> np.ndarray:
     return np.vstack([mc.eye(L), mc.eye(L)])
 
 
-def propagate(zipper, z: complex, upto: int, renormalize: bool = True,
+def propagate(zipper, z, upto: int, renormalize: bool = True,
               factory: Optional[TransferFactory] = None,
               start: Optional[np.ndarray] = None) -> SolutionFrame:
     """Propagate a frame through T_1, ..., T_upto, from (1; 1) unless ``start`` is given.
@@ -171,26 +178,44 @@ def propagate(zipper, z: complex, upto: int, renormalize: bool = True,
     column-orthonormalized after every step (QR), which only removes a right
     factor and therefore leaves the spanned plane unchanged; the factor is
     accumulated as a Frobenius-normalized matrix and a log scale.
+
+    ``z`` is one point or a 1-D array of B points; for an array all B frames
+    run through the same site loop as one stack, with the normalizer and the
+    log scale kept per point, and the result carries a leading axis of B.
     """
-    z = _check_z(z)
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValidationError(f"z must be a point or a 1-D array, got ndim={zs.ndim}")
+    if np.any(zs == 0):
+        raise ZeroZError("transfer matrices are undefined at z = 0")
+    points = zs.reshape(-1, 1, 1)
     fac = factory or TransferFactory(zipper)
     L = fac.L
-    frame = np.array(initial_frame(L) if start is None else start, dtype=complex)
-    carried = frame.shape[0] - 2 * L
-    tau = mc.eye(frame.shape[1]) if renormalize else None
-    log_scale = 0.0
+    first = initial_frame(L) if start is None else np.asarray(start, dtype=complex)
+    frame = np.repeat(first[None], len(points), axis=0)
+    carried = frame.shape[1] - 2 * L
+    tau = np.repeat(mc.eye(frame.shape[2])[None], len(points), axis=0) if renormalize else None
+    log_scale = np.zeros(len(points))
     for n in range(1, upto + 1):
-        frame[carried:] = fac.transfer(n, z) @ frame[carried:]
+        even = n % 2 == 0  # even T_n(z) = diag(1, z) phi(S_n) diag(1/z, 1)
+        if even:
+            frame[:, carried:carried + L] /= points
+        frame[:, carried:] = fac.phi_at(n) @ frame[:, carried:]
+        if even:
+            frame[:, carried + L:] *= points
         if not renormalize:
             continue
         frame, R = _qr_positive(frame)
         M = R @ tau
-        nu = float(np.linalg.norm(M))
-        if not np.isfinite(nu) or nu <= 0.0:
+        nu = np.linalg.norm(M, axis=(-2, -1))
+        if not np.all(np.isfinite(nu) & (nu > 0.0)):
             raise DegenerateFrameError(f"renormalization factor degenerated at site {n}")
-        tau = M / nu
+        tau = M / nu[:, None, None]
         log_scale += np.log(nu)
-    return SolutionFrame(frame, upto, z, normalizer=tau, log_scale=log_scale)
+    if zs.ndim == 0:
+        return SolutionFrame(frame[0], upto, complex(zs), normalizer=None if tau is None else tau[0],
+                             log_scale=float(log_scale[0]))
+    return SolutionFrame(frame, upto, zs, normalizer=tau, log_scale=log_scale)
 
 
 # -- quadratic forms ----------------------------------------------------------

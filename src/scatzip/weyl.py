@@ -267,8 +267,12 @@ def log_radius_norm(zipper, z: complex, upto: int,
     Works far beyond the direct-product overflow threshold.  R^(-1) is half
     the (L, L)-form value of the frame grown from (1; 1); with the frame
     stored as Q tau exp(s), that value is exp(2 s) tau* (Q* L Q) tau, and its
-    smallest absolute eigenvalue is tracked in log scale.  Returns None if
-    the scaled form degenerates below floating resolution.
+    smallest absolute eigenvalue is tracked in log scale.  That eigenvalue
+    is read as 1 / lambda_max of the inverse tau^(-1) (Q* L Q)^(-1) tau^(-*):
+    at L >= 2 tau grows badly conditioned along the run, and the small
+    eigenvalue of the form itself is lost to cancellation, while the large
+    one of the inverse is not.  Returns None if the scaled form degenerates
+    below floating resolution.
     """
     z = complex(z)
     if z == 0 or abs(abs(z) - 1.0) < 1e-14:
@@ -278,11 +282,15 @@ def log_radius_norm(zipper, z: complex, upto: int,
     except DegenerateFrameError:
         return None
     Q, tau = frame.matrix, frame.normalizer
-    form = mc.adj(tau) @ (mc.adj(Q) @ mc.lform(Q.shape[1]) @ Q) @ tau
-    eigs = np.abs(np.linalg.eigvalsh(mc.hermitize(form)))
-    if eigs.min() <= 1e-280:
+    try:
+        left = np.linalg.solve(tau, np.linalg.inv(mc.adj(Q) @ mc.lform(Q.shape[1]) @ Q))
+        inverse_form = np.linalg.solve(tau, mc.adj(left))  # tau^-1 (Q* L Q)^-1 tau^-*
+    except np.linalg.LinAlgError:
         return None
-    return float(np.log(2.0) - 2.0 * frame.log_scale - np.log(eigs.min()))
+    largest = np.abs(np.linalg.eigvalsh(mc.hermitize(inverse_form))).max()
+    if not np.isfinite(largest) or largest >= 1e280:
+        return None
+    return float(np.log(2.0) - 2.0 * frame.log_scale + np.log(largest))
 
 
 @dataclass

@@ -99,6 +99,15 @@ def test_weyl_sweep_bound_column(tmp_path):
         assert float(vals[i_r]) <= float(vals[i_b]) + 1e-12
 
 
+def test_weyl_default_grid_inside_disc(tmp_path):
+    # the default grid must lie in the punctured unit disc: 5 x 5 rows
+    zfile = tmp_path / "z.json"
+    out = tmp_path / "sweep.csv"
+    run_cli("gen", "--L", "1", "--N", "8", "--seed", "3", "--output", str(zfile))
+    assert run_cli("weyl", str(zfile), "--output", str(out)) == 0
+    assert len(out.read_text().strip().splitlines()) == 1 + 25
+
+
 def test_weyl_center_near_i_for_small_z(tmp_path):
     zfile = tmp_path / "z.json"
     out = tmp_path / "sweep.csv"

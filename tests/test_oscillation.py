@@ -216,3 +216,68 @@ def test_bands_continuity(rng):
     jumps = np.abs(np.diff(table, axis=0))
     jumps = np.minimum(jumps, 2 * np.pi - jumps)
     assert jumps.max() < 4 * z.N * dk
+
+
+def test_prufer_array_equals_stacked_scalar_calls():
+    thetas = np.array([0.3, 1.1, 2.9, 4.4, 6.1])
+    for L in (1, 2, 3):
+        for z, phase in [(ensembles.finite_zipper(60 + L, L, 6), osc.prufer),
+                         (ensembles.periodic_zipper(70 + L, L, 4), osc.prufer_periodic)]:
+            batch = phase(z, np.exp(1j * thetas))
+            stacked = np.array([phase(z, np.exp(1j * t)).matrix for t in thetas])
+            assert batch.matrix.shape == stacked.shape
+            assert np.abs(batch.matrix - stacked).max() < 1e-12
+
+
+def test_prufer_nudges_only_the_degenerate_point(monkeypatch):
+    from scatzip.errors import DegeneratePhiBlockError
+
+    z = ensembles.finite_zipper(3, 2, 6)
+    points = np.exp(1j * np.array([0.4, 1.9, 3.3, 5.0]))
+    plain = osc.prufer(z, points)
+    chart_regular = osc._chart_regular
+    batches = []
+
+    def flaky(a):
+        ok = chart_regular(a)
+        if not batches:
+            ok[2] = False  # the third point reads degenerate on its first attempt
+        batches.append(len(a))
+        return ok
+
+    monkeypatch.setattr(osc, "_chart_regular", flaky)
+    nudged = osc.prufer(z, points)
+    assert batches == [4, 1]  # only that point is propagated again
+    others = [0, 1, 3]
+    assert np.array_equal(nudged.z[others], plain.z[others])
+    assert np.array_equal(nudged.matrix[others], plain.matrix[others])
+    assert nudged.z[2] == plain.z[2] * np.exp(1e-12j)
+    assert np.abs(nudged.matrix[2] - osc.prufer(z, nudged.z[2]).matrix).max() < 1e-13
+
+    # the last point of every batch reads degenerate, so the nudged one stays so
+    monkeypatch.setattr(osc, "_chart_regular", lambda a: np.arange(len(a)) < len(a) - 1)
+    with pytest.raises(DegeneratePhiBlockError):
+        osc.prufer(z, points)
+
+
+def test_stall_instance_sweeps_in_few_batched_calls(monkeypatch):
+    # gen --L 1 --N 24 --alpha-max 0.85 --seed 7: the sweep doubles its grid
+    # 7 times (to 24576 points), so one call per theta would be ~28400 calls;
+    # batched calls of at most SWEEP_BLOCK theta need a few dozen
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
+    prufer = osc.prufer
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 200:
+            raise AssertionError("more than 200 Pruefer calls")
+        return prufer(*args, **kwargs)
+
+    monkeypatch.setattr(osc, "prufer", counted)
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert swept.total_multiplicity == dense.total_multiplicity == 24
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9

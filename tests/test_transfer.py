@@ -73,6 +73,40 @@ def test_propagate_renormalized_vs_raw(rng):
     assert np.linalg.norm(fr.raw() - raw.matrix) < 1e-10 * np.linalg.norm(raw.matrix)
 
 
+def test_propagate_array_equals_pointwise_calls():
+    # one stacked site loop over an array of z gives, point by point, what
+    # the scalar calls give: frame, normalizer and log scale
+    from scatzip.oscillation import doubled_initial_frame
+
+    points = np.array([np.exp(0.9j), 0.5 + 0.1j, np.exp(4.2j), -0.3j, 1.7 - 0.4j])
+    for L in (1, 2, 3):
+        cases = [(ensembles.finite_zipper(40 + L, L, 8, "cmv"), None),
+                 (ensembles.periodic_zipper(50 + L, L, 6), doubled_initial_frame(L))]
+        for z, start in cases:
+            for renormalize in (True, False):
+                batch = tr.propagate(z, points, z.N, renormalize=renormalize, start=start)
+                assert batch.matrix.shape[0] == len(points)
+                assert np.array_equal(batch.z, points)
+                for i, w in enumerate(points):
+                    one = tr.propagate(z, w, z.N, renormalize=renormalize, start=start)
+                    assert one.z == w and batch.matrix[i].shape == one.matrix.shape
+                    scale = max(1.0, np.abs(one.matrix).max())
+                    assert np.abs(batch.matrix[i] - one.matrix).max() < 1e-13 * scale
+                    if renormalize:
+                        assert np.abs(batch.normalizer[i] - one.normalizer).max() < 1e-13
+                        assert abs(batch.log_scale[i] - one.log_scale) < 1e-13
+                    else:
+                        assert batch.normalizer is None and one.normalizer is None
+
+
+def test_propagate_array_rejects_zero_and_matrix_z():
+    z = ensembles.finite_zipper(3, 1, 4)
+    with pytest.raises(ZeroZError):
+        tr.propagate(z, np.array([0.5, 0.0]), 4)
+    with pytest.raises(ValidationError):
+        tr.propagate(z, np.full((2, 2), 0.5), 4)
+
+
 def test_p_matrix_vanishes_on_circle(rng):
     b = ensembles.random_block(rng, 2, "haar-gauge")
     P = tr.p_matrix(b, np.exp(0.4j))

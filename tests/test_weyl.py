@@ -220,3 +220,24 @@ def test_radial_central_respects_stability_cap():
     z = sem.truncate(80, np.eye(1))
     with pytest.raises(ValidationError):
         weyl.radial_central(z, 0.3)
+
+
+def test_log_radius_norm_matches_extended_precision_product():
+    # the reference multiplies the same float transfer matrices at 300 digits;
+    # at L >= 2 the smallest eigenvalue of the frame's form is lost to
+    # cancellation unless it is read off the inverse form
+    mp = pytest.importorskip("mpmath")
+    from scatzip.transfer import TransferFactory
+
+    z, N = 0.9j, 256
+    with mp.workdps(300):
+        for L in (1, 2, 3):
+            sem = ensembles.semi_infinite_zipper(0, L, "cmv")
+            fac = TransferFactory(sem)
+            frame = mp.matrix(np.vstack([np.eye(L), np.eye(L)]).astype(complex).tolist())
+            for n in range(1, N + 1):
+                frame = mp.matrix(fac.transfer(n, z).tolist()) * frame
+            form = frame.H * mp.diag([1] * L + [-1] * L) * frame
+            smallest = min(abs(e) for e in mp.eigh(form, eigvals_only=True))
+            reference = float(mp.log(2) - mp.log(smallest))
+            assert abs(weyl.log_radius_norm(sem, z, N) - reference) < 1e-9, L
