@@ -126,7 +126,7 @@ def cmd_weyl(args) -> int:
     if bad:
         raise GridOutsideDiscError(
             f"{len(bad)} grid points outside the punctured unit disc, e.g. {bad[0]:.4f}")
-    discs = [weyl.radial_central(z, w) for w in grid]
+    discs = weyl.radial_central(z, grid)
     _write_output(args.output, fileio.weyl_csv_rows(discs))
     return EXIT_OK
 

@@ -105,6 +105,10 @@ class SingularBlockError(NumericalBreakdownError):
     pass
 
 
+class DiscBreakdownError(NumericalBreakdownError):
+    """A disc radius underflowed, or the center lost its reflection symmetry."""
+
+
 class NotOnSurfaceError(ValidationError):
     pass
 

@@ -136,11 +136,6 @@ def load_json(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
 
 
-def save_json(path: str, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
-
-
 def load_document(path: str):
     """Load a zipper or a measure file, sniffing by its keys."""
     doc = load_json(path)
@@ -156,13 +151,14 @@ def _fmt(x: float) -> str:
 
 
 def weyl_csv_rows(results) -> str:
-    """CSV for a Weyl-disc sweep: one row per z with radii, center, and the bound."""
+    """CSV for a Weyl-disc sweep: one row per z with radii, the bound, center and identity defect."""
     lines = []
     for disc in results:
         L = disc.center.shape[0]
         if not lines:
             head = ["re_z", "im_z", "N", "norm_R", "norm_R_reflected", "bound"]
             head += [f"center_{p}_{i}_{j}" for i in range(L) for j in range(L) for p in ("re", "im")]
+            head.append("identity_defect")
             lines.append(",".join(head))
         nl, nr = disc.radius_norms()
         row = [_fmt(disc.z.real), _fmt(disc.z.imag), str(disc.n),
@@ -170,6 +166,7 @@ def weyl_csv_rows(results) -> str:
         for i in range(L):
             for j in range(L):
                 row += [_fmt(disc.center[i, j].real), _fmt(disc.center[i, j].imag)]
+        row.append(_fmt(disc.identity_defect))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

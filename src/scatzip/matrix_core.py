@@ -40,8 +40,8 @@ def eye(L: int) -> np.ndarray:
 
 
 def adj(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def lform(L: int) -> np.ndarray:

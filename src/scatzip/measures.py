@@ -61,10 +61,6 @@ class MatrixMeasure:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "L", weights.shape[1])
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atoms)
-
 
 def uniform_grid_measure(L: int, m: int) -> MatrixMeasure:
     """Quadrature of normalized Lebesgue measure: m equispaced atoms, weights 1/m."""
@@ -113,9 +109,6 @@ class MatrixLaurentPoly:
     @classmethod
     def monomial(cls, exponent: int, coeff, L: int) -> "MatrixLaurentPoly":
         return cls({exponent: coeff}, L)
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def min_exponent(self) -> int:
         return min(self.coeffs) if self.coeffs else 0
@@ -203,14 +196,6 @@ class GramSchmidtResult:
     kappas_tilde: dict
     stop_step: Optional[int]
     stop_reason: Optional[str]
-
-    @property
-    def n_polynomials(self) -> int:
-        return len(self.phis)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.entries)
 
 
 def _orthonormal_step(mu, produced, exponent, first_coeff=None):

@@ -188,23 +188,17 @@ def _match_shift(p: np.ndarray, q: np.ndarray, mono_tol: float = 1e-7):
     Branches only move upward, so sorted position j at the earlier point maps
     to position (j + s) mod m at the later one, where the shift s counts how
     many branch passages of the 2 pi seam occurred (s >= m means full extra
-    turns).  Returns (s, increments) with all increments >= -mono_tol and
-    minimal total displacement, or None if no shift is monotone.
+    turns).  Returns (s, increments) for the smallest shift whose increments
+    are all >= -mono_tol (larger shifts only add turns on top of it), or None
+    if no shift up to 2 m is monotone.
     """
     m = len(p)
     j = np.arange(m)
-    best = None
     for s in range(2 * m + 1):
-        q_shift = q[(j + s) % m] + TWO_PI * ((j + s) // m)
-        delta = q_shift - p
+        delta = q[(j + s) % m] + TWO_PI * ((j + s) // m) - p
         if np.all(delta >= -mono_tol):
-            total = float(delta.sum())
-            if best is None or total < best[2]:
-                best = (s, delta, total)
-            break  # larger shifts only add full turns on top of a valid match
-    if best is None:
-        return None
-    return best[0], best[1]
+            return s, delta
+    return None
 
 
 class _BranchTracker:

@@ -14,7 +14,7 @@ z-independent first step T_1 = diag(U, 1).
 
 ``propagate`` is the one loop that carries a solution frame forward: the
 Pruefer phases of finite and periodic zippers (``oscillation``) and the
-log-scaled radius norms (``weyl.log_radius_norm``) all run through it.  It
+Weyl discs and log-scaled radius norms (``weyl``) all run through it.  It
 takes one z or a 1-D array of them; an array carries a (B, rows, k) stack
 of frames through a single site loop, with the even steps applied as
 diag(1, z) phi(S_n) diag(1/z, 1) across the stack and one stacked QR per

@@ -26,6 +26,7 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import (
     DegenerateFrameError,
+    DiscBreakdownError,
     NotOnSurfaceError,
     SingularBlockError,
     ValidationError,
@@ -34,9 +35,11 @@ from .errors import (
 from .transfer import TransferFactory, propagate
 from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper
 
-# Direct transfer products are trusted up to this length; beyond it the
-# log-scaled frame propagation must be used for radius norms.
-PRODUCT_STABILITY_CAP = 64
+# Largest relative center-reflection defect ||S(1/conj z) - S(z)*|| / ||S||
+# a Weyl disc may carry.
+DISC_DEFECT_TOL = 1e-8
+# Radius norms below the smallest normal double are reported as breakdowns.
+LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 def _check_disc_z(z: complex, allow_zero: bool = False) -> complex:
@@ -176,6 +179,8 @@ class WeylDisc:
     radius_left is the positive R at z, radius_right the positive -R at the
     reflected point 1/conj(z); the surface is
     center + radius_left^(1/2) W radius_right^(1/2) over unitary W.
+    identity_defect is the relative reflection defect
+    ||S(1/conj z) - S(z)*|| / ||S(z)|| of the center.
     """
 
     z: complex
@@ -195,46 +200,78 @@ class WeylDisc:
 
 
 def _q_tilde(factory: TransferFactory, z: complex, n: int) -> np.ndarray:
+    """Cayley transform C* T* L T C of the form of the direct product (test reference)."""
     T = factory.product(n, z)
     L = factory.L
     C = mc.cayley(L)
     return mc.hermitize(mc.adj(C) @ mc.adj(T) @ mc.lform(L) @ T @ C)
 
 
-def radial_central(zipper, z: complex, upto: Optional[int] = None) -> WeylDisc:
-    """Radial and central operators from the Cayley transform of the form.
+def _frame_discs(zipper, points: np.ndarray, upto: int,
+                 factory: Optional[TransferFactory] = None):
+    """Centers S, unit-norm radius factors G and log ||R|| at an array of |z| != 1.
 
-    R = [upper-left of Q~]^(-1) must come out positive definite and the
-    reflected-point R negative definite; failures are numerical breakdowns.
+    One propagation from the Cayley frame C stores T C = Q tau exp(s) per
+    point, so Q~ = C* T* L T C = exp(2s) tau* M tau with M = Q* L Q.  Since
+    tau is upper triangular, Q~11 = exp(2s) tau11* M11 tau11, and with
+    sign = +1 inside the disc and -1 at reflected points
+        S = -tau11^(-1) (tau12 + M11^(-1) M12 tau22),
+        sign R = exp(-2s) G G*,   G = tau11^(-1) (sign M11)^(-1/2).
+    The definiteness of R is certified on M11, a compression of the unitary
+    Hermitian M, and never on the assembled R, whose eigenvalues can spread
+    past floating resolution near the circle.  G comes back scaled to unit
+    2-norm, so sign R = exp(log_norm) G G*.
     """
-    z = _check_disc_z(z)
+    L = zipper.L
+    frame = propagate(zipper, points, upto, factory=factory, start=mc.cayley(L))
+    Q, tau = frame.matrix, frame.normalizer
+    M = mc.hermitize(mc.adj(Q) @ mc.lform(L) @ Q)
+    sign = np.where(np.abs(points) < 1.0, 1.0, -1.0)[:, None, None]
+    w, V = np.linalg.eigh(sign * M[:, :L, :L])
+    if not np.all(w > 0.0):
+        bad = points[np.argmin(w.min(axis=-1))]
+        raise SingularBlockError(f"radius at z = {bad:.6g} is not definite with the sign of 1 - |z|")
+    t11 = tau[:, :L, :L]
+    try:
+        G = np.linalg.solve(t11, (V / np.sqrt(w)[:, None, :]) @ mc.adj(V))
+        S = -np.linalg.solve(t11, tau[:, :L, L:] + np.linalg.solve(M[:, :L, :L], M[:, :L, L:] @ tau[:, L:, L:]))
+    except np.linalg.LinAlgError:
+        raise SingularBlockError("the frame normalizer lost rank") from None
+    top = np.linalg.norm(G, 2, axis=(-2, -1))
+    return S, G / top[:, None, None], 2.0 * (np.log(top) - frame.log_scale)
+
+
+def radial_central(zipper, z, upto: Optional[int] = None):
+    """Weyl discs at one z or a 1-D array of them, read off one frame propagation.
+
+    The frames run from the Cayley frame through the points z and their
+    reflections 1/conj(z) in one batch (see ``_frame_discs``); a scalar z
+    gives one WeylDisc, an array a list.  A radius whose norm underflows
+    and a center whose reflection defect exceeds DISC_DEFECT_TOL are
+    numerical breakdowns, and so is a radius that fails to be definite.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValidationError(f"z must be a point or a 1-D array, got ndim={zs.ndim}")
+    points = np.array([_check_disc_z(w) for w in zs.reshape(-1)], dtype=complex)
     N = _resolve_n(zipper, upto)
-    if N > PRODUCT_STABILITY_CAP:
-        raise ValidationError(
-            f"N = {N} exceeds the direct-product stability cap {PRODUCT_STABILITY_CAP}")
-    fac = TransferFactory(zipper)
-    L = fac.L
-    Qt = _q_tilde(fac, z, N)
-    Qt_refl = _q_tilde(fac, 1.0 / np.conj(z), N)
-
-    block = Qt[:L, :L]
-    w = np.linalg.eigvalsh(block)
-    if w.min() <= 0:
-        raise SingularBlockError("upper-left block of Q~ is not positive definite")
-    R = mc.hermitize(np.linalg.inv(block))
-
-    block_refl = Qt_refl[:L, :L]
-    w_refl = np.linalg.eigvalsh(block_refl)
-    if w_refl.max() >= 0:
-        raise SingularBlockError("reflected-point radius failed to be negative definite")
-    R_refl = mc.hermitize(np.linalg.inv(block_refl))
-
-    S = -R @ Qt[:L, L:]
-    # lower-right identity of the radius/center relations
-    lower_right = Qt[L:, L:]
-    predicted = mc.adj(S) @ np.linalg.inv(R) @ S + R_refl
-    defect = float(np.linalg.norm(lower_right - predicted, 2))
-    return WeylDisc(z, N, S, R, mc.hermitize(-R_refl), defect)
+    S, G, log_norm = _frame_discs(zipper, np.concatenate([points, 1.0 / points.conj()]), N)
+    B = len(points)
+    normal = np.isfinite(log_norm) & (log_norm >= LOG_TINY)
+    if not np.all(normal):
+        bad = int(np.argmin(normal))
+        raise DiscBreakdownError(
+            f"radius norm at z = {points[bad % B]:.6g} is not a normal float: log ||R|| = {log_norm[bad]:.2f}")
+    R = mc.hermitize(np.exp(log_norm)[:, None, None] * (G @ mc.adj(G)))
+    center, reflected = S[:B], S[B:]
+    defect = (np.linalg.norm(reflected - mc.adj(center), 2, axis=(-2, -1))
+              / np.linalg.norm(center, 2, axis=(-2, -1)))
+    if not np.all(defect <= DISC_DEFECT_TOL):
+        bad = int(np.argmin(defect <= DISC_DEFECT_TOL))
+        raise DiscBreakdownError(
+            f"center reflection defect {defect[bad]:.3e} at z = {points[bad]:.6g} exceeds {DISC_DEFECT_TOL:.0e}")
+    discs = [WeylDisc(complex(w), N, center[i], R[i], R[B + i], float(defect[i])) for i, w in enumerate(points)]
+    return discs[0] if zs.ndim == 0 else discs
 
 
 def disc_chart(f_value, disc: WeylDisc):
@@ -264,33 +301,19 @@ def log_radius_norm(zipper, z: complex, upto: int,
                     factory: Optional[TransferFactory] = None) -> Optional[float]:
     """log ||R|| at z (|z| != 1) via the renormalized frame propagation.
 
-    Works far beyond the direct-product overflow threshold.  R^(-1) is half
-    the (L, L)-form value of the frame grown from (1; 1); with the frame
-    stored as Q tau exp(s), that value is exp(2 s) tau* (Q* L Q) tau, and its
-    smallest absolute eigenvalue is tracked in log scale.  That eigenvalue
-    is read as 1 / lambda_max of the inverse tau^(-1) (Q* L Q)^(-1) tau^(-*):
-    at L >= 2 tau grows badly conditioned along the run, and the small
-    eigenvalue of the form itself is lost to cancellation, while the large
-    one of the inverse is not.  Returns None if the scaled form degenerates
-    below floating resolution.
+    Works far beyond the direct-product overflow threshold: the norm is read
+    as 2 (log sigma_max(G) - s) off the frame read of ``_frame_discs``, so it
+    stays finite where R itself underflows.  Returns None if the frame or
+    the form degenerates below floating resolution.
     """
     z = complex(z)
     if z == 0 or abs(abs(z) - 1.0) < 1e-14:
         raise ValidationError("radius norms need 0 < |z| != 1")
     try:
-        frame = propagate(zipper, z, upto, factory=factory)
-    except DegenerateFrameError:
+        log_norm = float(_frame_discs(zipper, np.array([z]), upto, factory)[2][0])
+    except (DegenerateFrameError, SingularBlockError):
         return None
-    Q, tau = frame.matrix, frame.normalizer
-    try:
-        left = np.linalg.solve(tau, np.linalg.inv(mc.adj(Q) @ mc.lform(Q.shape[1]) @ Q))
-        inverse_form = np.linalg.solve(tau, mc.adj(left))  # tau^-1 (Q* L Q)^-1 tau^-*
-    except np.linalg.LinAlgError:
-        return None
-    largest = np.abs(np.linalg.eigvalsh(mc.hermitize(inverse_form))).max()
-    if not np.isfinite(largest) or largest >= 1e280:
-        return None
-    return float(np.log(2.0) - 2.0 * frame.log_scale + np.log(largest))
+    return log_norm if np.isfinite(log_norm) else None
 
 
 @dataclass
@@ -302,6 +325,7 @@ class LimitF:
     n_used: int
     slack: float
     posterior_error: Optional[float]
+    log_posterior_error: Optional[float]
 
 
 def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2.0) -> LimitF:
@@ -312,10 +336,12 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2
     certified error is the slacked diameter bound slack * 8/(N (1-|z|^2)^2),
     which dominates ||F_N(V) - F_N(V')|| for every pair of boundary
     conditions.  The a-posteriori radius sqrt(||R|| ||R'||) is reported
-    alongside when it is finitely computable (it underflows once the
-    transfer cocycle is strongly hyperbolic); it bounds the distance
-    ||F_N(V) - S|| from the disc center, while the spread between two
-    boundary conditions can reach twice that value.
+    alongside: log_posterior_error = (log ||R|| + log ||R'||) / 2 is finite
+    at any N, and posterior_error is its exponential floored at eps ||F||
+    (the radius itself underflows once the transfer cocycle is strongly
+    hyperbolic, and roundoff bounds any certificate from below).  It
+    bounds the distance ||F_N(V) - S|| from the disc center, while the
+    spread between two boundary conditions can reach twice that value.
     """
     z = _check_disc_z(z, allow_zero=True)
     if tol <= 0:
@@ -326,10 +352,12 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2
     fac = TransferFactory(zipper)
     F = f_matrix(zipper, z, v_boundary=mc.eye(zipper.L), upto=n_used, factory=fac)
     certified = slack * 8.0 / (n_used * gap)
-    posterior = None
+    posterior = log_posterior = None
     if z != 0:
         lr = log_radius_norm(zipper, z, n_used, factory=fac)
         lr_refl = log_radius_norm(zipper, 1.0 / np.conj(z), n_used, factory=fac)
         if lr is not None and lr_refl is not None:
-            posterior = float(np.exp(0.5 * (lr + lr_refl)))
-    return LimitF(F, certified, n_used, slack, posterior)
+            log_posterior = 0.5 * (lr + lr_refl)
+            floor = np.finfo(float).eps * float(np.linalg.norm(F, 2))
+            posterior = max(float(np.exp(log_posterior)), floor)
+    return LimitF(F, certified, n_used, slack, posterior, log_posterior)

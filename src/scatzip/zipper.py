@@ -115,10 +115,6 @@ class SemiInfiniteZipper:
         return Zipper(self.L, N, "finite", blocks, self.boundary_u, boundary_v)
 
 
-def from_block_list(L, N, flavor, blocks_by_n, boundary_u=None, boundary_v=None) -> Zipper:
-    return Zipper(L, N, flavor, dict(blocks_by_n), boundary_u, boundary_v)
-
-
 def direct_sum(z1: Zipper, z2: Zipper) -> Zipper:
     """Sitewise direct sum of two zippers of equal N and flavor."""
     if z1.N != z2.N or z1.flavor != z2.flavor:
@@ -203,16 +199,19 @@ def _block_dict_product(P: dict, Q: dict) -> dict:
     return {k: v for k, v in out.items() if np.any(np.abs(v) > 1e-14)}
 
 
+def _place(blocks: dict, i: int, S: ScatteringBlock):
+    """Put the four L x L blocks of S on the site pair (i, i + 1)."""
+    blocks[(i, i)] = S.alpha
+    blocks[(i, i + 1)] = S.beta
+    blocks[(i + 1, i)] = S.gamma
+    blocks[(i + 1, i + 1)] = S.delta
+
+
 def _even_layer(zipper: Zipper) -> dict:
     """Block-diagonal layer of S_2, S_4, ..., S_N on site pairs (1,2),...,(N-1,N)."""
     blocks = {}
     for n in range(2, zipper.N + 1, 2):
-        S = zipper.blocks[n]
-        i = n - 1
-        blocks[(i, i)] = S.alpha
-        blocks[(i, i + 1)] = S.beta
-        blocks[(i + 1, i)] = S.gamma
-        blocks[(i + 1, i + 1)] = S.delta
+        _place(blocks, n - 1, zipper.blocks[n])
     return blocks
 
 
@@ -220,12 +219,7 @@ def _odd_layer_finite(zipper: Zipper) -> dict:
     """Layer with U at site 1, S_3, ..., S_{N-1} shifted by one site, V at site N."""
     blocks = {(1, 1): zipper.boundary_u, (zipper.N, zipper.N): zipper.boundary_v}
     for n in range(3, zipper.N, 2):
-        S = zipper.blocks[n]
-        i = n - 1
-        blocks[(i, i)] = S.alpha
-        blocks[(i, i + 1)] = S.beta
-        blocks[(i + 1, i)] = S.gamma
-        blocks[(i + 1, i + 1)] = S.delta
+        _place(blocks, n - 1, zipper.blocks[n])
     return blocks
 
 
@@ -235,12 +229,7 @@ def _odd_layer_periodic(zipper: Zipper) -> dict:
     N = zipper.N
     blocks = {(1, 1): S1.delta, (1, N): S1.gamma, (N, 1): S1.beta, (N, N): S1.alpha}
     for n in range(3, N, 2):
-        S = zipper.blocks[n]
-        i = n - 1
-        blocks[(i, i)] = S.alpha
-        blocks[(i, i + 1)] = S.beta
-        blocks[(i + 1, i)] = S.gamma
-        blocks[(i + 1, i + 1)] = S.delta
+        _place(blocks, n - 1, zipper.blocks[n])
     return blocks
 
 
@@ -354,7 +343,7 @@ def _circular_clusters(thetas, window: float):
     return SpectrumResult(centers[rank], mults), [groups[i] for i in rank]
 
 
-def eig_unitary(U: np.ndarray, tol_cluster: float = 1e-7):
+def eig_unitary(U: np.ndarray):
     """Eigen-decomposition of a (numerically) unitary matrix.
 
     Diagonalizes H = (U + U*)/2 by eigh, then the compression of
@@ -386,7 +375,7 @@ def dense_spectrum(op: BlockBandedUnitary, cap: int = DENSE_CAP,
     """
     if op.dim > cap:
         raise CapExceededError(f"dim {op.dim} exceeds dense cap {cap}")
-    lam, vectors = eig_unitary(op.to_dense(), tol_cluster)
+    lam, vectors = eig_unitary(op.to_dense())
     result, groups = _circular_clusters(np.angle(lam), tol_cluster)
     if want_projections:
         return result, [vectors[:, g] for g in groups]

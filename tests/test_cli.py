@@ -130,6 +130,21 @@ def test_weyl_halving_with_doubled_n(tmp_path):
     assert r12 <= 2.0 * (r6 / 2.0)
 
 
+def test_weyl_pinned_disc_instance(tmp_path):
+    # L = 2, N = 64, ||alpha|| <= 0.99 up to |z| = 0.99: the whole grid is one
+    # batched disc read, and every row reports its center reflection defect
+    zfile = tmp_path / "z.json"
+    out = tmp_path / "sweep.csv"
+    run_cli("gen", "--L", "2", "--N", "64", "--alpha-max", "0.99", "--seed", "0",
+            "--output", str(zfile))
+    assert run_cli("weyl", str(zfile), "--grid", "0.05:0.97:8,0:0.2:8",
+                   "--output", str(out)) == 0
+    head, *rows = [ln.split(",") for ln in out.read_text().strip().splitlines()]
+    assert len(rows) == 64
+    assert head[-1] == "identity_defect" and head[-2] == "center_im_1_1"
+    assert max(float(r[-1]) for r in rows) <= 1e-8
+
+
 def test_weyl_grid_outside_disc(tmp_path):
     zfile = tmp_path / "z.json"
     run_cli("gen", "--L", "1", "--N", "4", "--output", str(zfile))

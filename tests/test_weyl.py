@@ -5,7 +5,7 @@ import pytest
 
 from scatzip import ensembles, matrix_core as mc, weyl
 from scatzip import zipper as zp
-from scatzip.errors import NotOnSurfaceError, ValidationError, ZeroZError
+from scatzip.errors import NotOnSurfaceError, NumericalBreakdownError, ZeroZError
 
 from conftest import random_disc_point, random_unitary
 
@@ -215,13 +215,6 @@ def test_limit_f_posterior_radius_moderate_n():
         assert abs(np.exp(lr) - disc.radius_norms()[0]) < 1e-10 * disc.radius_norms()[0] + 1e-14
 
 
-def test_radial_central_respects_stability_cap():
-    sem = ensembles.semi_infinite_zipper(79, 1, "cmv")
-    z = sem.truncate(80, np.eye(1))
-    with pytest.raises(ValidationError):
-        weyl.radial_central(z, 0.3)
-
-
 def test_log_radius_norm_matches_extended_precision_product():
     # the reference multiplies the same float transfer matrices at 300 digits;
     # at L >= 2 the smallest eigenvalue of the frame's form is lost to
@@ -241,3 +234,89 @@ def test_log_radius_norm_matches_extended_precision_product():
             smallest = min(abs(e) for e in mp.eigh(form, eigvals_only=True))
             reference = float(mp.log(2) - mp.log(smallest))
             assert abs(weyl.log_radius_norm(sem, z, N) - reference) < 1e-9, L
+
+
+def _product_disc(fac, w, N, L):
+    """Center and radii from the direct product of the transfers (reference route)."""
+    Qt = weyl._q_tilde(fac, w, N)
+    Qr = weyl._q_tilde(fac, 1 / np.conj(w), N)
+    R = np.linalg.inv(Qt[:L, :L])
+    return -R @ Qt[:L, L:], R, -np.linalg.inv(Qr[:L, :L])
+
+
+def test_radial_central_matches_product_at_short_n():
+    from scatzip.transfer import TransferFactory
+
+    pts = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.05, 0.9j, 0.7 - 0.6j])
+    for L in (1, 2, 3):
+        for N in (2, 8, 16):
+            z = ensembles.finite_zipper(10 * L + N, L, N)
+            fac = TransferFactory(z)
+            for w, disc in zip(pts, weyl.radial_central(z, pts)):
+                S, R, R_refl = _product_disc(fac, w, N, L)
+                for got, ref in ((disc.center, S), (disc.radius_left, R), (disc.radius_right, R_refl)):
+                    assert np.linalg.norm(got - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2), (L, N, w)
+                assert disc.identity_defect < 1e-12
+
+
+def test_radial_central_array_equals_pointwise_calls():
+    z = ensembles.finite_zipper(5, 2, 12)
+    pts = np.array([0.3 + 0.2j, 0.05, -0.8 + 0.1j])
+    discs = weyl.radial_central(z, pts)
+    assert isinstance(discs, list) and len(discs) == 3
+    for w, disc in zip(pts, discs):
+        one = weyl.radial_central(z, w)
+        assert one.z == disc.z == w and one.n == disc.n == 12
+        for a, b in ((one.center, disc.center), (one.radius_left, disc.radius_left),
+                     (one.radius_right, disc.radius_right)):
+            assert np.linalg.norm(a - b, 2) <= 1e-13 * np.linalg.norm(b, 2)
+
+
+def test_radial_central_matches_extended_precision_product():
+    # N = 64 with ||alpha|| <= 0.99: the float product loses the center near
+    # |z| = 1 and at z = 0.05 its lower-right identity overflows; the frame
+    # read must match the same transfers multiplied at 250 digits
+    mp = pytest.importorskip("mpmath")
+    from scatzip.transfer import TransferFactory
+
+    L, N = 2, 64
+    z = ensembles.finite_zipper(0, L, N, "haar-gauge", 0.99)
+    fac = TransferFactory(z)
+    C = mp.matrix(mc.cayley(L).tolist())
+
+    def reference(w):
+        T = mp.eye(2 * L)
+        for n in range(1, N + 1):
+            T = mp.matrix(fac.transfer(n, w).tolist()) * T
+        Q = C.H * T.H * mp.diag([1] * L + [-1] * L) * T * C
+        R = mp.inverse(Q[0:L, 0:L])
+        log_norm = mp.log(max(abs(e) for e in mp.eigh((R + R.H) / 2, eigvals_only=True)))
+        return np.array((-R * Q[0:L, L:2 * L]).tolist(), dtype=complex), float(log_norm)
+
+    with mp.workdps(250):
+        for w in (0.9 + 0.1j, 0.05, 0.97 + 0.2j):
+            disc = weyl.radial_central(z, w)
+            S, log_r = reference(w)
+            _, log_r_refl = reference(1 / np.conj(w))
+            nl, nr = disc.radius_norms()
+            assert np.linalg.norm(disc.center - S, 2) < 1e-9 * np.linalg.norm(S, 2), w
+            assert abs(np.log(nl) - log_r) < 1e-9, w
+            assert abs(np.log(nr) - log_r_refl) < 1e-9, w
+
+
+def test_radial_central_raises_when_radius_underflows():
+    sem = ensembles.semi_infinite_zipper(79, 1, "cmv")
+    z = sem.truncate(256, np.eye(1))
+    with pytest.raises(NumericalBreakdownError):
+        weyl.radial_central(z, 0.05)
+    assert abs(weyl.log_radius_norm(z, 0.05, 256) - (-892.84)) < 0.01
+
+
+def test_limit_f_posterior_error_does_not_underflow():
+    sem = ensembles.semi_infinite_zipper(3, 1, "cmv")
+    res = weyl.limit_f(sem, 0.36 * np.exp(0.7j), 1e-2)
+    assert res.n_used == 1056
+    assert np.isfinite(res.log_posterior_error)
+    floor = np.finfo(float).eps * np.linalg.norm(res.f_value, 2)
+    assert res.posterior_error == max(np.exp(res.log_posterior_error), floor)
+    assert 0.0 < res.posterior_error <= res.certified_error
