@@ -5,8 +5,9 @@ signature form, so its stereographic projection is unitary; composing with
 the right boundary chart gives the Pruefer unitary W(z) whose eigenvalue-1
 multiplicity equals the multiplicity of z in the operator spectrum.  All
 eigenphases of W rotate strictly upward in theta, so the full spectrum is
-found by sweeping theta, tracking the sorted eigenphase branches, and
-bisecting every upward crossing of a multiple of 2 pi.
+found by sweeping theta, counting in every grid interval how many
+eigenphases pass the 2 pi seam, and bisecting the intervals that hold
+crossings.
 
 Periodic zippers use the doubled (checkerboard) construction: the fixed-point
 condition of the transfer cocycle becomes a Lagrangian intersection in twice
@@ -18,8 +19,9 @@ for that row order.
 
 Both phases take an array of circle points and evaluate it in one call of
 ``propagate``.  The sweep samples its whole theta grid that way (at most
-SWEEP_BLOCK points per call), keeps the samples when a count mismatch doubles
-the grid, and bisects the brackets of the crossings only once their count
+SWEEP_BLOCK points per call), counts the seam passages of all its intervals
+in one array operation, keeps the samples when a count mismatch doubles the
+grid, and bisects the intervals holding crossings only once the total
 matches, all of them in lockstep with one batched call per level.
 """
 
@@ -182,66 +184,24 @@ def _sorted_phases(W: np.ndarray) -> np.ndarray:
     return np.sort(np.mod(np.angle(np.linalg.eigvals(W)), TWO_PI), axis=-1)
 
 
-def _match_shift(p: np.ndarray, q: np.ndarray, mono_tol: float = 1e-7):
-    """Monotone matching of two sorted phase vectors on the circle.
+def _seam_passages(p: np.ndarray, q: np.ndarray, mono_tol: float = 1e-7) -> np.ndarray:
+    """Seam passages between the sorted eigenphase rows of two (n, m) stacks.
 
-    Branches only move upward, so sorted position j at the earlier point maps
-    to position (j + s) mod m at the later one, where the shift s counts how
-    many branch passages of the 2 pi seam occurred (s >= m means full extra
-    turns).  Returns (s, increments) for the smallest shift whose increments
-    are all >= -mono_tol (larger shifts only add turns on top of it), or None
-    if no shift up to 2 m is monotone.
+    Branches only move upward, so sorted position j in row p maps to
+    position (j + s) mod m in row q, where s counts the branch passages of
+    the 2 pi seam in between.  Returns, per row, the smallest s in [0, m]
+    whose increments q[(j+s) % m] + 2 pi ((j+s) // m) - p[j] are all
+    >= -mono_tol; s = m always qualifies because phases lie in [0, 2 pi].
+    A branch that turns more than once inside one interval is undercounted;
+    the sweep catches this through the total count.
     """
-    m = len(p)
+    m = p.shape[1]
     j = np.arange(m)
-    for s in range(2 * m + 1):
-        delta = q[(j + s) % m] + TWO_PI * ((j + s) // m) - p
-        if np.all(delta >= -mono_tol):
-            return s, delta
-    return None
-
-
-class _BranchTracker:
-    """Cumulative unwrapped eigenphases, indexed by current sorted position."""
-
-    def __init__(self, phases: np.ndarray):
-        self.cum = phases.copy()
-
-    def residues(self) -> np.ndarray:
-        return np.mod(self.cum, TWO_PI)
-
-    def advance(self, q: np.ndarray):
-        """Advance to the next grid point with sorted residues q.
-
-        Returns (start_values, end_values) in the pre-advance branch order,
-        or None if no monotone matching exists.
-        """
-        match = _match_shift(self.residues(), q)
-        if match is None:
-            return None
-        s, delta = match
-        start = self.cum.copy()
-        end = start + delta
-        m = len(q)
-        new_cum = np.empty_like(end)
-        for j in range(m):
-            new_cum[(j + s) % m] = end[j]
-        self.cum = new_cum
-        return start, end
-
-
-@dataclass
-class _Bracket:
-    """A grid interval [lo, hi] in which the branch at sorted position ``branch``
-    (unwrapped phase ``value`` at lo, sorted residues ``residues`` at lo)
-    reaches the multiple ``target`` of 2 pi."""
-
-    lo: float
-    hi: float
-    residues: np.ndarray
-    branch: int
-    value: float
-    target: float
+    count = np.full(len(p), m)
+    for s in range(m - 1, -1, -1):  # the smallest qualifying shift is written last
+        delta = q[:, (j + s) % m] + TWO_PI * ((j + s) // m) - p
+        count[np.all(delta >= -mono_tol, axis=1)] = s
+    return count
 
 
 def _sample(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray) -> np.ndarray:
@@ -250,84 +210,57 @@ def _sample(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray) -> np.n
                            for i in range(0, len(thetas), SWEEP_BLOCK)])
 
 
-def _track(thetas: np.ndarray, samples: np.ndarray, n_branches: int):
-    """Follow the sampled branches over the grid; returns (brackets, tracking_ok).
+def _bisect(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+            phases: np.ndarray, count: np.ndarray, refine_tol: float,
+            max_iter: int = 60) -> np.ndarray:
+    """Bisect the brackets [lo, hi] in lockstep, one batched evaluation of the midpoints per level.
 
-    Collection stops at the first grid interval with no monotone matching.
+    ``phases`` are the sorted eigenphases at lo and ``count`` the crossings
+    inside each bracket.  The left half gets min(s, count) of them, with s
+    the seam passages from lo to the midpoint, and the right half the rest;
+    halves without a crossing are dropped.  A bracket stops at width
+    refine_tol; its midpoint is returned once per crossing.
     """
-    tracker = _BranchTracker(samples[0])
-    brackets: list = []
-    prev_res = tracker.residues()
-    for i in range(1, len(thetas)):
-        advanced = tracker.advance(samples[i])
-        if advanced is None:
-            return brackets, False
-        start, end = advanced
-        for j in range(n_branches):
-            first = int(np.ceil(start[j] / TWO_PI + 1e-13))
-            last = int(np.floor(end[j] / TWO_PI + 1e-13))
-            for mult in range(first, last + 1):
-                target = TWO_PI * mult
-                if target <= start[j]:
-                    continue
-                brackets.append(_Bracket(thetas[i - 1], thetas[i], prev_res, j, start[j], target))
-        prev_res = tracker.residues()
-    return brackets, True
-
-
-def _bisect(wfn: Callable[[np.ndarray], np.ndarray], brackets: list, refine_tol: float,
-            max_iter: int = 60) -> list:
-    """Bisect all brackets in lockstep, one batched evaluation of the midpoints per level.
-
-    Each bracket keeps the half in which its tracked branch's unwrapped phase
-    reaches the target and stops at width refine_tol, or at its current
-    midpoint if a midpoint admits no monotone matching.
-    """
-    live = list(brackets)
+    done = []
     for _ in range(max_iter):
-        live = [b for b in live if b.hi - b.lo > refine_tol]
-        if not live:
+        fine = hi - lo <= refine_tol
+        done.append(np.repeat(0.5 * (lo[fine] + hi[fine]), count[fine]))
+        lo, hi, phases, count = lo[~fine], hi[~fine], phases[~fine], count[~fine]
+        if len(lo) == 0:
             break
-        mids = 0.5 * (np.array([b.lo for b in live]) + np.array([b.hi for b in live]))
-        going = []
-        for b, mid, q in zip(live, mids, _sample(wfn, mids)):
-            match = _match_shift(b.residues, q)
-            if match is None:
-                continue  # the bracket keeps its current midpoint
-            s, delta = match
-            if b.value + delta[b.branch] >= b.target:
-                b.hi = mid
-            else:
-                b.lo = mid
-                b.value += delta[b.branch]
-                b.branch = (b.branch + s) % len(q)
-                b.residues = q
-            going.append(b)
-        live = going
-    return [0.5 * (b.lo + b.hi) for b in brackets]
+        mid = 0.5 * (lo + hi)
+        q = _sample(wfn, mid)
+        left = np.minimum(_seam_passages(phases, q), count)
+        right = count - left
+        lo = np.concatenate([lo[left > 0], mid[right > 0]])
+        hi = np.concatenate([mid[left > 0], hi[right > 0]])
+        phases = np.concatenate([phases[left > 0], q[right > 0]])
+        count = np.concatenate([left[left > 0], right[right > 0]])
+    done.append(np.repeat(0.5 * (lo + hi), count))
+    return np.concatenate(done)
 
 
-def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], n_branches: int, expected_total: int,
+def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
                    grid_size: int, refine_tol: float = 1e-10, retries: int = 10) -> SpectrumResult:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
 
     ``wfn(thetas)`` must return the stack of (near-)unitary phase matrices at
-    a 1-D array of theta; crossings are multiples of 2 pi of the unwrapped
-    branch phases.  The whole grid is sampled in batched calls and tracked;
-    the brackets of the crossings are bisected, all in lockstep, only once
-    their count matches ``expected_total``.  A crossing hides from the
-    sampled sweep when a branch completes a full turn inside one grid
-    interval (a narrow resonance), which no endpoint-based test can detect;
-    the grid is therefore doubled on a count mismatch, up to ``retries``
-    times.  The previous samples become the even rows of the doubled grid and
-    only the new odd theta are evaluated, so the cumulative cost stays
-    proportional to the finest grid actually needed.
+    a 1-D array of theta; a crossing is an eigenphase passing the 2 pi seam.
+    The whole grid is sampled in batched calls and the seam passages of all
+    grid intervals are counted at once; the intervals holding crossings are
+    bisected, all in lockstep, only once the total matches
+    ``expected_total``.  A crossing hides from the sampled sweep when a
+    branch completes a full turn inside one grid interval (a narrow
+    resonance), which no endpoint-based test can detect; the grid is
+    therefore doubled on a count mismatch, up to ``retries`` times.  The
+    previous samples become the even rows of the doubled grid and only the
+    new odd theta are evaluated, so the cumulative cost stays proportional
+    to the finest grid actually needed.
     """
     grid = int(grid_size)
     offset = 0.37 * TWO_PI / grid  # fixed across retries so refined grids nest
     samples = None
-    last_error = None
-    for attempt in range(retries + 1):
+    for _ in range(retries + 1):
         thetas = offset + np.arange(grid + 1) * (TWO_PI / grid)
         if samples is None:
             samples = _sample(wfn, thetas)
@@ -336,11 +269,14 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], n_branches: int, exp
             doubled[0::2] = samples
             doubled[1::2] = _sample(wfn, thetas[1::2])
             samples = doubled
-        brackets, ok = _track(thetas, samples, n_branches)
-        if ok and len(brackets) == expected_total:
-            return _circular_clusters(_bisect(wfn, brackets, refine_tol), 10.0 * refine_tol)[0]
-        last_error = (f"found {len(brackets)} crossings, expected {expected_total} "
-                      f"(grid {grid}{'' if ok else ', tracking lost'})")
+        count = _seam_passages(samples[:-1], samples[1:])
+        found = int(count.sum())
+        if found == expected_total:
+            hit = count > 0
+            crossings = _bisect(wfn, thetas[:-1][hit], thetas[1:][hit], samples[:-1][hit],
+                                count[hit], refine_tol)
+            return _circular_clusters(crossings, 10.0 * refine_tol)[0]
+        last_error = f"found {found} crossings, expected {expected_total} (grid {grid})"
         grid *= 2
     raise CrossingCountMismatchError(last_error)
 
@@ -360,8 +296,8 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
                             refine_tol: float = 1e-10) -> SpectrumResult:
     """All N L eigenvalues of a finite or periodic zipper by Pruefer-phase crossing counting.
 
-    Finite zippers sweep the L branches of ``prufer``, periodic ones the 2L
-    branches of the doubled ``prufer_periodic``.
+    Finite zippers sweep the L eigenphases of ``prufer``, periodic ones the
+    2L eigenphases of the doubled ``prufer_periodic``.
     """
     if not isinstance(zipper, Zipper):
         raise ValidationError("oscillation spectra need a finite or periodic zipper")
@@ -369,8 +305,7 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     grid = grid_size if grid_size is not None else 8 * total
     if grid < 4 * total:
         raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
-    branches = zipper.L if zipper.flavor == "finite" else 2 * zipper.L
-    return sweep_spectrum(_phase_family(zipper), branches, total, grid, refine_tol)
+    return sweep_spectrum(_phase_family(zipper), total, grid, refine_tol)
 
 
 def spectrum_periodic(zipper: Zipper, grid_size: Optional[int] = None,

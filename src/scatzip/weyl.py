@@ -342,6 +342,8 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2
     hyperbolic, and roundoff bounds any certificate from below).  It
     bounds the distance ||F_N(V) - S|| from the disc center, while the
     spread between two boundary conditions can reach twice that value.
+    Both radii come from one frame propagation over z and 1/conj(z); if
+    it breaks down, the a-posteriori fields stay None.
     """
     z = _check_disc_z(z, allow_zero=True)
     if tol <= 0:
@@ -354,10 +356,12 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2
     certified = slack * 8.0 / (n_used * gap)
     posterior = log_posterior = None
     if z != 0:
-        lr = log_radius_norm(zipper, z, n_used, factory=fac)
-        lr_refl = log_radius_norm(zipper, 1.0 / np.conj(z), n_used, factory=fac)
-        if lr is not None and lr_refl is not None:
-            log_posterior = 0.5 * (lr + lr_refl)
+        try:
+            lr, lr_refl = _frame_discs(zipper, np.array([z, 1.0 / np.conj(z)]), n_used, fac)[2]
+        except (DegenerateFrameError, SingularBlockError):
+            lr = lr_refl = np.nan
+        if np.isfinite(lr) and np.isfinite(lr_refl):
+            log_posterior = 0.5 * float(lr + lr_refl)
             floor = np.finfo(float).eps * float(np.linalg.norm(F, 2))
             posterior = max(float(np.exp(log_posterior)), floor)
     return LimitF(F, certified, n_used, slack, posterior, log_posterior)

@@ -5,7 +5,7 @@ import pytest
 
 from scatzip import ensembles, matrix_core as mc, oscillation as osc, transfer as tr
 from scatzip import zipper as zp
-from scatzip.errors import SizeMismatchError, ValidationError
+from scatzip.errors import CrossingCountMismatchError, SizeMismatchError, ValidationError
 
 def test_prufer_unitary_and_eigenvalue_one(rng):
     z = ensembles.finite_zipper(3, 2, 6)
@@ -281,3 +281,72 @@ def test_stall_instance_sweeps_in_few_batched_calls(monkeypatch):
     dense = zp.dense_spectrum(zp.assemble_finite(z))
     assert swept.total_multiplicity == dense.total_multiplicity == 24
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+def _reference_shift(p, q, mono_tol=1e-7):
+    """One row at a time: the smallest shift s whose increments are all >= -mono_tol."""
+    m = len(p)
+    j = np.arange(m)
+    for s in range(2 * m + 1):
+        if np.all(q[(j + s) % m] + 2 * np.pi * ((j + s) // m) - p >= -mono_tol):
+            return s
+    return None
+
+
+def test_seam_passages_match_the_scalar_shift_rule():
+    rng = np.random.default_rng(5)
+    for m in range(1, 5):
+        p = np.sort(rng.uniform(0, 2 * np.pi, (400, m)), axis=1)
+        q = np.sort(rng.uniform(0, 2 * np.pi, (400, m)), axis=1)
+        # q entirely below p: every shift under m fails, so the answer is m
+        p[:50] = np.sort(rng.uniform(np.pi, 2 * np.pi, (50, m)), axis=1)
+        q[:50] = np.sort(rng.uniform(0, np.pi, (50, m)), axis=1)
+        # phases of exactly 2 pi, as np.mod returns for tiny negative angles
+        p[50:100, -1] = 2 * np.pi
+        q[75:125, -1] = 2 * np.pi
+        # increments within the monotonicity tolerance
+        q[125:150] = p[125:150] - 5e-8
+        count = osc._seam_passages(p, q)
+        expected = np.array([_reference_shift(a, b) for a, b in zip(p, q)])
+        assert np.array_equal(count, expected), m
+        assert np.all(count <= m) and np.all(count[:50] == m), m
+        assert set(count[150:]) == set(range(m + 1)), m
+
+
+def _diagonal_family(phase_fns):
+    """thetas -> stack of diag(exp(i f(theta))) over the increasing phase functions."""
+    return lambda thetas: np.stack([np.diag(np.exp(1j * np.array([f(t) for f in phase_fns])))
+                                    for t in np.asarray(thetas)])
+
+
+def test_sweep_splits_two_crossings_in_one_interval():
+    grid = 16
+    h = 2 * np.pi / grid
+    left = 0.37 * h + 3 * h  # grid point 3 of the sweep
+    crossings = [left + 0.1, left + 0.25, 4.0]
+    wfn = _diagonal_family([lambda t, c=c: t - c for c in crossings])
+    count = osc._seam_passages(osc._sample(wfn, [left]), osc._sample(wfn, [left + h]))
+    assert count.tolist() == [2]
+    res = osc.sweep_spectrum(wfn, 3, grid)
+    assert res.multiplicities.tolist() == [1, 1, 1]
+    assert np.abs(res.thetas - np.sort(crossings)).max() < 1e-9
+
+
+def test_sweep_returns_an_exact_double_crossing_with_multiplicity_two():
+    wfn = _diagonal_family([lambda t: t - 2.5, lambda t: t - 2.5, lambda t: t - 5.0])
+    res = osc.sweep_spectrum(wfn, 3, 16)
+    assert res.multiplicities.tolist() == [2, 1]
+    assert np.abs(res.thetas - [2.5, 5.0]).max() < 1e-9
+
+
+def test_sweep_doubles_the_grid_for_a_fast_branch():
+    # diag(exp(40 i theta)) turns 2.5 times per interval of a 16-point grid;
+    # one row counts at most one passage, so the count only matches at grid 64
+    wfn = _diagonal_family([lambda t: 40 * t])
+    with pytest.raises(CrossingCountMismatchError, match=r"\(grid 16\)"):
+        osc.sweep_spectrum(wfn, 40, 16, retries=0)
+    res = osc.sweep_spectrum(wfn, 40, 16)
+    assert res.multiplicities.tolist() == [1] * 40
+    expected = 2 * np.pi * np.arange(40) / 40
+    gap = np.abs(res.thetas[:, None] - expected[None, :])
+    assert np.minimum(gap, 2 * np.pi - gap).min(axis=0).max() < 1e-9

@@ -320,3 +320,25 @@ def test_limit_f_posterior_error_does_not_underflow():
     floor = np.finfo(float).eps * np.linalg.norm(res.f_value, 2)
     assert res.posterior_error == max(np.exp(res.log_posterior_error), floor)
     assert 0.0 < res.posterior_error <= res.certified_error
+
+
+def test_limit_f_reads_both_radii_off_one_propagation(monkeypatch):
+    # one frame propagation over z and 1/conj(z) gives both radius norms; it
+    # agrees with the two separate log_radius_norm reads
+    calls = []
+    real = weyl.propagate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "propagate", counting)
+    for L, ensemble in [(1, "cmv"), (2, "haar-gauge")]:
+        sem = ensembles.semi_infinite_zipper(80 + L, L, ensemble)
+        w = 0.35 - 0.2j
+        calls.clear()
+        res = weyl.limit_f(sem, w, 5e-2)
+        assert len(calls) == 1, L
+        both = (weyl.log_radius_norm(sem, w, res.n_used)
+                + weyl.log_radius_norm(sem, 1 / np.conj(w), res.n_used))
+        assert abs(res.log_posterior_error - 0.5 * both) <= 1e-9, L
