@@ -58,8 +58,7 @@ def cmd_gen(args) -> int:
         z = ensembles.periodic_zipper(args.seed, args.L, args.N, args.ensemble, args.alpha_max)
     else:
         z = ensembles.semi_infinite_zipper(args.seed, args.L, args.ensemble, args.alpha_max)
-        for n in range(2, args.N + 1):
-            z.block(n)  # materialize the stored prefix
+        z.extend(args.N)  # materialize the stored prefix
     _write_output(args.output, fileio.dumps(fileio.zipper_to_dict(z)))
     return EXIT_OK
 
@@ -159,8 +158,7 @@ def cmd_measure(args) -> int:
         if not isinstance(doc, ms.MatrixMeasure):
             raise ValidationError("to-zipper needs a measure file")
         rebuilt = ms.zipper_from_measure(doc, mc.eye(doc.L), args.n_max)
-        for n in range(2, rebuilt.n_available + 1):
-            rebuilt.zipper.block(n)  # materialize for serialization
+        rebuilt.zipper.extend(rebuilt.n_available)  # materialize for serialization
         out = fileio.zipper_to_dict(rebuilt.zipper)
         out["n_available"] = rebuilt.n_available
         if rebuilt.gram.stop_step is not None:

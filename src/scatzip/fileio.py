@@ -18,7 +18,7 @@ from . import matrix_core as mc
 from .errors import ParseError
 from .measures import MatrixMeasure
 from .scattering import ScatteringBlock
-from .zipper import SemiInfiniteZipper, Zipper
+from .zipper import SemiInfiniteZipper, Zipper, stored_block_fn
 
 
 def complex_matrix_to_json(m) -> list:
@@ -38,7 +38,7 @@ def complex_matrix_from_json(obj) -> np.ndarray:
 
 def zipper_to_dict(zipper) -> dict:
     if isinstance(zipper, SemiInfiniteZipper):
-        stored = sorted(getattr(zipper, "_cache", {}))
+        stored = zipper.stored_sites
         doc = {
             "L": zipper.L,
             "N": stored[-1] if stored else 0,
@@ -90,15 +90,9 @@ def zipper_from_dict(doc: dict):
         return Zipper(L, int(doc["N"]), "periodic", blocks)
     if flavor == "semi-infinite":
         u = complex_matrix_from_json(doc["boundary_U"])
-
-        def block_fn(n: int) -> ScatteringBlock:
-            if n not in blocks:
-                raise ParseError(f"block S_{n} is beyond the stored prefix")
-            return blocks[n]
-
+        block_fn = stored_block_fn(blocks, lambda n: ParseError(f"block S_{n} is beyond the stored prefix"))
         z = SemiInfiniteZipper(L, u, block_fn)
-        for n, b in blocks.items():
-            z._cache[n] = b
+        z.extend(len(blocks) + 1)  # the stored prefix is materialized, as when it was written
         return z
     raise ParseError(f"unknown flavor {flavor!r}")
 

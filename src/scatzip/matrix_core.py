@@ -23,15 +23,23 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 
 
-def as_cmatrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex ndarray with finite entries."""
+def as_cstack(m) -> np.ndarray:
+    """Coerce to a complex ndarray with finite entries: one matrix or a stack of them."""
     a = np.asarray(m, dtype=complex)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
+    return a
+
+
+def as_cmatrix(m) -> np.ndarray:
+    """Coerce to a 2-d complex ndarray with finite entries."""
+    a = as_cstack(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     return a
 
 
@@ -68,16 +76,17 @@ def cayley(L: int) -> np.ndarray:
 
 
 def split_blocks(T: np.ndarray):
-    """Split a 2L x 2L matrix into its four L x L blocks (A, B, C, D)."""
-    n = T.shape[0]
-    if T.shape[1] != n or n % 2:
+    """Split a 2L x 2L matrix (or each of a stack) into its four L x L blocks (A, B, C, D)."""
+    n = T.shape[-1]
+    if T.shape[-2] != n or n % 2:
         raise ValueError(f"expected an even square matrix, got shape {T.shape}")
     L = n // 2
-    return T[:L, :L], T[:L, L:], T[L:, :L], T[L:, L:]
+    return T[..., :L, :L], T[..., :L, L:], T[..., L:, :L], T[..., L:, L:]
 
 
 def join_blocks(A, B, C, D) -> np.ndarray:
-    return np.block([[as_cmatrix(A), as_cmatrix(B)], [as_cmatrix(C), as_cmatrix(D)]])
+    """[[A, B], [C, D]] from four L x L blocks, or from four stacks of them."""
+    return np.block([[as_cstack(A), as_cstack(B)], [as_cstack(C), as_cstack(D)]])
 
 
 def unitary_defect(U: np.ndarray) -> float:
@@ -87,8 +96,9 @@ def unitary_defect(U: np.ndarray) -> float:
 
 
 def hermitian_defect(M: np.ndarray) -> float:
-    M = as_cmatrix(M)
-    return float(np.linalg.norm(M - adj(M), 2))
+    """Operator-norm distance of M from M* (the largest over a stack)."""
+    M = as_cstack(M)
+    return float(np.linalg.norm(M - adj(M), 2, axis=(-2, -1)).max())
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
@@ -96,20 +106,20 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 
 
 def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root of a PSD matrix.
+    """Hermitian PSD square root of a PSD matrix, or of each matrix of a stack.
 
     Eigenvalues in [-tol, 0) are clamped to zero; an eigenvalue below -tol
     raises NotPSDError, a Hermiticity defect above tol raises
     NotHermitianError.
     """
-    M = as_cmatrix(M)
+    M = as_cstack(M)
     if hermitian_defect(M) > tol:
         raise NotHermitianError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
     w, V = np.linalg.eigh(hermitize(M))
     if w.min() < -tol:
         raise NotPSDError(f"eigenvalue {w.min():.3e} < -{tol:.1e}")
     w = np.clip(w, 0.0, None)
-    R = (V * np.sqrt(w)) @ adj(V)
+    R = (V * np.sqrt(w)[..., None, :]) @ adj(V)
     return hermitize(R)
 
 
@@ -138,7 +148,8 @@ def polar_unitary(A, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def smallest_singular_value(A) -> float:
-    return float(np.linalg.svd(as_cmatrix(A), compute_uv=False).min())
+    """Smallest singular value of a matrix (the smallest over a stack)."""
+    return float(np.linalg.svd(as_cstack(A), compute_uv=False).min())
 
 
 def mobius(T, Z, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import NotPSDError, ValidationError
 from .scattering import ScatteringBlock
-from .zipper import SemiInfiniteZipper, Zipper, assemble_finite, dense_spectrum
+from .zipper import SemiInfiniteZipper, Zipper, assemble_finite, dense_spectrum, stored_block_fn
 
 GRAM_DEGENERACY_TOL = 1e-10
 
@@ -304,11 +304,7 @@ def zipper_from_measure(mu: MatrixMeasure, boundary_u, n_max: int) -> MeasureZip
             break
         blocks[n] = ScatteringBlock(entry.alpha, entry.u_gauge, entry.v_gauge)
 
-    def block_fn(n: int) -> ScatteringBlock:
-        if n not in blocks:
-            raise ValidationError(f"block S_{n} is beyond the available data")
-        return blocks[n]
-
+    block_fn = stored_block_fn(blocks, lambda n: ValidationError(f"block S_{n} is beyond the available data"))
     zipper = SemiInfiniteZipper(mu.L, boundary_u, block_fn)
     n_available = max(blocks) if blocks else 1
     return MeasureZipper(zipper, n_available, gram)

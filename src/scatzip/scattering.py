@@ -40,13 +40,30 @@ def _check_unitary(U, tol, what="matrix"):
     return U
 
 
+def normal_form(alpha, u_gauge, v_gauge):
+    """The blocks (beta, gamma, delta) of S(alpha, U, V).
+
+    Takes three L x L matrices or three (n, L, L) stacks; a stack runs
+    through one batched eigh per square root and gives each block exactly
+    what it gives alone.
+    """
+    one = mc.eye(alpha.shape[-1])
+    beta = mc.hermitian_sqrt(one - alpha @ mc.adj(alpha)) @ u_gauge
+    gamma = v_gauge @ mc.hermitian_sqrt(one - mc.adj(alpha) @ alpha)
+    delta = -v_gauge @ mc.adj(alpha) @ u_gauge
+    return beta, gamma, delta
+
+
 @dataclass(frozen=True)
 class ScatteringBlock:
     """An effective scattering event, stored in (alpha, U, V) normal form.
 
     The assembled 2L x 2L matrix and the four blocks are cached at
-    construction; (alpha, u_gauge, v_gauge) is the canonical serialization
-    form.  Instances are immutable and safe to share between threads.
+    construction (two eigh calls, see ``normal_form``); (alpha, u_gauge,
+    v_gauge) is the canonical serialization form.  Instances are immutable
+    and safe to share between threads.  Bulk paths work on stacks instead
+    (a range of drawn sites, ``normal_form`` and ``phi`` of a stack, the
+    phi table of a zipper) and build a block only when one is asked for.
     """
 
     alpha: np.ndarray
@@ -61,9 +78,7 @@ class ScatteringBlock:
         alpha = mc.as_cmatrix(self.alpha)
         u = mc.as_cmatrix(self.u_gauge)
         v = mc.as_cmatrix(self.v_gauge)
-        beta = mc.hermitian_sqrt(mc.eye(alpha.shape[0]) - alpha @ mc.adj(alpha)) @ u
-        gamma = v @ mc.hermitian_sqrt(mc.eye(alpha.shape[0]) - mc.adj(alpha) @ alpha)
-        delta = -v @ mc.adj(alpha) @ u
+        beta, gamma, delta = normal_form(alpha, u, v)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "u_gauge", u)
         object.__setattr__(self, "v_gauge", v)
@@ -125,14 +140,16 @@ def block_from_matrix(S, tol: float = mc.DEFAULT_TOL) -> ScatteringBlock:
 def _matrix_of(S) -> np.ndarray:
     if isinstance(S, ScatteringBlock):
         return S.matrix
-    return mc.as_cmatrix(S)
+    return mc.as_cstack(S)
 
 
 def phi(S, tol: float = 1e-12) -> np.ndarray:
     """Map a scattering block to its transfer matrix in U(L, L).
 
     phi([[a, b], [c, d]]) = [[c - d b^(-1) a, d b^(-1)], [-b^(-1) a, b^(-1)]].
-    Also accepts non-unitary input (needed for phi(S/z) with |z| != 1).
+    Also accepts non-unitary input (needed for phi(S/z) with |z| != 1), and
+    a (n, 2L, 2L) stack of matrices, mapped in one batched call with the
+    same result per matrix as one call each.
     """
     a, b, c, d = mc.split_blocks(_matrix_of(S))
     if mc.smallest_singular_value(b) <= tol:

@@ -36,7 +36,7 @@ from .errors import (
     ZeroZError,
 )
 from .scattering import ScatteringBlock, phi
-from .zipper import SemiInfiniteZipper, Zipper
+from .zipper import Zipper
 
 
 def _check_z(z: complex) -> complex:
@@ -77,34 +77,30 @@ def transfer_inverse_at(block: ScatteringBlock, n: int, z: complex) -> np.ndarra
 
 
 class TransferFactory:
-    """Caches the z-independent phi(S_n) of a zipper and serves T_n(z) on demand.
+    """Serves T_n(z) off the phi table of a zipper.
 
-    For finite and semi-infinite zippers T_1 = diag(U, 1) carries the left
-    boundary; for periodic zippers T_1 = phi(S_1) is a genuine block.
+    The z-independent parts phi(S_n) are the rows of ``zipper.phi_table``,
+    which the zipper object builds once (a semi-infinite zipper extends it
+    when its stored prefix grows), so every factory, frame propagation and
+    E-chain on one zipper shares one table.  For finite and semi-infinite
+    zippers T_1 = diag(U, 1) carries the left boundary; for periodic
+    zippers T_1 = phi(S_1) is a genuine block.
     """
 
     def __init__(self, zipper):
         self.zipper = zipper
         self.L = zipper.L
-        self._phis: dict[int, np.ndarray] = {}
-        if isinstance(zipper, SemiInfiniteZipper) or zipper.flavor == "finite":
-            u = zipper.boundary_u
-            self._phis[1] = mc.join_blocks(u, np.zeros_like(u), np.zeros_like(u), mc.eye(self.L))
+
+    def phi_table(self, upto: int) -> np.ndarray:
+        """Rows phi_1, ..., phi_upto as one (upto, 2L, 2L) stack."""
+        return self.zipper.phi_table(upto)
 
     def phi_at(self, n: int) -> np.ndarray:
-        M = self._phis.get(n)
-        if M is None:
-            M = phi(self.zipper.block(n))
-            self._phis[n] = M
-        return M
+        return self.zipper.phi_table(n)[n - 1]
 
     def transfer(self, n: int, z: complex) -> np.ndarray:
         M = self.phi_at(n)
         return _even_transfer(M, z) if n % 2 == 0 else M
-
-    def transfer_inverse(self, n: int, z: complex) -> np.ndarray:
-        M = self.phi_at(n)
-        return _even_transfer_inverse(M, z) if n % 2 == 0 else _odd_transfer_inverse(M)
 
     def product(self, n: int, z: complex) -> np.ndarray:
         """Ordered product T_n(z) ... T_1(z)."""
@@ -191,6 +187,7 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
     points = zs.reshape(-1, 1, 1)
     fac = factory or TransferFactory(zipper)
     L = fac.L
+    phis = fac.phi_table(upto)
     first = initial_frame(L) if start is None else np.asarray(start, dtype=complex)
     frame = np.repeat(first[None], len(points), axis=0)
     carried = frame.shape[1] - 2 * L
@@ -200,7 +197,7 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
         even = n % 2 == 0  # even T_n(z) = diag(1, z) phi(S_n) diag(1/z, 1)
         if even:
             frame[:, carried:carried + L] /= points
-        frame[:, carried:] = fac.phi_at(n) @ frame[:, carried:]
+        frame[:, carried:] = phis[n - 1] @ frame[:, carried:]
         if even:
             frame[:, carried + L:] *= points
         if not renormalize:

@@ -29,6 +29,7 @@ from .errors import (
     DiscBreakdownError,
     NotOnSurfaceError,
     SingularBlockError,
+    SingularDenominatorError,
     ValidationError,
     ZeroZError,
 )
@@ -80,16 +81,45 @@ def e_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
     Each factor maps the closed disc into itself (strictly inside for even
     steps), so the chain is unconditionally stable in N; a singular
     denominator here would contradict the contraction property and is
-    surfaced as a numerical breakdown.
+    surfaced as a numerical breakdown naming the site.
+
+    The chain steps on the blocks of T_n^(-1) = [[z A*, -C*], [-B*, D*/z]]
+    ((A, B, C, D) the blocks of phi_n, z -> 1 on odd sites), taken for all
+    sites at once off the zipper's phi table:  den = C' Z + D' and
+    Z = (A' Z + B') den^(-1).  The denominators are kept and checked by one
+    batched SVD after the loop.
     """
     z = _check_disc_z(z)
     N = _resolve_n(zipper, upto)
     V = _resolve_v(zipper, v_boundary)
-    fac = factory or TransferFactory(zipper)
+    A, B, C, D = mc.split_blocks((factory or TransferFactory(zipper)).phi_table(N))
+    A, B, C, D = mc.adj(A), -mc.adj(C), -mc.adj(B), mc.adj(D)
+    A[1::2] = z * A[1::2]   # even sites n = 2, 4, ... are rows 1, 3, ...
+    D[1::2] = D[1::2] / z
     Z = mc.adj(V)
-    for n in range(N, 0, -1):
-        Z = mc.mobius(fac.transfer_inverse(n, z), Z, tol=1e-13)
+    dens = np.zeros((N,) + Z.shape, dtype=complex)
+    last = 0  # the last row the chain reached
+    with np.errstate(all="ignore"):  # a singular step is reported below, by its site
+        for last in range(N - 1, -1, -1):
+            dens[last] = C[last] @ Z + D[last]
+            try:
+                Z = np.linalg.solve(dens[last].T, (A[last] @ Z + B[last]).T).T
+            except np.linalg.LinAlgError:
+                dens[last] = np.nan  # exactly singular
+                break
+    _check_denominators(dens[last:], last, tol=1e-13)
     return Z
+
+
+def _check_denominators(dens: np.ndarray, first: int, tol: float):
+    """SingularDenominatorError at the first site, in chain order, whose C Z + D is not
+    finite or has a singular value <= tol; row i of ``dens`` is site first + i + 1."""
+    finite = np.all(np.isfinite(dens), axis=(-2, -1))
+    smallest = np.zeros(len(dens))
+    smallest[finite] = np.linalg.svd(dens[finite], compute_uv=False)[:, -1]
+    bad = np.flatnonzero(~(smallest > tol))
+    if len(bad):
+        raise SingularDenominatorError(f"C Z + D is numerically singular at site {first + bad[-1] + 1}")
 
 
 def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = None) -> np.ndarray:
@@ -279,8 +309,22 @@ def disc_chart(f_value, disc: WeylDisc):
 
     W is unitary exactly when F lies on the Weyl surface; strictly
     contractive W means F is inside the open disc.
+
+    The chart resolves F only while the disc is wider than the rounding of
+    F.  F is known to about eps ||F||, and an error e in F - S moves W by up
+    to ||e|| / r with r = sqrt(lambda_min(R) lambda_min(R')), while ||W|| <= 1
+    on the closed disc.  So W carries no correct digit once
+    r <= eps ||F||, and DiscBreakdownError is raised there; r is read off
+    the computed smallest eigenvalues, so a radius that rounds to zero or
+    below counts as r = 0.
     """
     F = mc.as_cmatrix(f_value)
+    smallest = [float(np.linalg.eigvalsh(R)[0]) for R in (disc.radius_left, disc.radius_right)]
+    r = float(np.sqrt(max(smallest[0], 0.0) * max(smallest[1], 0.0)))
+    resolution = np.finfo(float).eps * float(np.linalg.norm(F, 2))
+    if not r > resolution:
+        raise DiscBreakdownError(
+            f"disc radius {r:.3e} at z = {disc.z:.6g} is below the resolution {resolution:.3e} of F")
     left = mc.hermitian_inv_sqrt(disc.radius_left, tol=1e-300)
     right = mc.hermitian_inv_sqrt(disc.radius_right, tol=1e-300)
     W = left @ (F - disc.center) @ right

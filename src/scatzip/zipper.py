@@ -15,7 +15,9 @@ H = (X + X*)/2 and K = (X - X*)/(2i).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
     OddNError,
     ValidationError,
 )
-from .scattering import ScatteringBlock
+from .scattering import ScatteringBlock, normal_form, phi
 
 DENSE_CAP = 512  # largest N*L the dense routines will touch by default
 TWO_PI = 2.0 * np.pi
@@ -77,6 +79,27 @@ class Zipper:
     def block(self, n: int) -> ScatteringBlock:
         return self.blocks[n]
 
+    def phi_table(self, upto: Optional[int] = None) -> np.ndarray:
+        """The z-independent site transfers of sites 1, ..., upto (default N) as one stack.
+
+        Row n - 1 holds site n: T_1 = diag(U, 1) for a finite zipper and
+        phi(S_1) for a periodic one, phi(S_n) for n >= 2.  The table is
+        built once per zipper object, in one batched ``phi`` call, and
+        shared by every transfer factory, frame propagation and E-chain.
+        """
+        n = self.N if upto is None else upto
+        if n > self.N:
+            raise MissingBlockError(f"missing block S_{n}")
+        return self._phis[:n]
+
+    @cached_property
+    def _phis(self) -> np.ndarray:
+        first = 2 if self.flavor == "finite" else 1
+        table = phi(np.stack([self.blocks[n].matrix for n in range(first, self.N + 1)]))
+        if self.flavor == "finite":
+            table = np.concatenate([_boundary_transfer(self.boundary_u)[None], table])
+        return table
+
     def with_boundary_v(self, v) -> "Zipper":
         """Same zipper with the right boundary condition replaced."""
         if self.flavor != "finite":
@@ -84,35 +107,101 @@ class Zipper:
         return Zipper(self.L, self.N, "finite", self.blocks, self.boundary_u, mc.as_cmatrix(v))
 
 
+def _boundary_transfer(u: np.ndarray) -> np.ndarray:
+    """T_1 = diag(U, 1), the first transfer, which carries the left boundary U."""
+    zero = np.zeros_like(u)
+    return mc.join_blocks(u, zero, zero, mc.eye(u.shape[0]))
+
+
 class SemiInfiniteZipper:
     """Lazily generated half-infinite zipper: boundary U plus blocks S_n, n >= 2.
 
-    ``block_fn`` must be a pure function of the site index so that concurrent
-    or repeated evaluations see identical blocks; generated blocks are cached.
+    ``block_fn(start, stop)`` returns the normal-form stacks (alpha, U, V),
+    each (stop - start, L, L), of the sites start, ..., stop - 1.  It must
+    be a pure function of the site index, so that a site does not depend on
+    which ranges were requested before it.  The zipper stores the sites
+    generated so far as one prefix S_2, ..., S_n, held as its phi table
+    (``phi_table``, sites 1, ..., n, sized exactly): a request past the
+    prefix draws the missing range with one ``block_fn`` call and maps it
+    with one batched ``normal_form`` and ``phi``.  The (alpha, U, V) stacks
+    are not kept, since only ``block(n)``, ``truncate`` and serialization
+    need them; ``block(n)`` draws site n again and builds its
+    ScatteringBlock on demand.  Growing the prefix holds a lock, so
+    concurrent requests see one consistent table.
     """
 
-    def __init__(self, L: int, boundary_u, block_fn: Callable[[int], ScatteringBlock]):
+    def __init__(self, L: int, boundary_u, block_fn: Callable[[int, int], tuple]):
         self.L = L
         self.boundary_u = mc.as_cmatrix(boundary_u)
         if mc.unitary_defect(self.boundary_u) > 1e-9:
             raise NotUnitaryError("boundary_u is not unitary")
         self._block_fn = block_fn
-        self._cache: dict[int, ScatteringBlock] = {}
+        self._phis = _boundary_transfer(self.boundary_u)[None]
+        self._lock = threading.Lock()
         self.flavor = "semi-infinite"
 
+    @property
+    def stored_sites(self) -> range:
+        """The sites of the stored prefix, 2, ..., n (empty before any is generated)."""
+        return range(2, len(self._phis) + 1)
+
+    def _draw(self, start: int, stop: int) -> list:
+        stacks = [mc.as_cstack(x) for x in self._block_fn(start, stop)]
+        if any(x.shape != (stop - start, self.L, self.L) for x in stacks):
+            raise DimensionMismatchError(
+                f"block_fn gave shapes {[x.shape for x in stacks]} for sites {start}..{stop - 1}")
+        return stacks
+
+    def extend(self, upto: int):
+        """Generate the stored prefix up to site ``upto`` (a no-op if it is already there)."""
+        with self._lock:
+            stored = len(self._phis)
+            if upto > stored:
+                alpha, u, v = self._draw(stored + 1, upto + 1)
+                phis = phi(mc.join_blocks(alpha, *normal_form(alpha, u, v)))
+                self._phis = np.concatenate([self._phis, phis])
+
     def block(self, n: int) -> ScatteringBlock:
+        """Block S_n; generates the prefix up to site n first if needed."""
         if n < 2:
             raise MissingBlockError("semi-infinite blocks start at n = 2")
-        b = self._cache.get(n)
-        if b is None:
-            b = self._block_fn(n)
-            self._cache[n] = b
-        return b
+        self.extend(n)
+        return ScatteringBlock(*(x[0] for x in self._draw(n, n + 1)))
+
+    def phi_table(self, upto: int) -> np.ndarray:
+        """The site transfers of sites 1, ..., upto (see ``Zipper.phi_table``), T_1 = diag(U, 1)."""
+        self.extend(upto)
+        return self._phis[:upto]
 
     def truncate(self, N: int, boundary_v) -> Zipper:
         """Finite zipper made of the first N sites with right boundary V."""
-        blocks = {n: self.block(n) for n in range(2, N + 1)}
-        return Zipper(self.L, N, "finite", blocks, self.boundary_u, boundary_v)
+        self.extend(N)
+        return Zipper(self.L, N, "finite", block_dict(2, self._draw(2, N + 1)),
+                      self.boundary_u, boundary_v)
+
+
+def block_dict(first: int, stacks) -> dict:
+    """{first + i: S(alpha_i, U_i, V_i)} from (alpha, U, V) stacks."""
+    return {first + i: ScatteringBlock(*row) for i, row in enumerate(zip(*stacks))}
+
+
+def stored_block_fn(blocks: dict, beyond: Callable[[int], Exception]):
+    """A ``block_fn`` serving a stored prefix {2: S_2, ..., n: S_n} of blocks.
+
+    A request past S_n raises ``beyond(m)`` with m the last site requested.
+    """
+    sites = sorted(blocks)
+    if sites != list(range(2, len(sites) + 2)):
+        raise MissingBlockError("stored semi-infinite blocks must be the prefix S_2, ..., S_n")
+    stacks = [np.array([getattr(blocks[n], f) for n in sites], dtype=complex)
+              for f in ("alpha", "u_gauge", "v_gauge")]
+
+    def block_fn(start: int, stop: int):
+        if stop - 2 > len(sites):
+            raise beyond(stop - 1)
+        return tuple(x[start - 2:stop - 2] for x in stacks)
+
+    return block_fn
 
 
 def direct_sum(z1: Zipper, z2: Zipper) -> Zipper:

@@ -342,3 +342,20 @@ def test_limit_f_reads_both_radii_off_one_propagation(monkeypatch):
         both = (weyl.log_radius_norm(sem, w, res.n_used)
                 + weyl.log_radius_norm(sem, 1 / np.conj(w), res.n_used))
         assert abs(res.log_posterior_error - 0.5 * both) <= 1e-9, L
+
+
+def test_disc_chart_raises_once_the_radius_is_below_the_resolution_of_f():
+    # pinned instance: at these z the disc radius is 1e-41 to 1e-23 while F
+    # is only known to about 1e-16, so a chart would return noise (defects
+    # up to 9e50) or fail to invert R' (z = 0.97)
+    from scatzip.errors import DiscBreakdownError
+
+    z = ensembles.finite_zipper(0, 2, 64, "haar-gauge", 0.99)
+    V = random_unitary(np.random.default_rng(1), 2)
+    for w in (0.4 + 0.25j, 0.9 + 0.1j, 0.97 + 0.2j, 0.97):
+        disc = weyl.radial_central(z, w)
+        F = weyl.f_matrix(z, w, v_boundary=V)
+        with pytest.raises(DiscBreakdownError):
+            weyl.disc_chart(F, disc)
+        with pytest.raises(DiscBreakdownError):
+            weyl.disc_membership(F, disc)
