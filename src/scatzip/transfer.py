@@ -82,9 +82,10 @@ class TransferFactory:
     The z-independent parts phi(S_n) are the rows of ``zipper.phi_table``,
     which the zipper object builds once (a semi-infinite zipper extends it
     when its stored prefix grows), so every factory, frame propagation and
-    E-chain on one zipper shares one table.  For finite and semi-infinite
-    zippers T_1 = diag(U, 1) carries the left boundary; for periodic
-    zippers T_1 = phi(S_1) is a genuine block.
+    E-chain on one zipper shares one table.  ``product`` is the exception:
+    it is a reference and multiplies per-block transfers.  For finite and
+    semi-infinite zippers T_1 = diag(U, 1) carries the left boundary; for
+    periodic zippers T_1 = phi(S_1) is a genuine block.
     """
 
     def __init__(self, zipper):
@@ -103,11 +104,23 @@ class TransferFactory:
         return _even_transfer(M, z) if n % 2 == 0 else M
 
     def product(self, n: int, z: complex) -> np.ndarray:
-        """Ordered product T_n(z) ... T_1(z)."""
+        """Ordered product T_n(z) ... T_1(z), built block by block as a reference.
+
+        Every factor comes from ``transfer_at(zipper.block(m), ...)`` and the
+        left boundary from diag(U, 1), never from the phi table, so the
+        cross-check routes built on this product (``e_matrix_closed``, the
+        radius form ``_q_tilde``, the ``verify`` suite) stay independent of
+        the stacked ``phi`` that ``propagate`` and ``e_matrix`` run on.
+        """
         z = _check_z(z)
         T = mc.eye(2 * self.L)
         for m in range(1, n + 1):
-            T = self.transfer(m, z) @ T
+            if m == 1 and self.zipper.flavor != "periodic":
+                u = self.zipper.boundary_u
+                step = mc.join_blocks(u, np.zeros_like(u), np.zeros_like(u), mc.eye(self.L))
+            else:
+                step = transfer_at(self.zipper.block(m), m, z)
+            T = step @ T
         return T
 
 

@@ -140,6 +140,26 @@ def test_e_matrix_equals_the_mobius_chain(L):
             assert np.array_equal(E, weyl.e_matrix(sem.truncate(20, V), w))
 
 
+def test_product_references_do_not_read_the_phi_table():
+    # a corrupted table row moves the fast routes but none of the references
+    # built on TransferFactory.product, so they can still catch it
+    z = ensembles.finite_zipper(5, 2, 8)
+    sem = ensembles.semi_infinite_zipper(5, 2, "haar-gauge")
+    w = 0.4 + 0.3j
+    fac, sem_fac = tr.TransferFactory(z), tr.TransferFactory(sem)
+    E, E_closed = weyl.e_matrix(z, w), weyl.e_matrix_closed(z, w)
+    Q, P = weyl._q_tilde(fac, w, 8), sem_fac.product(12, w)
+    assert np.linalg.norm(E - E_closed, 2) < 1e-12
+    for zipper in (z, sem):
+        table = zipper.phi_table(12 if zipper is sem else 8).copy()
+        table[3] = table[3] @ sc.phi(ensembles.random_block(np.random.default_rng(9), 2, "cmv"))
+        zipper.__dict__["_phis"] = table
+    assert np.linalg.norm(weyl.e_matrix(z, w) - E, 2) > 1e-3
+    assert np.array_equal(weyl.e_matrix_closed(z, w), E_closed)
+    assert np.array_equal(weyl._q_tilde(fac, w, 8), Q)
+    assert np.array_equal(sem_fac.product(12, w), P)
+
+
 class _HandBuiltTable:
     """Stands in for a TransferFactory: serves a given phi table."""
 

@@ -39,6 +39,13 @@ def test_assemble_rejects_odd_n():
         zp.Zipper(1, 3, "finite", blocks, np.eye(1), np.eye(1))
 
 
+@pytest.mark.parametrize("N", [0, -2])
+def test_seeded_constructors_reject_n_below_two(N):
+    for make in (ensembles.finite_zipper, ensembles.periodic_zipper):
+        with pytest.raises(OddNError):
+            make(0, 1, N)
+
+
 def test_assemble_periodic_free_is_identity():
     # explicit 2x2 product: S_2 swap times the wrapped S_1 layer equals 1, so
     # the spectrum is the doubled eigenvalue 1
