@@ -29,11 +29,7 @@ import numpy as np
 
 from . import ensembles, fileio, matrix_core as mc, measures as ms
 from . import oscillation as osc, verify, weyl, zipper as zp
-from .errors import (
-    GridOutsideDiscError,
-    NumericalBreakdownError,
-    ValidationError,
-)
+from .errors import NumericalBreakdownError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -52,6 +48,8 @@ def _write_output(path, text):
 def cmd_gen(args) -> int:
     if args.N % 2:
         raise ValidationError(f"N must be even, got {args.N}")
+    if args.L < 1:
+        raise ValidationError(f"L must be >= 1, got {args.L}")
     if args.flavor == "finite":
         z = ensembles.finite_zipper(args.seed, args.L, args.N, args.ensemble, args.alpha_max)
     elif args.flavor == "periodic":
@@ -123,7 +121,7 @@ def cmd_weyl(args) -> int:
     grid = _parse_grid(args.grid)
     bad = [w for w in grid if abs(w) >= 1.0 or w == 0]
     if bad:
-        raise GridOutsideDiscError(
+        raise ValidationError(
             f"{len(bad)} grid points outside the punctured unit disc, e.g. {bad[0]:.4f}")
     discs = weyl.radial_central(z, grid)
     _write_output(args.output, fileio.weyl_csv_rows(discs))

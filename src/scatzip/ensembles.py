@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import OddNError, ValidationError
+from .errors import ValidationError
 from .scattering import ScatteringBlock
 from .zipper import SemiInfiniteZipper, Zipper, block_dict
 
@@ -98,7 +98,7 @@ def finite_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
                   alpha_max: float = DEFAULT_ALPHA_MAX) -> Zipper:
     """Seeded finite zipper: boundaries U, V and blocks S_2, ..., S_N."""
     if N % 2 or N < 2:
-        raise OddNError(f"N must be even and >= 2, got {N}")
+        raise ValidationError(f"N must be even and >= 2, got {N}")
     rng = np.random.default_rng(seed)
     u = _boundary(rng, L, ensemble)
     v = _boundary(rng, L, ensemble)
@@ -110,7 +110,7 @@ def periodic_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
                     alpha_max: float = DEFAULT_ALPHA_MAX) -> Zipper:
     """Seeded periodic zipper: blocks S_1, ..., S_N with S_1 around the corner."""
     if N % 2 or N < 2:
-        raise OddNError(f"N must be even and >= 2, got {N}")
+        raise ValidationError(f"N must be even and >= 2, got {N}")
     rng = np.random.default_rng(seed)
     blocks = block_dict(1, random_blocks([rng] * N, L, ensemble, alpha_max))
     return Zipper(L, N, "periodic", blocks)

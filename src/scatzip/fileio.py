@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import ParseError
+from .errors import ValidationError
 from .measures import MatrixMeasure
 from .scattering import ScatteringBlock
 from .zipper import SemiInfiniteZipper, Zipper, stored_block_fn
@@ -29,11 +29,11 @@ def complex_matrix_to_json(m) -> list:
 def complex_matrix_from_json(obj) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ValueError(f"expected [re, im] pair entries, got shape {arr.shape}")
-        return arr[..., 0] + 1j * arr[..., 1]
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad complex matrix: {exc}") from None
+        raise ValidationError(f"bad complex matrix: {exc}") from None
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise ValidationError(f"bad complex matrix: expected [re, im] pair entries, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def zipper_to_dict(zipper) -> dict:
@@ -70,8 +70,7 @@ def _block_to_dict(n: int, block: ScatteringBlock) -> dict:
 
 def zipper_from_dict(doc: dict):
     try:
-        L = int(doc["L"])
-        flavor = doc["flavor"]
+        L, N, flavor = int(doc["L"]), int(doc["N"]), doc["flavor"]
         blocks = {
             int(b["n"]): ScatteringBlock(
                 complex_matrix_from_json(b["alpha"]),
@@ -80,21 +79,20 @@ def zipper_from_dict(doc: dict):
             )
             for b in doc["blocks"]
         }
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed zipper document: {exc}") from None
+        u = complex_matrix_from_json(doc["boundary_U"]) if flavor in ("finite", "semi-infinite") else None
+        v = complex_matrix_from_json(doc["boundary_V"]) if flavor == "finite" else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed zipper document: {exc}") from None
     if flavor == "finite":
-        return Zipper(L, int(doc["N"]), "finite", blocks,
-                      complex_matrix_from_json(doc["boundary_U"]),
-                      complex_matrix_from_json(doc["boundary_V"]))
+        return Zipper(L, N, "finite", blocks, u, v)
     if flavor == "periodic":
-        return Zipper(L, int(doc["N"]), "periodic", blocks)
+        return Zipper(L, N, "periodic", blocks)
     if flavor == "semi-infinite":
-        u = complex_matrix_from_json(doc["boundary_U"])
-        block_fn = stored_block_fn(blocks, lambda n: ParseError(f"block S_{n} is beyond the stored prefix"))
+        block_fn = stored_block_fn(blocks, "the stored prefix")
         z = SemiInfiniteZipper(L, u, block_fn)
         z.extend(len(blocks) + 1)  # the stored prefix is materialized, as when it was written
         return z
-    raise ParseError(f"unknown flavor {flavor!r}")
+    raise ValidationError(f"unknown flavor {flavor!r}")
 
 
 def measure_to_dict(mu: MatrixMeasure) -> dict:
@@ -112,8 +110,8 @@ def measure_from_dict(doc: dict) -> MatrixMeasure:
     try:
         atoms = np.array([a["xi"][0] + 1j * a["xi"][1] for a in doc["atoms"]])
         weights = np.array([complex_matrix_from_json(a["weight"]) for a in doc["atoms"]])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseError(f"malformed measure document: {exc}") from None
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ValidationError(f"malformed measure document: {exc}") from None
     return MatrixMeasure(atoms, weights)
 
 
@@ -127,7 +125,7 @@ def load_json(path: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
 
 
 def load_document(path: str):
@@ -137,7 +135,7 @@ def load_document(path: str):
         return zipper_from_dict(doc)
     if "atoms" in doc:
         return measure_from_dict(doc)
-    raise ParseError(f"{path}: neither a zipper nor a measure document")
+    raise ValidationError(f"{path}: neither a zipper nor a measure document")
 
 
 def _fmt(x: float) -> str:

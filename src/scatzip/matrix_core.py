@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    NotHermitianError,
-    NotPSDError,
-    SingularDenominatorError,
-    SingularMatrixError,
-)
+from .errors import NotPSDError, NumericalBreakdownError, ValidationError
 
 DEFAULT_TOL = 1e-10
 
@@ -29,9 +24,9 @@ def as_cstack(m) -> np.ndarray:
     if a.ndim == 0:
         a = a.reshape(1, 1)
     if a.ndim < 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+        raise ValidationError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise ValidationError("matrix has non-finite entries")
     return a
 
 
@@ -39,7 +34,7 @@ def as_cmatrix(m) -> np.ndarray:
     """Coerce to a 2-d complex ndarray with finite entries."""
     a = as_cstack(m)
     if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+        raise ValidationError(f"expected a matrix, got ndim={a.ndim}")
     return a
 
 
@@ -79,7 +74,7 @@ def split_blocks(T: np.ndarray):
     """Split a 2L x 2L matrix (or each of a stack) into its four L x L blocks (A, B, C, D)."""
     n = T.shape[-1]
     if T.shape[-2] != n or n % 2:
-        raise ValueError(f"expected an even square matrix, got shape {T.shape}")
+        raise ValidationError(f"expected an even square matrix, got shape {T.shape}")
     L = n // 2
     return T[..., :L, :L], T[..., :L, L:], T[..., L:, :L], T[..., L:, L:]
 
@@ -109,12 +104,11 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root of a PSD matrix, or of each matrix of a stack.
 
     Eigenvalues in [-tol, 0) are clamped to zero; an eigenvalue below -tol
-    raises NotPSDError, a Hermiticity defect above tol raises
-    NotHermitianError.
+    raises NotPSDError, a Hermiticity defect above tol a ValidationError.
     """
     M = as_cstack(M)
     if hermitian_defect(M) > tol:
-        raise NotHermitianError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
+        raise ValidationError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
     w, V = np.linalg.eigh(hermitize(M))
     if w.min() < -tol:
         raise NotPSDError(f"eigenvalue {w.min():.3e} < -{tol:.1e}")
@@ -127,7 +121,7 @@ def hermitian_inv_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inverse Hermitian square root of a positive-definite matrix."""
     M = as_cmatrix(M)
     if hermitian_defect(M) > tol:
-        raise NotHermitianError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
+        raise ValidationError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
     w, V = np.linalg.eigh(hermitize(M))
     if w.min() <= tol:
         raise NotPSDError(f"eigenvalue {w.min():.3e} <= {tol:.1e}, not safely positive")
@@ -143,7 +137,7 @@ def polar_unitary(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     A = as_cmatrix(A)
     u, s, vh = np.linalg.svd(A)
     if s.min() <= tol:
-        raise SingularMatrixError(f"smallest singular value {s.min():.3e} <= {tol:.1e}")
+        raise ValidationError(f"smallest singular value {s.min():.3e} <= {tol:.1e}")
     return u @ vh
 
 
@@ -159,7 +153,7 @@ def mobius(T, Z, tol: float = DEFAULT_TOL) -> np.ndarray:
     A, B, C, D = split_blocks(T)
     den = C @ Z + D
     if smallest_singular_value(den) <= tol:
-        raise SingularDenominatorError("C Z + D is numerically singular")
+        raise NumericalBreakdownError("C Z + D is numerically singular")
     num = A @ Z + B
     return np.linalg.solve(den.T, num.T).T
 
@@ -171,7 +165,7 @@ def mobius_inverse(W, T, tol: float = DEFAULT_TOL) -> np.ndarray:
     A, B, C, D = split_blocks(T)
     den = W @ C - A
     if smallest_singular_value(den) <= tol:
-        raise SingularDenominatorError("W C - A is numerically singular")
+        raise NumericalBreakdownError("W C - A is numerically singular")
     return np.linalg.solve(den, B - W @ D)
 
 

@@ -49,7 +49,7 @@ class MatrixMeasure:
             weights = weights.reshape(-1, 1, 1)
         if weights.ndim != 3 or weights.shape[0] != atoms.shape[0]:
             raise ValidationError("weights must be one L x L block per atom")
-        if np.any(np.abs(np.abs(atoms) - 1.0) > 1e-9):
+        if not np.all(np.abs(np.abs(atoms) - 1.0) <= 1e-9):  # also rejects NaN
             raise ValidationError("atoms must lie on the unit circle")
         for W in weights:
             if mc.hermitian_defect(W) > 1e-9 or np.linalg.eigvalsh(mc.hermitize(W)).min() < -1e-9:
@@ -304,7 +304,7 @@ def zipper_from_measure(mu: MatrixMeasure, boundary_u, n_max: int) -> MeasureZip
             break
         blocks[n] = ScatteringBlock(entry.alpha, entry.u_gauge, entry.v_gauge)
 
-    block_fn = stored_block_fn(blocks, lambda n: ValidationError(f"block S_{n} is beyond the available data"))
+    block_fn = stored_block_fn(blocks, "the available data")
     zipper = SemiInfiniteZipper(mu.L, boundary_u, block_fn)
     n_available = max(blocks) if blocks else 1
     return MeasureZipper(zipper, n_available, gram)

@@ -33,13 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import (
-    CrossingCountMismatchError,
-    DegenerateBlockError,
-    DegeneratePhiBlockError,
-    SizeMismatchError,
-    ValidationError,
-)
+from .errors import NumericalBreakdownError, ValidationError
 from .transfer import TransferFactory, propagate
 from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters, fiber_zipper
 
@@ -75,15 +69,15 @@ def _chart_regular(a: np.ndarray) -> np.ndarray:
 
 def _nudged_phase(zipper: Zipper, z, factory: Optional[TransferFactory],
                   start: Optional[np.ndarray], upper, lower, right: np.ndarray,
-                  error: Exception) -> PruferPhase:
+                  failure: str) -> PruferPhase:
     """W = b a^(-1) right, with a, b the ``upper`` and ``lower`` rows of the frame
     propagated from ``start`` over all N sites; ``z`` is one point or a 1-D array.
 
     b a^(-1) depends only on the plane spanned by the frame, so the
     renormalized propagation can be used; with orthonormal Lagrangian frames
     a and b are well-conditioned away from a measure-zero set of theta.  The
-    points that hit it get a single machine-scale nudge, and ``error`` is
-    raised if one of them stays degenerate.
+    points that hit it get a single machine-scale nudge, and a numerical
+    breakdown with message ``failure`` is raised if one of them stays degenerate.
     """
     fac = factory or TransferFactory(zipper)
     zs = np.atleast_1d(z).copy()
@@ -101,7 +95,7 @@ def _nudged_phase(zipper: Zipper, z, factory: Optional[TransferFactory],
                 return PruferPhase(complex(zs[0]), W[0])
             return PruferPhase(zs, W)
         zs[todo] *= np.exp(1e-12j)  # nudge off the degenerate points
-    raise error
+    raise NumericalBreakdownError(failure)
 
 
 def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> PruferPhase:
@@ -115,7 +109,7 @@ def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> Pruf
     L = zipper.L
     return _nudged_phase(zipper, z, factory, None, slice(0, L), slice(L, 2 * L),
                          mc.adj(zipper.boundary_v),
-                         DegeneratePhiBlockError("phi block of the frame stayed singular after a nudge"))
+                         "phi block of the frame stayed singular after a nudge")
 
 
 def checkerboard_sum(T1, T2) -> np.ndarray:
@@ -127,7 +121,7 @@ def checkerboard_sum(T1, T2) -> np.ndarray:
     T1 = mc.as_cmatrix(T1)
     T2 = mc.as_cmatrix(T2)
     if T1.shape != T2.shape:
-        raise SizeMismatchError(f"shapes {T1.shape} and {T2.shape} differ")
+        raise ValidationError(f"shapes {T1.shape} and {T2.shape} differ")
     A, B, C, D = mc.split_blocks(T1)
     A2, B2, C2, D2 = mc.split_blocks(T2)
     L = A.shape[0]
@@ -174,7 +168,7 @@ def prufer_periodic(zipper: Zipper, z,
     L = zipper.L
     return _nudged_phase(zipper, z, factory, doubled_initial_frame(L),
                          np.r_[0:L, 2 * L:3 * L], np.r_[L:2 * L, 3 * L:4 * L], _swap(L),
-                         DegenerateBlockError("doubled frame chart stayed singular after a nudge"))
+                         "doubled frame chart stayed singular after a nudge")
 
 
 # -- monotone eigenphase sweep ---------------------------------------------------
@@ -278,7 +272,7 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
             return _circular_clusters(crossings, 10.0 * refine_tol)[0]
         last_error = f"found {found} crossings, expected {expected_total} (grid {grid})"
         grid *= 2
-    raise CrossingCountMismatchError(last_error)
+    raise NumericalBreakdownError(last_error)
 
 
 # -- spectra -----------------------------------------------------------------------
@@ -306,14 +300,6 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     if grid < 4 * total:
         raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
     return sweep_spectrum(_phase_family(zipper), total, grid, refine_tol)
-
-
-def spectrum_periodic(zipper: Zipper, grid_size: Optional[int] = None,
-                      refine_tol: float = 1e-10) -> SpectrumResult:
-    """All N L eigenvalues of a periodic zipper via the doubled phases."""
-    if zipper.flavor != "periodic":
-        raise ValidationError("spectrum_periodic needs a periodic zipper")
-    return spectrum_by_oscillation(zipper, grid_size, refine_tol)
 
 
 def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> float:
@@ -367,10 +353,12 @@ def momentum_grid(N: int, k_grid_size: int) -> np.ndarray:
 
 def bands(zipper: Zipper, k_grid_size: int, grid_size: Optional[int] = None,
           refine_tol: float = 1e-10) -> BandStructure:
-    """Band structure: spectrum_periodic of the fiber at every momentum grid point."""
+    """Band structure: the oscillation spectrum of the fiber at every momentum grid point."""
     if zipper.flavor != "periodic":
         raise ValidationError("bands needs a periodic zipper")
+    if k_grid_size < 1:
+        raise ValidationError(f"momentum grid size must be >= 1, got {k_grid_size}")
     ks = momentum_grid(zipper.N, k_grid_size)
-    spectra = [spectrum_periodic(fiber_zipper(zipper, k), grid_size=grid_size, refine_tol=refine_tol)
+    spectra = [spectrum_by_oscillation(fiber_zipper(zipper, k), grid_size=grid_size, refine_tol=refine_tol)
                for k in ks]
     return BandStructure(ks, spectra)

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import (
-    NotContractionError,
-    NotInUInvError,
-    NotLorentzError,
-    NotUnitaryError,
-    SingularBetaError,
-    SingularDError,
-)
+from .errors import ValidationError
 
 # Smallest singular value of beta below which an event counts as ineffective.
 BETA_THRESHOLD = 1e-8
@@ -36,7 +29,7 @@ def _check_unitary(U, tol, what="matrix"):
     U = mc.as_cmatrix(U)
     defect = mc.unitary_defect(U)
     if defect > tol:
-        raise NotUnitaryError(f"{what} has unitarity defect {defect:.3e} > {tol:.1e}")
+        raise ValidationError(f"{what} has unitarity defect {defect:.3e} > {tol:.1e}")
     return U
 
 
@@ -78,6 +71,8 @@ class ScatteringBlock:
         alpha = mc.as_cmatrix(self.alpha)
         u = mc.as_cmatrix(self.u_gauge)
         v = mc.as_cmatrix(self.v_gauge)
+        if not alpha.shape == u.shape == v.shape == alpha.shape[::-1]:
+            raise ValidationError("alpha, u_gauge, v_gauge must share the same L x L shape")
         beta, gamma, delta = normal_form(alpha, u, v)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "u_gauge", u)
@@ -106,24 +101,22 @@ def build_block(alpha, u_gauge, v_gauge, tol: float = mc.DEFAULT_TOL) -> Scatter
     alpha = mc.as_cmatrix(alpha)
     norm = float(np.linalg.norm(alpha, 2))
     if norm >= 1.0 - tol:
-        raise NotContractionError(f"||alpha|| = {norm:.6f} is not < 1")
+        raise ValidationError(f"||alpha|| = {norm:.6f} is not < 1")
     u = _check_unitary(u_gauge, tol, "u_gauge")
     v = _check_unitary(v_gauge, tol, "v_gauge")
-    if not (alpha.shape == u.shape == v.shape):
-        raise NotUnitaryError("alpha, u_gauge, v_gauge must share the same L x L shape")
     return ScatteringBlock(alpha, u, v)
 
 
 def decompose_block(S, tol: float = mc.DEFAULT_TOL, beta_threshold: float = BETA_THRESHOLD):
     """Recover the unique (alpha, U, V) with S = S(alpha, U, V).
 
-    Raises NotInUInvError when the upper-right block is numerically singular,
+    Raises ValidationError when the upper-right block is numerically singular,
     which signals an ineffective (decoupling) scattering event.
     """
     S = _check_unitary(S, tol, "scattering matrix")
     alpha, beta, gamma, _ = mc.split_blocks(S)
     if mc.smallest_singular_value(beta) <= beta_threshold:
-        raise NotInUInvError("upper-right block is singular: event is not effective")
+        raise ValidationError("upper-right block is singular: event is not effective")
     # beta = (1 - alpha alpha*)^(1/2) U and gamma = V (1 - alpha* alpha)^(1/2),
     # so U and V are the polar factors of beta and gamma.
     u = mc.polar_unitary(beta, tol=beta_threshold)
@@ -153,7 +146,7 @@ def phi(S, tol: float = 1e-12) -> np.ndarray:
     """
     a, b, c, d = mc.split_blocks(_matrix_of(S))
     if mc.smallest_singular_value(b) <= tol:
-        raise SingularBetaError("upper-right block is singular")
+        raise ValidationError("upper-right block is singular")
     binv_a = np.linalg.solve(b, a)
     binv = np.linalg.inv(b)
     d_binv = d @ binv
@@ -169,10 +162,10 @@ def phi_inverse(T, tol: float = mc.DEFAULT_TOL) -> ScatteringBlock:
     L = T.shape[0] // 2
     defect = float(np.linalg.norm(mc.adj(T) @ mc.lform(L) @ T - mc.lform(L), 2))
     if defect > max(tol, 1e-9 * np.linalg.norm(T, 2) ** 2):
-        raise NotLorentzError(f"T does not conserve the (L, L) form, defect {defect:.3e}")
+        raise ValidationError(f"T does not conserve the (L, L) form, defect {defect:.3e}")
     A, B, C, D = mc.split_blocks(T)
     if mc.smallest_singular_value(D) <= tol:
-        raise SingularDError("lower-right block is singular")
+        raise ValidationError("lower-right block is singular")
     dinv_c = np.linalg.solve(D, C)
     dinv = np.linalg.inv(D)
     S = mc.join_blocks(-dinv_c, dinv, A - B @ dinv_c, B @ dinv)

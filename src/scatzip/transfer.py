@@ -29,12 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import (
-    DegenerateFrameError,
-    ImpossibleByTheoryError,
-    ValidationError,
-    ZeroZError,
-)
+from .errors import NumericalBreakdownError, ValidationError
 from .scattering import ScatteringBlock, phi
 from .zipper import Zipper
 
@@ -42,7 +37,7 @@ from .zipper import Zipper
 def _check_z(z: complex) -> complex:
     z = complex(z)
     if z == 0:
-        raise ZeroZError("transfer matrices are undefined at z = 0")
+        raise ValidationError("transfer matrices are undefined at z = 0")
     return z
 
 
@@ -196,7 +191,7 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
     if zs.ndim > 1:
         raise ValidationError(f"z must be a point or a 1-D array, got ndim={zs.ndim}")
     if np.any(zs == 0):
-        raise ZeroZError("transfer matrices are undefined at z = 0")
+        raise ValidationError("transfer matrices are undefined at z = 0")
     points = zs.reshape(-1, 1, 1)
     fac = factory or TransferFactory(zipper)
     L = fac.L
@@ -219,7 +214,7 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
         M = R @ tau
         nu = np.linalg.norm(M, axis=(-2, -1))
         if not np.all(np.isfinite(nu) & (nu > 0.0)):
-            raise DegenerateFrameError(f"renormalization factor degenerated at site {n}")
+            raise NumericalBreakdownError(f"renormalization factor degenerated at site {n}")
         tau = M / nu[:, None, None]
         log_scale += np.log(nu)
     if zs.ndim == 0:
@@ -334,7 +329,7 @@ def solve_inhomogeneous(zipper: Zipper, z: complex, xi) -> list:
     V = zipper.boundary_v
     pivot = H[L:] - V @ H[:L]
     if mc.smallest_singular_value(pivot) <= 1e-12 * max(1.0, float(np.linalg.norm(H, 2))):
-        raise ImpossibleByTheoryError(
+        raise NumericalBreakdownError(
             "right-boundary pivot is singular although the form positivity forbids it")
     phi1 = np.linalg.solve(pivot, V @ P[:L] - P[L:])
 

@@ -24,15 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import (
-    DegenerateFrameError,
-    DiscBreakdownError,
-    NotOnSurfaceError,
-    SingularBlockError,
-    SingularDenominatorError,
-    ValidationError,
-    ZeroZError,
-)
+from .errors import NumericalBreakdownError, ValidationError
 from .transfer import TransferFactory, propagate
 from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper
 
@@ -48,7 +40,7 @@ def _check_disc_z(z: complex, allow_zero: bool = False) -> complex:
     if abs(z) >= 1.0:
         raise ValidationError(f"|z| = {abs(z):.6f} must be < 1")
     if z == 0 and not allow_zero:
-        raise ZeroZError("z = 0 is handled by the exact value F(0) = i")
+        raise ValidationError("z = 0 is handled by the exact value F(0) = i")
     return z
 
 
@@ -66,8 +58,8 @@ def _resolve_v(zipper, v_boundary):
 
 def _resolve_n(zipper, upto):
     if upto is not None:
-        if upto % 2:
-            raise ValidationError("the site count must be even")
+        if upto % 2 or upto < 2:
+            raise ValidationError(f"the site count must be even and >= 2, got {upto}")
         return upto
     if isinstance(zipper, SemiInfiniteZipper):
         raise ValidationError("a truncation length is required for semi-infinite zippers")
@@ -112,14 +104,14 @@ def e_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
 
 
 def _check_denominators(dens: np.ndarray, first: int, tol: float):
-    """SingularDenominatorError at the first site, in chain order, whose C Z + D is not
+    """A numerical breakdown at the first site, in chain order, whose C Z + D is not
     finite or has a singular value <= tol; row i of ``dens`` is site first + i + 1."""
     finite = np.all(np.isfinite(dens), axis=(-2, -1))
     smallest = np.zeros(len(dens))
     smallest[finite] = np.linalg.svd(dens[finite], compute_uv=False)[:, -1]
     bad = np.flatnonzero(~(smallest > tol))
     if len(bad):
-        raise SingularDenominatorError(f"C Z + D is numerically singular at site {first + bad[-1] + 1}")
+        raise NumericalBreakdownError(f"C Z + D is numerically singular at site {first + bad[-1] + 1}")
 
 
 def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = None) -> np.ndarray:
@@ -134,51 +126,23 @@ def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = N
     return np.linalg.solve(C - V @ A, V @ B - D)
 
 
-def _f_from_e(E: np.ndarray) -> np.ndarray:
-    one = mc.eye(E.shape[0])
-    return -1j * np.linalg.solve((E - one).T, (E + one).T).T
-
-
-def _g_from_e(E: np.ndarray, z: complex) -> np.ndarray:
-    one = mc.eye(E.shape[0])
-    return np.linalg.solve((one - E).T, E.T).T / z
-
-
 def f_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
     """Resolvent matrix F = (E + 1)(E - 1)^(-1) / i; F(0) = i 1 exactly."""
     z = complex(z)
+    one = mc.eye(zipper.L)
     if z == 0:
-        return 1j * mc.eye(zipper.L)
-    return _f_from_e(e_matrix(zipper, z, v_boundary, upto, factory))
+        return 1j * one
+    E = e_matrix(zipper, z, v_boundary, upto, factory)
+    return -1j * np.linalg.solve((E - one).T, (E + one).T).T
 
 
 def g_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
     """Green matrix G = E (1 - E)^(-1) / z (the site-1 block of the resolvent)."""
     z = _check_disc_z(z)
-    return _g_from_e(e_matrix(zipper, z, v_boundary, upto, factory), z)
-
-
-@dataclass
-class ResolventPoint:
-    """The triple (E, F, G) of boundary resolvent data at one disc point.
-
-    E lies in the Siegel disc, F has positive imaginary part, and the two are
-    linked by F = (E + 1)(E - 1)^(-1) / i and G = E (1 - E)^(-1) / z.
-    """
-
-    z: complex
-    e_value: np.ndarray
-    f_value: np.ndarray
-    g_value: np.ndarray
-
-
-def resolvent_point(zipper, z: complex, v_boundary=None, upto: Optional[int] = None) -> ResolventPoint:
-    """E, F, G at one point, from a single inverse-Moebius chain."""
-    z = _check_disc_z(z)
-    E = e_matrix(zipper, z, v_boundary, upto)
-    return ResolventPoint(z, E, _f_from_e(E), _g_from_e(E, z))
+    E = e_matrix(zipper, z, v_boundary, upto, factory)
+    return np.linalg.solve((mc.eye(zipper.L) - E).T, E.T).T / z
 
 
 def dense_f(op: BlockBandedUnitary, z: complex) -> np.ndarray:
@@ -260,13 +224,13 @@ def _frame_discs(zipper, points: np.ndarray, upto: int,
     w, V = np.linalg.eigh(sign * M[:, :L, :L])
     if not np.all(w > 0.0):
         bad = points[np.argmin(w.min(axis=-1))]
-        raise SingularBlockError(f"radius at z = {bad:.6g} is not definite with the sign of 1 - |z|")
+        raise NumericalBreakdownError(f"radius at z = {bad:.6g} is not definite with the sign of 1 - |z|")
     t11 = tau[:, :L, :L]
     try:
         G = np.linalg.solve(t11, (V / np.sqrt(w)[:, None, :]) @ mc.adj(V))
         S = -np.linalg.solve(t11, tau[:, :L, L:] + np.linalg.solve(M[:, :L, :L], M[:, :L, L:] @ tau[:, L:, L:]))
     except np.linalg.LinAlgError:
-        raise SingularBlockError("the frame normalizer lost rank") from None
+        raise NumericalBreakdownError("the frame normalizer lost rank") from None
     top = np.linalg.norm(G, 2, axis=(-2, -1))
     return S, G / top[:, None, None], 2.0 * (np.log(top) - frame.log_scale)
 
@@ -290,7 +254,7 @@ def radial_central(zipper, z, upto: Optional[int] = None):
     normal = np.isfinite(log_norm) & (log_norm >= LOG_TINY)
     if not np.all(normal):
         bad = int(np.argmin(normal))
-        raise DiscBreakdownError(
+        raise NumericalBreakdownError(
             f"radius norm at z = {points[bad % B]:.6g} is not a normal float: log ||R|| = {log_norm[bad]:.2f}")
     R = mc.hermitize(np.exp(log_norm)[:, None, None] * (G @ mc.adj(G)))
     center, reflected = S[:B], S[B:]
@@ -298,7 +262,7 @@ def radial_central(zipper, z, upto: Optional[int] = None):
               / np.linalg.norm(center, 2, axis=(-2, -1)))
     if not np.all(defect <= DISC_DEFECT_TOL):
         bad = int(np.argmin(defect <= DISC_DEFECT_TOL))
-        raise DiscBreakdownError(
+        raise NumericalBreakdownError(
             f"center reflection defect {defect[bad]:.3e} at z = {points[bad]:.6g} exceeds {DISC_DEFECT_TOL:.0e}")
     discs = [WeylDisc(complex(w), N, center[i], R[i], R[B + i], float(defect[i])) for i, w in enumerate(points)]
     return discs[0] if zs.ndim == 0 else discs
@@ -314,7 +278,7 @@ def disc_chart(f_value, disc: WeylDisc):
     F.  F is known to about eps ||F||, and an error e in F - S moves W by up
     to ||e|| / r with r = sqrt(lambda_min(R) lambda_min(R')), while ||W|| <= 1
     on the closed disc.  So W carries no correct digit once
-    r <= eps ||F||, and DiscBreakdownError is raised there; r is read off
+    r <= eps ||F||, and a numerical breakdown is raised there; r is read off
     the computed smallest eigenvalues, so a radius that rounds to zero or
     below counts as r = 0.
     """
@@ -323,7 +287,7 @@ def disc_chart(f_value, disc: WeylDisc):
     r = float(np.sqrt(max(smallest[0], 0.0) * max(smallest[1], 0.0)))
     resolution = np.finfo(float).eps * float(np.linalg.norm(F, 2))
     if not r > resolution:
-        raise DiscBreakdownError(
+        raise NumericalBreakdownError(
             f"disc radius {r:.3e} at z = {disc.z:.6g} is below the resolution {resolution:.3e} of F")
     left = mc.hermitian_inv_sqrt(disc.radius_left, tol=1e-300)
     right = mc.hermitian_inv_sqrt(disc.radius_right, tol=1e-300)
@@ -332,10 +296,10 @@ def disc_chart(f_value, disc: WeylDisc):
 
 
 def disc_membership(f_value, disc: WeylDisc, defect_threshold: float = 1e-6) -> np.ndarray:
-    """The unitary W parametrizing a surface point; NotOnSurfaceError off-surface."""
+    """The unitary W parametrizing a surface point; a ValidationError off-surface."""
     W, defect = disc_chart(f_value, disc)
     if defect > defect_threshold:
-        raise NotOnSurfaceError(f"chart unitarity defect {defect:.3e} > {defect_threshold:.1e}")
+        raise ValidationError(f"chart unitarity defect {defect:.3e} > {defect_threshold:.1e}")
     return W
 
 
@@ -355,7 +319,7 @@ def log_radius_norm(zipper, z: complex, upto: int,
         raise ValidationError("radius norms need 0 < |z| != 1")
     try:
         log_norm = float(_frame_discs(zipper, np.array([z]), upto, factory)[2][0])
-    except (DegenerateFrameError, SingularBlockError):
+    except NumericalBreakdownError:
         return None
     return log_norm if np.isfinite(log_norm) else None
 
@@ -402,7 +366,7 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2
     if z != 0:
         try:
             lr, lr_refl = _frame_discs(zipper, np.array([z, 1.0 / np.conj(z)]), n_used, fac)[2]
-        except (DegenerateFrameError, SingularBlockError):
+        except NumericalBreakdownError:
             lr = lr_refl = np.nan
         if np.isfinite(lr) and np.isfinite(lr_refl):
             log_posterior = 0.5 * float(lr + lr_refl)

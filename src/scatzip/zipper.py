@@ -23,15 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import (
-    CapExceededError,
-    DimensionMismatchError,
-    MissingBlockError,
-    MissingS1Error,
-    NotUnitaryError,
-    OddNError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .scattering import ScatteringBlock, normal_form, phi
 
 DENSE_CAP = 512  # largest N*L the dense routines will touch by default
@@ -58,23 +50,18 @@ class Zipper:
         if self.flavor not in ("finite", "periodic"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.N % 2 or self.N < 2:
-            raise OddNError(f"N must be even and >= 2, got {self.N}")
+            raise ValidationError(f"N must be even and >= 2, got {self.N}")
         first = 2 if self.flavor == "finite" else 1
         for n in range(first, self.N + 1):
             if n not in self.blocks:
-                if n == 1:
-                    raise MissingS1Error("periodic zipper needs the corner block S_1")
-                raise MissingBlockError(f"missing block S_{n}")
+                raise ValidationError(f"missing block S_{n}")
             if self.blocks[n].L != self.L:
-                raise DimensionMismatchError(f"block S_{n} has L={self.blocks[n].L}, expected {self.L}")
+                raise ValidationError(f"block S_{n} has L={self.blocks[n].L}, expected {self.L}")
         if self.flavor == "finite":
             for name, b in (("boundary_u", self.boundary_u), ("boundary_v", self.boundary_v)):
                 if b is None:
                     raise ValidationError(f"finite zipper needs {name}")
-                b = mc.as_cmatrix(b)
-                if mc.unitary_defect(b) > 1e-9:
-                    raise NotUnitaryError(f"{name} is not unitary")
-                object.__setattr__(self, name, b)
+                object.__setattr__(self, name, _boundary_unitary(name, b, self.L))
 
     def block(self, n: int) -> ScatteringBlock:
         return self.blocks[n]
@@ -88,8 +75,9 @@ class Zipper:
         shared by every transfer factory, frame propagation and E-chain.
         """
         n = self.N if upto is None else upto
+        _check_site_count(n)
         if n > self.N:
-            raise MissingBlockError(f"missing block S_{n}")
+            raise ValidationError(f"missing block S_{n}")
         return self._phis[:n]
 
     @cached_property
@@ -105,6 +93,21 @@ class Zipper:
         if self.flavor != "finite":
             raise ValidationError("only finite zippers carry a right boundary")
         return Zipper(self.L, self.N, "finite", self.blocks, self.boundary_u, mc.as_cmatrix(v))
+
+
+def _boundary_unitary(name: str, b, L: int) -> np.ndarray:
+    """The boundary ``b`` as an L x L unitary matrix."""
+    b = mc.as_cmatrix(b)
+    if b.shape != (L, L):
+        raise ValidationError(f"{name} has shape {b.shape}, expected ({L}, {L})")
+    if mc.unitary_defect(b) > 1e-9:
+        raise ValidationError(f"{name} is not unitary")
+    return b
+
+
+def _check_site_count(n: int):
+    if n < 1:
+        raise ValidationError(f"the site count must be >= 1, got {n}")
 
 
 def _boundary_transfer(u: np.ndarray) -> np.ndarray:
@@ -132,9 +135,7 @@ class SemiInfiniteZipper:
 
     def __init__(self, L: int, boundary_u, block_fn: Callable[[int, int], tuple]):
         self.L = L
-        self.boundary_u = mc.as_cmatrix(boundary_u)
-        if mc.unitary_defect(self.boundary_u) > 1e-9:
-            raise NotUnitaryError("boundary_u is not unitary")
+        self.boundary_u = _boundary_unitary("boundary_u", boundary_u, L)
         self._block_fn = block_fn
         self._phis = _boundary_transfer(self.boundary_u)[None]
         self._lock = threading.Lock()
@@ -148,7 +149,7 @@ class SemiInfiniteZipper:
     def _draw(self, start: int, stop: int) -> list:
         stacks = [mc.as_cstack(x) for x in self._block_fn(start, stop)]
         if any(x.shape != (stop - start, self.L, self.L) for x in stacks):
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"block_fn gave shapes {[x.shape for x in stacks]} for sites {start}..{stop - 1}")
         return stacks
 
@@ -164,12 +165,13 @@ class SemiInfiniteZipper:
     def block(self, n: int) -> ScatteringBlock:
         """Block S_n; generates the prefix up to site n first if needed."""
         if n < 2:
-            raise MissingBlockError("semi-infinite blocks start at n = 2")
+            raise ValidationError("semi-infinite blocks start at n = 2")
         self.extend(n)
         return ScatteringBlock(*(x[0] for x in self._draw(n, n + 1)))
 
     def phi_table(self, upto: int) -> np.ndarray:
         """The site transfers of sites 1, ..., upto (see ``Zipper.phi_table``), T_1 = diag(U, 1)."""
+        _check_site_count(upto)
         self.extend(upto)
         return self._phis[:upto]
 
@@ -185,20 +187,20 @@ def block_dict(first: int, stacks) -> dict:
     return {first + i: ScatteringBlock(*row) for i, row in enumerate(zip(*stacks))}
 
 
-def stored_block_fn(blocks: dict, beyond: Callable[[int], Exception]):
+def stored_block_fn(blocks: dict, beyond: str):
     """A ``block_fn`` serving a stored prefix {2: S_2, ..., n: S_n} of blocks.
 
-    A request past S_n raises ``beyond(m)`` with m the last site requested.
+    A request past S_n raises "block S_m is beyond <beyond>", m the last site requested.
     """
     sites = sorted(blocks)
     if sites != list(range(2, len(sites) + 2)):
-        raise MissingBlockError("stored semi-infinite blocks must be the prefix S_2, ..., S_n")
+        raise ValidationError("stored semi-infinite blocks must be the prefix S_2, ..., S_n")
     stacks = [np.array([getattr(blocks[n], f) for n in sites], dtype=complex)
               for f in ("alpha", "u_gauge", "v_gauge")]
 
     def block_fn(start: int, stop: int):
         if stop - 2 > len(sites):
-            raise beyond(stop - 1)
+            raise ValidationError(f"block S_{stop - 1} is beyond {beyond}")
         return tuple(x[start - 2:stop - 2] for x in stacks)
 
     return block_fn
@@ -207,7 +209,7 @@ def stored_block_fn(blocks: dict, beyond: Callable[[int], Exception]):
 def direct_sum(z1: Zipper, z2: Zipper) -> Zipper:
     """Sitewise direct sum of two zippers of equal N and flavor."""
     if z1.N != z2.N or z1.flavor != z2.flavor:
-        raise DimensionMismatchError("direct sum needs matching N and flavor")
+        raise ValidationError("direct sum needs matching N and flavor")
 
     def dsum(a, b):
         out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
@@ -334,8 +336,6 @@ def assemble_periodic(zipper: Zipper) -> BlockBandedUnitary:
     """Product of the even layer and the corner-wrapped odd layer."""
     if zipper.flavor != "periodic":
         raise ValidationError("assemble_periodic needs a periodic zipper")
-    if 1 not in zipper.blocks:
-        raise MissingS1Error("periodic zipper needs S_1")
     prod = _block_dict_product(_even_layer(zipper), _odd_layer_periodic(zipper))
     return BlockBandedUnitary(zipper.L, zipper.N, prod, periodic=True)
 
@@ -366,7 +366,7 @@ def apply(op: BlockBandedUnitary, vec: np.ndarray) -> np.ndarray:
     if flat:
         vec = vec.reshape(-1, 1)
     if vec.shape[0] != op.dim:
-        raise DimensionMismatchError(f"vector length {vec.shape[0]} != {op.dim}")
+        raise ValidationError(f"vector length {vec.shape[0]} != {op.dim}")
     out = np.zeros_like(vec)
     L = op.L
     for (i, j), b in op.blocks.items():
@@ -463,7 +463,7 @@ def dense_spectrum(op: BlockBandedUnitary, cap: int = DENSE_CAP,
     of orthonormal eigenvectors (as columns), for spectral-projection use.
     """
     if op.dim > cap:
-        raise CapExceededError(f"dim {op.dim} exceeds dense cap {cap}")
+        raise ValidationError(f"dim {op.dim} exceeds dense cap {cap}")
     lam, vectors = eig_unitary(op.to_dense())
     result, groups = _circular_clusters(np.angle(lam), tol_cluster)
     if want_projections:

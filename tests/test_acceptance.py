@@ -223,7 +223,7 @@ def test_criterion_6_periodic_and_bands():
         for N in (2, 4, 6):
             z = ensembles.periodic_zipper(600 + 10 * L + N, L, N, ensemble="haar-gauge")
             dense = zp.dense_spectrum(zp.assemble_periodic(z))
-            s = osc.spectrum_periodic(z)
+            s = osc.spectrum_by_oscillation(z)
             assert np.array_equal(s.multiplicities, dense.multiplicities), (L, N)
             d = np.abs(s.expanded_thetas() - dense.expanded_thetas())
             worst_phase = max(worst_phase, float(np.minimum(d, 2 * np.pi - d).max()))

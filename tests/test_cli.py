@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from scatzip import cli, ensembles, fileio, verify
 from scatzip.scattering import decompose_block
@@ -40,6 +41,16 @@ def test_gen_blocks_are_effective(tmp_path):
 
 def test_gen_rejects_odd_n(tmp_path):
     assert run_cli("gen", "--L", "1", "--N", "5", "--output", str(tmp_path / "z.json")) == 2
+
+
+def test_bad_arguments_exit_2(tmp_path, capsys):
+    zper = tmp_path / "zper.json"
+    run_cli("gen", "--L", "1", "--N", "4", "--flavor", "periodic", "--output", str(zper))
+    capsys.readouterr()
+    for argv, message in [(["gen", "--L", "0", "--N", "4"], "L must be >= 1, got 0"),
+                          (["bands", str(zper), "--grid", "0"], "momentum grid size must be >= 1, got 0")]:
+        assert run_cli(*argv, "--output", str(tmp_path / "out")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_spectrum_both_methods_agree(tmp_path):
@@ -149,6 +160,51 @@ def test_weyl_grid_outside_disc(tmp_path):
     zfile = tmp_path / "z.json"
     run_cli("gen", "--L", "1", "--N", "4", "--output", str(zfile))
     assert run_cli("weyl", str(zfile), "--grid", "0.5:1.5:3,0.0:0.0:1") == 2
+
+
+def _finite_doc(alpha):
+    """A finite L = 1 zipper document whose S_2 has the given alpha entries."""
+    doc = fileio.zipper_to_dict(ensembles.finite_zipper(4, 1, 4, "cmv"))
+    doc["blocks"][0]["alpha"] = alpha
+    return doc
+
+
+_ROWS_OF_EYE3 = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                 [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]  # the first two rows of the 3 x 3 identity
+_WIDE_BOUNDARY = dict(fileio.zipper_to_dict(ensembles.finite_zipper(4, 2, 4, "cmv")),
+                      boundary_U=_ROWS_OF_EYE3)
+_NAN_MEASURE = {"L": 1, "atoms": [{"xi": [float("nan"), 0.0], "weight": [[[0.5, 0.0]]]},
+                                  {"xi": [1.0, 0.0], "weight": [[[0.5, 0.0]]]}]}
+_RAGGED_MEASURE = {"L": 1, "atoms": [{"xi": [1.0, 0.0], "weight": _ROWS_OF_EYE3},
+                                     {"xi": [-1.0, 0.0], "weight": [[[0.0, 0.0]]]}]}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (_finite_doc([[[float("nan"), 0.0]]]), ["spectrum"], "matrix has non-finite entries"),
+    (_finite_doc([[[0.1, 0.0], [0.2, 0.0]]]), ["spectrum"],
+     "alpha, u_gauge, v_gauge must share the same L x L shape"),
+    (_WIDE_BOUNDARY, ["spectrum"], "boundary_u has shape (2, 3), expected (2, 2)"),
+    (dict(_finite_doc([[[0.1, 0.0]]]), N="four"), ["spectrum"], "malformed zipper document: invalid literal"),
+    (_NAN_MEASURE, ["measure", "--direction", "to-zipper"], "atoms must lie on the unit circle"),
+    (_RAGGED_MEASURE, ["measure", "--direction", "to-zipper"], "malformed measure document: "),
+], ids=["nan-alpha", "alpha-1x2-at-L1", "boundary-2x3-at-L2", "n-not-an-integer",
+        "nan-atom", "ragged-weights"])
+def test_bad_input_files_exit_2(tmp_path, capsys, doc, argv, message):
+    path = tmp_path / "bad.json"
+    path.write_text(fileio.dumps(doc))
+    assert run_cli(argv[0], str(path), *argv[1:]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_underflowed_radius_exits_3(tmp_path, capsys):
+    # ||R|| at z = 0.05 is e^-893 at this instance, below the smallest normal double
+    zfile = tmp_path / "z.json"
+    z = ensembles.semi_infinite_zipper(79, 1, "cmv").truncate(256, np.eye(1))
+    zfile.write_text(fileio.dumps(fileio.zipper_to_dict(z)))
+    assert run_cli("weyl", str(zfile), "--grid", "0.05:0.05:1,0:0:1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: radius norm at z = ")
+    assert "is not a normal float" in err
 
 
 def test_measure_roundtrip_report(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scatzip import ensembles, matrix_core as mc, scattering as sc
-from scatzip.errors import NotContractionError, NotInUInvError, NotLorentzError
+from scatzip.errors import ValidationError
 
 from conftest import random_unitary
 
@@ -28,7 +28,7 @@ def test_build_block_random_unitary(rng):
 
 
 def test_build_block_rejects_non_contraction():
-    with pytest.raises(NotContractionError):
+    with pytest.raises(ValidationError, match=r"\|\|alpha\|\| = 1.000000 is not < 1"):
         sc.build_block(np.eye(2), np.eye(2), np.eye(2))
 
 
@@ -63,7 +63,7 @@ def test_decompose_rejects_ineffective(rng):
     S = np.zeros((4, 4), dtype=complex)
     S[:2, :2] = random_unitary(rng, 2)
     S[2:, 2:] = random_unitary(rng, 2)  # beta block is zero
-    with pytest.raises(NotInUInvError):
+    with pytest.raises(ValidationError, match="event is not effective"):
         sc.decompose_block(S)
 
 
@@ -116,7 +116,7 @@ def test_phi_bijection_roundtrips(rng):
 
 
 def test_phi_inverse_rejects_non_lorentz(rng):
-    with pytest.raises(NotLorentzError):
+    with pytest.raises(ValidationError, match=r"does not conserve the \(L, L\) form"):
         sc.phi_inverse(2.0 * np.eye(4))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from scatzip import ensembles, matrix_core as mc, transfer as tr
 from scatzip import zipper as zp
-from scatzip.errors import ValidationError, ZeroZError
+from scatzip.errors import ValidationError
 from scatzip.scattering import phi
 from scatzip.weyl import g_matrix
 
@@ -46,7 +46,7 @@ def test_transfer_inverse(rng):
 
 def test_transfer_rejects_zero_z(rng):
     b = ensembles.random_block(rng, 1, "cmv")
-    with pytest.raises(ZeroZError):
+    with pytest.raises(ValidationError, match="transfer matrices are undefined at z = 0"):
         tr.transfer_at(b, 2, 0.0)
 
 
@@ -101,7 +101,7 @@ def test_propagate_array_equals_pointwise_calls():
 
 def test_propagate_array_rejects_zero_and_matrix_z():
     z = ensembles.finite_zipper(3, 1, 4)
-    with pytest.raises(ZeroZError):
+    with pytest.raises(ValidationError, match="transfer matrices are undefined at z = 0"):
         tr.propagate(z, np.array([0.5, 0.0]), 4)
     with pytest.raises(ValidationError):
         tr.propagate(z, np.full((2, 2), 0.5), 4)

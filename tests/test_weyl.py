@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from scatzip import ensembles, matrix_core as mc, weyl
+from scatzip import ensembles, matrix_core as mc, transfer as tr, weyl
 from scatzip import zipper as zp
-from scatzip.errors import NotOnSurfaceError, NumericalBreakdownError, ZeroZError
+from scatzip.errors import NumericalBreakdownError, ValidationError
 
 from conftest import random_disc_point, random_unitary
 
@@ -78,11 +78,13 @@ def test_g_small_z_leading_term(rng):
 def test_resolvent_point_triple(rng):
     z = ensembles.finite_zipper(8, 2, 6)
     w = random_disc_point(rng)
-    pt = weyl.resolvent_point(z, w)
-    assert mc.in_siegel_disc(pt.e_value, strict=True)
-    assert np.linalg.eigvalsh(mc.hermitize(1j * (mc.adj(pt.f_value) - pt.f_value))).min() > 0
-    assert np.linalg.norm(pt.f_value - weyl.f_matrix(z, w), 2) < 1e-12
-    assert np.linalg.norm(pt.g_value - weyl.g_matrix(z, w), 2) < 1e-12
+    E, F = weyl.e_matrix(z, w), weyl.f_matrix(z, w)
+    assert mc.in_siegel_disc(E, strict=True)
+    assert np.linalg.eigvalsh(mc.hermitize(1j * (mc.adj(F) - F))).min() > 0
+    # F = (E + 1)(E - 1)^(-1) / i and G = E (1 - E)^(-1) / z
+    one = np.eye(2)
+    assert np.linalg.norm(F - (E + one) @ np.linalg.inv(E - one) / 1j, 2) < 1e-12
+    assert np.linalg.norm(weyl.g_matrix(z, w) - E @ np.linalg.inv(one - E) / w, 2) < 1e-12
 
 
 def test_f_has_positive_imaginary_part(rng):
@@ -95,7 +97,7 @@ def test_f_has_positive_imaginary_part(rng):
 
 def test_g_rejects_zero():
     z = ensembles.finite_zipper(8, 2, 6)
-    with pytest.raises(ZeroZError):
+    with pytest.raises(ValidationError, match=r"z = 0 is handled by the exact value F\(0\) = i"):
         weyl.g_matrix(z, 0.0)
 
 
@@ -146,7 +148,7 @@ def test_disc_membership_rejects_center(rng):
     z = ensembles.finite_zipper(14, 2, 8)
     w = 0.45 + 0.2j
     disc = weyl.radial_central(z, w)
-    with pytest.raises(NotOnSurfaceError):
+    with pytest.raises(ValidationError, match="chart unitarity defect"):
         weyl.disc_membership(disc.center, disc)
     W, _ = weyl.disc_chart(disc.center, disc)
     assert np.linalg.norm(W, 2) < 1e-9
@@ -348,14 +350,33 @@ def test_disc_chart_raises_once_the_radius_is_below_the_resolution_of_f():
     # pinned instance: at these z the disc radius is 1e-41 to 1e-23 while F
     # is only known to about 1e-16, so a chart would return noise (defects
     # up to 9e50) or fail to invert R' (z = 0.97)
-    from scatzip.errors import DiscBreakdownError
-
     z = ensembles.finite_zipper(0, 2, 64, "haar-gauge", 0.99)
     V = random_unitary(np.random.default_rng(1), 2)
     for w in (0.4 + 0.25j, 0.9 + 0.1j, 0.97 + 0.2j, 0.97):
         disc = weyl.radial_central(z, w)
         F = weyl.f_matrix(z, w, v_boundary=V)
-        with pytest.raises(DiscBreakdownError):
+        with pytest.raises(NumericalBreakdownError, match="is below the resolution"):
             weyl.disc_chart(F, disc)
-        with pytest.raises(DiscBreakdownError):
+        with pytest.raises(NumericalBreakdownError, match="is below the resolution"):
             weyl.disc_membership(F, disc)
+
+
+@pytest.mark.parametrize("upto", [0, -2])
+@pytest.mark.parametrize("semi_infinite", [False, True])
+@pytest.mark.parametrize("route", ["e_matrix", "f_matrix", "radial_central", "log_radius_norm", "propagate"])
+def test_non_positive_site_counts_are_rejected(route, semi_infinite, upto):
+    # a non-positive count would slice the site table from its end:
+    # f_matrix(upto=0) would read a non-Caratheodory F, propagate the start frame
+    z = ensembles.semi_infinite_zipper(3, 1) if semi_infinite else ensembles.finite_zipper(3, 1, 8)
+    w = 0.3 + 0.2j
+    calls = {
+        "e_matrix": lambda: weyl.e_matrix(z, w, v_boundary=np.eye(1), upto=upto),
+        "f_matrix": lambda: weyl.f_matrix(z, w, v_boundary=np.eye(1), upto=upto),
+        "radial_central": lambda: weyl.radial_central(z, w, upto=upto),
+        "log_radius_norm": lambda: weyl.log_radius_norm(z, w, upto),
+        "propagate": lambda: tr.propagate(z, 1j, upto),
+    }
+    frames = route in ("log_radius_norm", "propagate")  # these read the site table directly
+    message = "site count must be >= 1" if frames else "site count must be even and >= 2"
+    with pytest.raises(ValidationError, match=f"{message}, got {upto}"):
+        calls[route]()

@@ -5,7 +5,7 @@ import pytest
 
 from scatzip import ensembles, matrix_core as mc
 from scatzip import zipper as zp
-from scatzip.errors import CapExceededError, DimensionMismatchError, MissingS1Error, OddNError
+from scatzip.errors import ValidationError
 
 def _free_finite(L, N):
     return ensembles.finite_zipper(0, L, N, ensemble="free")
@@ -35,14 +35,14 @@ def test_assemble_finite_free_fourth_roots():
 
 def test_assemble_rejects_odd_n():
     blocks = {2: ensembles.random_block(np.random.default_rng(0), 1, "free")}
-    with pytest.raises(OddNError):
+    with pytest.raises(ValidationError, match="N must be even and >= 2, got 3"):
         zp.Zipper(1, 3, "finite", blocks, np.eye(1), np.eye(1))
 
 
 @pytest.mark.parametrize("N", [0, -2])
 def test_seeded_constructors_reject_n_below_two(N):
     for make in (ensembles.finite_zipper, ensembles.periodic_zipper):
-        with pytest.raises(OddNError):
+        with pytest.raises(ValidationError, match=f"N must be even and >= 2, got {N}"):
             make(0, 1, N)
 
 
@@ -85,7 +85,7 @@ def test_periodic_requires_s1():
     z = ensembles.periodic_zipper(3, 1, 4)
     blocks = dict(z.blocks)
     del blocks[1]
-    with pytest.raises(MissingS1Error):
+    with pytest.raises(ValidationError, match="missing block S_1"):
         zp.Zipper(1, 4, "periodic", blocks)
 
 
@@ -133,7 +133,7 @@ def test_apply_matches_dense(rng):
     op = zp.assemble_finite(z)
     v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     assert np.linalg.norm(zp.apply(op, v) - op.to_dense() @ v) < 1e-12 * np.linalg.norm(v)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="vector length"):
         zp.apply(op, v[:-1])
 
 
@@ -157,7 +157,7 @@ def test_dense_spectrum_residuals(rng):
 
 def test_dense_spectrum_cap():
     z = ensembles.finite_zipper(1, 2, 6)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ValidationError, match="exceeds dense cap 4"):
         zp.dense_spectrum(zp.assemble_finite(z), cap=4)
 
 
