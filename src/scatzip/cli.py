@@ -48,8 +48,6 @@ def _write_output(path, text):
 def cmd_gen(args) -> int:
     if args.N % 2:
         raise ValidationError(f"N must be even, got {args.N}")
-    if args.L < 1:
-        raise ValidationError(f"L must be >= 1, got {args.L}")
     if args.flavor == "finite":
         z = ensembles.finite_zipper(args.seed, args.L, args.N, args.ensemble, args.alpha_max)
     elif args.flavor == "periodic":
@@ -129,7 +127,7 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.uniform_grid:
+    if args.uniform_grid is not None:
         # quadrature helper for absolutely continuous measures: equispaced
         # atoms with equal weights, usable as input for to-zipper
         if args.L is None:

@@ -36,6 +36,13 @@ def _haar(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
+def _check_size_and_cap(L: int, alpha_max: float) -> None:
+    if L < 1:
+        raise ValidationError(f"L must be >= 1, got {L}")
+    if not 0 <= alpha_max < 1:  # also rejects NaN
+        raise ValidationError(f"alpha_max must lie in [0, 1), got {alpha_max}")
+
+
 def random_unitary(rng: np.random.Generator, L: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
     return _haar(_gaussian(rng, L))
@@ -59,6 +66,7 @@ def random_blocks(rngs, L: int, ensemble: str, alpha_max: float = DEFAULT_ALPHA_
     """
     if ensemble not in ENSEMBLES:
         raise ValidationError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
+    _check_size_and_cap(L, alpha_max)
     if ensemble == "free":  # draws nothing
         one = np.repeat(mc.eye(L)[None], sum(1 for _ in rngs), axis=0)
         return np.zeros_like(one), one, one
@@ -99,6 +107,7 @@ def finite_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
     """Seeded finite zipper: boundaries U, V and blocks S_2, ..., S_N."""
     if N % 2 or N < 2:
         raise ValidationError(f"N must be even and >= 2, got {N}")
+    _check_size_and_cap(L, alpha_max)  # before the boundary draws
     rng = np.random.default_rng(seed)
     u = _boundary(rng, L, ensemble)
     v = _boundary(rng, L, ensemble)
@@ -125,6 +134,7 @@ def semi_infinite_zipper(seed: int, L: int, ensemble: str = "cmv",
     drawn in one ``random_blocks`` call and gives the same blocks in any
     order of requests.
     """
+    _check_size_and_cap(L, alpha_max)
     boundary_rng = np.random.default_rng([int(seed), 1])
     u = _boundary(boundary_rng, L, ensemble)
 

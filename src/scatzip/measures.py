@@ -13,6 +13,12 @@ produces two orthonormal polynomial families whose recursion data is exactly
 a zipper block sequence: contraction coefficients alpha_n and gauge unitaries
 U_n, V_n with S_n = S(alpha_n, U_n, V_n).
 
+The Gram-Schmidt run holds each polynomial as two tables: its coefficients
+over the exponents -K..K and its values at the M atoms.  Each finished
+polynomial p also keeps W_j p(xi_j)*, so a projection <p, f> is one
+(L, M L) @ (M L, L) product and no polynomial is evaluated twice;
+``inner_product`` on ``MatrixLaurentPoly`` objects is the independent check.
+
 Gauge fixing: every orthonormal polynomial is normalized with a Hermitian
 positive-definite leading normalizer, the standard positive-kappa convention;
 this reproduces the canonical data exactly in the scalar trivial-gauge case
@@ -51,9 +57,9 @@ class MatrixMeasure:
             raise ValidationError("weights must be one L x L block per atom")
         if not np.all(np.abs(np.abs(atoms) - 1.0) <= 1e-9):  # also rejects NaN
             raise ValidationError("atoms must lie on the unit circle")
-        for W in weights:
-            if mc.hermitian_defect(W) > 1e-9 or np.linalg.eigvalsh(mc.hermitize(W)).min() < -1e-9:
-                raise ValidationError("weights must be Hermitian PSD")
+        if len(weights) and (mc.hermitian_defect(weights) > 1e-9
+                             or np.linalg.eigvalsh(mc.hermitize(weights)).min() < -1e-9):
+            raise ValidationError("weights must be Hermitian PSD")
         total = weights.sum(axis=0)
         if np.linalg.norm(total - mc.eye(weights.shape[1]), 2) > 1e-8:
             raise ValidationError("weights must sum to the identity")
@@ -64,6 +70,10 @@ class MatrixMeasure:
 
 def uniform_grid_measure(L: int, m: int) -> MatrixMeasure:
     """Quadrature of normalized Lebesgue measure: m equispaced atoms, weights 1/m."""
+    if L < 1:
+        raise ValidationError(f"L must be >= 1, got {L}")
+    if m < 1:
+        raise ValidationError(f"the uniform grid needs m >= 1 atoms, got {m}")
     atoms = np.exp(2j * np.pi * np.arange(m) / m)
     weights = np.broadcast_to(mc.eye(L) / m, (m, L, L)).copy()
     return MatrixMeasure(atoms, weights)
@@ -198,18 +208,50 @@ class GramSchmidtResult:
     stop_reason: Optional[str]
 
 
-def _orthonormal_step(mu, produced, exponent, first_coeff=None):
-    """One Gram-Schmidt step with a Hermitian positive normalizer; None if degenerate."""
+def _weighted(values: np.ndarray, mu: MatrixMeasure) -> np.ndarray:
+    """W_j V_j*, shape (M, L, L): the right factor of every projection onto V."""
+    return mu.weights @ mc.adj(values)
+
+
+def _pair(values: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """<p, f> = sum_j F_j W_j P_j* from the values F of f and the weighted table of p.
+
+    One (L, M L) @ (M L, L) matmul.
+    """
+    M, L, _ = values.shape
+    return values.transpose(1, 0, 2).reshape(L, M * L) @ weighted.reshape(M * L, L)
+
+
+def _orthonormal_step(mu, produced, exponent, K):
+    """One Gram-Schmidt step with a Hermitian positive normalizer; None if degenerate.
+
+    ``produced`` holds (coefficients, values, weighted) tables of the finished
+    polynomials; the new polynomial comes back as such a triple, its
+    coefficient table over the exponents -K..K.
+    """
     L = mu.L
-    coeff = mc.eye(L) if first_coeff is None else mc.as_cmatrix(first_coeff)
-    f = MatrixLaurentPoly.monomial(exponent, coeff, L)
-    for _ in range(2):  # classical Gram-Schmidt, two passes for orthogonality
-        for p in produced:
-            f = f - p.left_mul(inner_product(p, f, mu))
-    H = mc.hermitize(inner_product(f, f, mu))
+    coeffs = np.zeros((2 * K + 1, L, L), dtype=complex)
+    coeffs[exponent + K] = mc.eye(L)
+    values = np.power(mu.atoms, exponent)[:, None, None] * mc.eye(L)
+    for _ in range(2):  # modified Gram-Schmidt, two passes for orthogonality
+        for p_coeffs, p_values, p_weighted in produced:
+            c = _pair(values, p_weighted)
+            coeffs -= c @ p_coeffs
+            values -= c @ p_values
+    H = mc.hermitize(_pair(values, _weighted(values, mu)))
     if np.linalg.eigvalsh(H).min() < GRAM_DEGENERACY_TOL:
         return None
-    return f.left_mul(mc.hermitian_inv_sqrt(H, tol=0.0))
+    R = mc.hermitian_inv_sqrt(H, tol=0.0)
+    values = R @ values
+    return R @ coeffs, values, _weighted(values, mu)
+
+
+def _ladder_start(mu, coeff, K):
+    """The tables of the constant polynomial ``coeff``."""
+    coeffs = np.zeros((2 * K + 1, mu.L, mu.L), dtype=complex)
+    coeffs[K] = coeff
+    values = np.repeat(coeffs[K][None], len(mu.atoms), axis=0)
+    return coeffs, values, _weighted(values, mu)
 
 
 def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult:
@@ -221,6 +263,9 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
     the entry holds alpha_n (a strict contraction), the leading-coefficient
     ratios rho_n, rho~_n, and the gauges U_n, V_n with
     rho_n = (1 - alpha alpha*)^(1/2) U_n and rho~_n = (1 - alpha* alpha)^(1/2) V_n*.
+
+    The run works on coefficient and atom-value tables; ``phis`` and ``psis``
+    are built from the coefficient tables at the end.
     """
     U = mc.as_cmatrix(boundary_u)
     if mc.unitary_defect(U) > 1e-9:
@@ -229,14 +274,15 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
         raise ValidationError("boundary U size must match the measure")
     L = mu.L
     one = mc.eye(L)
+    K = max(n_max, 0) // 2 + 1  # every ladder exponent lies in -K..K
 
-    phis = [MatrixLaurentPoly.monomial(0, one, L)]
-    psis = [MatrixLaurentPoly.monomial(0, U, L)]
+    phis = [_ladder_start(mu, one, K)]
+    psis = [_ladder_start(mu, U, K)]
     stop_step = None
     stop_reason = None
     for n in range(2, n_max + 1):
-        phi_n = _orthonormal_step(mu, phis, _phi_exponent(n))
-        psi_n = _orthonormal_step(mu, psis, _psi_exponent(n))
+        phi_n = _orthonormal_step(mu, phis, _phi_exponent(n), K)
+        psi_n = _orthonormal_step(mu, psis, _psi_exponent(n), K)
         if phi_n is None or psi_n is None:
             stop_step = n
             stop_reason = "degenerate Gram normalizer (measure support exhausted)"
@@ -244,17 +290,16 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
         phis.append(phi_n)
         psis.append(psi_n)
 
-    kappas = {n + 1: p.coeff(_phi_exponent(n + 1)) for n, p in enumerate(phis)}
-    kappas_tilde = {n + 1: p.coeff(_psi_exponent(n + 1)) for n, p in enumerate(psis)}
+    kappas = {n + 1: p[0][_phi_exponent(n + 1) + K].copy() for n, p in enumerate(phis)}
+    kappas_tilde = {n + 1: p[0][_psi_exponent(n + 1) + K].copy() for n, p in enumerate(psis)}
 
     entries = {}
     for n in range(2, len(phis) + 1):
-        phi_prev, psi_prev = phis[n - 2], psis[n - 2]
+        (_, _, phi_weighted), (_, psi_values, _) = phis[n - 2], psis[n - 2]
         if n % 2 == 0:
             # z^(-1) psi_{n-1} - rho_n phi_n is a left multiple of phi_{n-1}
-            alpha = inner_product(phi_prev, psi_prev.shifted(-1), mu)
-        else:
-            alpha = inner_product(phi_prev, psi_prev, mu)
+            psi_values = psi_values / mu.atoms[:, None, None]
+        alpha = _pair(psi_values, phi_weighted)
         rho = kappas_tilde[n - 1] @ np.linalg.inv(kappas[n])
         rho_tilde = kappas[n - 1] @ np.linalg.inv(kappas_tilde[n])
         try:
@@ -270,7 +315,13 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
         else:
             entries[n] = SzegoEntry(n, alpha, u_rec, v_rec, alpha, rho, rho_tilde)
 
-    return GramSchmidtResult(phis, psis, entries, kappas, kappas_tilde, stop_step, stop_reason)
+    def poly(tables):
+        coeffs = tables[0]
+        support = np.flatnonzero(np.any(coeffs != 0, axis=(1, 2)))
+        return MatrixLaurentPoly({e - K: coeffs[e] for e in support}, L)
+
+    return GramSchmidtResult([poly(p) for p in phis], [poly(p) for p in psis], entries,
+                             kappas, kappas_tilde, stop_step, stop_reason)
 
 
 @dataclass

@@ -1,6 +1,10 @@
 """Command-line front end: determinism, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,10 +51,29 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     zper = tmp_path / "zper.json"
     run_cli("gen", "--L", "1", "--N", "4", "--flavor", "periodic", "--output", str(zper))
     capsys.readouterr()
+    to_zipper = ["measure", "--direction", "to-zipper"]
     for argv, message in [(["gen", "--L", "0", "--N", "4"], "L must be >= 1, got 0"),
-                          (["bands", str(zper), "--grid", "0"], "momentum grid size must be >= 1, got 0")]:
+                          (["gen", "--L", "1", "--N", "4", "--alpha-max", "1.5"],
+                           "alpha_max must lie in [0, 1), got 1.5"),
+                          (["gen", "--L", "1", "--N", "4", "--alpha-max", "-0.5"],
+                           "alpha_max must lie in [0, 1), got -0.5"),
+                          (["bands", str(zper), "--grid", "0"], "momentum grid size must be >= 1, got 0"),
+                          (to_zipper + ["--uniform-grid", "0", "--L", "1"],
+                           "the uniform grid needs m >= 1 atoms, got 0"),
+                          (to_zipper + ["--uniform-grid", "-3", "--L", "1"],
+                           "the uniform grid needs m >= 1 atoms, got -3"),
+                          (to_zipper + ["--uniform-grid", "4", "--L", "0"], "L must be >= 1, got 0")]:
         assert run_cli(*argv, "--output", str(tmp_path / "out")) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_python_m_scatzip_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "scatzip", "verify", "--suite", "measures"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "0 failed" in done.stdout
 
 
 def test_spectrum_both_methods_agree(tmp_path):

@@ -43,11 +43,26 @@ def test_spectral_measure_total_mass(rng):
     assert np.linalg.norm(mu.weights.sum(axis=0) - np.eye(3), 2) < 1e-9
 
 
+@pytest.mark.parametrize("L, m, message", [(1, 0, "needs m >= 1 atoms, got 0"),
+                                            (1, -3, "needs m >= 1 atoms, got -3"),
+                                            (0, 4, "L must be >= 1, got 0")])
+def test_uniform_grid_measure_rejects_bad_sizes(L, m, message):
+    with pytest.raises(ValidationError, match=message):
+        ms.uniform_grid_measure(L, m)
+
+
 def test_measure_validation():
     with pytest.raises(ValidationError):
         ms.MatrixMeasure(np.array([0.5]), np.array([[[1.0]]]))  # off the circle
     with pytest.raises(ValidationError):
         ms.MatrixMeasure(np.array([1.0]), np.array([[[0.5]]]))  # mass not 1
+    atoms = np.array([1.0, -1.0, 1j])
+    half = np.eye(2) / 2
+    for bad in (np.array([[0.5, 0.1], [0.0, 0.5]]),    # not Hermitian
+                np.array([[0.5, 0.0], [0.0, -0.1]])):  # Hermitian, not PSD
+        weights = np.array([half, bad, half - bad])     # still sums to the identity
+        with pytest.raises(ValidationError, match="weights must be Hermitian PSD"):
+            ms.MatrixMeasure(atoms, weights)
 
 
 def test_inner_product_total_mass(rng):
@@ -89,6 +104,28 @@ def test_gram_schmidt_orthonormality_and_boundary(rng):
             for j, h in enumerate(fam):
                 expect = np.eye(2) if i == j else np.zeros((2, 2))
                 assert np.linalg.norm(ms.inner_product(f, h, mu) - expect, 2) < 1e-8
+
+
+def test_gram_schmidt_orthonormal_at_l2_n16():
+    # inner_product evaluates the returned coefficients afresh, independently
+    # of the atom-value tables the run projected with
+    z = ensembles.finite_zipper(3, 2, 16, ensemble="haar-gauge")
+    mu = ms.spectral_measure_finite(z)
+    g = ms.gram_schmidt(mu, z.boundary_u, 16)
+    assert len(g.phis) == len(g.psis) == 16
+    for fam in (g.phis, g.psis):
+        for i, f in enumerate(fam):
+            for j, h in enumerate(fam[:i + 1]):
+                expect = np.eye(2) if i == j else np.zeros((2, 2))
+                assert np.linalg.norm(ms.inner_product(h, f, mu) - expect, 2) < 1e-8
+
+
+@pytest.mark.parametrize("n_max", [-5, 0, 1])
+def test_gram_schmidt_n_max_below_two_gives_the_constants(n_max):
+    mu = ms.uniform_grid_measure(2, 8)
+    g = ms.gram_schmidt(mu, np.eye(2), n_max)
+    assert len(g.phis) == len(g.psis) == 1 and g.entries == {} and g.stop_step is None
+    assert np.allclose(g.phis[0].coeff(0), np.eye(2))
 
 
 def test_gram_schmidt_leading_structure(rng):
@@ -147,6 +184,19 @@ def test_scalar_cmv_roundtrip(rng):
             assert np.abs(res.gram.entries[n].alpha - z.blocks[n].alpha).max() < 1e-6
             assert np.abs(res.gram.entries[n].u_gauge - 1.0).max() < 1e-7
             assert np.abs(res.gram.entries[n].v_gauge - 1.0).max() < 1e-7
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_scalar_cmv_roundtrip_n32(seed):
+    z = ensembles.finite_zipper(seed, 1, 32, ensemble="cmv")
+    mu = ms.spectral_measure_finite(z)
+    res = ms.zipper_from_measure(mu, z.boundary_u, 34)
+    assert res.n_available == 32
+    for n in range(2, 33):
+        e = res.gram.entries[n]
+        assert np.abs(e.alpha - z.blocks[n].alpha).max() < 1e-9
+        assert np.abs(e.u_gauge - 1.0).max() < 1e-9
+        assert np.abs(e.v_gauge - 1.0).max() < 1e-9
 
 
 def test_scalar_cmv_rebuilt_resolvent(rng):

@@ -46,6 +46,23 @@ def test_seeded_constructors_reject_n_below_two(N):
             make(0, 1, N)
 
 
+@pytest.mark.parametrize("L, alpha_max, message", [
+    (0, 0.5, "L must be >= 1, got 0"),
+    (-1, 0.5, "L must be >= 1, got -1"),
+    (1, 1.5, r"alpha_max must lie in \[0, 1\), got 1.5"),
+    (2, 1.0, r"alpha_max must lie in \[0, 1\), got 1.0"),
+    (1, -0.5, r"alpha_max must lie in \[0, 1\), got -0.5"),
+    (1, float("nan"), r"alpha_max must lie in \[0, 1\), got nan"),
+])
+def test_seeded_constructors_reject_bad_l_and_alpha_max(L, alpha_max, message):
+    for ensemble in ensembles.ENSEMBLES:
+        for make in (ensembles.finite_zipper, ensembles.periodic_zipper):
+            with pytest.raises(ValidationError, match=message):
+                make(0, L, 4, ensemble, alpha_max)
+        with pytest.raises(ValidationError, match=message):
+            ensembles.semi_infinite_zipper(0, L, ensemble, alpha_max)
+
+
 def test_assemble_periodic_free_is_identity():
     # explicit 2x2 product: S_2 swap times the wrapped S_1 layer equals 1, so
     # the spectrum is the doubled eigenvalue 1
