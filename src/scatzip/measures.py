@@ -238,10 +238,10 @@ def _orthonormal_step(mu, produced, exponent, K):
             c = _pair(values, p_weighted)
             coeffs -= c @ p_coeffs
             values -= c @ p_values
-    H = mc.hermitize(_pair(values, _weighted(values, mu)))
-    if np.linalg.eigvalsh(H).min() < GRAM_DEGENERACY_TOL:
+    w, V = np.linalg.eigh(mc.hermitize(_pair(values, _weighted(values, mu))))
+    if w.min() < GRAM_DEGENERACY_TOL:
         return None
-    R = mc.hermitian_inv_sqrt(H, tol=0.0)
+    R = mc.hermitize((V / np.sqrt(w)) @ mc.adj(V))  # H^(-1/2) from the same decomposition
     values = R @ values
     return R @ coeffs, values, _weighted(values, mu)
 

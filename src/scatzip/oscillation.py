@@ -6,7 +6,7 @@ the right boundary chart gives the Pruefer unitary W(z) whose eigenvalue-1
 multiplicity equals the multiplicity of z in the operator spectrum.  All
 eigenphases of W rotate strictly upward in theta, so the full spectrum is
 found by sweeping theta, counting in every grid interval how many
-eigenphases pass the 2 pi seam, and bisecting the intervals that hold
+eigenphases pass the 2 pi seam, and refining the intervals that hold
 crossings.
 
 Periodic zippers use the doubled (checkerboard) construction: the fixed-point
@@ -21,8 +21,10 @@ Both phases take an array of circle points and evaluate it in one call of
 ``propagate``.  The sweep samples its whole theta grid that way (at most
 SWEEP_BLOCK points per call), counts the seam passages of all its intervals
 in one array operation, keeps the samples when a count mismatch doubles the
-grid, and bisects the intervals holding crossings only once the total
-matches, all of them in lockstep with one batched call per level.
+grid, and refines the intervals holding crossings only once the total
+matches, all of them in lockstep with one batched call per level: ITP steps
+on the branch that passes the seam where an interval holds one crossing,
+bisection where it holds several.
 """
 
 from __future__ import annotations
@@ -204,33 +206,69 @@ def _sample(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray) -> np.n
                            for i in range(0, len(thetas), SWEEP_BLOCK)])
 
 
-def _bisect(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
-            phases: np.ndarray, count: np.ndarray, refine_tol: float,
-            max_iter: int = 60) -> np.ndarray:
-    """Bisect the brackets [lo, hi] in lockstep, one batched evaluation of the midpoints per level.
+def _refine(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+            lo_phases: np.ndarray, hi_phases: np.ndarray, count: np.ndarray,
+            refine_tol: float, max_iter: int = 60) -> np.ndarray:
+    """Shrink the brackets [lo, hi] in lockstep, one batched evaluation per level.
 
-    ``phases`` are the sorted eigenphases at lo and ``count`` the crossings
-    inside each bracket.  The left half gets min(s, count) of them, with s
-    the seam passages from lo to the midpoint, and the right half the rest;
-    halves without a crossing are dropped.  A bracket stops at width
-    refine_tol; its midpoint is returned once per crossing.
+    ``lo_phases`` and ``hi_phases`` are the sorted eigenphases at the ends
+    and ``count`` the crossings inside each bracket.  A bracket with several
+    crossings is cut at its midpoint.  One with a single crossing takes an
+    ITP step (interpolate, truncate, project; Oliveira and Takahashi 2020,
+    with k1 = 0.2 / width0, k2 = 2, n0 = 1) on its seam branch h: the top
+    phase minus 2 pi before the passage, the bottom phase after it, which is
+    continuous and increasing in theta.  ITP converges superlinearly on
+    smooth branches, and its projection keeps every bracket within one
+    halving of bisection, so it never needs more than one level more.  Its
+    points keep refine_tol / 4 from the ends, so that the far end moves once
+    the interpolant sits on the root.  The left part gets min(s, count)
+    crossings, with s the seam passages from lo to the new point, and the
+    right part the rest; parts without a crossing are dropped.  A bracket
+    stops at width refine_tol, or when no float lies inside it, and is
+    returned once per crossing: at 2 pi if it holds the seam, so that the
+    crossing folds to 0, else at the interpolated root of h for a single
+    crossing and at the midpoint for several.
     """
+    width0 = hi - lo  # width of each bracket when it got its single crossing
+    steps = np.zeros(len(lo))  # ITP steps taken since
     done = []
-    for _ in range(max_iter):
-        fine = hi - lo <= refine_tol
-        done.append(np.repeat(0.5 * (lo[fine] + hi[fine]), count[fine]))
-        lo, hi, phases, count = lo[~fine], hi[~fine], phases[~fine], count[~fine]
+    for level in range(max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        h_lo = lo_phases[:, -1] - TWO_PI  # h(lo) <= 0 <= h(hi)
+        rise = hi_phases[:, 0] - h_lo
+        interp = lo + width * np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0)
+        fine = (width <= refine_tol) | (mid <= lo) | (mid >= hi) | (level == max_iter)
+        seam = (lo <= TWO_PI) & (TWO_PI <= hi)
+        theta = np.where(seam, TWO_PI, np.where(count == 1, interp, mid))
+        done.append(np.repeat(theta[fine], count[fine]))
+        lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
+            a[~fine] for a in (lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0,
+                               steps))
         if len(lo) == 0:
             break
-        mid = 0.5 * (lo + hi)
-        q = _sample(wfn, mid)
-        left = np.minimum(_seam_passages(phases, q), count)
+        side = np.sign(mid - interp)
+        shift = 0.2 / width0 * width ** 2
+        x = np.where(shift <= np.abs(mid - interp), interp + side * shift, mid)
+        # project so that after j steps the width is at most width0 2^(1 - j)
+        radius = np.maximum(width0 * 2.0 ** -steps - 0.5 * width, 0.0)
+        x = np.where(np.abs(x - mid) <= radius, x, mid - side * radius)
+        x = np.clip(x, np.maximum(lo + 0.25 * refine_tol, np.nextafter(lo, hi)),
+                    np.minimum(hi - 0.25 * refine_tol, np.nextafter(hi, lo)))
+        single = count == 1
+        x = np.where(single, x, mid)
+        q = _sample(wfn, x)
+        left = np.minimum(_seam_passages(lo_phases, q), count)
         right = count - left
-        lo = np.concatenate([lo[left > 0], mid[right > 0]])
-        hi = np.concatenate([mid[left > 0], hi[right > 0]])
-        phases = np.concatenate([phases[left > 0], q[right > 0]])
-        count = np.concatenate([left[left > 0], right[right > 0]])
-    done.append(np.repeat(0.5 * (lo + hi), count))
+        l, r = left > 0, right > 0
+        lo = np.concatenate([lo[l], x[r]])
+        hi = np.concatenate([x[l], hi[r]])
+        lo_phases = np.concatenate([lo_phases[l], q[r]])
+        hi_phases = np.concatenate([q[l], hi_phases[r]])
+        count = np.concatenate([left[l], right[r]])
+        single = np.concatenate([single[l], single[r]])
+        width0 = np.where(single, np.concatenate([width0[l], width0[r]]), hi - lo)
+        steps = np.where(single, np.concatenate([steps[l], steps[r]]) + 1, 0)
     return np.concatenate(done)
 
 
@@ -242,7 +280,7 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     a 1-D array of theta; a crossing is an eigenphase passing the 2 pi seam.
     The whole grid is sampled in batched calls and the seam passages of all
     grid intervals are counted at once; the intervals holding crossings are
-    bisected, all in lockstep, only once the total matches
+    refined by ``_refine``, all in lockstep, only once the total matches
     ``expected_total``.  A crossing hides from the sampled sweep when a
     branch completes a full turn inside one grid interval (a narrow
     resonance), which no endpoint-based test can detect; the grid is
@@ -267,8 +305,8 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
         found = int(count.sum())
         if found == expected_total:
             hit = count > 0
-            crossings = _bisect(wfn, thetas[:-1][hit], thetas[1:][hit], samples[:-1][hit],
-                                count[hit], refine_tol)
+            crossings = _refine(wfn, thetas[:-1][hit], thetas[1:][hit], samples[:-1][hit],
+                                samples[1:][hit], count[hit], refine_tol)
             return _circular_clusters(crossings, 10.0 * refine_tol)[0]
         last_error = f"found {found} crossings, expected {expected_total} (grid {grid})"
         grid *= 2
@@ -299,6 +337,8 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     grid = grid_size if grid_size is not None else 8 * total
     if grid < 4 * total:
         raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
+    if not 0.0 < refine_tol < TWO_PI / grid:  # also false for NaN
+        raise ValidationError(f"refine tolerance must lie in (0, 2 pi / {grid}), got {refine_tol}")
     return sweep_spectrum(_phase_family(zipper), total, grid, refine_tol)
 
 

@@ -49,9 +49,16 @@ def test_gen_rejects_odd_n(tmp_path):
 
 def test_bad_arguments_exit_2(tmp_path, capsys):
     zper = tmp_path / "zper.json"
+    zfin = tmp_path / "zfin.json"
     run_cli("gen", "--L", "1", "--N", "4", "--flavor", "periodic", "--output", str(zper))
+    run_cli("gen", "--L", "1", "--N", "4", "--output", str(zfin))
     capsys.readouterr()
     to_zipper = ["measure", "--direction", "to-zipper"]
+    bad_tol = [(["spectrum", str(zfin), "--tol", tol],
+                f"refine tolerance must lie in (0, 2 pi / 32), got {float(tol)}")
+               for tol in ("nan", "5", "0", "-1")]
+    bad_tol.append((["bands", str(zper), "--tol", "nan"],
+                    "refine tolerance must lie in (0, 2 pi / 32), got nan"))
     for argv, message in [(["gen", "--L", "0", "--N", "4"], "L must be >= 1, got 0"),
                           (["gen", "--L", "1", "--N", "4", "--alpha-max", "1.5"],
                            "alpha_max must lie in [0, 1), got 1.5"),
@@ -62,7 +69,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                            "the uniform grid needs m >= 1 atoms, got 0"),
                           (to_zipper + ["--uniform-grid", "-3", "--L", "1"],
                            "the uniform grid needs m >= 1 atoms, got -3"),
-                          (to_zipper + ["--uniform-grid", "4", "--L", "0"], "L must be >= 1, got 0")]:
+                          (to_zipper + ["--uniform-grid", "4", "--L", "0"], "L must be >= 1, got 0"),
+                          *bad_tol]:
         assert run_cli(*argv, "--output", str(tmp_path / "out")) == 2
         assert f"error: {message}" in capsys.readouterr().err
 

@@ -348,3 +348,96 @@ def test_sweep_doubles_the_grid_for_a_fast_branch():
     expected = 2 * np.pi * np.arange(40) / 40
     gap = np.abs(res.thetas[:, None] - expected[None, :])
     assert np.minimum(gap, 2 * np.pi - gap).min(axis=0).max() < 1e-9
+
+
+def _counted(wfn):
+    """wfn and a list that grows by one entry per call of it."""
+    calls = []
+
+    def counted(thetas):
+        calls.append(len(thetas))
+        return wfn(thetas)
+    return counted, calls
+
+
+def test_sweep_refines_single_crossings_in_few_levels():
+    # smooth nonlinear branches, one crossing per grid interval: the first
+    # call samples the grid and every later call is one refinement level
+    crossings = [1.0, 2.6, 4.1, 5.5]
+    wfn, calls = _counted(_diagonal_family([lambda t, c=c: t - c + 0.5 * np.sin(t - c)
+                                            for c in crossings]))
+    res = osc.sweep_spectrum(wfn, 4, 32)
+    assert res.multiplicities.tolist() == [1, 1, 1, 1]
+    # reported at the interpolated root of the final bracket, not its midpoint
+    assert np.abs(res.thetas - crossings).max() < 1e-14
+    assert calls[0] == 33 and calls[1] == 4  # four brackets of one crossing each
+    # bisection takes 31 levels from width 2 pi / 32; ITP without its
+    # refine_tol / 4 minimum step would take 9
+    assert len(calls) - 1 <= 8
+
+
+def test_sweep_of_a_cmv_zipper_takes_few_prufer_calls():
+    # the default grid of 128 points has width 2 pi / 128, which bisection
+    # halves 29 times down to refine_tol = 1e-10, so 30 calls in all
+    from scatzip.cli import _cyclic_pairing
+
+    for seed in range(4):
+        z = ensembles.finite_zipper(seed, 2, 8, "cmv", 0.95)
+        wfn, calls = _counted(osc._phase_family(z))
+        swept = osc.sweep_spectrum(wfn, 16, 128)
+        dense = zp.dense_spectrum(zp.assemble_finite(z))
+        assert len(calls) <= 12, seed
+        assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+        assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+def test_sweep_of_hard_branches_needs_at_most_one_level_over_bisection():
+    # a steep resonance turns at speed 50 near c and 1/50 elsewhere; a flat
+    # crossing grows like (theta - c)^3 / 6, where interpolation alone creeps
+    # in from one side and roundoff moves the root by more than tol.  The
+    # ITP projection keeps both within one level of bisection.
+    grid, tol = 64, 1e-10
+    bisection_calls = 1 + int(np.ceil(np.log2(2 * np.pi / grid / tol)))
+    for phase, accuracy in [(lambda t, c: 2 * np.arctan(50 * np.tan((t - c) / 2)), tol),
+                            (lambda t, c: t - c - np.sin(t - c), 1e-6)]:
+        for c in (0.7, 2.0, 4.2, 5.9):
+            wfn, calls = _counted(_diagonal_family([lambda t, c=c: phase(t, c)]))
+            res = osc.sweep_spectrum(wfn, 1, grid, refine_tol=tol)
+            assert res.multiplicities.tolist() == [1]
+            assert abs(res.thetas[0] - c) < accuracy, c
+            assert len(calls) <= bisection_calls + 1, c
+
+
+def test_sweep_reports_a_crossing_on_the_seam_near_zero():
+    # the crossing at theta = 0 is met in the last grid interval, around 2 pi;
+    # a final bracket holding 2 pi reports 2 pi, which folds to 0
+    tol = 1e-10
+    wfn = _diagonal_family([lambda t: t, lambda t: t - 2.0 + 0.3 * np.sin(t - 2.0),
+                            lambda t: t - 4.5])
+    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol)
+    assert res.multiplicities.tolist() == [1, 1, 1]
+    assert 0.0 <= res.thetas[0] < tol
+    assert np.abs(res.thetas[1:] - [2.0, 4.5]).max() < tol
+    # a double crossing on the seam is bisected as one bracket of count 2
+    wfn = _diagonal_family([lambda t: t + 0.2 * np.sin(t), lambda t: t + 0.2 * np.sin(t),
+                            lambda t: t - 3.0])
+    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol)
+    assert res.multiplicities.tolist() == [2, 1]
+    assert 0.0 <= res.thetas[0] < tol
+    assert abs(res.thetas[1] - 3.0) < tol
+
+
+def test_spectrum_by_oscillation_rejects_bad_refine_tol():
+    z = ensembles.finite_zipper(1, 1, 4)
+    for tol in (np.nan, np.inf, 5.0, 2 * np.pi / 32, 0.0, -1.0):
+        with pytest.raises(ValidationError, match=rf"2 pi / 32\), got {tol}"):
+            osc.spectrum_by_oscillation(z, refine_tol=tol)
+    assert osc.spectrum_by_oscillation(z, refine_tol=1e-20).total_multiplicity == 4
+
+
+def test_sweep_below_float_resolution_stops_when_no_float_is_left_inside():
+    # 2 pi / 32 halves to the float spacing at 2.6 in 48 levels; 1e-20 is never reached
+    wfn, calls = _counted(_diagonal_family([lambda t: t - 2.6 + 0.5 * np.sin(t - 2.6)]))
+    res = osc.sweep_spectrum(wfn, 1, 32, refine_tol=1e-20)
+    assert abs(res.thetas[0] - 2.6) <= 4.5e-16
+    assert len(calls) <= 1 + 48
