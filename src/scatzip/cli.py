@@ -171,7 +171,7 @@ def cmd_measure(args) -> int:
     alpha_err = 0.0
     for n in range(2, min(rebuilt.n_available, doc.N) + 1):
         alpha_err = max(alpha_err, float(np.abs(
-            rebuilt.gram.entries[n].alpha - doc.blocks[n].alpha).max()))
+            rebuilt.gram.entries[n].alpha - doc.sites[0][n - 2]).max()))
     f_err = max(float(np.linalg.norm(ms.caratheodory(mu, w) - weyl.f_matrix(doc, w), 2))
                 for w in sample_z)
     report = {

@@ -19,7 +19,7 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import ValidationError
 from .scattering import ScatteringBlock
-from .zipper import SemiInfiniteZipper, Zipper, block_dict
+from .zipper import SemiInfiniteZipper, Zipper
 
 ENSEMBLES = ("free", "cmv", "haar-gauge")
 DEFAULT_ALPHA_MAX = 0.85
@@ -111,8 +111,7 @@ def finite_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
     rng = np.random.default_rng(seed)
     u = _boundary(rng, L, ensemble)
     v = _boundary(rng, L, ensemble)
-    blocks = block_dict(2, random_blocks([rng] * (N - 1), L, ensemble, alpha_max))
-    return Zipper(L, N, "finite", blocks, u, v)
+    return Zipper(L, N, "finite", random_blocks([rng] * (N - 1), L, ensemble, alpha_max), u, v)
 
 
 def periodic_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
@@ -121,8 +120,7 @@ def periodic_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
     if N % 2 or N < 2:
         raise ValidationError(f"N must be even and >= 2, got {N}")
     rng = np.random.default_rng(seed)
-    blocks = block_dict(1, random_blocks([rng] * N, L, ensemble, alpha_max))
-    return Zipper(L, N, "periodic", blocks)
+    return Zipper(L, N, "periodic", random_blocks([rng] * N, L, ensemble, alpha_max))
 
 
 def semi_infinite_zipper(seed: int, L: int, ensemble: str = "cmv",

@@ -2,7 +2,8 @@
 
 Complex matrices are serialized as nested arrays of [re, im] pairs.  A zipper
 document carries {L, N, flavor, boundary_U, boundary_V, blocks:[{n, alpha, u,
-v}]} with the boundaries present only for the flavors that have them; a
+v}]} with the boundaries present only for the flavors that have them and one
+block for each n = first, ..., N (first = 1 for a periodic zipper, else 2); a
 measure document carries {L, atoms:[{xi, weight}]}.  Serialization is
 byte-deterministic (sorted keys, fixed float formatting) so identical inputs
 produce identical files.
@@ -17,8 +18,7 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import ValidationError
 from .measures import MatrixMeasure
-from .scattering import ScatteringBlock
-from .zipper import SemiInfiniteZipper, Zipper, stored_block_fn
+from .zipper import SemiInfiniteZipper, Zipper, site_stacks, stored_block_fn
 
 
 def complex_matrix_to_json(m) -> list:
@@ -39,60 +39,65 @@ def complex_matrix_from_json(obj) -> np.ndarray:
 def zipper_to_dict(zipper) -> dict:
     if isinstance(zipper, SemiInfiniteZipper):
         stored = zipper.stored_sites
-        doc = {
-            "L": zipper.L,
-            "N": stored[-1] if stored else 0,
-            "flavor": "semi-infinite",
-            "boundary_U": complex_matrix_to_json(zipper.boundary_u),
-            "blocks": [_block_to_dict(n, zipper.block(n)) for n in stored],
-        }
-        return doc
+        N = stored[-1] if stored else 0
+    else:
+        N = zipper.N
     doc = {
         "L": zipper.L,
-        "N": zipper.N,
+        "N": N,
         "flavor": zipper.flavor,
-        "blocks": [_block_to_dict(n, b) for n, b in sorted(zipper.blocks.items())],
+        "blocks": [{"n": n,
+                    "alpha": complex_matrix_to_json(alpha),
+                    "u": complex_matrix_to_json(u),
+                    "v": complex_matrix_to_json(v)}
+                   for n, alpha, u, v in zip(range(zipper.first, N + 1), *zipper.sites)],
     }
-    if zipper.flavor == "finite":
+    if zipper.flavor != "periodic":
         doc["boundary_U"] = complex_matrix_to_json(zipper.boundary_u)
+    if zipper.flavor == "finite":
         doc["boundary_V"] = complex_matrix_to_json(zipper.boundary_v)
     return doc
 
 
-def _block_to_dict(n: int, block: ScatteringBlock) -> dict:
-    return {
-        "n": int(n),
-        "alpha": complex_matrix_to_json(block.alpha),
-        "u": complex_matrix_to_json(block.u_gauge),
-        "v": complex_matrix_to_json(block.v_gauge),
-    }
+_FIRST_BLOCK = {"finite": 2, "periodic": 1, "semi-infinite": 2}
 
 
 def zipper_from_dict(doc: dict):
     try:
         L, N, flavor = int(doc["L"]), int(doc["N"]), doc["flavor"]
-        blocks = {
-            int(b["n"]): ScatteringBlock(
-                complex_matrix_from_json(b["alpha"]),
-                complex_matrix_from_json(b["u"]),
-                complex_matrix_from_json(b["v"]),
-            )
-            for b in doc["blocks"]
-        }
+        rows = [(int(b["n"]), [complex_matrix_from_json(b[k]) for k in ("alpha", "u", "v")])
+                for b in doc["blocks"]]
         u = complex_matrix_from_json(doc["boundary_U"]) if flavor in ("finite", "semi-infinite") else None
         v = complex_matrix_from_json(doc["boundary_V"]) if flavor == "finite" else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed zipper document: {exc}") from None
-    if flavor == "finite":
-        return Zipper(L, N, "finite", blocks, u, v)
-    if flavor == "periodic":
-        return Zipper(L, N, "periodic", blocks)
+    if flavor not in _FIRST_BLOCK:
+        raise ValidationError(f"unknown flavor {flavor!r}")
+    sites = _site_stacks(rows, _FIRST_BLOCK[flavor], N, L)
     if flavor == "semi-infinite":
-        block_fn = stored_block_fn(blocks, "the stored prefix")
-        z = SemiInfiniteZipper(L, u, block_fn)
-        z.extend(len(blocks) + 1)  # the stored prefix is materialized, as when it was written
+        z = SemiInfiniteZipper(L, u, stored_block_fn(sites, "the stored prefix"))
+        z.extend(N)  # the stored prefix is materialized, as when it was written
         return z
-    raise ValidationError(f"unknown flavor {flavor!r}")
+    return Zipper(L, N, flavor, sites, u, v)
+
+
+def _site_stacks(rows, first: int, N: int, L: int) -> tuple:
+    """The (alpha, U, V) stacks of the blocks S_first, ..., S_N, each given exactly once."""
+    by_site = {}
+    for n, (alpha, u, v) in rows:
+        if n in by_site:
+            raise ValidationError(f"block S_{n} is given twice")
+        if not first <= n <= N:
+            raise ValidationError(f"block S_{n} is not one of S_{first}, ..., S_{N}")
+        if not alpha.shape == u.shape == v.shape == alpha.shape[::-1]:
+            raise ValidationError("alpha, u_gauge, v_gauge must share the same L x L shape")
+        if alpha.shape != (L, L):
+            raise ValidationError(f"block S_{n} has L={alpha.shape[0]}, expected {L}")
+        by_site[n] = (alpha, u, v)
+    for n in range(first, N + 1):
+        if n not in by_site:
+            raise ValidationError(f"missing block S_{n}")
+    return site_stacks([by_site[n] for n in range(first, N + 1)], L)
 
 
 def measure_to_dict(mu: MatrixMeasure) -> dict:

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import NotPSDError, ValidationError
-from .scattering import ScatteringBlock
-from .zipper import SemiInfiniteZipper, Zipper, assemble_finite, dense_spectrum, stored_block_fn
+from .zipper import (SemiInfiniteZipper, Zipper, assemble_finite, dense_spectrum, site_stacks,
+                     stored_block_fn)
 
 GRAM_DEGENERACY_TOL = 1e-10
 
@@ -88,19 +88,14 @@ def caratheodory(mu: MatrixMeasure, z: complex) -> np.ndarray:
     return 1j * np.einsum("j,jab->ab", coeff, mu.weights)
 
 
-def spectral_measure_finite(zipper: Zipper, v_boundary=None,
-                            tol_cluster: float = 1e-7, cap: int = 512) -> MatrixMeasure:
+def spectral_measure_finite(zipper: Zipper) -> MatrixMeasure:
     """Spectral measure of a finite zipper compressed to the first site.
 
     Atoms at the operator eigenvalues, weights pi_1* P pi_1 from the dense
     spectral projections; the weights resolve the identity because the first
     site is cyclic.
     """
-    if v_boundary is not None:
-        zipper = zipper.with_boundary_v(v_boundary)
-    op = assemble_finite(zipper)
-    spec, projections = dense_spectrum(op, cap=cap, tol_cluster=tol_cluster,
-                                       want_projections=True)
+    spec, projections = dense_spectrum(assemble_finite(zipper), want_projections=True)
     L = zipper.L
     weights = np.array([vecs[:L] @ mc.adj(vecs[:L]) for vecs in projections])
     return MatrixMeasure(spec.eigenvalues, np.array([mc.hermitize(W) for W in weights]))
@@ -347,15 +342,14 @@ def zipper_from_measure(mu: MatrixMeasure, boundary_u, n_max: int) -> MeasureZip
     resolvent boundary value.
     """
     gram = gram_schmidt(mu, boundary_u, n_max)
-    blocks = {}
+    rows = []
     for n, entry in sorted(gram.entries.items()):
         if float(np.linalg.norm(entry.alpha, 2)) >= 1.0 - 1e-12:
             gram.stop_step = n
             gram.stop_reason = "recovered alpha reached the contraction boundary"
             break
-        blocks[n] = ScatteringBlock(entry.alpha, entry.u_gauge, entry.v_gauge)
+        rows.append((entry.alpha, entry.u_gauge, entry.v_gauge))
 
-    block_fn = stored_block_fn(blocks, "the available data")
+    block_fn = stored_block_fn(site_stacks(rows, mu.L), "the available data")
     zipper = SemiInfiniteZipper(mu.L, boundary_u, block_fn)
-    n_available = max(blocks) if blocks else 1
-    return MeasureZipper(zipper, n_available, gram)
+    return MeasureZipper(zipper, len(rows) + 1, gram)

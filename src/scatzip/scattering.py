@@ -49,14 +49,15 @@ def normal_form(alpha, u_gauge, v_gauge):
 
 @dataclass(frozen=True)
 class ScatteringBlock:
-    """An effective scattering event, stored in (alpha, U, V) normal form.
+    """One effective scattering event, stored in (alpha, U, V) normal form.
 
     The assembled 2L x 2L matrix and the four blocks are cached at
-    construction (two eigh calls, see ``normal_form``); (alpha, u_gauge,
-    v_gauge) is the canonical serialization form.  Instances are immutable
-    and safe to share between threads.  Bulk paths work on stacks instead
-    (a range of drawn sites, ``normal_form`` and ``phi`` of a stack, the
-    phi table of a zipper) and build a block only when one is asked for.
+    construction (two eigh calls, see ``normal_form``).  Instances are
+    immutable and safe to share between threads.  Zippers do not hold
+    blocks: they keep one (alpha, U, V) stack and one stack of block
+    matrices per zipper (``normal_form`` and ``phi`` of a stack), and
+    ``block(n)`` builds a ScatteringBlock from one row on request, for the
+    per-block reference routes.
     """
 
     alpha: np.ndarray
@@ -86,15 +87,6 @@ class ScatteringBlock:
     def L(self) -> int:
         return self.alpha.shape[0]
 
-    def gauge_twisted(self, phase: complex) -> "ScatteringBlock":
-        """Block with beta scaled by conj(phase) and gamma by phase.
-
-        Realized as the gauge substitution (U, V) -> (conj(phase) U, phase V),
-        which leaves alpha and delta untouched.  Used by the Bloch-Floquet
-        fibers with phase = exp(i k).
-        """
-        return ScatteringBlock(self.alpha, np.conj(phase) * self.u_gauge, phase * self.v_gauge)
-
 
 def build_block(alpha, u_gauge, v_gauge, tol: float = mc.DEFAULT_TOL) -> ScatteringBlock:
     """Assemble S(alpha, U, V) from a strict contraction and two unitary gauges."""
@@ -122,12 +114,6 @@ def decompose_block(S, tol: float = mc.DEFAULT_TOL, beta_threshold: float = BETA
     u = mc.polar_unitary(beta, tol=beta_threshold)
     v = mc.polar_unitary(gamma, tol=beta_threshold)
     return alpha.copy(), u, v
-
-
-def block_from_matrix(S, tol: float = mc.DEFAULT_TOL) -> ScatteringBlock:
-    """Decompose a raw 2L x 2L unitary and rebuild it as a ScatteringBlock."""
-    alpha, u, v = decompose_block(S, tol=tol)
-    return ScatteringBlock(alpha, u, v)
 
 
 def _matrix_of(S) -> np.ndarray:
@@ -169,7 +155,7 @@ def phi_inverse(T, tol: float = mc.DEFAULT_TOL) -> ScatteringBlock:
     dinv_c = np.linalg.solve(D, C)
     dinv = np.linalg.inv(D)
     S = mc.join_blocks(-dinv_c, dinv, A - B @ dinv_c, B @ dinv)
-    return block_from_matrix(S, tol=1e-8)
+    return ScatteringBlock(*decompose_block(S, tol=1e-8))
 
 
 def boundary_block(u, v, tol: float = mc.DEFAULT_TOL) -> np.ndarray:

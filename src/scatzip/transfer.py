@@ -319,7 +319,7 @@ def solve_inhomogeneous(zipper: Zipper, z: complex, xi) -> list:
         if n % 2 == 0:
             # transfer form of V psi = z phi + xi on the site pair: the
             # inhomogeneity enters with the opposite sign to the frame term
-            S = zipper.blocks[n]
+            S = zipper.block(n)
             binv = np.linalg.inv(S.beta)
             J = mc.join_blocks(-S.delta @ binv / z, mc.eye(L) / z, -binv, np.zeros((L, L)))
             P = P - J @ np.vstack([xi[n - 2], xi[n - 1]])

@@ -370,7 +370,7 @@ def cli_checks(seed=0) -> list:
         p = Path(tmp) / "z.json"
         p.write_text(doc)
         z2 = fileio.load_document(str(p))
-        same = all(np.allclose(z.blocks[n].matrix, z2.blocks[n].matrix, atol=1e-15) for n in z.blocks)
+        same = np.allclose(z.matrices, z2.matrices, atol=1e-15)
         same = same and np.allclose(z.boundary_u, z2.boundary_u) and np.allclose(z.boundary_v, z2.boundary_v)
         out.append(CheckResult("cli", "zipper_roundtrip", same, "parse(serialize(x)) == x"))
         mu = ms.spectral_measure_finite(z)

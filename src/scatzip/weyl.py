@@ -33,6 +33,8 @@ from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper
 DISC_DEFECT_TOL = 1e-8
 # Radius norms below the smallest normal double are reported as breakdowns.
 LOG_TINY = float(np.log(np.finfo(float).tiny))
+# Factor on the diameter bound 8/(N (1-|z|^2)^2) that limit_f certifies.
+LIMIT_SLACK = 2.0
 
 
 def _check_disc_z(z: complex, allow_zero: bool = False) -> complex:
@@ -336,12 +338,12 @@ class LimitF:
     log_posterior_error: Optional[float]
 
 
-def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2.0) -> LimitF:
+def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float) -> LimitF:
     """Evaluate the limit-point boundary value F to within a certified radius.
 
     The truncation length is chosen from the universal radius bound,
     N >= 8 / (tol (1 - |z|^2)^2), and F is evaluated there with V = 1.  The
-    certified error is the slacked diameter bound slack * 8/(N (1-|z|^2)^2),
+    certified error is the slacked diameter bound LIMIT_SLACK * 8/(N (1-|z|^2)^2),
     which dominates ||F_N(V) - F_N(V')|| for every pair of boundary
     conditions.  The a-posteriori radius sqrt(||R|| ||R'||) is reported
     alongside: log_posterior_error = (log ||R|| + log ||R'||) / 2 is finite
@@ -361,7 +363,7 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2
     n_used += n_used % 2
     fac = TransferFactory(zipper)
     F = f_matrix(zipper, z, v_boundary=mc.eye(zipper.L), upto=n_used, factory=fac)
-    certified = slack * 8.0 / (n_used * gap)
+    certified = LIMIT_SLACK * 8.0 / (n_used * gap)
     posterior = log_posterior = None
     if z != 0:
         try:
@@ -372,4 +374,4 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float, slack: float = 2
             log_posterior = 0.5 * float(lr + lr_refl)
             floor = np.finfo(float).eps * float(np.linalg.norm(F, 2))
             posterior = max(float(np.exp(log_posterior)), floor)
-    return LimitF(F, certified, n_used, slack, posterior, log_posterior)
+    return LimitF(F, certified, n_used, LIMIT_SLACK, posterior, log_posterior)

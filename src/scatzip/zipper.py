@@ -7,6 +7,12 @@ shifted by one site, closed off either by boundary unitaries U, V (finite
 flavor) or by wrapping the block S_1 around the corner (periodic flavor).
 The result is unitary and five-diagonal in L x L blocks.
 
+A zipper holds its blocks S_n = S(alpha_n, U_n, V_n) as one site table: an
+(alpha, U, V) triple of (n, L, L) stacks and one (n, 2L, 2L) stack of the
+block matrices, from which the layers, the phi table and the Bloch-Floquet
+twists are read.  A ScatteringBlock is built only when ``block(n)`` asks
+for one.
+
 Also provides the dense spectral oracle used to cross-check the
 oscillation-theory solvers: eigenvalues of the unitary are obtained by
 simultaneous diagonalization of the commuting Hermitian pair
@@ -37,42 +43,59 @@ class Zipper:
     Finite flavor: boundary unitaries U (site 1) and V (site N) plus blocks
     S_n for n = 2..N, where S_n couples sites (n-1, n).  Periodic flavor: no
     boundaries, blocks S_n for n = 1..N with S_1 wrapping sites (N, 1).
+
+    ``sites`` holds the blocks S_first, ..., S_N as one normal-form triple
+    (alpha, U, V) of (N - first + 1, L, L) stacks; ``matrices`` holds their
+    2L x 2L matrices as one stack, built at construction by one batched
+    ``normal_form``.  ``block(n)`` builds the ScatteringBlock of one site
+    from its row on request, with its own normal form.
     """
 
     L: int
     N: int
     flavor: str
-    blocks: dict = field(repr=False)
+    sites: tuple = field(repr=False)
     boundary_u: Optional[np.ndarray] = field(default=None, repr=False)
     boundary_v: Optional[np.ndarray] = field(default=None, repr=False)
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.flavor not in ("finite", "periodic"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.N % 2 or self.N < 2:
             raise ValidationError(f"N must be even and >= 2, got {self.N}")
-        first = 2 if self.flavor == "finite" else 1
-        for n in range(first, self.N + 1):
-            if n not in self.blocks:
-                raise ValidationError(f"missing block S_{n}")
-            if self.blocks[n].L != self.L:
-                raise ValidationError(f"block S_{n} has L={self.blocks[n].L}, expected {self.L}")
+        shape = (self.N - self.first + 1, self.L, self.L)
+        sites = tuple(mc.as_cstack(x) for x in self.sites)
+        if len(sites) != 3 or any(x.shape != shape for x in sites):
+            raise ValidationError(
+                f"sites must be three {shape} stacks (alpha, U, V), got {[x.shape for x in sites]}")
         if self.flavor == "finite":
             for name, b in (("boundary_u", self.boundary_u), ("boundary_v", self.boundary_v)):
                 if b is None:
                     raise ValidationError(f"finite zipper needs {name}")
                 object.__setattr__(self, name, _boundary_unitary(name, b, self.L))
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "matrices", mc.join_blocks(sites[0], *normal_form(*sites)))
+
+    @property
+    def first(self) -> int:
+        """Index of the first block: 2 for a finite zipper, 1 for a periodic one."""
+        return 2 if self.flavor == "finite" else 1
 
     def block(self, n: int) -> ScatteringBlock:
-        return self.blocks[n]
+        """Block S_n, built from row n - first of ``sites``."""
+        if not self.first <= n <= self.N:
+            raise ValidationError(f"missing block S_{n}")
+        return ScatteringBlock(*(x[n - self.first] for x in self.sites))
 
     def phi_table(self, upto: Optional[int] = None) -> np.ndarray:
         """The z-independent site transfers of sites 1, ..., upto (default N) as one stack.
 
         Row n - 1 holds site n: T_1 = diag(U, 1) for a finite zipper and
         phi(S_1) for a periodic one, phi(S_n) for n >= 2.  The table is
-        built once per zipper object, in one batched ``phi`` call, and
-        shared by every transfer factory, frame propagation and E-chain.
+        built once per zipper object, in one batched ``phi`` call on
+        ``matrices``, and shared by every transfer factory, frame
+        propagation and E-chain.
         """
         n = self.N if upto is None else upto
         _check_site_count(n)
@@ -82,17 +105,10 @@ class Zipper:
 
     @cached_property
     def _phis(self) -> np.ndarray:
-        first = 2 if self.flavor == "finite" else 1
-        table = phi(np.stack([self.blocks[n].matrix for n in range(first, self.N + 1)]))
+        table = phi(self.matrices)
         if self.flavor == "finite":
             table = np.concatenate([_boundary_transfer(self.boundary_u)[None], table])
         return table
-
-    def with_boundary_v(self, v) -> "Zipper":
-        """Same zipper with the right boundary condition replaced."""
-        if self.flavor != "finite":
-            raise ValidationError("only finite zippers carry a right boundary")
-        return Zipper(self.L, self.N, "finite", self.blocks, self.boundary_u, mc.as_cmatrix(v))
 
 
 def _boundary_unitary(name: str, b, L: int) -> np.ndarray:
@@ -127,11 +143,13 @@ class SemiInfiniteZipper:
     (``phi_table``, sites 1, ..., n, sized exactly): a request past the
     prefix draws the missing range with one ``block_fn`` call and maps it
     with one batched ``normal_form`` and ``phi``.  The (alpha, U, V) stacks
-    are not kept, since only ``block(n)``, ``truncate`` and serialization
-    need them; ``block(n)`` draws site n again and builds its
-    ScatteringBlock on demand.  Growing the prefix holds a lock, so
-    concurrent requests see one consistent table.
+    are not kept: ``sites`` and ``truncate`` draw the stored range again in
+    one call, and ``block(n)`` draws site n and builds its ScatteringBlock.
+    Growing the prefix holds a lock, so concurrent requests see one
+    consistent table.
     """
+
+    first = 2
 
     def __init__(self, L: int, boundary_u, block_fn: Callable[[int, int], tuple]):
         self.L = L
@@ -146,8 +164,15 @@ class SemiInfiniteZipper:
         """The sites of the stored prefix, 2, ..., n (empty before any is generated)."""
         return range(2, len(self._phis) + 1)
 
-    def _draw(self, start: int, stop: int) -> list:
-        stacks = [mc.as_cstack(x) for x in self._block_fn(start, stop)]
+    @property
+    def sites(self) -> tuple:
+        """The (alpha, U, V) stacks of the stored sites 2, ..., n, drawn in one ``block_fn`` call."""
+        return self._draw(2, len(self._phis) + 1)
+
+    def _draw(self, start: int, stop: int) -> tuple:
+        if stop <= start:
+            return site_stacks([], self.L)
+        stacks = tuple(mc.as_cstack(x) for x in self._block_fn(start, stop))
         if any(x.shape != (stop - start, self.L, self.L) for x in stacks):
             raise ValidationError(
                 f"block_fn gave shapes {[x.shape for x in stacks]} for sites {start}..{stop - 1}")
@@ -178,30 +203,24 @@ class SemiInfiniteZipper:
     def truncate(self, N: int, boundary_v) -> Zipper:
         """Finite zipper made of the first N sites with right boundary V."""
         self.extend(N)
-        return Zipper(self.L, N, "finite", block_dict(2, self._draw(2, N + 1)),
-                      self.boundary_u, boundary_v)
+        return Zipper(self.L, N, "finite", self._draw(2, N + 1), self.boundary_u, boundary_v)
 
 
-def block_dict(first: int, stacks) -> dict:
-    """{first + i: S(alpha_i, U_i, V_i)} from (alpha, U, V) stacks."""
-    return {first + i: ScatteringBlock(*row) for i, row in enumerate(zip(*stacks))}
+def site_stacks(rows, L: int) -> tuple:
+    """The (alpha, U, V) stacks, each (len(rows), L, L), of a list of (alpha, U, V) rows."""
+    return tuple(np.array([row[i] for row in rows], dtype=complex).reshape(-1, L, L)
+                 for i in range(3))
 
 
-def stored_block_fn(blocks: dict, beyond: str):
-    """A ``block_fn`` serving a stored prefix {2: S_2, ..., n: S_n} of blocks.
+def stored_block_fn(sites: tuple, beyond: str):
+    """A ``block_fn`` serving stored (alpha, U, V) stacks of the sites 2, ..., n.
 
     A request past S_n raises "block S_m is beyond <beyond>", m the last site requested.
     """
-    sites = sorted(blocks)
-    if sites != list(range(2, len(sites) + 2)):
-        raise ValidationError("stored semi-infinite blocks must be the prefix S_2, ..., S_n")
-    stacks = [np.array([getattr(blocks[n], f) for n in sites], dtype=complex)
-              for f in ("alpha", "u_gauge", "v_gauge")]
-
     def block_fn(start: int, stop: int):
-        if stop - 2 > len(sites):
+        if stop - 2 > len(sites[0]):
             raise ValidationError(f"block S_{stop - 1} is beyond {beyond}")
-        return tuple(x[start - 2:stop - 2] for x in stacks)
+        return tuple(x[start - 2:stop - 2] for x in sites)
 
     return block_fn
 
@@ -212,30 +231,24 @@ def direct_sum(z1: Zipper, z2: Zipper) -> Zipper:
         raise ValidationError("direct sum needs matching N and flavor")
 
     def dsum(a, b):
-        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-        out[: a.shape[0], : a.shape[1]] = a
-        out[a.shape[0]:, a.shape[1]:] = b
+        out = np.zeros(a.shape[:-2] + (a.shape[-2] + b.shape[-2], a.shape[-1] + b.shape[-1]),
+                       dtype=complex)
+        out[..., : a.shape[-2], : a.shape[-1]] = a
+        out[..., a.shape[-2]:, a.shape[-1]:] = b
         return out
 
-    blocks = {
-        n: ScatteringBlock(
-            dsum(z1.blocks[n].alpha, z2.blocks[n].alpha),
-            dsum(z1.blocks[n].u_gauge, z2.blocks[n].u_gauge),
-            dsum(z1.blocks[n].v_gauge, z2.blocks[n].v_gauge),
-        )
-        for n in z1.blocks
-    }
+    sites = tuple(dsum(a, b) for a, b in zip(z1.sites, z2.sites))
     if z1.flavor == "finite":
-        return Zipper(z1.L + z2.L, z1.N, "finite", blocks,
+        return Zipper(z1.L + z2.L, z1.N, "finite", sites,
                       dsum(z1.boundary_u, z2.boundary_u), dsum(z1.boundary_v, z2.boundary_v))
-    return Zipper(z1.L + z2.L, z1.N, "periodic", blocks)
+    return Zipper(z1.L + z2.L, z1.N, "periodic", sites)
 
 
 # -- block-banded operators --------------------------------------------------
 
 @dataclass
 class BlockBandedUnitary:
-    """Unitary stored as L x L blocks indexed by 1-based (row_site, col_site).
+    """Unitary stored as L x L blocks, ``entries[(row_site, col_site)]``, 1-based sites.
 
     Finite operators have |row - col| <= 2; periodic ones additionally carry
     corner blocks wrapping around site N.
@@ -243,7 +256,7 @@ class BlockBandedUnitary:
 
     L: int
     N: int
-    blocks: dict
+    entries: dict
     periodic: bool = False
 
     @property
@@ -253,14 +266,14 @@ class BlockBandedUnitary:
     def to_dense(self) -> np.ndarray:
         M = np.zeros((self.dim, self.dim), dtype=complex)
         L = self.L
-        for (i, j), b in self.blocks.items():
+        for (i, j), b in self.entries.items():
             M[(i - 1) * L: i * L, (j - 1) * L: j * L] = b
         return M
 
     def block_bandwidth(self) -> int:
         """Largest |row - col| distance (cyclic for periodic operators)."""
         width = 0
-        for (i, j) in self.blocks:
+        for (i, j) in self.entries:
             d = abs(i - j)
             if self.periodic:
                 d = min(d, self.N - d)
@@ -268,7 +281,7 @@ class BlockBandedUnitary:
         return width
 
 
-def _block_dict_product(P: dict, Q: dict) -> dict:
+def _banded_product(P: dict, Q: dict) -> dict:
     """Product of two operators given as {(i, j): block} dicts."""
     by_row: dict[int, list] = {}
     for (i, k), b in P.items():
@@ -290,45 +303,43 @@ def _block_dict_product(P: dict, Q: dict) -> dict:
     return {k: v for k, v in out.items() if np.any(np.abs(v) > 1e-14)}
 
 
-def _place(blocks: dict, i: int, S: ScatteringBlock):
-    """Put the four L x L blocks of S on the site pair (i, i + 1)."""
-    blocks[(i, i)] = S.alpha
-    blocks[(i, i + 1)] = S.beta
-    blocks[(i + 1, i)] = S.gamma
-    blocks[(i + 1, i + 1)] = S.delta
+def _place(entries: dict, i: int, S: np.ndarray):
+    """Put the four L x L blocks of the 2L x 2L matrix S on the site pair (i, i + 1)."""
+    entries[(i, i)], entries[(i, i + 1)], entries[(i + 1, i)], entries[(i + 1, i + 1)] = (
+        mc.split_blocks(S))
 
 
 def _even_layer(zipper: Zipper) -> dict:
     """Block-diagonal layer of S_2, S_4, ..., S_N on site pairs (1,2),...,(N-1,N)."""
-    blocks = {}
+    entries = {}
     for n in range(2, zipper.N + 1, 2):
-        _place(blocks, n - 1, zipper.blocks[n])
-    return blocks
+        _place(entries, n - 1, zipper.matrices[n - zipper.first])
+    return entries
 
 
 def _odd_layer_finite(zipper: Zipper) -> dict:
     """Layer with U at site 1, S_3, ..., S_{N-1} shifted by one site, V at site N."""
-    blocks = {(1, 1): zipper.boundary_u, (zipper.N, zipper.N): zipper.boundary_v}
+    entries = {(1, 1): zipper.boundary_u, (zipper.N, zipper.N): zipper.boundary_v}
     for n in range(3, zipper.N, 2):
-        _place(blocks, n - 1, zipper.blocks[n])
-    return blocks
+        _place(entries, n - 1, zipper.matrices[n - zipper.first])
+    return entries
 
 
 def _odd_layer_periodic(zipper: Zipper) -> dict:
     """Like the finite odd layer but with S_1 wrapped around the corner."""
-    S1 = zipper.blocks[1]
+    alpha, beta, gamma, delta = mc.split_blocks(zipper.matrices[0])
     N = zipper.N
-    blocks = {(1, 1): S1.delta, (1, N): S1.gamma, (N, 1): S1.beta, (N, N): S1.alpha}
+    entries = {(1, 1): delta, (1, N): gamma, (N, 1): beta, (N, N): alpha}
     for n in range(3, N, 2):
-        _place(blocks, n - 1, zipper.blocks[n])
-    return blocks
+        _place(entries, n - 1, zipper.matrices[n - zipper.first])
+    return entries
 
 
 def assemble_finite(zipper: Zipper) -> BlockBandedUnitary:
     """Product of the even layer and the boundary-closed odd layer."""
     if zipper.flavor != "finite":
         raise ValidationError("assemble_finite needs a finite zipper")
-    prod = _block_dict_product(_even_layer(zipper), _odd_layer_finite(zipper))
+    prod = _banded_product(_even_layer(zipper), _odd_layer_finite(zipper))
     return BlockBandedUnitary(zipper.L, zipper.N, prod, periodic=False)
 
 
@@ -336,22 +347,23 @@ def assemble_periodic(zipper: Zipper) -> BlockBandedUnitary:
     """Product of the even layer and the corner-wrapped odd layer."""
     if zipper.flavor != "periodic":
         raise ValidationError("assemble_periodic needs a periodic zipper")
-    prod = _block_dict_product(_even_layer(zipper), _odd_layer_periodic(zipper))
+    prod = _banded_product(_even_layer(zipper), _odd_layer_periodic(zipper))
     return BlockBandedUnitary(zipper.L, zipper.N, prod, periodic=True)
 
 
 def fiber_zipper(zipper: Zipper, k: float) -> Zipper:
     """The periodic zipper whose assembly is the Bloch-Floquet fiber at momentum k.
 
-    Each block gets its beta scaled by exp(-ik) and gamma by exp(+ik), which
-    is the gauge twist (U, V) -> (exp(-ik) U, exp(ik) V); at k = 0 this is the
-    plain periodic zipper.
+    Every block gets its beta scaled by exp(-ik) and gamma by exp(+ik): the
+    gauge twist (U, V) -> (exp(-ik) U, exp(ik) V) on the site stacks, which
+    leaves alpha and delta untouched; at k = 0 this is the plain periodic
+    zipper.
     """
     if zipper.flavor != "periodic":
         raise ValidationError("fibering applies to periodic zippers")
     phase = np.exp(1j * float(k))
-    twisted = {n: b.gauge_twisted(phase) for n, b in zipper.blocks.items()}
-    return Zipper(zipper.L, zipper.N, "periodic", twisted)
+    alpha, u, v = zipper.sites
+    return Zipper(zipper.L, zipper.N, "periodic", (alpha, np.conj(phase) * u, phase * v))
 
 
 def fiber(zipper: Zipper, k: float) -> BlockBandedUnitary:
@@ -369,7 +381,7 @@ def apply(op: BlockBandedUnitary, vec: np.ndarray) -> np.ndarray:
         raise ValidationError(f"vector length {vec.shape[0]} != {op.dim}")
     out = np.zeros_like(vec)
     L = op.L
-    for (i, j), b in op.blocks.items():
+    for (i, j), b in op.entries.items():
         out[(i - 1) * L: i * L] += b @ vec[(j - 1) * L: j * L]
     return out.ravel() if flat else out
 

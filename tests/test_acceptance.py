@@ -190,7 +190,7 @@ def test_criterion_5_bijection_roundtrip():
         assert res.n_available >= N
         for n in range(2, N + 1):
             worst_alpha = max(worst_alpha,
-                              float(np.abs(res.gram.entries[n].alpha - z.blocks[n].alpha).max()))
+                              float(np.abs(res.gram.entries[n].alpha - z.block(n).alpha).max()))
     z2 = ensembles.finite_zipper(520, 2, 6, ensemble="haar-gauge")
     mu2 = ms.spectral_measure_finite(z2)
     rng = np.random.default_rng(521)

@@ -1,5 +1,6 @@
 """Command-line front end: determinism, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -30,16 +31,16 @@ def test_gen_free_ensemble(tmp_path):
     assert run_cli("gen", "--L", "2", "--N", "4", "--ensemble", "free",
                    "--output", str(p)) == 0
     z = fileio.load_document(str(p))
-    for b in z.blocks.values():
-        assert np.allclose(b.alpha, 0)
+    for n in range(2, 5):
+        assert np.allclose(z.block(n).alpha, 0)
 
 
 def test_gen_blocks_are_effective(tmp_path):
     p = tmp_path / "z.json"
     assert run_cli("gen", "--L", "3", "--N", "6", "--seed", "5", "--output", str(p)) == 0
     z = fileio.load_document(str(p))
-    for b in z.blocks.values():
-        alpha, _, _ = decompose_block(b.matrix)  # raises if not effective
+    for n in range(2, 7):
+        alpha, _, _ = decompose_block(z.block(n).matrix)  # raises if not effective
         assert np.linalg.norm(alpha, 2) < 1
 
 
@@ -200,6 +201,13 @@ def _finite_doc(alpha):
     return doc
 
 
+def _finite_doc_with_block(n, like):
+    """The finite L = 1, N = 4 document with one more block S_n, a copy of block ``like``."""
+    doc = _finite_doc([[[0.1, 0.0]]])
+    doc["blocks"].append(dict(doc["blocks"][like], n=n))
+    return doc
+
+
 _ROWS_OF_EYE3 = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                  [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]  # the first two rows of the 3 x 3 identity
 _WIDE_BOUNDARY = dict(fileio.zipper_to_dict(ensembles.finite_zipper(4, 2, 4, "cmv")),
@@ -218,13 +226,36 @@ _RAGGED_MEASURE = {"L": 1, "atoms": [{"xi": [1.0, 0.0], "weight": _ROWS_OF_EYE3}
     (dict(_finite_doc([[[0.1, 0.0]]]), N="four"), ["spectrum"], "malformed zipper document: invalid literal"),
     (_NAN_MEASURE, ["measure", "--direction", "to-zipper"], "atoms must lie on the unit circle"),
     (_RAGGED_MEASURE, ["measure", "--direction", "to-zipper"], "malformed measure document: "),
+    (_finite_doc_with_block(5, 0), ["spectrum"], "block S_5 is not one of S_2, ..., S_4"),
+    (_finite_doc_with_block(2, -1), ["spectrum"], "block S_2 is given twice"),
 ], ids=["nan-alpha", "alpha-1x2-at-L1", "boundary-2x3-at-L2", "n-not-an-integer",
-        "nan-atom", "ragged-weights"])
+        "nan-atom", "ragged-weights", "extra-block-n5", "duplicate-block-n2"])
 def test_bad_input_files_exit_2(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "bad.json"
     path.write_text(fileio.dumps(doc))
     assert run_cli(argv[0], str(path), *argv[1:]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_file_format_is_pinned(tmp_path):
+    # SHA-256 of outputs written before the site tables replaced per-block
+    # objects; the draws run through LAPACK QR and eigh, so another numpy or
+    # LAPACK build may round differently and need the hashes recomputed
+    runs = {
+        "finite": (["gen", "--L", "2", "--N", "8", "--ensemble", "haar-gauge", "--seed", "7"],
+                   "f185703252b6ec6dc348a78186160201d0fc40677a9cdd00dcb7c2edf5bc51ec"),
+        "periodic": (["gen", "--L", "1", "--N", "4", "--flavor", "periodic", "--ensemble", "cmv"],
+                     "18526d31546a1694a9ee6491a82ce098516ad93bea35e0c10871b58e691f448a"),
+        "semi-infinite": (["gen", "--L", "1", "--N", "12", "--flavor", "semi-infinite",
+                           "--ensemble", "cmv"],
+                          "1103df69fafff3a0052fbe1e2a84a51bc9a8bedd70e3ca5e867435c1c2545759"),
+        "to-zipper": (["measure", "--direction", "to-zipper", "--uniform-grid", "16", "--L", "2"],
+                      "85030365ed1d34299dc0b9e6d57bda1b49364e3b4a20e0ed6e074c44f7f8f02b"),
+    }
+    for name, (argv, digest) in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*argv, "--output", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
 def test_underflowed_radius_exits_3(tmp_path, capsys):

@@ -181,7 +181,7 @@ def test_scalar_cmv_roundtrip(rng):
         res = ms.zipper_from_measure(mu, z.boundary_u, N + 4)
         assert res.n_available >= N
         for n in range(2, N + 1):
-            assert np.abs(res.gram.entries[n].alpha - z.blocks[n].alpha).max() < 1e-6
+            assert np.abs(res.gram.entries[n].alpha - z.block(n).alpha).max() < 1e-6
             assert np.abs(res.gram.entries[n].u_gauge - 1.0).max() < 1e-7
             assert np.abs(res.gram.entries[n].v_gauge - 1.0).max() < 1e-7
 
@@ -194,7 +194,7 @@ def test_scalar_cmv_roundtrip_n32(seed):
     assert res.n_available == 32
     for n in range(2, 33):
         e = res.gram.entries[n]
-        assert np.abs(e.alpha - z.blocks[n].alpha).max() < 1e-9
+        assert np.abs(e.alpha - z.block(n).alpha).max() < 1e-9
         assert np.abs(e.u_gauge - 1.0).max() < 1e-9
         assert np.abs(e.v_gauge - 1.0).max() < 1e-9
 
@@ -231,7 +231,7 @@ def test_block_diagonal_measure_decouples(rng):
     for n in range(2, 5):
         a = res.gram.entries[n].alpha
         assert abs(a[0, 1]) + abs(a[1, 0]) < 1e-7
-        assert np.abs(a - zd.blocks[n].alpha).max() < 1e-7
+        assert np.abs(a - zd.block(n).alpha).max() < 1e-7
 
 
 def test_matrix_gauge_invariant_roundtrip(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scatzip import ensembles, matrix_core as mc, scattering as sc
+from scatzip import zipper as zp
 from scatzip.errors import ValidationError
 
 from conftest import random_unitary
@@ -152,11 +153,12 @@ def test_effectiveness_predicates_agree(rng):
         assert all(p == member for p in preds)
 
 
-def test_gauge_twist_matches_fiber_scaling(rng):
-    b = ensembles.random_block(rng, 2, "haar-gauge")
+def test_gauge_twist_matches_fiber_scaling():
+    z = ensembles.periodic_zipper(5, 2, 6)
     k = 0.37
-    t = b.gauge_twisted(np.exp(1j * k))
-    assert np.allclose(t.alpha, b.alpha)
-    assert np.allclose(t.beta, np.exp(-1j * k) * b.beta)
-    assert np.allclose(t.gamma, np.exp(1j * k) * b.gamma)
-    assert np.allclose(t.delta, b.delta)
+    alpha, beta, gamma, delta = mc.split_blocks(z.matrices)
+    t_alpha, t_beta, t_gamma, t_delta = mc.split_blocks(zp.fiber_zipper(z, k).matrices)
+    assert np.allclose(t_alpha, alpha)
+    assert np.allclose(t_beta, np.exp(-1j * k) * beta)
+    assert np.allclose(t_gamma, np.exp(1j * k) * gamma)
+    assert np.allclose(t_delta, delta)

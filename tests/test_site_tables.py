@@ -64,7 +64,7 @@ def test_finite_draws_share_one_generator_site_after_site(ensemble):
             ensembles.random_unitary(rng, L), ensembles.random_unitary(rng, L)  # U, V
         for n in range(2, 9):
             ref = _reference_draw(rng, L, ensemble, 0.95)
-            b = z.blocks[n]
+            b = z.block(n)
             assert all(np.array_equal(x, r) for x, r in zip((b.alpha, b.u_gauge, b.v_gauge), ref))
 
 
@@ -72,7 +72,7 @@ def test_finite_draws_share_one_generator_site_after_site(ensemble):
 def test_stacked_phi_equals_per_block_phi(L):
     for ensemble in ("cmv", "haar-gauge"):
         z = ensembles.finite_zipper(40 + L, L, 24, ensemble, 0.95)
-        blocks = [z.blocks[n] for n in range(2, 25)]
+        blocks = [z.block(n) for n in range(2, 25)]
         stacked = sc.phi(np.stack([b.matrix for b in blocks]))
         single = np.stack([sc.phi(b) for b in blocks])
         if L == 1:
@@ -97,6 +97,17 @@ def test_semi_infinite_phi_table_rows_are_phi_of_the_blocks():
     assert np.array_equal(table[0], mc.join_blocks(U, 0 * U, 0 * U, np.eye(2)))
     for n in range(2, 41):
         assert np.abs(table[n - 1] - sc.phi(sem.block(n))).max() <= 1e-14 * np.abs(table[n - 1]).max()
+    # finite and periodic zippers: the block stack and the phi table agree
+    # bitwise with the blocks that block(n) builds one at a time
+    for L in (1, 2, 3):
+        for ensemble in ensembles.ENSEMBLES:
+            for z in (ensembles.finite_zipper(20 + L, L, 8, ensemble),
+                      ensembles.periodic_zipper(20 + L, L, 6, ensemble)):
+                table = z.phi_table()
+                for i, n in enumerate(range(z.first, z.N + 1)):
+                    block = z.block(n)
+                    assert np.array_equal(z.matrices[i], block.matrix)
+                    assert np.array_equal(table[n - 1], sc.phi(block))
 
 
 def test_phi_table_is_built_once_per_zipper(monkeypatch):

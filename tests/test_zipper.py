@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scatzip import ensembles, matrix_core as mc
+from scatzip import ensembles, fileio, matrix_core as mc
 from scatzip import zipper as zp
 from scatzip.errors import ValidationError
 
@@ -34,9 +34,9 @@ def test_assemble_finite_free_fourth_roots():
 
 
 def test_assemble_rejects_odd_n():
-    blocks = {2: ensembles.random_block(np.random.default_rng(0), 1, "free")}
+    sites = ensembles.random_blocks([np.random.default_rng(0)], 1, "free")
     with pytest.raises(ValidationError, match="N must be even and >= 2, got 3"):
-        zp.Zipper(1, 3, "finite", blocks, np.eye(1), np.eye(1))
+        zp.Zipper(1, 3, "finite", sites, np.eye(1), np.eye(1))
 
 
 @pytest.mark.parametrize("N", [0, -2])
@@ -68,8 +68,8 @@ def test_assemble_periodic_free_is_identity():
     # the spectrum is the doubled eigenvalue 1
     z = ensembles.periodic_zipper(0, 1, 2, ensemble="free")
     op = zp.assemble_periodic(z)
-    S2 = z.blocks[2].matrix
-    S1 = z.blocks[1]
+    S2 = z.block(2).matrix
+    S1 = z.block(1)
     wrapped = np.array([[S1.delta[0, 0], S1.gamma[0, 0]], [S1.beta[0, 0], S1.alpha[0, 0]]])
     assert np.allclose(op.to_dense(), S2 @ wrapped)
     spec = zp.dense_spectrum(op)
@@ -78,13 +78,13 @@ def test_assemble_periodic_free_is_identity():
 
 def test_assemble_periodic_corner_placement(rng):
     z = ensembles.periodic_zipper(5, 2, 6)
-    S1 = z.blocks[1]
+    S1 = z.block(1)
     # inspect the odd layer through the product with the inverted even layer
     op = zp.assemble_periodic(z)
     even = np.zeros((12, 12), dtype=complex)
     for n in (2, 4, 6):
         i = (n - 2) * 2
-        even[i:i + 4, i:i + 4] = z.blocks[n].matrix
+        even[i:i + 4, i:i + 4] = z.block(n).matrix
     odd = mc.adj(even) @ op.to_dense()
     assert np.allclose(odd[:2, :2], S1.delta, atol=1e-12)
     assert np.allclose(odd[:2, 10:], S1.gamma, atol=1e-12)
@@ -99,11 +99,10 @@ def test_assemble_periodic_unitarity(rng):
 
 
 def test_periodic_requires_s1():
-    z = ensembles.periodic_zipper(3, 1, 4)
-    blocks = dict(z.blocks)
-    del blocks[1]
+    doc = fileio.zipper_to_dict(ensembles.periodic_zipper(3, 1, 4))
+    doc["blocks"] = [b for b in doc["blocks"] if b["n"] != 1]
     with pytest.raises(ValidationError, match="missing block S_1"):
-        zp.Zipper(1, 4, "periodic", blocks)
+        fileio.zipper_from_dict(doc)
 
 
 def test_fiber_matches_periodic_at_zero(rng):
@@ -193,8 +192,8 @@ def test_semi_infinite_truncation_replayable():
     sem2 = ensembles.semi_infinite_zipper(5, 2, "cmv")
     z2 = sem2.truncate(6, np.eye(2))
     for n in range(2, 7):
-        assert np.array_equal(z1.blocks[n].matrix, z2.blocks[n].matrix)
+        assert np.array_equal(z1.block(n).matrix, z2.block(n).matrix)
     # block access order must not matter
     sem3 = ensembles.semi_infinite_zipper(5, 2, "cmv")
     b6 = sem3.block(6)
-    assert np.array_equal(b6.matrix, z1.blocks[6].matrix)
+    assert np.array_equal(b6.matrix, z1.block(6).matrix)
