@@ -172,8 +172,8 @@ def cmd_measure(args) -> int:
     for n in range(2, min(rebuilt.n_available, doc.N) + 1):
         alpha_err = max(alpha_err, float(np.abs(
             rebuilt.gram.entries[n].alpha - doc.sites[0][n - 2]).max()))
-    f_err = max(float(np.linalg.norm(ms.caratheodory(mu, w) - weyl.f_matrix(doc, w), 2))
-                for w in sample_z)
+    f_err = max(float(np.linalg.norm(ms.caratheodory(mu, w) - f, 2))
+                for w, f in zip(sample_z, weyl.f_matrix(doc, sample_z)))
     report = {
         "n_available": rebuilt.n_available,
         "max_alpha_error": alpha_err,

@@ -60,6 +60,8 @@ def zipper_to_dict(zipper) -> dict:
 
 
 _FIRST_BLOCK = {"finite": 2, "periodic": 1, "semi-infinite": 2}
+# Largest ||g* g - 1||_2 of a stored gauge; those that to-zipper recovers are unitary to ~1e-8.
+GAUGE_TOL = 1e-6
 
 
 def zipper_from_dict(doc: dict):
@@ -82,7 +84,8 @@ def zipper_from_dict(doc: dict):
 
 
 def _site_stacks(rows, first: int, N: int, L: int) -> tuple:
-    """The (alpha, U, V) stacks of the blocks S_first, ..., S_N, each given exactly once."""
+    """The (alpha, U, V) stacks of the blocks S_first, ..., S_N, each given exactly once,
+    with unitary gauges (to GAUGE_TOL) and ||alpha|| < 1."""
     by_site = {}
     for n, (alpha, u, v) in rows:
         if n in by_site:
@@ -97,7 +100,16 @@ def _site_stacks(rows, first: int, N: int, L: int) -> tuple:
     for n in range(first, N + 1):
         if n not in by_site:
             raise ValidationError(f"missing block S_{n}")
-    return site_stacks([by_site[n] for n in range(first, N + 1)], L)
+    alpha, u, v = (mc.as_cstack(x) for x in site_stacks([by_site[n] for n in range(first, N + 1)], L))
+    defects = [(name, np.linalg.norm(mc.adj(g) @ g - mc.eye(L), 2, axis=(-2, -1))) for name, g in (("u", u), ("v", v))]
+    norms = np.linalg.norm(alpha, 2, axis=(-2, -1))
+    for i, n in enumerate(range(first, N + 1)):
+        for name, defect in defects:
+            if not defect[i] <= GAUGE_TOL:
+                raise ValidationError(f"block S_{n}: {name} has unitarity defect {defect[i]:.1e}")
+        if not norms[i] < 1.0:
+            raise ValidationError(f"block S_{n}: ||alpha|| = {norms[i]:.3f} is not < 1")
+    return alpha, u, v
 
 
 def measure_to_dict(mu: MatrixMeasure) -> dict:

@@ -1,29 +1,27 @@
 """Oscillation theory: matrix Pruefer phases and eigenvalue localization.
 
 For z on the unit circle the propagated frame stays Lagrangian for the
-signature form, so its stereographic projection is unitary; composing with
-the right boundary chart gives the Pruefer unitary W(z) whose eigenvalue-1
-multiplicity equals the multiplicity of z in the operator spectrum.  All
-eigenphases of W rotate strictly upward in theta, so the full spectrum is
-found by sweeping theta, counting in every grid interval how many
-eigenphases pass the 2 pi seam, and refining the intervals that hold
-crossings.
+signature form, so its chart is unitary; composing with the right boundary
+chart gives the Pruefer unitary W(z) whose eigenvalue-1 multiplicity equals
+the multiplicity of z in the operator spectrum.  All eigenphases of W
+rotate strictly upward in theta, so the full spectrum is found by sweeping
+theta, counting in every grid interval how many eigenphases pass the 2 pi
+seam, and refining the intervals that hold crossings.
 
 Periodic zippers use the doubled (checkerboard) construction: the fixed-point
 condition of the transfer cocycle becomes a Lagrangian intersection in twice
 the dimension, handled by the same sweep on a 2L x 2L Pruefer unitary.  Both
-phases propagate their frames with ``transfer.propagate``: the doubled frame
-carries the identity half of 1 (+) T_n as rows above the 2L rows T_n acts on,
-so ``checkerboard_sum`` is never formed on the way and stays as the reference
-for that row order.
+phases carry the chart W = b a^(-1) of their frame by Moebius steps
+(``transfer.chart_chain``), never the frame; ``checkerboard_sum`` and the
+frames of ``transfer.propagate`` stay as the references they are checked on.
 
-Both phases take an array of circle points and evaluate it in one call of
-``propagate``.  The sweep samples its whole theta grid that way (at most
-SWEEP_BLOCK points per call), counts the seam passages of all its intervals
-in one array operation, keeps the samples when a count mismatch doubles the
-grid, and refines the intervals holding crossings only once the total
-matches, all of them in lockstep with one batched call per level: ITP steps
-on the branch that passes the seam where an interval holds one crossing,
+Both phases take an array of circle points and evaluate it in one chain.
+The sweep samples its whole theta grid that way (at most SWEEP_BLOCK points
+per call), counts the seam passages of all its intervals in one array
+operation, keeps the samples when a count mismatch doubles the grid, and
+refines the intervals holding crossings only once the total matches, all
+of them in lockstep with one batched call per level: ITP steps on the
+branch that passes the seam where an interval holds one crossing,
 bisection where it holds several.
 """
 
@@ -36,21 +34,22 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
-from .transfer import TransferFactory, propagate
+from .transfer import TransferFactory, chart_chain
 from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters, fiber_zipper
 
 # Most theta one batched Pruefer evaluation takes; bounds the frame stacks in
 # memory when a sweep doubles its grid to thousands of points.
 SWEEP_BLOCK = 1024
+# Largest entry of W* W - 1 a Pruefer unitary may carry.  Rounding grows like
+# eps times the branch slope: at a resonance of finite_zipper(7, 1, 24,
+# "haar-gauge", 0.85) (slope 5e7) the chart drifts 1.8e-8, QR frames 1.2e-8.
+PRUFER_UNITARY_TOL = 1e-6
 
 
 @dataclass
 class PruferPhase:
-    """Unitary phase matrix at a circle point (L x L finite, 2L x 2L periodic).
-
-    Evaluated at a 1-D array of points, ``z`` is that array (with any nudged
-    point moved) and ``matrix`` the (B, m, m) stack of phase matrices.
-    """
+    """Unitary phase matrix at a circle point (L x L finite, 2L x 2L periodic), or
+    at a 1-D array ``z`` of them, with ``matrix`` the (B, m, m) stack."""
 
     z: complex
     matrix: np.ndarray
@@ -64,54 +63,32 @@ def _check_circle(z):
     return z / np.abs(z)
 
 
-def _chart_regular(a: np.ndarray) -> np.ndarray:
-    """Per point of a (B, m, m) stack: is the smallest singular value above 1e-8?"""
-    return np.linalg.svd(a, compute_uv=False)[:, -1] > 1e-8
-
-
-def _nudged_phase(zipper: Zipper, z, factory: Optional[TransferFactory],
-                  start: Optional[np.ndarray], upper, lower, right: np.ndarray,
-                  failure: str) -> PruferPhase:
-    """W = b a^(-1) right, with a, b the ``upper`` and ``lower`` rows of the frame
-    propagated from ``start`` over all N sites; ``z`` is one point or a 1-D array.
-
-    b a^(-1) depends only on the plane spanned by the frame, so the
-    renormalized propagation can be used; with orthonormal Lagrangian frames
-    a and b are well-conditioned away from a measure-zero set of theta.  The
-    points that hit it get a single machine-scale nudge, and a numerical
-    breakdown with message ``failure`` is raised if one of them stays degenerate.
-    """
-    fac = factory or TransferFactory(zipper)
-    zs = np.atleast_1d(z).copy()
-    W = np.empty((len(zs),) + right.shape, dtype=complex)
-    todo = np.arange(len(zs))
-    for attempt in range(2):
-        frame = propagate(zipper, zs[todo], zipper.N, factory=fac, start=start).matrix
-        a, b = frame[:, upper], frame[:, lower]
-        ok = _chart_regular(a)
-        W[todo[ok]] = np.swapaxes(np.linalg.solve(np.swapaxes(a[ok], 1, 2),
-                                                  np.swapaxes(b[ok], 1, 2)), 1, 2) @ right
-        todo = todo[~ok]
-        if len(todo) == 0:
-            if np.ndim(z) == 0:
-                return PruferPhase(complex(zs[0]), W[0])
-            return PruferPhase(zs, W)
-        zs[todo] *= np.exp(1e-12j)  # nudge off the degenerate points
-    raise NumericalBreakdownError(failure)
+def _unitary_chart(z, table: np.ndarray, start: np.ndarray, acted: slice, right: np.ndarray) -> PruferPhase:
+    """W = chart_chain(table, z, start) right, at one circle point or a 1-D array.  On
+    the circle every denominator is invertible (an orthonormal Lagrangian frame has
+    a* a = b* b = 1/2); an entry of W* W - 1 above PRUFER_UNITARY_TOL is a breakdown."""
+    zs = np.atleast_1d(z)
+    W = chart_chain(table, zs, start, acted)[0] @ right
+    defect = np.abs(mc.adj(W) @ W - mc.eye(W.shape[-1])).max(axis=(-2, -1))
+    bad = ~(defect <= PRUFER_UNITARY_TOL)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalBreakdownError(
+            f"Pruefer unitary at z = {zs[i]:.6g} has unitarity defect {defect[i]:.1e} > {PRUFER_UNITARY_TOL:.0e}")
+    return PruferPhase(complex(zs[0]), W[0]) if np.ndim(z) == 0 else PruferPhase(zs, W)
 
 
 def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> PruferPhase:
     """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*.
 
-    ``z`` is one circle point or a 1-D array of them, evaluated in one call.
+    ``z`` is one circle point or a 1-D array of them, evaluated in one chart
+    chain from W = 1, the chart of the start frame (1; 1).
     """
     z = _check_circle(z)
     if zipper.flavor != "finite":
         raise ValidationError("prufer needs a finite zipper")
-    L = zipper.L
-    return _nudged_phase(zipper, z, factory, None, slice(0, L), slice(L, 2 * L),
-                         mc.adj(zipper.boundary_v),
-                         "phi block of the frame stayed singular after a nudge")
+    table = (factory or TransferFactory(zipper)).phi_table(zipper.N)
+    return _unitary_chart(z, table, mc.eye(zipper.L), slice(None), mc.adj(zipper.boundary_v))
 
 
 def checkerboard_sum(T1, T2) -> np.ndarray:
@@ -120,27 +97,19 @@ def checkerboard_sum(T1, T2) -> np.ndarray:
     Multiplicative: (T (+) T')(S (+) S') = (TS) (+) (T'S'), and it sends the
     pair of signature forms to the doubled signature form.
     """
-    T1 = mc.as_cmatrix(T1)
-    T2 = mc.as_cmatrix(T2)
+    T1, T2 = mc.as_cmatrix(T1), mc.as_cmatrix(T2)
     if T1.shape != T2.shape:
         raise ValidationError(f"shapes {T1.shape} and {T2.shape} differ")
     A, B, C, D = mc.split_blocks(T1)
     A2, B2, C2, D2 = mc.split_blocks(T2)
     L = A.shape[0]
     Z = np.zeros((L, L), dtype=complex)
-    return np.block([
-        [A, Z, B, Z],
-        [Z, A2, Z, B2],
-        [C, Z, D, Z],
-        [Z, C2, Z, D2],
-    ])
+    return np.block([[A, Z, B, Z], [Z, A2, Z, B2], [C, Z, D, Z], [Z, C2, Z, D2]])
 
 
 def doubled_initial_frame(L: int) -> np.ndarray:
     """The doubled Lagrangian start frame [[0,1],[1,0],[1,0],[0,1]] in L x L blocks."""
-    one = mc.eye(L)
-    zero = np.zeros((L, L), dtype=complex)
-    return np.block([[zero, one], [one, zero], [one, zero], [zero, one]])
+    return np.vstack([_swap(L), mc.eye(2 * L)])
 
 
 def _swap(L: int) -> np.ndarray:
@@ -149,28 +118,34 @@ def _swap(L: int) -> np.ndarray:
     return np.block([[zero, one], [one, zero]])
 
 
-def prufer_periodic(zipper: Zipper, z,
-                    factory: Optional[TransferFactory] = None) -> PruferPhase:
+def _doubled_table(phis: np.ndarray) -> np.ndarray:
+    """Rows 1 (+) phi_n as [[diag(1, A), diag(0, B)], [diag(0, C), diag(1, D)]]: the
+    checkerboard sum with the middle two L-row blocks swapped, so that the frame
+    halves are (carried upper, acted upper) and (carried lower, acted lower)."""
+    L = phis.shape[-1] // 2
+    out = np.zeros((len(phis), 4 * L, 4 * L), dtype=complex)
+    out[:, :L, :L] = out[:, 2 * L:3 * L, 2 * L:3 * L] = mc.eye(L)
+    acted = np.r_[L:2 * L, 3 * L:4 * L]
+    out[:, acted[:, None], acted] = phis
+    return out
+
+
+def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> PruferPhase:
     """Doubled Pruefer unitary of a periodic zipper, at one point or a 1-D array.
 
-    Propagates the doubled start frame by 1 (+) T_n(z) with per-step
-    renormalization; the eigenvalue-1 multiplicity of the result equals the
-    geometric multiplicity of 1 as eigenvalue of the full transfer product,
-    hence the multiplicity of z in the periodic operator spectrum.
-    ``propagate`` keeps the rows in the order (carried upper, carried lower,
-    acted upper, acted lower), the checkerboard order with the middle two
-    L-row blocks swapped; the doubled start frame reads the same in both.
-    W = b a^(-1) S, with a and b the positive- and negative-signature halves
-    of the checkerboard-ordered frame and S the block swap; a b^(-1) is
-    unitary on Lagrangian frames, so this is (a b^(-1))* S.
+    Carries the chart of the doubled start frame by 1 (+) T_n(z); the
+    eigenvalue-1 multiplicity of the result equals the geometric
+    multiplicity of 1 as eigenvalue of the full transfer product, hence the
+    multiplicity of z in the periodic operator spectrum.  The start frame
+    has chart S, the block swap; the chain runs on ``_doubled_table`` with
+    E = diag(1, z), and W = b a^(-1) S = (a b^(-1))* S on Lagrangian frames.
     """
     z = _check_circle(z)
     if zipper.flavor != "periodic":
         raise ValidationError("prufer_periodic needs a periodic zipper")
     L = zipper.L
-    return _nudged_phase(zipper, z, factory, doubled_initial_frame(L),
-                         np.r_[0:L, 2 * L:3 * L], np.r_[L:2 * L, 3 * L:4 * L], _swap(L),
-                         "doubled frame chart stayed singular after a nudge")
+    table = _doubled_table((factory or TransferFactory(zipper)).phi_table(zipper.N))
+    return _unitary_chart(z, table, _swap(L), slice(L, 2 * L), _swap(L))
 
 
 # -- monotone eigenphase sweep ---------------------------------------------------

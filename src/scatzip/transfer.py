@@ -12,13 +12,14 @@ transfer conserves the signature-(L, L) form, so frames stay Lagrangian; for
 which drives all the Weyl-disc estimates.  The left boundary U enters as the
 z-independent first step T_1 = diag(U, 1).
 
-``propagate`` is the one loop that carries a solution frame forward: the
-Pruefer phases of finite and periodic zippers (``oscillation``) and the
-Weyl discs and log-scaled radius norms (``weyl``) all run through it.  It
-takes one z or a 1-D array of them; an array carries a (B, rows, k) stack
-of frames through a single site loop, with the even steps applied as
-diag(1, z) phi(S_n) diag(1/z, 1) across the stack and one stacked QR per
-step, so the oscillation sweep evaluates a whole theta grid in one call.
+Two loops run over the sites, both on a 1-D array of z at once, with the
+even steps diag(1, z) phi(S_n) diag(1/z, 1).  ``chart_chain`` carries the
+charts W = b a^(-1) of frames (a; b) by Moebius steps, one batched solve
+per site: the Pruefer phases (``oscillation``) and the boundary value E
+(``weyl.e_matrix``, on the inverse transfers).  ``propagate`` carries the
+frames, one stacked QR per site with the removed right factor kept: the
+Weyl discs and radius norms (``weyl``), and the independent check of the
+Pruefer charts in the tests and ``verify``.
 """
 
 from __future__ import annotations
@@ -46,29 +47,11 @@ def _even_transfer(M: np.ndarray, z: complex) -> np.ndarray:
     return mc.join_blocks(A / z, B, C, z * D)
 
 
-def _even_transfer_inverse(M: np.ndarray, z: complex) -> np.ndarray:
-    # (T^z)^(-1) = L (T^{1/conj(z)})* L = [[z A*, -C*], [-B*, D*/z]]
-    A, B, C, D = mc.split_blocks(M)
-    return mc.join_blocks(z * mc.adj(A), -mc.adj(C), -mc.adj(B), mc.adj(D) / z)
-
-
-def _odd_transfer_inverse(M: np.ndarray) -> np.ndarray:
-    A, B, C, D = mc.split_blocks(M)
-    return mc.join_blocks(mc.adj(A), -mc.adj(C), -mc.adj(B), mc.adj(D))
-
-
 def transfer_at(block: ScatteringBlock, n: int, z: complex) -> np.ndarray:
     """Transfer matrix of the block sitting at index n: phi(S/z) for even n, phi(S) for odd."""
     z = _check_z(z)
     M = phi(block)
     return _even_transfer(M, z) if n % 2 == 0 else M
-
-
-def transfer_inverse_at(block: ScatteringBlock, n: int, z: complex) -> np.ndarray:
-    """Exact inverse of transfer_at, via the form identity T^(-1) = L (T^{1/conj z})* L."""
-    z = _check_z(z)
-    M = phi(block)
-    return _even_transfer_inverse(M, z) if n % 2 == 0 else _odd_transfer_inverse(M)
 
 
 class TransferFactory:
@@ -119,6 +102,42 @@ class TransferFactory:
         return T
 
 
+def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray,
+                acted: Optional[slice] = slice(None), keep: bool = False):
+    """Carry a (B, m, m) stack of charts W from ``start`` through the rows of ``table``.
+
+    A row T = [[A, B], [C, D]] moves the chart W = b a^(-1) of frames (a; b)
+    to M_T(W) = (C + D W)(A + B W)^(-1): one product [B; D] W + [A; C] and
+    one batched solve over the B ``points`` per row.  Rows 1, 3, ... (sites
+    2, 4, ... of a forward table) act as diag(1, E) T diag(E^(-1), 1),
+    W <- E M_T(W E), with E = z on the ``acted`` coordinates and 1 elsewhere;
+    with ``acted`` None the rows carry z already and may be one per site and
+    point.  Returns the final stack and, with ``keep``, the denominators
+    A + B W of the rows walked; an exactly singular one ends the walk with NaN.
+    """
+    m = start.shape[-1]
+    left, right = table[..., :m], table[..., m:]
+    if acted is not None:
+        e = np.ones((len(points), 1, m), dtype=complex)
+        e[:, 0, acted] = points[:, None]
+    W = np.repeat(np.asarray(start, dtype=complex)[None], len(points), axis=0)
+    dens = np.empty((len(table),) + W.shape, dtype=complex) if keep else None
+    for i in range(len(table)):
+        scaled = i % 2 == 1 and acted is not None
+        P = right[i] @ (W * e if scaled else W) + left[i]
+        if keep:
+            dens[i] = P[:, :m]
+        try:
+            W = np.linalg.solve(P[:, :m].transpose(0, 2, 1), P[:, m:].transpose(0, 2, 1)).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:  # exactly singular: NaN marks it whatever the scale
+            if keep:
+                dens[i] = np.nan
+            return np.full_like(W, np.nan), dens[:i + 1] if keep else None
+        if scaled:
+            W *= e.transpose(0, 2, 1)
+    return W, dens
+
+
 @dataclass
 class SolutionFrame:
     """A full-rank frame at a given site (2L x L, or taller with carried rows).
@@ -135,10 +154,6 @@ class SolutionFrame:
     z: complex
     normalizer: Optional[np.ndarray] = None
     log_scale: float = 0.0
-
-    @property
-    def renormalized(self) -> bool:
-        return self.normalizer is not None
 
     def raw(self) -> np.ndarray:
         """Reconstruct the unrenormalized frame (overflows for long hyperbolic runs)."""
@@ -167,10 +182,6 @@ def _qr_positive(A: np.ndarray):
     return Q * phase[..., None, :], R / phase[..., :, None]
 
 
-def initial_frame(L: int) -> np.ndarray:
-    return np.vstack([mc.eye(L), mc.eye(L)])
-
-
 def propagate(zipper, z, upto: int, renormalize: bool = True,
               factory: Optional[TransferFactory] = None,
               start: Optional[np.ndarray] = None) -> SolutionFrame:
@@ -196,7 +207,7 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
     fac = factory or TransferFactory(zipper)
     L = fac.L
     phis = fac.phi_table(upto)
-    first = initial_frame(L) if start is None else np.asarray(start, dtype=complex)
+    first = np.vstack([mc.eye(L)] * 2) if start is None else np.asarray(start, dtype=complex)
     frame = np.repeat(first[None], len(points), axis=0)
     carried = frame.shape[1] - 2 * L
     tau = np.repeat(mc.eye(frame.shape[2])[None], len(points), axis=0) if renormalize else None
@@ -308,7 +319,7 @@ def solve_inhomogeneous(zipper: Zipper, z: complex, xi) -> list:
     m = xi[0].shape[1]
 
     fac = TransferFactory(zipper)
-    H = initial_frame(L)                     # homogeneous frame T_n...T_1 (1;1)
+    H = np.vstack([mc.eye(L)] * 2)           # homogeneous frame T_n...T_1 (1;1)
     P = np.zeros((2 * L, m), dtype=complex)  # particular accumulation
     homogeneous = [None]
     particular = [None]

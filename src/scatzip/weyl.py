@@ -4,16 +4,17 @@ For a finite zipper with right boundary V and |z| < 1, the boundary value
 
     E(z, V) = T(N,0)^(-1) . V*
 
-(iterated inverse Moebius action of the transfer matrices on V*) lies in the
-Siegel disc; the Caratheodory-type resolvent matrix and Green matrix follow as
+(the Moebius chart chain of the Pruefer phases, ``transfer.chart_chain``, run
+from V* on the inverse transfers, for one z or an array) lies in the Siegel
+disc; the Caratheodory-type resolvent matrix and Green matrix follow as
 
     F = (E + 1)(E - 1)^(-1) / i,      G = E (1 - E)^(-1) / z .
 
 As V runs over the unitary group, F sweeps a matrix ball (the Weyl surface)
 with center and radius operators read off the Cayley transform of the
-accumulated quadratic form; the radius shrinks at least like 8/(N (1-|z|^2)^2),
-which is the limit-point mechanism making the semi-infinite F independent of
-the far boundary condition.
+accumulated quadratic form, read off the frames of ``transfer.propagate``; the
+radius shrinks at least like 8/(N (1-|z|^2)^2), which is the limit-point
+mechanism making the semi-infinite F independent of the far boundary condition.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
-from .transfer import TransferFactory, propagate
+from .transfer import TransferFactory, chart_chain, propagate
 from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper
 
 # Largest relative center-reflection defect ||S(1/conj z) - S(z)*|| / ||S||
@@ -47,12 +48,11 @@ def _check_disc_z(z: complex, allow_zero: bool = False) -> complex:
 
 
 def _resolve_v(zipper, v_boundary):
-    if v_boundary is not None:
-        v = mc.as_cmatrix(v_boundary)
-    elif isinstance(zipper, Zipper) and zipper.boundary_v is not None:
-        v = zipper.boundary_v
-    else:
+    if v_boundary is None and isinstance(zipper, Zipper) and zipper.flavor == "finite":
+        return zipper.boundary_v  # the constructor checked it unitary to the same 1e-9
+    if v_boundary is None:
         raise ValidationError("a right boundary unitary V is required")
+    v = mc.as_cmatrix(v_boundary)
     if mc.unitary_defect(v) > 1e-9:
         raise ValidationError("V must be unitary")
     return v
@@ -68,52 +68,52 @@ def _resolve_n(zipper, upto):
     return zipper.N
 
 
-def e_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
+def _disc_points(z, allow_zero: bool = False):
+    """The checked points of one z or a 1-D array of them, and whether z was one point."""
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValidationError(f"z must be a point or a 1-D array, got ndim={zs.ndim}")
+    for w in zs.reshape(-1):
+        _check_disc_z(w, allow_zero)
+    return zs.reshape(-1), zs.ndim == 0
+
+
+def e_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
-    """Boundary value E in the Siegel disc, by the stepwise inverse-Moebius chain.
+    """Boundary value E in the Siegel disc at one z or a 1-D array, by the inverse-Moebius chain.
 
     Each factor maps the closed disc into itself (strictly inside for even
     steps), so the chain is unconditionally stable in N; a singular
     denominator here would contradict the contraction property and is
     surfaced as a numerical breakdown naming the site.
 
-    The chain steps on the blocks of T_n^(-1) = [[z A*, -C*], [-B*, D*/z]]
-    ((A, B, C, D) the blocks of phi_n, z -> 1 on odd sites), taken for all
-    sites at once off the zipper's phi table:  den = C' Z + D' and
-    Z = (A' Z + B') den^(-1).  The denominators are kept and checked by one
-    batched SVD after the loop.
+    The chain is ``transfer.chart_chain`` from V* through sites N, ..., 1 of
+    T_n^(-1) = L T_n(1/conj z)* L in the swapped orientation, z folded in per
+    point: E <- (A' E + B')(C' E + D')^(-1) with A' = z A*, B' = -C*,
+    C' = -B*, D' = D*/z ((A, B, C, D) the blocks of phi_n, z -> 1 on odd
+    sites).  One batched SVD checks the denominators C' E + D' after it.
     """
-    z = _check_disc_z(z)
+    points, scalar = _disc_points(z)
     N = _resolve_n(zipper, upto)
     V = _resolve_v(zipper, v_boundary)
-    A, B, C, D = mc.split_blocks((factory or TransferFactory(zipper)).phi_table(N))
-    A, B, C, D = mc.adj(A), -mc.adj(C), -mc.adj(B), mc.adj(D)
-    A[1::2] = z * A[1::2]   # even sites n = 2, 4, ... are rows 1, 3, ...
-    D[1::2] = D[1::2] / z
-    Z = mc.adj(V)
-    dens = np.zeros((N,) + Z.shape, dtype=complex)
-    last = 0  # the last row the chain reached
+    A, B, C, D = mc.split_blocks((factory or TransferFactory(zipper)).phi_table(N)[::-1])
+    L = zipper.L
+    table = np.empty((N, len(points), 2 * L, 2 * L), dtype=complex)  # one row per site and point
+    table[..., :L, :L], table[..., :L, L:], table[..., L:, :L], table[..., L:, L:] = (
+        mc.adj(D)[:, None], -mc.adj(B)[:, None], -mc.adj(C)[:, None], mc.adj(A)[:, None])
+    for j, w in enumerate(points):  # even sites N, N - 2, ... are rows 0, 2, ...
+        table[0::2, j, :L, :L] = mc.adj(D[0::2]) / w
+        table[0::2, j, L:, L:] = w * mc.adj(A[0::2])
     with np.errstate(all="ignore"):  # a singular step is reported below, by its site
-        for last in range(N - 1, -1, -1):
-            dens[last] = C[last] @ Z + D[last]
-            try:
-                Z = np.linalg.solve(dens[last].T, (A[last] @ Z + B[last]).T).T
-            except np.linalg.LinAlgError:
-                dens[last] = np.nan  # exactly singular
-                break
-    _check_denominators(dens[last:], last, tol=1e-13)
-    return Z
-
-
-def _check_denominators(dens: np.ndarray, first: int, tol: float):
-    """A numerical breakdown at the first site, in chain order, whose C Z + D is not
-    finite or has a singular value <= tol; row i of ``dens`` is site first + i + 1."""
+        E, dens = chart_chain(table, points, mc.adj(V), acted=None, keep=True)
+    dens = dens.reshape((-1,) + E.shape[1:])  # row j is site N - j // len(points)
     finite = np.all(np.isfinite(dens), axis=(-2, -1))
     smallest = np.zeros(len(dens))
     smallest[finite] = np.linalg.svd(dens[finite], compute_uv=False)[:, -1]
-    bad = np.flatnonzero(~(smallest > tol))
+    bad = np.flatnonzero(~(smallest > 1e-13))
     if len(bad):
-        raise NumericalBreakdownError(f"C Z + D is numerically singular at site {first + bad[-1] + 1}")
+        raise NumericalBreakdownError(f"C Z + D is numerically singular at site {N - bad[0] // len(points)}")
+    return E[0] if scalar else E
 
 
 def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = None) -> np.ndarray:
@@ -128,23 +128,27 @@ def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = N
     return np.linalg.solve(C - V @ A, V @ B - D)
 
 
-def f_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
+def f_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
-    """Resolvent matrix F = (E + 1)(E - 1)^(-1) / i; F(0) = i 1 exactly."""
-    z = complex(z)
+    """Resolvent matrix F = (E + 1)(E - 1)^(-1) / i at one z or a 1-D array; F(0) = i 1 exactly."""
+    points, scalar = _disc_points(z, allow_zero=True)
     one = mc.eye(zipper.L)
-    if z == 0:
-        return 1j * one
-    E = e_matrix(zipper, z, v_boundary, upto, factory)
-    return -1j * np.linalg.solve((E - one).T, (E + one).T).T
+    F = np.repeat((1j * one)[None], len(points), axis=0)
+    inner = points != 0
+    if np.any(inner):
+        E = e_matrix(zipper, points[inner], v_boundary, upto, factory)
+        F[inner] = -1j * np.linalg.solve((E - one).transpose(0, 2, 1), (E + one).transpose(0, 2, 1)).transpose(0, 2, 1)
+    return F[0] if scalar else F
 
 
-def g_matrix(zipper, z: complex, v_boundary=None, upto: Optional[int] = None,
+def g_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
-    """Green matrix G = E (1 - E)^(-1) / z (the site-1 block of the resolvent)."""
-    z = _check_disc_z(z)
-    E = e_matrix(zipper, z, v_boundary, upto, factory)
-    return np.linalg.solve((mc.eye(zipper.L) - E).T, E.T).T / z
+    """Green matrix G = E (1 - E)^(-1) / z (the site-1 block of the resolvent), at one z or a 1-D array."""
+    points, scalar = _disc_points(z)
+    E = e_matrix(zipper, points, v_boundary, upto, factory)
+    G = np.linalg.solve((mc.eye(zipper.L) - E).transpose(0, 2, 1), E.transpose(0, 2, 1)).transpose(0, 2, 1)
+    G /= points[:, None, None]
+    return G[0] if scalar else G
 
 
 def dense_f(op: BlockBandedUnitary, z: complex) -> np.ndarray:
@@ -246,10 +250,7 @@ def radial_central(zipper, z, upto: Optional[int] = None):
     and a center whose reflection defect exceeds DISC_DEFECT_TOL are
     numerical breakdowns, and so is a radius that fails to be definite.
     """
-    zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1:
-        raise ValidationError(f"z must be a point or a 1-D array, got ndim={zs.ndim}")
-    points = np.array([_check_disc_z(w) for w in zs.reshape(-1)], dtype=complex)
+    points, scalar = _disc_points(z)
     N = _resolve_n(zipper, upto)
     S, G, log_norm = _frame_discs(zipper, np.concatenate([points, 1.0 / points.conj()]), N)
     B = len(points)
@@ -267,7 +268,7 @@ def radial_central(zipper, z, upto: Optional[int] = None):
         raise NumericalBreakdownError(
             f"center reflection defect {defect[bad]:.3e} at z = {points[bad]:.6g} exceeds {DISC_DEFECT_TOL:.0e}")
     discs = [WeylDisc(complex(w), N, center[i], R[i], R[B + i], float(defect[i])) for i, w in enumerate(points)]
-    return discs[0] if zs.ndim == 0 else discs
+    return discs[0] if scalar else discs
 
 
 def disc_chart(f_value, disc: WeylDisc):

@@ -1,0 +1,64 @@
+"""Per-layer timings: one Pruefer call, one E-chain, one frame propagation.
+
+Not part of the test suite (the file name does not match ``test_*.py``);
+run it explicitly with pytest-benchmark:
+
+    python -m pytest tests/bench_layers.py --benchmark-json=out.json
+
+Each benchmark records its work counts (sites walked, points per call) in
+``extra_info``; counts do not depend on the machine, seconds do.  The calls
+use only entry points whose signatures are stable across versions, so the
+same file times an older checkout too.
+"""
+
+import numpy as np
+import pytest
+
+from scatzip import ensembles, oscillation as osc, transfer as tr, weyl
+
+N_PRUFER = 16
+
+
+def _circle(n):
+    """The default sweep grid of 8 N L intervals: n = 8 N L + 1 points."""
+    return np.exp(1j * (0.37 * 2 * np.pi / (n - 1) + np.arange(n) * (2 * np.pi / (n - 1))))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_prufer_call(benchmark, L):
+    z = ensembles.finite_zipper(7, L, N_PRUFER, "haar-gauge", 0.85)
+    w = _circle(8 * N_PRUFER * L + 1)
+    fac = tr.TransferFactory(z)
+    benchmark.extra_info.update(sites=z.N, points=len(w))
+    W = benchmark(osc.prufer, z, w, factory=fac).matrix
+    assert W.shape == (len(w), L, L)
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_prufer_periodic_call(benchmark, L):
+    z = ensembles.periodic_zipper(7, L, 8, "haar-gauge", 0.85)
+    w = _circle(8 * z.N * L + 1)
+    fac = tr.TransferFactory(z)
+    benchmark.extra_info.update(sites=z.N, points=len(w))
+    W = benchmark(osc.prufer_periodic, z, w, factory=fac).matrix
+    assert W.shape == (len(w), 2 * L, 2 * L)
+
+
+@pytest.mark.parametrize("L, N", [(1, 16), (2, 32)])
+def test_e_matrix_call(benchmark, L, N):
+    # one point per call, as the f_matrix/g_matrix jobs of the resolvent workload
+    z = ensembles.finite_zipper(11, L, N, "haar-gauge")
+    fac = tr.TransferFactory(z)
+    benchmark.extra_info.update(sites=N, points=1)
+    E = benchmark(weyl.e_matrix, z, 0.3 + 0.4j, factory=fac)
+    assert E.shape == (L, L)
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_propagate_call(benchmark, L):
+    z = ensembles.finite_zipper(7, L, N_PRUFER, "haar-gauge", 0.85)
+    w = _circle(8 * N_PRUFER * L + 1)
+    fac = tr.TransferFactory(z)
+    benchmark.extra_info.update(sites=z.N, points=len(w))
+    frame = benchmark(tr.propagate, z, w, z.N, factory=fac).matrix
+    assert frame.shape == (len(w), 2 * L, L)

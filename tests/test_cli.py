@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatzip import cli, ensembles, fileio, verify
+from scatzip import cli, ensembles, fileio, verify, weyl
 from scatzip.scattering import decompose_block
 
 
@@ -208,6 +208,13 @@ def _finite_doc_with_block(n, like):
     return doc
 
 
+def _finite_doc_with(n, key, value):
+    """The finite L = 1, N = 4 document with entry ``key`` of block S_n replaced."""
+    doc = _finite_doc([[[0.1, 0.0]]])
+    doc["blocks"][n - 2][key] = value
+    return doc
+
+
 _ROWS_OF_EYE3 = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                  [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]  # the first two rows of the 3 x 3 identity
 _WIDE_BOUNDARY = dict(fileio.zipper_to_dict(ensembles.finite_zipper(4, 2, 4, "cmv")),
@@ -228,13 +235,36 @@ _RAGGED_MEASURE = {"L": 1, "atoms": [{"xi": [1.0, 0.0], "weight": _ROWS_OF_EYE3}
     (_RAGGED_MEASURE, ["measure", "--direction", "to-zipper"], "malformed measure document: "),
     (_finite_doc_with_block(5, 0), ["spectrum"], "block S_5 is not one of S_2, ..., S_4"),
     (_finite_doc_with_block(2, -1), ["spectrum"], "block S_2 is given twice"),
+    (_finite_doc_with(3, "u", [[[2.0, 0.0]]]), ["spectrum"], "block S_3: u has unitarity defect 3.0e+00"),
+    (_finite_doc_with(3, "u", [[[2.0, 0.0]]]), ["weyl", "--grid", "0.1:0.5:3,0.0:0.2:2"],
+     "block S_3: u has unitarity defect 3.0e+00"),
+    (_finite_doc_with(3, "u", [[[2.0, 0.0]]]), ["measure", "--direction", "roundtrip"],
+     "block S_3: u has unitarity defect 3.0e+00"),
+    (_finite_doc_with(4, "v", [[[0.0, 1.0 + 1e-5]]]), ["spectrum"], "block S_4: v has unitarity defect 2.0e-05"),
+    (_finite_doc_with(3, "alpha", [[[1.5, 0.0]]]), ["spectrum"], "block S_3: ||alpha|| = 1.500 is not < 1"),
+    (_finite_doc_with(2, "alpha", [[[0.0, -1.0]]]), ["measure", "--direction", "roundtrip"],
+     "block S_2: ||alpha|| = 1.000 is not < 1"),
 ], ids=["nan-alpha", "alpha-1x2-at-L1", "boundary-2x3-at-L2", "n-not-an-integer",
-        "nan-atom", "ragged-weights", "extra-block-n5", "duplicate-block-n2"])
+        "nan-atom", "ragged-weights", "extra-block-n5", "duplicate-block-n2",
+        "u-not-unitary-spectrum", "u-not-unitary-weyl", "u-not-unitary-roundtrip",
+        "v-off-by-1e-5", "alpha-1.5", "alpha-on-the-circle"])
 def test_bad_input_files_exit_2(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "bad.json"
     path.write_text(fileio.dumps(doc))
     assert run_cli(argv[0], str(path), *argv[1:]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_recovered_zipper_files_pass_the_gauge_check(tmp_path):
+    # the gauges that to-zipper recovers here are unitary only to ~6e-9, so
+    # the load check must stay well above 1e-9 for its files to load
+    zfile, mu, rz = (tmp_path / name for name in ("z.json", "mu.json", "rz.json"))
+    zfile.write_text(fileio.dumps(fileio.zipper_to_dict(ensembles.finite_zipper(0, 2, 32, "haar-gauge"))))
+    assert run_cli("measure", str(zfile), "--direction", "to-measure", "--output", str(mu)) == 0
+    assert run_cli("measure", str(mu), "--direction", "to-zipper", "--output", str(rz)) == 0
+    gauges = [fileio.complex_matrix_from_json(b[k]) for b in json.loads(rz.read_text())["blocks"] for k in "uv"]
+    assert max(np.abs(g.conj().T @ g - np.eye(2)).max() for g in gauges) > 1e-9
+    assert fileio.load_document(str(rz)).L == 2
 
 
 def test_file_format_is_pinned(tmp_path):
@@ -281,13 +311,21 @@ def test_measure_roundtrip_report(tmp_path):
     assert report["max_f_match_error"] < 1e-6
 
 
-def test_measure_matrix_f_match(tmp_path):
+def test_measure_matrix_f_match(tmp_path, monkeypatch):
     zfile = tmp_path / "z.json"
     out = tmp_path / "report.json"
     run_cli("gen", "--L", "2", "--N", "6", "--seed", "22", "--output", str(zfile))
+    e_matrix, points = weyl.e_matrix, []
+
+    def counted(zipper, z, *args, **kwargs):
+        points.append(np.shape(z))
+        return e_matrix(zipper, z, *args, **kwargs)
+
+    monkeypatch.setattr(weyl, "e_matrix", counted)
     assert run_cli("measure", str(zfile), "--direction", "roundtrip",
                    "--output", str(out)) == 0
     assert json.loads(out.read_text())["max_f_match_error"] < 1e-6
+    assert points == [(10,)]  # the F-match is one chain over all sample points
 
 
 def test_measure_to_zipper_two_atoms(tmp_path):

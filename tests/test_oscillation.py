@@ -7,6 +7,9 @@ from scatzip import ensembles, matrix_core as mc, oscillation as osc, transfer a
 from scatzip import zipper as zp
 from scatzip.errors import NumericalBreakdownError, ValidationError
 
+from conftest import HandBuiltTable
+
+
 def test_prufer_unitary_and_eigenvalue_one(rng):
     z = ensembles.finite_zipper(3, 2, 6)
     spec = zp.dense_spectrum(zp.assemble_finite(z))
@@ -229,33 +232,71 @@ def test_prufer_array_equals_stacked_scalar_calls():
             assert np.abs(batch.matrix - stacked).max() < 1e-12
 
 
-def test_prufer_nudges_only_the_degenerate_point(monkeypatch):
+def _frame_chart(frame, upper, lower):
+    """b a^(-1) for the rows ``upper`` (a) and ``lower`` (b) of each frame of a stack."""
+    a, b = frame[:, upper], frame[:, lower]
+    return np.swapaxes(np.linalg.solve(np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)), 1, 2)
+
+
+def test_chart_chain_matches_propagated_frames():
+    # the Moebius chart chain and the QR-renormalized frames of propagate are
+    # two routes to the same Lagrangian plane
+    thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False) + 0.013
+    w = np.exp(1j * thetas)
+    for L in (1, 2, 3):
+        for z in (ensembles.finite_zipper(40 + L, L, 12, "cmv", 0.95),
+                  ensembles.finite_zipper(50 + L, L, 10, "haar-gauge"),
+                  ensembles.finite_zipper(0, L, 6, "free")):
+            frame = tr.propagate(z, w, z.N).matrix
+            ref = _frame_chart(frame, slice(0, L), slice(L, 2 * L)) @ mc.adj(z.boundary_v)
+            assert np.abs(osc.prufer(z, w).matrix - ref).max() < 1e-12
+    for L in (1, 2):
+        for z in (ensembles.periodic_zipper(60 + L, L, 6, "cmv", 0.9),
+                  ensembles.periodic_zipper(70 + L, L, 4, "haar-gauge")):
+            frame = tr.propagate(z, w, z.N, start=osc.doubled_initial_frame(L)).matrix
+            ref = _frame_chart(frame, np.r_[0:L, 2 * L:3 * L], np.r_[L:2 * L, 3 * L:4 * L]) @ osc._swap(L)
+            assert np.abs(osc.prufer_periodic(z, w).matrix - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("args", [(124, 1, 24, "cmv", 0.95), (3, 3, 40, "haar-gauge", 0.99),
+                                  (0, 1, 100, "haar-gauge", 0.999)])
+def test_prufer_stays_unitary_on_the_hard_sweep_instances(args):
+    z = ensembles.finite_zipper(*args)
+    thetas = 0.37 * 2 * np.pi / 512 + np.arange(512) * (2 * np.pi / 512)
+    W = osc.prufer(z, np.exp(1j * thetas)).matrix
+    assert np.abs(mc.adj(W) @ W - np.eye(z.L)).max() < 1e-10
+
+
+def test_prufer_makes_one_batched_solve_per_site_and_no_qr(monkeypatch):
+    calls = {"solve": 0, "qr": 0}
+    solve, qr = np.linalg.solve, np.linalg.qr
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
+    w = np.exp(1j * np.linspace(0.1, 6.2, 97))
+    for z, phase in [(ensembles.finite_zipper(5, 2, 16), osc.prufer),
+                     (ensembles.periodic_zipper(5, 2, 8), osc.prufer_periodic)]:
+        z.phi_table()  # built with the zipper, not counted below
+        calls.update(solve=0, qr=0)
+        phase(z, w)
+        assert calls == {"solve": z.N, "qr": 0}
+
+
+def test_prufer_guard_names_the_point_of_a_non_unitary_chart():
+    # diag(2, 1) leaves U(L, L) and halves the chart, so W leaves the unitary group
     z = ensembles.finite_zipper(3, 2, 6)
-    points = np.exp(1j * np.array([0.4, 1.9, 3.3, 5.0]))
-    plain = osc.prufer(z, points)
-    chart_regular = osc._chart_regular
-    batches = []
-
-    def flaky(a):
-        ok = chart_regular(a)
-        if not batches:
-            ok[2] = False  # the third point reads degenerate on its first attempt
-        batches.append(len(a))
-        return ok
-
-    monkeypatch.setattr(osc, "_chart_regular", flaky)
-    nudged = osc.prufer(z, points)
-    assert batches == [4, 1]  # only that point is propagated again
-    others = [0, 1, 3]
-    assert np.array_equal(nudged.z[others], plain.z[others])
-    assert np.array_equal(nudged.matrix[others], plain.matrix[others])
-    assert nudged.z[2] == plain.z[2] * np.exp(1e-12j)
-    assert np.abs(nudged.matrix[2] - osc.prufer(z, nudged.z[2]).matrix).max() < 1e-13
-
-    # the last point of every batch reads degenerate, so the nudged one stays so
-    monkeypatch.setattr(osc, "_chart_regular", lambda a: np.arange(len(a)) < len(a) - 1)
-    with pytest.raises(NumericalBreakdownError, match="phi block of the frame stayed singular"):
-        osc.prufer(z, points)
+    table = z.phi_table().copy()
+    table[3] = np.diag([2.0, 2.0, 1.0, 1.0]) @ table[3]
+    w = np.exp(1j * np.array([0.4, 1.9]))
+    with pytest.raises(NumericalBreakdownError, match=r"Pruefer unitary at z = 0\.921061\+0\.389418j "
+                                                      r"has unitarity defect .* > 1e-06"):
+        osc.prufer(z, w, factory=HandBuiltTable(table))
 
 
 def test_stall_instance_sweeps_in_few_batched_calls(monkeypatch):

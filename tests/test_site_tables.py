@@ -8,7 +8,9 @@ import pytest
 
 from scatzip import ensembles, fileio, matrix_core as mc, scattering as sc, transfer as tr, weyl
 from scatzip import zipper as zp
-from scatzip.errors import NumericalBreakdownError
+from scatzip.errors import NumericalBreakdownError, ValidationError
+
+from conftest import HandBuiltTable, transfer_inverse_at
 
 
 def _reference_draw(rng, L, ensemble, alpha_max=ensembles.DEFAULT_ALPHA_MAX):
@@ -131,7 +133,7 @@ def _mobius_chain(zipper, z, V, N):
     L = zipper.L
     Z = mc.adj(V)
     for n in range(N, 1, -1):
-        Z = mc.mobius(tr.transfer_inverse_at(zipper.block(n), n, z), Z, tol=1e-13)
+        Z = mc.mobius(transfer_inverse_at(zipper.block(n), n, z), Z, tol=1e-13)
     zero = np.zeros((L, L))
     return mc.mobius(mc.join_blocks(mc.adj(zipper.boundary_u), zero, zero, mc.eye(L)), Z, tol=1e-13)
 
@@ -171,16 +173,6 @@ def test_product_references_do_not_read_the_phi_table():
     assert np.array_equal(sem_fac.product(12, w), P)
 
 
-class _HandBuiltTable:
-    """Stands in for a TransferFactory: serves a given phi table."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def phi_table(self, upto):
-        return self.table[:upto]
-
-
 @pytest.mark.parametrize("b", [8.0, 8.0 + 1e-14])
 def test_e_matrix_names_the_site_of_a_singular_denominator(b):
     # identity transfers at sites 1, 3 and 4; at z = 1/2 and V = 1 the chain
@@ -190,10 +182,44 @@ def test_e_matrix_names_the_site_of_a_singular_denominator(b):
     table[1] = [[1.0, b], [0.0, 1.0]]
     z = ensembles.finite_zipper(0, 1, 4, "free")
     with pytest.raises(NumericalBreakdownError, match=r"C Z \+ D is numerically singular at site 2"):
-        weyl.e_matrix(z, 0.5, v_boundary=np.eye(1), upto=4, factory=_HandBuiltTable(table))
+        weyl.e_matrix(z, 0.5, v_boundary=np.eye(1), upto=4, factory=HandBuiltTable(table))
     table[1] = np.eye(2)
-    E = weyl.e_matrix(z, 0.5, v_boundary=np.eye(1), upto=4, factory=_HandBuiltTable(table))
+    E = weyl.e_matrix(z, 0.5, v_boundary=np.eye(1), upto=4, factory=HandBuiltTable(table))
     assert np.allclose(E, 1 / 16)
+
+
+def test_e_matrix_breakdown_in_a_batch_names_the_site():
+    # the table of the test above: only z = 1/2 makes C Z + D singular at site 2
+    table = np.repeat(np.eye(2, dtype=complex)[None], 4, axis=0)
+    table[1] = [[1.0, 8.0 + 1e-14], [0.0, 1.0]]
+    z = ensembles.finite_zipper(0, 1, 4, "free")
+    fac = HandBuiltTable(table)
+    assert np.allclose(weyl.e_matrix(z, np.array([0.3, 0.6]), v_boundary=np.eye(1), upto=4, factory=fac)[:, 0, 0],
+                       [0.3 ** 4 / (1 - 8 * 0.3 ** 3), 0.6 ** 4 / (1 - 8 * 0.6 ** 3)])
+    with pytest.raises(NumericalBreakdownError, match=r"C Z \+ D is numerically singular at site 2"):
+        weyl.e_matrix(z, np.array([0.3, 0.5, 0.6]), v_boundary=np.eye(1), upto=4, factory=fac)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_batched_e_f_g_equal_stacked_scalar_calls(L):
+    rng = np.random.default_rng(40 + L)
+    z = ensembles.finite_zipper(40 + L, L, 16, "haar-gauge", 0.95)
+    sem = ensembles.semi_infinite_zipper(40 + L, L, "cmv")
+    V = ensembles.random_unitary(rng, L)
+    w = 0.95 * np.sqrt(rng.uniform(size=9)) * np.exp(2j * np.pi * rng.uniform(size=9))
+    for route in (weyl.e_matrix, weyl.f_matrix, weyl.g_matrix):
+        assert np.array_equal(route(z, w), np.array([route(z, p) for p in w]))
+        assert np.array_equal(route(sem, w, v_boundary=V, upto=20),
+                              np.array([route(sem, p, v_boundary=V, upto=20) for p in w]))
+    # F(0) = i exactly, also inside an array
+    F = weyl.f_matrix(z, np.r_[w[:3], 0.0, w[3:]])
+    assert np.array_equal(F[3], 1j * np.eye(L))
+    assert np.array_equal(np.delete(F, 3, axis=0), weyl.f_matrix(z, w))
+    assert weyl.f_matrix(sem, np.zeros(2)).shape == (2, L, L)  # no truncation needed at 0
+    with pytest.raises(ValidationError, match="z must be a point or a 1-D array, got ndim=2"):
+        weyl.f_matrix(z, w[:8].reshape(2, 4))
+    with pytest.raises(ValidationError, match=r"\|z\| = 1.000000 must be < 1"):
+        weyl.e_matrix(z, np.array([0.5, 1.0]))
 
 
 def test_limit_f_zipper_retains_only_its_site_table():

