@@ -109,6 +109,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     except ValueError:
         raise ValidationError(
             f"bad grid spec {spec!r}; expected 're0:re1:nr,im0:im1:ni'") from None
+    if len(res) < 1 or len(ims) < 1:
+        raise ValidationError(f"the grid needs nr, ni >= 1 points, got {nr}, {ni}")
     return (res[:, None] + 1j * ims[None, :]).ravel()
 
 
@@ -117,7 +119,7 @@ def cmd_weyl(args) -> int:
     if not isinstance(z, zp.Zipper) or z.flavor != "finite":
         raise ValidationError("weyl needs a finite zipper file")
     grid = _parse_grid(args.grid)
-    bad = [w for w in grid if abs(w) >= 1.0 or w == 0]
+    bad = [w for w in grid if not 0 < abs(w) < 1.0]  # NaN is outside too
     if bad:
         raise ValidationError(
             f"{len(bad)} grid points outside the punctured unit disc, e.g. {bad[0]:.4f}")
@@ -137,7 +139,7 @@ def cmd_measure(args) -> int:
         raise ValidationError("an input file is required unless --uniform-grid is given")
     else:
         doc = fileio.load_document(args.input)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(ensembles.check_seed(args.seed))
     sample_z = 0.9 * np.sqrt(rng.uniform(size=10)) * np.exp(2j * np.pi * rng.uniform(size=10))
 
     if args.direction == "to-measure":

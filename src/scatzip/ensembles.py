@@ -43,6 +43,13 @@ def _check_size_and_cap(L: int, alpha_max: float) -> None:
         raise ValidationError(f"alpha_max must lie in [0, 1), got {alpha_max}")
 
 
+def check_seed(seed) -> int:
+    """The seed as an int; numpy's generators take no negative seed, so it is an input error."""
+    if not seed >= 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def random_unitary(rng: np.random.Generator, L: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
     return _haar(_gaussian(rng, L))
@@ -108,7 +115,7 @@ def finite_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
     if N % 2 or N < 2:
         raise ValidationError(f"N must be even and >= 2, got {N}")
     _check_size_and_cap(L, alpha_max)  # before the boundary draws
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     u = _boundary(rng, L, ensemble)
     v = _boundary(rng, L, ensemble)
     return Zipper(L, N, "finite", random_blocks([rng] * (N - 1), L, ensemble, alpha_max), u, v)
@@ -119,7 +126,7 @@ def periodic_zipper(seed: int, L: int, N: int, ensemble: str = "haar-gauge",
     """Seeded periodic zipper: blocks S_1, ..., S_N with S_1 around the corner."""
     if N % 2 or N < 2:
         raise ValidationError(f"N must be even and >= 2, got {N}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     return Zipper(L, N, "periodic", random_blocks([rng] * N, L, ensemble, alpha_max))
 
 
@@ -133,11 +140,12 @@ def semi_infinite_zipper(seed: int, L: int, ensemble: str = "cmv",
     order of requests.
     """
     _check_size_and_cap(L, alpha_max)
-    boundary_rng = np.random.default_rng([int(seed), 1])
+    seed = check_seed(seed)
+    boundary_rng = np.random.default_rng([seed, 1])
     u = _boundary(boundary_rng, L, ensemble)
 
     def block_fn(start: int, stop: int):
-        rngs = (np.random.default_rng([int(seed), n]) for n in range(start, stop))
+        rngs = (np.random.default_rng([seed, n]) for n in range(start, stop))
         return random_blocks(rngs, L, ensemble, alpha_max)
 
     return SemiInfiniteZipper(L, u, block_fn)

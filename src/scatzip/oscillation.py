@@ -57,7 +57,7 @@ class PruferPhase:
 
 def _check_circle(z):
     z = np.asarray(z, dtype=complex)
-    off = np.abs(np.abs(z) - 1.0) > 1e-12
+    off = ~(np.abs(np.abs(z) - 1.0) <= 1e-12)  # NaN is off the circle
     if np.any(off):
         raise ValidationError(f"|z| = {np.abs(z[off]).flat[0]:.8f} must be 1")
     return z / np.abs(z)

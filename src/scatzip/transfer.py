@@ -35,11 +35,14 @@ from .scattering import ScatteringBlock, phi
 from .zipper import Zipper
 
 
-def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if z == 0:
+def _check_z(z):
+    """z, one point or an array of them, checked finite and nonzero (NaN fails both)."""
+    zs = np.asarray(z, dtype=complex)
+    if np.any(zs == 0):
         raise ValidationError("transfer matrices are undefined at z = 0")
-    return z
+    if not np.all(np.isfinite(zs)):
+        raise ValidationError(f"transfer matrices need a finite z, got {zs[~np.isfinite(zs)][0]}")
+    return complex(zs) if zs.ndim == 0 else zs
 
 
 def _even_transfer(M: np.ndarray, z: complex) -> np.ndarray:
@@ -198,11 +201,9 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
     run through the same site loop as one stack, with the normalizer and the
     log scale kept per point, and the result carries a leading axis of B.
     """
-    zs = np.asarray(z, dtype=complex)
+    zs = np.asarray(_check_z(z))
     if zs.ndim > 1:
         raise ValidationError(f"z must be a point or a 1-D array, got ndim={zs.ndim}")
-    if np.any(zs == 0):
-        raise ValidationError("transfer matrices are undefined at z = 0")
     points = zs.reshape(-1, 1, 1)
     fac = factory or TransferFactory(zipper)
     L = fac.L

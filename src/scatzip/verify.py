@@ -396,6 +396,7 @@ ALL_SUITES = {
 
 
 def run(suite: str = "all", seed: int = 0) -> list:
+    seed = ensembles.check_seed(seed)
     if suite == "all":
         names = list(ALL_SUITES)
     elif suite in ALL_SUITES:

@@ -40,7 +40,7 @@ LIMIT_SLACK = 2.0
 
 def _check_disc_z(z: complex, allow_zero: bool = False) -> complex:
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # also rejects NaN
         raise ValidationError(f"|z| = {abs(z):.6f} must be < 1")
     if z == 0 and not allow_zero:
         raise ValidationError("z = 0 is handled by the exact value F(0) = i")
@@ -318,8 +318,8 @@ def log_radius_norm(zipper, z: complex, upto: int,
     the form degenerates below floating resolution.
     """
     z = complex(z)
-    if z == 0 or abs(abs(z) - 1.0) < 1e-14:
-        raise ValidationError("radius norms need 0 < |z| != 1")
+    if not (0 < abs(z) < np.inf and abs(abs(z) - 1.0) >= 1e-14):  # also rejects NaN
+        raise ValidationError(f"radius norms need 0 < |z| != 1 and finite, got z = {z}")
     try:
         log_norm = float(_frame_discs(zipper, np.array([z]), upto, factory)[2][0])
     except NumericalBreakdownError:
@@ -357,8 +357,8 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float) -> LimitF:
     it breaks down, the a-posteriori fields stay None.
     """
     z = _check_disc_z(z, allow_zero=True)
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise ValidationError(f"tol must lie in (0, inf), got {tol}")
     gap = (1.0 - abs(z) ** 2) ** 2
     n_used = int(np.ceil(8.0 / (tol * gap)))
     n_used += n_used % 2

@@ -5,7 +5,9 @@ the operator is the product of a block-diagonal layer carrying the even-index
 blocks (sites (1,2), (3,4), ...) and a layer carrying the odd-index blocks
 shifted by one site, closed off either by boundary unitaries U, V (finite
 flavor) or by wrapping the block S_1 around the corner (periodic flavor).
-The result is unitary and five-diagonal in L x L blocks.
+The result is unitary and five-diagonal in L x L blocks, and is stored as
+one band stack: the rows of each site pair (2p+1, 2p+2) against the four
+sites 2p, ..., 2p+3, made for all pairs by two stacked block products.
 
 A zipper holds its blocks S_n = S(alpha_n, U_n, V_n) as one site table: an
 (alpha, U, V) triple of (n, L, L) stacks and one (n, 2L, 2L) stack of the
@@ -248,107 +250,81 @@ def direct_sum(z1: Zipper, z2: Zipper) -> Zipper:
 
 @dataclass
 class BlockBandedUnitary:
-    """Unitary stored as L x L blocks, ``entries[(row_site, col_site)]``, 1-based sites.
+    """Unitary stored as one band stack ``band`` of shape (N/2, 2L, 4L).
 
-    Finite operators have |row - col| <= 2; periodic ones additionally carry
-    corner blocks wrapping around site N.
+    Row band p holds the rows of sites 2p+1 and 2p+2 (1-based); its four
+    L x L column blocks belong to the sites 2p, ..., 2p+3, taken cyclically.
+    A finite operator carries exact zero blocks where a periodic one wraps
+    around site N.  At N = 2 the columns alias, so readers add the blocks.
     """
 
     L: int
     N: int
-    entries: dict
+    band: np.ndarray
     periodic: bool = False
 
     @property
     def dim(self) -> int:
         return self.L * self.N
 
+    def _column_sites(self) -> np.ndarray:
+        """(N/2, 4) 0-based sites of the band columns."""
+        return (2 * np.arange(self.N // 2)[:, None] + np.arange(4) - 1) % self.N
+
     def to_dense(self) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        L = self.L
-        for (i, j), b in self.entries.items():
-            M[(i - 1) * L: i * L, (j - 1) * L: j * L] = b
-        return M
+        L, P = self.L, self.N // 2
+        M = np.zeros((P, 2 * L, self.N, L), dtype=complex)
+        blocks = self.band.reshape(P, 2 * L, 4, L).transpose(0, 2, 1, 3)
+        np.add.at(M, (np.arange(P)[:, None], slice(None), self._column_sites()), blocks)
+        return M.reshape(self.dim, self.dim)
 
     def block_bandwidth(self) -> int:
-        """Largest |row - col| distance (cyclic for periodic operators)."""
-        width = 0
-        for (i, j) in self.entries:
-            d = abs(i - j)
-            if self.periodic:
-                d = min(d, self.N - d)
-            width = max(width, d)
-        return width
+        """Largest |row - col| site distance of a block above 1e-14 (cyclic for periodic operators)."""
+        L, P = self.L, self.N // 2
+        live = np.abs(self.band.reshape(P, 2, L, 4, L)).max(axis=(0, 2, 4)) > 1e-14
+        d = np.abs(np.arange(2)[:, None] + 1 - np.arange(4))
+        if self.periodic:
+            d = np.minimum(d % self.N, self.N - d % self.N)
+        return int(d[live].max(initial=0))
 
 
-def _banded_product(P: dict, Q: dict) -> dict:
-    """Product of two operators given as {(i, j): block} dicts."""
-    by_row: dict[int, list] = {}
-    for (i, k), b in P.items():
-        by_row.setdefault(i, []).append((k, b))
-    cols: dict[int, list] = {}
-    for (k, j), b in Q.items():
-        cols.setdefault(k, []).append((j, b))
-    out: dict = {}
-    for i, row in by_row.items():
-        for k, bik in row:
-            for j, bkj in cols.get(k, ()):
-                key = (i, j)
-                prod = bik @ bkj
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-    # drop blocks that are identically zero to keep the band structure clean
-    return {k: v for k, v in out.items() if np.any(np.abs(v) > 1e-14)}
+def _assemble(zipper: Zipper, corner: np.ndarray, periodic: bool) -> BlockBandedUnitary:
+    """The even layer times the odd layer, as one band stack.
+
+    The even layer holds S_2, S_4, ..., S_N on the site pairs (1, 2), ...,
+    (N-1, N); the odd layer holds ``corner`` on the pair (N, 1) and S_3,
+    ..., S_{N-1} on (2, 3), ..., (N-2, N-1).  Each band block is one
+    L x L product of an even block and an odd block.
+    """
+    L, P, f = zipper.L, zipper.N // 2, zipper.first
+    even = _quarters(zipper.matrices[2 - f::2])
+    odd = _quarters(np.concatenate([corner[None], zipper.matrices[3 - f::2]]))
+    left = even[:, :, 0, None] @ odd[:, None, 1]
+    right = even[:, :, 1, None] @ np.roll(odd, -1, axis=0)[:, None, 0]
+    band = np.concatenate([left, right], axis=2).transpose(0, 1, 3, 2, 4).reshape(P, 2 * L, 4 * L)
+    return BlockBandedUnitary(L, zipper.N, band, periodic)
 
 
-def _place(entries: dict, i: int, S: np.ndarray):
-    """Put the four L x L blocks of the 2L x 2L matrix S on the site pair (i, i + 1)."""
-    entries[(i, i)], entries[(i, i + 1)], entries[(i + 1, i)], entries[(i + 1, i + 1)] = (
-        mc.split_blocks(S))
-
-
-def _even_layer(zipper: Zipper) -> dict:
-    """Block-diagonal layer of S_2, S_4, ..., S_N on site pairs (1,2),...,(N-1,N)."""
-    entries = {}
-    for n in range(2, zipper.N + 1, 2):
-        _place(entries, n - 1, zipper.matrices[n - zipper.first])
-    return entries
-
-
-def _odd_layer_finite(zipper: Zipper) -> dict:
-    """Layer with U at site 1, S_3, ..., S_{N-1} shifted by one site, V at site N."""
-    entries = {(1, 1): zipper.boundary_u, (zipper.N, zipper.N): zipper.boundary_v}
-    for n in range(3, zipper.N, 2):
-        _place(entries, n - 1, zipper.matrices[n - zipper.first])
-    return entries
-
-
-def _odd_layer_periodic(zipper: Zipper) -> dict:
-    """Like the finite odd layer but with S_1 wrapped around the corner."""
-    alpha, beta, gamma, delta = mc.split_blocks(zipper.matrices[0])
-    N = zipper.N
-    entries = {(1, 1): delta, (1, N): gamma, (N, 1): beta, (N, N): alpha}
-    for n in range(3, N, 2):
-        _place(entries, n - 1, zipper.matrices[n - zipper.first])
-    return entries
+def _quarters(S: np.ndarray) -> np.ndarray:
+    """A stack of 2L x 2L matrices as (n, 2, 2, L, L) blocks [row half, column half]."""
+    n, L = len(S), S.shape[-1] // 2
+    return S.reshape(n, 2, L, 2, L).transpose(0, 1, 3, 2, 4)
 
 
 def assemble_finite(zipper: Zipper) -> BlockBandedUnitary:
-    """Product of the even layer and the boundary-closed odd layer."""
+    """Product of the even layer and the odd layer closed by diag(V, U) on the sites (N, 1)."""
     if zipper.flavor != "finite":
         raise ValidationError("assemble_finite needs a finite zipper")
-    prod = _banded_product(_even_layer(zipper), _odd_layer_finite(zipper))
-    return BlockBandedUnitary(zipper.L, zipper.N, prod, periodic=False)
+    zero = np.zeros_like(zipper.boundary_u)
+    corner = mc.join_blocks(zipper.boundary_v, zero, zero, zipper.boundary_u)
+    return _assemble(zipper, corner, periodic=False)
 
 
 def assemble_periodic(zipper: Zipper) -> BlockBandedUnitary:
-    """Product of the even layer and the corner-wrapped odd layer."""
+    """Product of the even layer and the odd layer wrapping S_1 around the sites (N, 1)."""
     if zipper.flavor != "periodic":
         raise ValidationError("assemble_periodic needs a periodic zipper")
-    prod = _banded_product(_even_layer(zipper), _odd_layer_periodic(zipper))
-    return BlockBandedUnitary(zipper.L, zipper.N, prod, periodic=True)
+    return _assemble(zipper, zipper.matrices[0], periodic=True)
 
 
 def fiber_zipper(zipper: Zipper, k: float) -> Zipper:
@@ -372,18 +348,13 @@ def fiber(zipper: Zipper, k: float) -> BlockBandedUnitary:
 
 
 def apply(op: BlockBandedUnitary, vec: np.ndarray) -> np.ndarray:
-    """Matrix-vector (or matrix-block) product using only the stored blocks."""
+    """Matrix-vector (or matrix-block) product using only the band: one gathered stacked matmul."""
     vec = np.asarray(vec, dtype=complex)
-    flat = vec.ndim == 1
-    if flat:
-        vec = vec.reshape(-1, 1)
-    if vec.shape[0] != op.dim:
-        raise ValidationError(f"vector length {vec.shape[0]} != {op.dim}")
-    out = np.zeros_like(vec)
-    L = op.L
-    for (i, j), b in op.entries.items():
-        out[(i - 1) * L: i * L] += b @ vec[(j - 1) * L: j * L]
-    return out.ravel() if flat else out
+    if vec.ndim not in (1, 2) or len(vec) != op.dim:
+        raise ValidationError(f"vector length must be {op.dim}, got shape {vec.shape}")
+    m = vec[0].size  # columns per site block: 1 for a vector
+    cols = vec.reshape(op.N, op.L, m)[op._column_sites()].reshape(op.N // 2, 4 * op.L, m)
+    return (op.band @ cols).reshape(vec.shape)
 
 
 # -- dense spectral oracle ----------------------------------------------------

@@ -1,4 +1,5 @@
-"""Per-layer timings: one Pruefer call, one E-chain, one frame propagation.
+"""Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
+the dense oracle (assembly, dense spectrum) and one Gram-Schmidt run.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
 run it explicitly with pytest-benchmark:
@@ -14,7 +15,8 @@ same file times an older checkout too.
 import numpy as np
 import pytest
 
-from scatzip import ensembles, oscillation as osc, transfer as tr, weyl
+from scatzip import ensembles, measures as ms, oscillation as osc, transfer as tr, weyl
+from scatzip import zipper as zp
 
 N_PRUFER = 16
 
@@ -62,3 +64,28 @@ def test_propagate_call(benchmark, L):
     benchmark.extra_info.update(sites=z.N, points=len(w))
     frame = benchmark(tr.propagate, z, w, z.N, factory=fac).matrix
     assert frame.shape == (len(w), 2 * L, L)
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_assemble_to_dense(benchmark, N):
+    z = ensembles.finite_zipper(7, 1, N, "haar-gauge")
+    benchmark.extra_info.update(sites=N, dim=N)
+    M = benchmark(lambda: zp.assemble_finite(z).to_dense())
+    assert M.shape == (N, N)
+
+
+def test_dense_spectrum(benchmark):
+    z = ensembles.finite_zipper(7, 1, 512, "haar-gauge")
+    op = zp.assemble_finite(z)
+    benchmark.extra_info.update(sites=z.N, dim=op.dim)
+    spec = benchmark(zp.dense_spectrum, op)
+    assert spec.total_multiplicity == op.dim
+
+
+def test_gram_schmidt(benchmark):
+    # the scalar measure of the roundtrip, recursion depth N + 2 as in ``measure roundtrip``
+    z = ensembles.finite_zipper(0, 1, 32, "cmv")
+    mu = ms.spectral_measure_finite(z)
+    gram = benchmark(ms.gram_schmidt, mu, z.boundary_u, z.N + 2)
+    benchmark.extra_info.update(atoms=len(mu.atoms), n_max=z.N + 2, entries=len(gram.entries))
+    assert gram.entries

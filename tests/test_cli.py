@@ -71,6 +71,12 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                           (to_zipper + ["--uniform-grid", "-3", "--L", "1"],
                            "the uniform grid needs m >= 1 atoms, got -3"),
                           (to_zipper + ["--uniform-grid", "4", "--L", "0"], "L must be >= 1, got 0"),
+                          (["weyl", str(zfin), "--grid", "nan:0.5:3,0:0.1:2"],
+                           "4 grid points outside the punctured unit disc, e.g. nan"),
+                          (["weyl", str(zfin), "--grid", "0.1:0.8:0,0:0.5:5"],
+                           "the grid needs nr, ni >= 1 points, got 0, 5"),
+                          (["weyl", str(zfin), "--grid", "0.1:0.8:3,0:0.5:0"],
+                           "the grid needs nr, ni >= 1 points, got 3, 0"),
                           *bad_tol]:
         assert run_cli(*argv, "--output", str(tmp_path / "out")) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -253,6 +259,17 @@ def test_bad_input_files_exit_2(tmp_path, capsys, doc, argv, message):
     path.write_text(fileio.dumps(doc))
     assert run_cli(argv[0], str(path), *argv[1:]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["gen", "--L", "1", "--N", "4"], "-1"),
+    (["gen", "--L", "1", "--N", "4", "--flavor", "semi-infinite"], "-3"),
+    (["measure", "--direction", "to-zipper", "--uniform-grid", "4", "--L", "1"], "-2"),
+    (["verify", "--suite", "all"], "-1"),
+], ids=["gen-finite", "gen-semi-infinite", "measure", "verify"])
+def test_negative_seeds_exit_2(capsys, argv, seed):
+    assert run_cli(*argv, "--seed", seed) == 2
+    assert f"error: seed must be >= 0, got {seed}" in capsys.readouterr().err
 
 
 def test_recovered_zipper_files_pass_the_gauge_check(tmp_path):

@@ -482,3 +482,12 @@ def test_sweep_below_float_resolution_stops_when_no_float_is_left_inside():
     res = osc.sweep_spectrum(wfn, 1, 32, refine_tol=1e-20)
     assert abs(res.thetas[0] - 2.6) <= 4.5e-16
     assert len(calls) <= 1 + 48
+
+
+def test_prufer_rejects_nan_points():
+    finite, periodic = ensembles.finite_zipper(0, 1, 4), ensembles.periodic_zipper(0, 1, 4)
+    for call in (lambda: osc.prufer(finite, float("nan")),
+                 lambda: osc.prufer(finite, np.array([1.0, complex(float("nan"), 0.0)])),
+                 lambda: osc.prufer_periodic(periodic, np.array([1j, float("nan")]))):
+        with pytest.raises(ValidationError, match=r"\|z\| = nan must be 1"):
+            call()

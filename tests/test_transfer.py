@@ -208,3 +208,13 @@ def test_scattering_transfer_equivalence(rng):
     ph, ph2 = out[:2], out[2:]
     lhs = phi(b) @ np.vstack([psi, ph])
     assert np.linalg.norm(lhs - np.vstack([ph2, psi2])) < 1e-10
+
+
+@pytest.mark.parametrize("z", [float("nan"), complex(0.5, float("nan")), np.array([0.5, np.inf])])
+def test_transfer_rejects_non_finite_z(rng, z):
+    zipper = ensembles.finite_zipper(0, 1, 4)
+    with pytest.raises(ValidationError, match="transfer matrices need a finite z, got"):
+        tr.propagate(zipper, z, 4)
+    if np.ndim(z) == 0:
+        with pytest.raises(ValidationError, match="transfer matrices need a finite z, got"):
+            tr.TransferFactory(zipper).product(4, z)

@@ -380,3 +380,23 @@ def test_non_positive_site_counts_are_rejected(route, semi_infinite, upto):
     message = "site count must be >= 1" if frames else "site count must be even and >= 2"
     with pytest.raises(ValidationError, match=f"{message}, got {upto}"):
         calls[route]()
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda z, sem: weyl.f_matrix(z, _NAN), r"\|z\| = nan must be < 1"),
+    (lambda z, sem: weyl.f_matrix(z, np.array([0.3, complex(0.1, _NAN)])), r"\|z\| = nan must be < 1"),
+    (lambda z, sem: weyl.radial_central(z, _NAN), r"\|z\| = nan must be < 1"),
+    (lambda z, sem: weyl.log_radius_norm(z, _NAN, 4),
+     r"radius norms need 0 < \|z\| != 1 and finite, got z = \(nan\+0j\)"),
+    (lambda z, sem: weyl.limit_f(sem, _NAN, 1e-2), r"\|z\| = nan must be < 1"),
+    (lambda z, sem: weyl.limit_f(sem, 0.3, _NAN), r"tol must lie in \(0, inf\), got nan"),
+    (lambda z, sem: weyl.limit_f(sem, 0.3, float("inf")), r"tol must lie in \(0, inf\), got inf"),
+    (lambda z, sem: weyl.limit_f(sem, 0.3, 0.0), r"tol must lie in \(0, inf\), got 0.0"),
+], ids=["f-nan", "f-nan-in-array", "radial-nan", "log-radius-nan", "limit-z-nan", "limit-tol-nan",
+        "limit-tol-inf", "limit-tol-0"])
+def test_nan_points_and_tolerances_are_input_errors(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(ensembles.finite_zipper(0, 1, 4), ensembles.semi_infinite_zipper(0, 1))

@@ -63,6 +63,15 @@ def test_seeded_constructors_reject_bad_l_and_alpha_max(L, alpha_max, message):
             ensembles.semi_infinite_zipper(0, L, ensemble, alpha_max)
 
 
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_seeded_constructors_reject_negative_seeds(seed):
+    for make in (ensembles.finite_zipper, ensembles.periodic_zipper):
+        with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+            make(seed, 1, 4)
+    with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+        ensembles.semi_infinite_zipper(seed, 1)
+
+
 def test_assemble_periodic_free_is_identity():
     # explicit 2x2 product: S_2 swap times the wrapped S_1 layer equals 1, so
     # the spectrum is the doubled eigenvalue 1
@@ -197,3 +206,52 @@ def test_semi_infinite_truncation_replayable():
     sem3 = ensembles.semi_infinite_zipper(5, 2, "cmv")
     b6 = sem3.block(6)
     assert np.array_equal(b6.matrix, z1.block(6).matrix)
+
+
+def _dense_layers(z):
+    """The even and the odd layer as dense matrices, built block by block from ``z.block(n)``."""
+    L, N = z.L, z.N
+    even = np.zeros((N * L, N * L), dtype=complex)
+    odd = np.zeros_like(even)
+    for n in range(2, N + 1):
+        layer = even if n % 2 == 0 else odd
+        layer[(n - 2) * L:n * L, (n - 2) * L:n * L] = z.block(n).matrix
+    if z.flavor == "finite":
+        odd[:L, :L], odd[-L:, -L:] = z.boundary_u, z.boundary_v
+    else:  # S_1 on the site pair (N, 1)
+        S1 = z.block(1)
+        odd[-L:, -L:], odd[-L:, :L], odd[:L, -L:], odd[:L, :L] = S1.alpha, S1.beta, S1.gamma, S1.delta
+    return even, odd
+
+
+@pytest.mark.parametrize("flavor", ["finite", "periodic"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_band_is_even_layer_times_odd_layer(flavor, L, N):
+    z = (ensembles.finite_zipper if flavor == "finite" else ensembles.periodic_zipper)(N + L, L, N)
+    op = zp.assemble_finite(z) if flavor == "finite" else zp.assemble_periodic(z)
+    even, odd = _dense_layers(z)
+    assert op.band.shape == (N // 2, 2 * L, 4 * L)
+    assert np.abs(op.to_dense() - even @ odd).max() < 1e-14
+    assert op.block_bandwidth() == min(2, N // 2)
+    if N > 2:  # row band p is the dense rows of sites 2p+1, 2p+2 at the columns of sites 2p, ..., 2p+3
+        cols = ((2 * np.arange(N // 2)[:, None] + np.arange(4) - 1) % N)[..., None] * L + np.arange(L)
+        dense = op.to_dense().reshape(N // 2, 2 * L, N * L)
+        for p in range(N // 2):
+            assert np.array_equal(op.band[p], dense[p][:, cols[p].ravel()])
+    if flavor == "finite":  # the wrapped blocks of a finite band are exact zeros
+        assert not op.band[0, :, :L].any() and not op.band[-1, :, 3 * L:].any()
+
+
+@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_apply_matches_dense_on_periodic_and_random_bands(rng, L, N):
+    band = rng.standard_normal((N // 2, 2 * L, 4 * L)) + 1j * rng.standard_normal((N // 2, 2 * L, 4 * L))
+    ops = [zp.fiber(ensembles.periodic_zipper(N, L, N), 0.4), zp.BlockBandedUnitary(L, N, band, periodic=True)]
+    for op in ops:
+        X = op.to_dense()
+        for v in (rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim),
+                  rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))):
+            out = zp.apply(op, v)
+            assert out.shape == v.shape
+            assert np.linalg.norm(out - X @ v) < 1e-12 * np.linalg.norm(v)
