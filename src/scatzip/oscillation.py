@@ -17,12 +17,19 @@ frames of ``transfer.propagate`` stay as the references they are checked on.
 
 Both phases take an array of circle points and evaluate it in one chain.
 The sweep samples its whole theta grid that way (at most SWEEP_BLOCK points
-per call), counts the seam passages of all its intervals in one array
-operation, keeps the samples when a count mismatch doubles the grid, and
-refines the intervals holding crossings only once the total matches, all
-of them in lockstep with one batched call per level: ITP steps on the
-branch that passes the seam where an interval holds one crossing,
-bisection where it holds several.
+per call, and as many matrices per eigvals call), counts the seam passages
+of all its intervals in one array operation, keeps the samples when a count
+mismatch doubles the grid, and refines the intervals holding crossings
+only once the total matches, all of them in lockstep with one batched call
+per level: ITP steps on the branch that passes the seam where an interval
+holds one crossing, bisection where it holds several.
+
+Bands are one sweep over all momenta.  The fiber at momentum k scales each
+transfer by e^(ik), so its doubled Pruefer unitary is the untwisted one
+with the diagonal blocks scaled by e^(-iNk) and e^(iNk) (the Floquet
+twist).  The sweep carries a member index on every sample row and bracket:
+one untwisted ``prufer_periodic`` chain per theta serves every momentum, and
+only the momenta whose count is off go on to a doubled grid.
 """
 
 from __future__ import annotations
@@ -35,11 +42,14 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .transfer import TransferFactory, chart_chain
-from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters, fiber_zipper
+from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters
 
-# Most theta one batched Pruefer evaluation takes; bounds the frame stacks in
-# memory when a sweep doubles its grid to thousands of points.
+# Most theta one batched Pruefer evaluation takes, and most matrices one
+# eigvals call takes; bounds the frame and phase-matrix stacks in memory when
+# a sweep doubles its grid to thousands of points or twists many members.
 SWEEP_BLOCK = 1024
+# The twist of a one-member family: wfn itself (broadcasts over every m x m).
+UNTWISTED = np.ones((1, 1, 1))
 # Largest entry of W* W - 1 a Pruefer unitary may carry.  Rounding grows like
 # eps times the branch slope: at a resonance of finite_zipper(7, 1, 24,
 # "haar-gauge", 0.85) (slope 5e7) the chart drifts 1.8e-8, QR frames 1.2e-8.
@@ -175,17 +185,37 @@ def _seam_passages(p: np.ndarray, q: np.ndarray, mono_tol: float = 1e-7) -> np.n
     return count
 
 
-def _sample(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray) -> np.ndarray:
-    """Sorted eigenphases, one row per theta, in batched calls of at most SWEEP_BLOCK points."""
-    return np.concatenate([_sorted_phases(wfn(thetas[i:i + SWEEP_BLOCK]))
+def _sample_grid(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray,
+                 twists: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases of wfn(theta) * twists[j] entrywise, for every member j
+    at every theta: a (len(twists), len(thetas), m) array.  Each theta is
+    evaluated once for all members, and no call of ``wfn`` or of eigvals takes
+    more than SWEEP_BLOCK matrices."""
+    parts = []
+    for i in range(0, len(thetas), SWEEP_BLOCK):
+        W = wfn(thetas[i:i + SWEEP_BLOCK])
+        step = max(1, SWEEP_BLOCK // len(W))  # members per eigvals call
+        parts.append(np.concatenate([_sorted_phases(W * twists[j:j + step, None])
+                                     for j in range(0, len(twists), step)]))
+    return np.concatenate(parts, axis=1)
+
+
+def _sample_rows(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray,
+                 twists: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases of wfn(thetas[i]) * twists[members[i]] entrywise, one row
+    per i, in calls of at most SWEEP_BLOCK points."""
+    return np.concatenate([_sorted_phases(wfn(thetas[i:i + SWEEP_BLOCK])
+                                          * twists[members[i:i + SWEEP_BLOCK]])
                            for i in range(0, len(thetas), SWEEP_BLOCK)])
 
 
-def _refine(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
-            lo_phases: np.ndarray, hi_phases: np.ndarray, count: np.ndarray,
-            refine_tol: float, max_iter: int = 60) -> np.ndarray:
+def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray, lo_phases: np.ndarray, hi_phases: np.ndarray,
+            count: np.ndarray, refine_tol: float, max_iter: int = 60) -> tuple:
     """Shrink the brackets [lo, hi] in lockstep, one batched evaluation per level.
 
+    Bracket i belongs to family member ``members[i]``, and ``sample(thetas,
+    members)`` gives the sorted eigenphases of those members at those theta.
     ``lo_phases`` and ``hi_phases`` are the sorted eigenphases at the ends
     and ``count`` the crossings inside each bracket.  A bracket with several
     crossings is cut at its midpoint.  One with a single crossing takes an
@@ -202,7 +232,8 @@ def _refine(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndar
     stops at width refine_tol, or when no float lies inside it, and is
     returned once per crossing: at 2 pi if it holds the seam, so that the
     crossing folds to 0, else at the interpolated root of h for a single
-    crossing and at the midpoint for several.
+    crossing and at the midpoint for several.  Returns the member and the
+    theta of every crossing.
     """
     width0 = hi - lo  # width of each bracket when it got its single crossing
     steps = np.zeros(len(lo))  # ITP steps taken since
@@ -216,10 +247,10 @@ def _refine(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndar
         fine = (width <= refine_tol) | (mid <= lo) | (mid >= hi) | (level == max_iter)
         seam = (lo <= TWO_PI) & (TWO_PI <= hi)
         theta = np.where(seam, TWO_PI, np.where(count == 1, interp, mid))
-        done.append(np.repeat(theta[fine], count[fine]))
-        lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
-            a[~fine] for a in (lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0,
-                               steps))
+        done.append((np.repeat(members[fine], count[fine]), np.repeat(theta[fine], count[fine])))
+        members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
+            a[~fine] for a in (members, lo, hi, mid, width, interp, lo_phases, hi_phases, count,
+                               width0, steps))
         if len(lo) == 0:
             break
         side = np.sign(mid - interp)
@@ -232,10 +263,11 @@ def _refine(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndar
                     np.minimum(hi - 0.25 * refine_tol, np.nextafter(hi, lo)))
         single = count == 1
         x = np.where(single, x, mid)
-        q = _sample(wfn, x)
+        q = sample(x, members)
         left = np.minimum(_seam_passages(lo_phases, q), count)
         right = count - left
         l, r = left > 0, right > 0
+        members = np.concatenate([members[l], members[r]])
         lo = np.concatenate([lo[l], x[r]])
         hi = np.concatenate([x[l], hi[r]])
         lo_phases = np.concatenate([lo_phases[l], q[r]])
@@ -244,11 +276,23 @@ def _refine(wfn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndar
         single = np.concatenate([single[l], single[r]])
         width0 = np.where(single, np.concatenate([width0[l], width0[r]]), hi - lo)
         steps = np.where(single, np.concatenate([steps[l], steps[r]]) + 1, 0)
-    return np.concatenate(done)
+    return tuple(np.concatenate(parts) for parts in zip(*done))
+
+
+@dataclass
+class FamilySpectra:
+    """The spectra one sweep located for the members of a twisted family, in member order."""
+
+    spectra: list
+
+    @property
+    def total_multiplicity(self) -> int:
+        return sum(s.total_multiplicity for s in self.spectra)
 
 
 def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
-                   grid_size: int, refine_tol: float = 1e-10, retries: int = 10) -> SpectrumResult:
+                   grid_size: int, refine_tol: float = 1e-10, retries: int = 10,
+                   twists: np.ndarray = UNTWISTED, labels: Optional[list] = None) -> FamilySpectra:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
 
     ``wfn(thetas)`` must return the stack of (near-)unitary phase matrices at
@@ -263,29 +307,55 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     previous samples become the even rows of the doubled grid and only the
     new odd theta are evaluated, so the cumulative cost stays proportional
     to the finest grid actually needed.
+
+    One sweep covers the K monotone families of ``twists``, a (K, m, m)
+    stack of unit-modulus factors (or anything broadcasting to it; the
+    default UNTWISTED is the one member wfn itself): member j is
+    wfn(theta) * twists[j] entrywise, each with ``expected_total``
+    crossings, and ``labels[j]`` names it in the mismatch error.  Sample
+    rows and brackets carry their member, every grid theta is evaluated
+    once for all members, one count covers the grid intervals of all
+    members, only the members whose count is off go on to the doubled grid,
+    and the brackets of all members are refined in one lockstep.  Returns
+    the FamilySpectra with one SpectrumResult per member.
     """
+    K = len(twists)
     grid = int(grid_size)
     offset = 0.37 * TWO_PI / grid  # fixed across retries so refined grids nest
-    samples = None
+    live = np.arange(K)  # members whose count has not matched yet
+    samples = None  # (len(live), grid + 1, m) sorted eigenphases
+    brackets = []  # (members, lo, hi, lo_phases, hi_phases, count) per grid
     for _ in range(retries + 1):
         thetas = offset + np.arange(grid + 1) * (TWO_PI / grid)
+        new = thetas if samples is None else thetas[1::2]
+        fresh = _sample_grid(wfn, new, twists[live])
         if samples is None:
-            samples = _sample(wfn, thetas)
+            samples = fresh
         else:
-            doubled = np.empty((grid + 1, samples.shape[1]))
-            doubled[0::2] = samples
-            doubled[1::2] = _sample(wfn, thetas[1::2])
+            doubled = np.empty((len(live), grid + 1, fresh.shape[-1]))
+            doubled[:, 0::2] = samples
+            doubled[:, 1::2] = fresh
             samples = doubled
-        count = _seam_passages(samples[:-1], samples[1:])
-        found = int(count.sum())
-        if found == expected_total:
-            hit = count > 0
-            crossings = _refine(wfn, thetas[:-1][hit], thetas[1:][hit], samples[:-1][hit],
-                                samples[1:][hit], count[hit], refine_tol)
-            return _circular_clusters(crossings, 10.0 * refine_tol)[0]
-        last_error = f"found {found} crossings, expected {expected_total} (grid {grid})"
+        m = samples.shape[-1]
+        count = _seam_passages(samples[:, :-1].reshape(-1, m),
+                               samples[:, 1:].reshape(-1, m)).reshape(len(live), grid)
+        found = count.sum(axis=1)
+        match = found == expected_total
+        f, i = np.nonzero(count * match[:, None])
+        brackets.append((live[f], thetas[i], thetas[i + 1], samples[f, i], samples[f, i + 1], count[f, i]))
+        if match.all():
+            break
+        miss = int(np.argmin(match))
+        at = "" if labels is None else f" at {labels[live[miss]]}"
+        last_error = f"found {found[miss]} crossings, expected {expected_total}{at} (grid {grid})"
+        live, samples = live[~match], samples[~match]
         grid *= 2
-    raise NumericalBreakdownError(last_error)
+    else:
+        raise NumericalBreakdownError(last_error)
+    members, crossings = _refine(lambda thetas, members: _sample_rows(wfn, thetas, twists, members),
+                                 *(np.concatenate(parts) for parts in zip(*brackets)), refine_tol)
+    return FamilySpectra([_circular_clusters(crossings[members == j], 10.0 * refine_tol)[0]
+                          for j in range(K)])
 
 
 # -- spectra -----------------------------------------------------------------------
@@ -299,6 +369,19 @@ def _phase_family(zipper: Zipper) -> Callable[[np.ndarray], np.ndarray]:
     return lambda thetas: phase(zipper, np.exp(1j * np.asarray(thetas)), factory=fac).matrix
 
 
+def _sweep_grid(zipper: Zipper, grid_size: Optional[int], refine_tol: float) -> int:
+    """The theta grid of a sweep over the N L eigenvalues of ``zipper`` (default
+    8 N L), checked against the sampling floor 4 N L, with ``refine_tol`` checked
+    to lie in (0, 2 pi / grid)."""
+    total = zipper.N * zipper.L
+    grid = grid_size if grid_size is not None else 8 * total
+    if grid < 4 * total:
+        raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
+    if not 0.0 < refine_tol < TWO_PI / grid:  # also false for NaN
+        raise ValidationError(f"refine tolerance must lie in (0, 2 pi / {grid}), got {refine_tol}")
+    return grid
+
+
 def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
                             refine_tol: float = 1e-10) -> SpectrumResult:
     """All N L eigenvalues of a finite or periodic zipper by Pruefer-phase crossing counting.
@@ -308,13 +391,8 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     """
     if not isinstance(zipper, Zipper):
         raise ValidationError("oscillation spectra need a finite or periodic zipper")
-    total = zipper.N * zipper.L
-    grid = grid_size if grid_size is not None else 8 * total
-    if grid < 4 * total:
-        raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
-    if not 0.0 < refine_tol < TWO_PI / grid:  # also false for NaN
-        raise ValidationError(f"refine tolerance must lie in (0, 2 pi / {grid}), got {refine_tol}")
-    return sweep_spectrum(_phase_family(zipper), total, grid, refine_tol)
+    grid = _sweep_grid(zipper, grid_size, refine_tol)
+    return sweep_spectrum(_phase_family(zipper), zipper.N * zipper.L, grid, refine_tol).spectra[0]
 
 
 def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> float:
@@ -368,12 +446,28 @@ def momentum_grid(N: int, k_grid_size: int) -> np.ndarray:
 
 def bands(zipper: Zipper, k_grid_size: int, grid_size: Optional[int] = None,
           refine_tol: float = 1e-10) -> BandStructure:
-    """Band structure: the oscillation spectrum of the fiber at every momentum grid point."""
+    """Band structure: the oscillation spectra of the fibers at all momenta, in one sweep.
+
+    Every transfer of the fiber at momentum k is the untwisted one times
+    e^(ik), so after N sites the acted rows of the doubled frame carry
+    e^(iNk): the frame is D (a; b) with D = diag(1, e^(iNk)) on L x L
+    blocks, its chart D C D*, and the fiber's Pruefer unitary
+    W_k = D (W_0 S) D* S = diag(1, e^(iNk)) W_0 diag(e^(-iNk), 1), with S
+    the block swap.  So the untwisted ``prufer_periodic`` chain runs once
+    per theta, and member k of the sweep scales the diagonal blocks of W_0
+    by e^(-iNk) and e^(iNk).  ``zipper.fiber_zipper`` and the dense
+    ``zipper.fiber`` remain the independent check.
+    """
     if zipper.flavor != "periodic":
         raise ValidationError("bands needs a periodic zipper")
     if k_grid_size < 1:
         raise ValidationError(f"momentum grid size must be >= 1, got {k_grid_size}")
+    grid = _sweep_grid(zipper, grid_size, refine_tol)
     ks = momentum_grid(zipper.N, k_grid_size)
-    spectra = [spectrum_by_oscillation(fiber_zipper(zipper, k), grid_size=grid_size, refine_tol=refine_tol)
-               for k in ks]
-    return BandStructure(ks, spectra)
+    L, c = zipper.L, np.exp(1j * zipper.N * ks)[:, None, None]
+    twists = np.ones((len(ks), 2 * L, 2 * L), dtype=complex)
+    twists[:, :L, :L] = np.conj(c)
+    twists[:, L:, L:] = c
+    found = sweep_spectrum(_phase_family(zipper), zipper.N * L, grid, refine_tol, twists=twists,
+                           labels=[f"k = {k:.6g}" for k in ks])
+    return BandStructure(ks, found.spectra)

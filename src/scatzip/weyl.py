@@ -36,6 +36,9 @@ DISC_DEFECT_TOL = 1e-8
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 # Factor on the diameter bound 8/(N (1-|z|^2)^2) that limit_f certifies.
 LIMIT_SLACK = 2.0
+# Most sites limit_f truncates at: its phi table holds 64 L^2 B a site, and
+# criterion 4 (tol 1e-4 at |z|^2 = 0.13) takes 105 700.
+LIMIT_MAX_SITES = 500_000
 
 
 def _check_disc_z(z: complex, allow_zero: bool = False) -> complex:
@@ -343,7 +346,8 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float) -> LimitF:
     """Evaluate the limit-point boundary value F to within a certified radius.
 
     The truncation length is chosen from the universal radius bound,
-    N >= 8 / (tol (1 - |z|^2)^2), and F is evaluated there with V = 1.  The
+    N >= 8 / (tol (1 - |z|^2)^2), and F is evaluated there with V = 1; an N
+    over LIMIT_MAX_SITES is refused before any site is drawn.  The
     certified error is the slacked diameter bound LIMIT_SLACK * 8/(N (1-|z|^2)^2),
     which dominates ||F_N(V) - F_N(V')|| for every pair of boundary
     conditions.  The a-posteriori radius sqrt(||R|| ||R'||) is reported
@@ -359,8 +363,12 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float) -> LimitF:
     z = _check_disc_z(z, allow_zero=True)
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValidationError(f"tol must lie in (0, inf), got {tol}")
-    gap = (1.0 - abs(z) ** 2) ** 2
-    n_used = int(np.ceil(8.0 / (tol * gap)))
+    gap = float(1.0 - abs(z) ** 2) ** 2
+    n_wanted = 8.0 / float(tol) / gap  # each float division overflows to inf, never divides by 0
+    if not n_wanted <= LIMIT_MAX_SITES:
+        raise ValidationError(f"tol {tol:g} at |z| = {abs(z):.10g} needs N = {n_wanted:.4g} sites, "
+                              f"over the cap of {LIMIT_MAX_SITES}")
+    n_used = int(np.ceil(n_wanted))
     n_used += n_used % 2
     fac = TransferFactory(zipper)
     F = f_matrix(zipper, z, v_boundary=mc.eye(zipper.L), upto=n_used, factory=fac)

@@ -1,15 +1,17 @@
 """Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
-the dense oracle (assembly, dense spectrum) and one Gram-Schmidt run.
+one band structure, the dense oracle (assembly, dense spectrum) and one
+Gram-Schmidt run.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
 run it explicitly with pytest-benchmark:
 
     python -m pytest tests/bench_layers.py --benchmark-json=out.json
 
-Each benchmark records its work counts (sites walked, points per call) in
-``extra_info``; counts do not depend on the machine, seconds do.  The calls
-use only entry points whose signatures are stable across versions, so the
-same file times an older checkout too.
+Each benchmark records its work counts (sites walked, points per call,
+momenta and Pruefer calls per band structure) in ``extra_info``; counts do
+not depend on the machine, seconds do.  The calls use only entry points
+whose signatures are stable across versions, so the same file times an
+older checkout too.
 """
 
 import numpy as np
@@ -44,6 +46,24 @@ def test_prufer_periodic_call(benchmark, L):
     benchmark.extra_info.update(sites=z.N, points=len(w))
     W = benchmark(osc.prufer_periodic, z, w, factory=fac).matrix
     assert W.shape == (len(w), 2 * L, 2 * L)
+
+
+@pytest.mark.parametrize("L, N, ensemble", [(1, 2, "cmv"), (2, 8, "haar-gauge")], ids=["L1N2", "L2N8"])
+def test_bands(benchmark, monkeypatch, L, N, ensemble):
+    # 64 momenta, as the bands job of the spectra workload and the CLI default
+    z = ensembles.periodic_zipper(7, L, N, ensemble)
+    calls = []
+    prufer_periodic = osc.prufer_periodic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return prufer_periodic(*args, **kwargs)
+
+    monkeypatch.setattr(osc, "prufer_periodic", counted)
+    osc.bands(z, 64)
+    benchmark.extra_info.update(sites=N, momenta=64, prufer_periodic_calls=len(calls))
+    bs = benchmark(osc.bands, z, 64)
+    assert len(bs.spectra) == 64
 
 
 @pytest.mark.parametrize("L, N", [(1, 16), (2, 32)])

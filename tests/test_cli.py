@@ -417,7 +417,8 @@ def test_sweeps_call_pruefer_functions_by_module_name(tmp_path, monkeypatch):
         before = dict(hits)
         assert run_cli(*argv, "--output", str(tmp_path / "out")) == 0
         assert all(hits[name] > before[name] for name in used), argv
-    assert hits["sweep_spectrum"] == 4
+    # one sweep per spectrum, and bands sweeps both of its momenta in one
+    assert hits["sweep_spectrum"] == 3
 
 
 def test_verify_all_passes(capsys):

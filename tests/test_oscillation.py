@@ -204,7 +204,7 @@ def test_bands_free_case_covers_circle():
 
 def test_bands_k_zero_column(rng):
     z = ensembles.periodic_zipper(25, 1, 4, ensemble="cmv")
-    fz = osc.fiber_zipper(z, 0.0)
+    fz = zp.fiber_zipper(z, 0.0)
     s0 = osc.spectrum_by_oscillation(fz)
     s = osc.spectrum_by_oscillation(z)
     assert np.allclose(s0.expanded_thetas(), s.expanded_thetas(), atol=1e-9)
@@ -219,6 +219,93 @@ def test_bands_continuity(rng):
     jumps = np.abs(np.diff(table, axis=0))
     jumps = np.minimum(jumps, 2 * np.pi - jumps)
     assert jumps.max() < 4 * z.N * dk
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_bands_match_the_dense_fibers(L):
+    # the Floquet twist of one untwisted sweep against the dense fiber at every momentum
+    from scatzip.cli import _cyclic_pairing
+
+    cases = [(ensembles.periodic_zipper(40 + N, L, N, ensemble), 8)
+             for N in (2, 4, 8) for ensemble in ("cmv", "haar-gauge")]
+    cases.append((ensembles.periodic_zipper(0, L, 4, "free"), 16))
+    for z, n_k in cases:
+        bs = osc.bands(z, n_k)
+        assert len(bs.ks) == n_k
+        for k, swept in zip(bs.ks, bs.spectra):
+            dense = zp.dense_spectrum(zp.fiber(z, k))
+            assert swept.total_multiplicity == z.N * L
+            assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+            if np.all(z.sites[0] == 0):  # free: every eigenvalue has multiplicity L
+                assert set(swept.multiplicities) == set(dense.multiplicities) == {L}
+
+
+def test_bands_is_one_sweep_with_few_prufer_calls(monkeypatch):
+    z = ensembles.periodic_zipper(3, 2, 8, "haar-gauge")
+    hits = dict.fromkeys(("prufer_periodic", "sweep_spectrum"), 0)
+    for name in hits:
+        def counted(*args, _fn=getattr(osc, name), _name=name, **kwargs):
+            hits[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(osc, name, counted)
+    bs = osc.bands(z, 64)
+    assert len(bs.spectra) == 64
+    assert hits["sweep_spectrum"] == 1
+    assert hits["prufer_periodic"] <= 40
+
+
+def test_bands_doubles_only_the_momenta_whose_count_is_off(monkeypatch):
+    # at 6 of these 16 momenta the default grid of 64 misses a crossing
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.periodic_zipper(6, 1, 8, "haar-gauge", 0.99)
+    calls = []
+    sample_grid = osc._sample_grid
+
+    def recorded(wfn, thetas, twists):
+        calls.append((len(thetas), len(twists)))
+        return sample_grid(wfn, thetas, twists)
+
+    monkeypatch.setattr(osc, "_sample_grid", recorded)
+    bs = osc.bands(z, 16)
+    # the grid of all momenta, then the 64 new points of the doubled grid of the six
+    assert calls == [(65, 16), (64, 6)]
+    for k, swept in zip(bs.ks, bs.spectra):
+        dense = zp.dense_spectrum(zp.fiber(z, k))
+        assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+def test_bands_caps_the_matrices_per_call_at_the_sweep_block(monkeypatch):
+    # 512 momenta times 17 grid theta: with a block of 64 no Pruefer call takes
+    # more than 64 points and no eigvals call more than 64 matrices
+    z = ensembles.periodic_zipper(4, 1, 2, "cmv")
+    wide = osc.bands(z, 512)
+    points, matrices = [], []
+    prufer_periodic, sorted_phases = osc.prufer_periodic, osc._sorted_phases
+
+    def counted_prufer(zipper, w, **kwargs):
+        points.append(len(w))
+        return prufer_periodic(zipper, w, **kwargs)
+
+    def counted_phases(W):
+        matrices.append(int(np.prod(W.shape[:-2])))
+        return sorted_phases(W)
+
+    monkeypatch.setattr(osc, "SWEEP_BLOCK", 64)
+    monkeypatch.setattr(osc, "prufer_periodic", counted_prufer)
+    monkeypatch.setattr(osc, "_sorted_phases", counted_phases)
+    narrow = osc.bands(z, 512)
+    assert max(points) == max(matrices) == 64
+    assert sum(matrices) >= 512 * 17
+    assert np.array_equal(narrow.eigenphase_table(), wide.eigenphase_table())
+
+
+def test_family_sweep_mismatch_names_the_member():
+    twists = np.exp(1j * np.array([0.0, 0.5]))[:, None, None]
+    wfn = _diagonal_family([lambda t: 40 * t])
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"crossings, expected 40 at k = 0\.25 \(grid 16\)"):
+        osc.sweep_spectrum(wfn, 40, 16, retries=0, twists=twists, labels=["k = 0.25", "k = 0.75"])
 
 
 def test_prufer_array_equals_stacked_scalar_calls():
@@ -364,16 +451,16 @@ def test_sweep_splits_two_crossings_in_one_interval():
     left = 0.37 * h + 3 * h  # grid point 3 of the sweep
     crossings = [left + 0.1, left + 0.25, 4.0]
     wfn = _diagonal_family([lambda t, c=c: t - c for c in crossings])
-    count = osc._seam_passages(osc._sample(wfn, [left]), osc._sample(wfn, [left + h]))
+    count = osc._seam_passages(*osc._sample_grid(wfn, [left, left + h], osc.UNTWISTED)[0, :, None])
     assert count.tolist() == [2]
-    res = osc.sweep_spectrum(wfn, 3, grid)
+    res = osc.sweep_spectrum(wfn, 3, grid).spectra[0]
     assert res.multiplicities.tolist() == [1, 1, 1]
     assert np.abs(res.thetas - np.sort(crossings)).max() < 1e-9
 
 
 def test_sweep_returns_an_exact_double_crossing_with_multiplicity_two():
     wfn = _diagonal_family([lambda t: t - 2.5, lambda t: t - 2.5, lambda t: t - 5.0])
-    res = osc.sweep_spectrum(wfn, 3, 16)
+    res = osc.sweep_spectrum(wfn, 3, 16).spectra[0]
     assert res.multiplicities.tolist() == [2, 1]
     assert np.abs(res.thetas - [2.5, 5.0]).max() < 1e-9
 
@@ -384,7 +471,7 @@ def test_sweep_doubles_the_grid_for_a_fast_branch():
     wfn = _diagonal_family([lambda t: 40 * t])
     with pytest.raises(NumericalBreakdownError, match=r"crossings, expected 40 \(grid 16\)"):
         osc.sweep_spectrum(wfn, 40, 16, retries=0)
-    res = osc.sweep_spectrum(wfn, 40, 16)
+    res = osc.sweep_spectrum(wfn, 40, 16).spectra[0]
     assert res.multiplicities.tolist() == [1] * 40
     expected = 2 * np.pi * np.arange(40) / 40
     gap = np.abs(res.thetas[:, None] - expected[None, :])
@@ -407,7 +494,7 @@ def test_sweep_refines_single_crossings_in_few_levels():
     crossings = [1.0, 2.6, 4.1, 5.5]
     wfn, calls = _counted(_diagonal_family([lambda t, c=c: t - c + 0.5 * np.sin(t - c)
                                             for c in crossings]))
-    res = osc.sweep_spectrum(wfn, 4, 32)
+    res = osc.sweep_spectrum(wfn, 4, 32).spectra[0]
     assert res.multiplicities.tolist() == [1, 1, 1, 1]
     # reported at the interpolated root of the final bracket, not its midpoint
     assert np.abs(res.thetas - crossings).max() < 1e-14
@@ -425,7 +512,7 @@ def test_sweep_of_a_cmv_zipper_takes_few_prufer_calls():
     for seed in range(4):
         z = ensembles.finite_zipper(seed, 2, 8, "cmv", 0.95)
         wfn, calls = _counted(osc._phase_family(z))
-        swept = osc.sweep_spectrum(wfn, 16, 128)
+        swept = osc.sweep_spectrum(wfn, 16, 128).spectra[0]
         dense = zp.dense_spectrum(zp.assemble_finite(z))
         assert len(calls) <= 12, seed
         assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
@@ -443,7 +530,7 @@ def test_sweep_of_hard_branches_needs_at_most_one_level_over_bisection():
                             (lambda t, c: t - c - np.sin(t - c), 1e-6)]:
         for c in (0.7, 2.0, 4.2, 5.9):
             wfn, calls = _counted(_diagonal_family([lambda t, c=c: phase(t, c)]))
-            res = osc.sweep_spectrum(wfn, 1, grid, refine_tol=tol)
+            res = osc.sweep_spectrum(wfn, 1, grid, refine_tol=tol).spectra[0]
             assert res.multiplicities.tolist() == [1]
             assert abs(res.thetas[0] - c) < accuracy, c
             assert len(calls) <= bisection_calls + 1, c
@@ -455,14 +542,14 @@ def test_sweep_reports_a_crossing_on_the_seam_near_zero():
     tol = 1e-10
     wfn = _diagonal_family([lambda t: t, lambda t: t - 2.0 + 0.3 * np.sin(t - 2.0),
                             lambda t: t - 4.5])
-    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol)
+    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol).spectra[0]
     assert res.multiplicities.tolist() == [1, 1, 1]
     assert 0.0 <= res.thetas[0] < tol
     assert np.abs(res.thetas[1:] - [2.0, 4.5]).max() < tol
     # a double crossing on the seam is bisected as one bracket of count 2
     wfn = _diagonal_family([lambda t: t + 0.2 * np.sin(t), lambda t: t + 0.2 * np.sin(t),
                             lambda t: t - 3.0])
-    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol)
+    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol).spectra[0]
     assert res.multiplicities.tolist() == [2, 1]
     assert 0.0 <= res.thetas[0] < tol
     assert abs(res.thetas[1] - 3.0) < tol
@@ -479,7 +566,7 @@ def test_spectrum_by_oscillation_rejects_bad_refine_tol():
 def test_sweep_below_float_resolution_stops_when_no_float_is_left_inside():
     # 2 pi / 32 halves to the float spacing at 2.6 in 48 levels; 1e-20 is never reached
     wfn, calls = _counted(_diagonal_family([lambda t: t - 2.6 + 0.5 * np.sin(t - 2.6)]))
-    res = osc.sweep_spectrum(wfn, 1, 32, refine_tol=1e-20)
+    res = osc.sweep_spectrum(wfn, 1, 32, refine_tol=1e-20).spectra[0]
     assert abs(res.thetas[0] - 2.6) <= 4.5e-16
     assert len(calls) <= 1 + 48
 

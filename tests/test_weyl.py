@@ -185,6 +185,19 @@ def test_limit_f_free_case_at_zero():
     assert res.certified_error <= res.slack * 1e-2
 
 
+def test_limit_f_refuses_a_truncation_over_the_site_cap():
+    # 8 / (tol (1 - |z|^2)^2) sites: about 9.7e9 at tol 1e-9, and inf at 1e-320;
+    # at (0.9, 5e-324) and (0.99999999, 1e-310) tol (1 - |z|^2)^2 underflows to 0
+    sem = ensembles.semi_infinite_zipper(0, 1)
+    for z, tol, wanted in [(0.3, 1e-9, r"9\.661e\+09"), (0.3, 1e-320, "inf"), (0.9, 5e-324, "inf"),
+                           (0.99999999, 1e-310, "inf")]:
+        with pytest.raises(ValidationError, match=rf"needs N = {wanted} sites, over the cap of "
+                                                  rf"{weyl.LIMIT_MAX_SITES}"):
+            weyl.limit_f(sem, z, tol)
+    assert len(sem.stored_sites) == 0
+    assert weyl.LIMIT_MAX_SITES > 105_700  # criterion 4: tol 1e-4 at |z|^2 = 0.13
+
+
 def test_limit_f_v_independence_and_scaling(rng):
     sem = ensembles.semi_infinite_zipper(77, 1, "cmv")
     w = 0.3 + 0.2j
