@@ -170,10 +170,8 @@ def cmd_measure(args) -> int:
         raise ValidationError("roundtrip needs a finite zipper file")
     mu = ms.spectral_measure_finite(doc)
     rebuilt = ms.zipper_from_measure(mu, doc.boundary_u, doc.N + 2)
-    alpha_err = 0.0
-    for n in range(2, min(rebuilt.n_available, doc.N) + 1):
-        alpha_err = max(alpha_err, float(np.abs(
-            rebuilt.gram.entries[n].alpha - doc.sites[0][n - 2]).max()))
+    m = min(rebuilt.n_available, doc.N) - 1  # the sites 2, ..., m + 1 of both
+    alpha_err = float(np.abs(rebuilt.gram.sites[0][:m] - doc.sites[0][:m]).max(initial=0.0))
     f_err = max(float(np.linalg.norm(ms.caratheodory(mu, w) - f, 2))
                 for w, f in zip(sample_z, weyl.f_matrix(doc, sample_z)))
     report = {

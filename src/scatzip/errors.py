@@ -5,7 +5,8 @@ violated a documented precondition (exit code 2), ``NumericalBreakdownError``
 means a computation failed in a way the underlying theory forbids, i.e. a
 genuine numerical breakdown (exit code 3).  The message of every raise names
 its cause (and its site or point where there is one), so callers tell
-failures apart by family and message, not by class.
+failures apart by family and message, not by class; a subclass earns its
+place only where code catches it by type.
 """
 
 
@@ -19,11 +20,3 @@ class ValidationError(ScatZipError):
 
 class NumericalBreakdownError(ScatZipError):
     """A numerical failure that contradicts a theoretical guarantee."""
-
-
-class NotPSDError(ValidationError):
-    """A matrix that must be positive (semi-)definite is not.
-
-    The one subclass caught by type: ``measures.gram_schmidt`` stops its run
-    where a recovered alpha reaches the contraction boundary.
-    """

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPSDError, NumericalBreakdownError, ValidationError
+from .errors import NumericalBreakdownError, ValidationError
 
 DEFAULT_TOL = 1e-10
 
@@ -104,14 +104,14 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root of a PSD matrix, or of each matrix of a stack.
 
     Eigenvalues in [-tol, 0) are clamped to zero; an eigenvalue below -tol
-    raises NotPSDError, a Hermiticity defect above tol a ValidationError.
+    or a Hermiticity defect above tol raises a ValidationError.
     """
     M = as_cstack(M)
     if hermitian_defect(M) > tol:
         raise ValidationError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
     w, V = np.linalg.eigh(hermitize(M))
     if w.min() < -tol:
-        raise NotPSDError(f"eigenvalue {w.min():.3e} < -{tol:.1e}")
+        raise ValidationError(f"eigenvalue {w.min():.3e} < -{tol:.1e}")
     w = np.clip(w, 0.0, None)
     R = (V * np.sqrt(w)[..., None, :]) @ adj(V)
     return hermitize(R)
@@ -124,7 +124,7 @@ def hermitian_inv_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValidationError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
     w, V = np.linalg.eigh(hermitize(M))
     if w.min() <= tol:
-        raise NotPSDError(f"eigenvalue {w.min():.3e} <= {tol:.1e}, not safely positive")
+        raise ValidationError(f"eigenvalue {w.min():.3e} <= {tol:.1e}, not safely positive")
     R = (V / np.sqrt(w)) @ adj(V)
     return hermitize(R)
 

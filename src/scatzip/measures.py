@@ -33,9 +33,8 @@ from typing import Optional
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import NotPSDError, ValidationError
-from .zipper import (SemiInfiniteZipper, Zipper, assemble_finite, dense_spectrum, site_stacks,
-                     stored_block_fn)
+from .errors import ValidationError
+from .zipper import SemiInfiniteZipper, Zipper, assemble_finite, dense_spectrum, stored_block_fn
 
 GRAM_DEGENERACY_TOL = 1e-10
 
@@ -82,8 +81,8 @@ def uniform_grid_measure(L: int, m: int) -> MatrixMeasure:
 def caratheodory(mu: MatrixMeasure, z: complex) -> np.ndarray:
     """F(z) = i sum_j W_j (xi_j + z)/(xi_j - z), the Caratheodory transform."""
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValidationError("the Caratheodory transform is evaluated inside the disc")
+    if not abs(z) < 1.0:  # also rejects NaN
+        raise ValidationError(f"the Caratheodory transform is evaluated inside the disc, got z = {z}")
     coeff = (mu.atoms + z) / (mu.atoms - z)
     return 1j * np.einsum("j,jab->ab", coeff, mu.weights)
 
@@ -170,35 +169,25 @@ def _psi_exponent(n: int) -> int:
 
 
 @dataclass
-class SzegoEntry:
-    """Recursion data of one zipper block recovered from the measure.
+class GramSchmidtResult:
+    """The orthonormal families and the zipper data recovered from them.
 
-    ``recursion_alpha`` and the leading-coefficient ratios rho, rho~ are the
-    raw Gram-Schmidt recursion data.  For odd n the zipper block is
-    S(recursion data) directly; for even n the even-layer equation of the
-    operator runs through the inverse block (V psi = z phi versus
-    psi = z S phi), so the operator's block is the adjoint
-    S(a, U, V)* = S(a*, V*, U*).  The ``alpha``/``u_gauge``/``v_gauge``
-    fields are already operator-aligned: S(alpha, u_gauge, v_gauge) is the
-    block of the zipper the measure came from.
+    ``sites`` holds the operator-aligned blocks S_2, ..., S_n as one
+    (alpha, U, V) triple of (n - 1, L, L) stacks, the ``Zipper.sites``
+    format; ``recursion_alpha``, ``rho`` and ``rho_tilde`` are the raw
+    recursion data of the same sites, and ``kappas``, ``kappas_tilde`` the
+    leading coefficients of ``phis`` and ``psis``, each a (len(phis), L, L)
+    stack.
     """
 
-    n: int
-    alpha: np.ndarray
-    u_gauge: np.ndarray
-    v_gauge: np.ndarray
+    phis: list
+    psis: list
+    sites: tuple
     recursion_alpha: np.ndarray
     rho: np.ndarray
     rho_tilde: np.ndarray
-
-
-@dataclass
-class GramSchmidtResult:
-    phis: list
-    psis: list
-    entries: dict
-    kappas: dict
-    kappas_tilde: dict
+    kappas: np.ndarray
+    kappas_tilde: np.ndarray
     stop_step: Optional[int]
     stop_reason: Optional[str]
 
@@ -255,9 +244,12 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
     phi_1 = 1 and psi_1 = U; both families advance together and the run stops
     at the first degenerate Gram normalizer (a measure with finite support
     carries only finitely many steps).  For every fully available index n >= 2
-    the entry holds alpha_n (a strict contraction), the leading-coefficient
+    the result holds alpha_n (a strict contraction), the leading-coefficient
     ratios rho_n, rho~_n, and the gauges U_n, V_n with
     rho_n = (1 - alpha alpha*)^(1/2) U_n and rho~_n = (1 - alpha* alpha)^(1/2) V_n*.
+    The recovered sites end before the first n whose alpha reaches the
+    contraction boundary, ||alpha_n|| >= 1 - 1e-12; this is the one place
+    that decides where the recovery stops.
 
     The run works on coefficient and atom-value tables; ``phis`` and ``psis``
     are built from the coefficient tables at the end.
@@ -285,38 +277,43 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
         phis.append(phi_n)
         psis.append(psi_n)
 
-    kappas = {n + 1: p[0][_phi_exponent(n + 1) + K].copy() for n, p in enumerate(phis)}
-    kappas_tilde = {n + 1: p[0][_psi_exponent(n + 1) + K].copy() for n, p in enumerate(psis)}
+    kappas = np.array([p[0][_phi_exponent(n) + K] for n, p in enumerate(phis, start=1)])
+    kappas_tilde = np.array([p[0][_psi_exponent(n) + K] for n, p in enumerate(psis, start=1)])
 
-    entries = {}
+    # per site n = 2, 3, ...: the operator's (alpha, U, V), then the recursion alpha, rho, rho~
+    table = np.zeros((6, len(phis) - 1, L, L), dtype=complex)
     for n in range(2, len(phis) + 1):
         (_, _, phi_weighted), (_, psi_values, _) = phis[n - 2], psis[n - 2]
         if n % 2 == 0:
             # z^(-1) psi_{n-1} - rho_n phi_n is a left multiple of phi_{n-1}
             psi_values = psi_values / mu.atoms[:, None, None]
         alpha = _pair(psi_values, phi_weighted)
-        rho = kappas_tilde[n - 1] @ np.linalg.inv(kappas[n])
-        rho_tilde = kappas[n - 1] @ np.linalg.inv(kappas_tilde[n])
-        try:
-            u_rec = mc.hermitian_inv_sqrt(one - alpha @ mc.adj(alpha), tol=1e-12) @ rho
-            v_rec = mc.adj(mc.hermitian_inv_sqrt(one - mc.adj(alpha) @ alpha, tol=1e-12) @ rho_tilde)
-        except NotPSDError:
+        if np.linalg.norm(alpha, 2) >= 1.0 - 1e-12:
+            # short of it, 1 - alpha alpha* keeps its eigenvalues above 2e-12 - 1e-24,
+            # so the inverse square roots below never meet their tolerance
             stop_step = n
             stop_reason = "recovered alpha reached the contraction boundary"
+            table = table[:, :n - 2]
             break
+        rho = kappas_tilde[n - 2] @ np.linalg.inv(kappas[n - 1])
+        rho_tilde = kappas[n - 2] @ np.linalg.inv(kappas_tilde[n - 1])
+        u_rec = mc.hermitian_inv_sqrt(one - alpha @ mc.adj(alpha), tol=1e-12) @ rho
+        v_rec = mc.adj(mc.hermitian_inv_sqrt(one - mc.adj(alpha) @ alpha, tol=1e-12) @ rho_tilde)
         if n % 2 == 0:
-            entries[n] = SzegoEntry(n, mc.adj(alpha), mc.adj(v_rec), mc.adj(u_rec),
-                                    alpha, rho, rho_tilde)
+            # the even-layer equation of the operator runs through the inverse block
+            # (V psi = z phi versus psi = z S phi), so the operator's block is the
+            # adjoint S(a, U, V)* = S(a*, V*, U*) of the recursion data
+            table[:, n - 2] = mc.adj(alpha), mc.adj(v_rec), mc.adj(u_rec), alpha, rho, rho_tilde
         else:
-            entries[n] = SzegoEntry(n, alpha, u_rec, v_rec, alpha, rho, rho_tilde)
+            table[:, n - 2] = alpha, u_rec, v_rec, alpha, rho, rho_tilde
 
     def poly(tables):
         coeffs = tables[0]
         support = np.flatnonzero(np.any(coeffs != 0, axis=(1, 2)))
         return MatrixLaurentPoly({e - K: coeffs[e] for e in support}, L)
 
-    return GramSchmidtResult([poly(p) for p in phis], [poly(p) for p in psis], entries,
-                             kappas, kappas_tilde, stop_step, stop_reason)
+    return GramSchmidtResult([poly(p) for p in phis], [poly(p) for p in psis], tuple(table[:3]),
+                             *table[3:], kappas, kappas_tilde, stop_step, stop_reason)
 
 
 @dataclass
@@ -342,14 +339,5 @@ def zipper_from_measure(mu: MatrixMeasure, boundary_u, n_max: int) -> MeasureZip
     resolvent boundary value.
     """
     gram = gram_schmidt(mu, boundary_u, n_max)
-    rows = []
-    for n, entry in sorted(gram.entries.items()):
-        if float(np.linalg.norm(entry.alpha, 2)) >= 1.0 - 1e-12:
-            gram.stop_step = n
-            gram.stop_reason = "recovered alpha reached the contraction boundary"
-            break
-        rows.append((entry.alpha, entry.u_gauge, entry.v_gauge))
-
-    block_fn = stored_block_fn(site_stacks(rows, mu.L), "the available data")
-    zipper = SemiInfiniteZipper(mu.L, boundary_u, block_fn)
-    return MeasureZipper(zipper, len(rows) + 1, gram)
+    zipper = SemiInfiniteZipper(mu.L, boundary_u, stored_block_fn(gram.sites, "the available data"))
+    return MeasureZipper(zipper, len(gram.sites[0]) + 1, gram)

@@ -24,10 +24,11 @@ only once the total matches, all of them in lockstep with one batched call
 per level: ITP steps on the branch that passes the seam where an interval
 holds one crossing, bisection where it holds several.
 
-Bands are one sweep over all momenta.  The fiber at momentum k scales each
-transfer by e^(ik), so its doubled Pruefer unitary is the untwisted one
-with the diagonal blocks scaled by e^(-iNk) and e^(iNk) (the Floquet
-twist).  The sweep carries a member index on every sample row and bracket:
+Bands are one sweep over all momenta, or over chunks of them where the
+momentum grid would make the phase table too large.  The fiber at momentum
+k scales each transfer by e^(ik), so its doubled Pruefer unitary is the
+untwisted one with the diagonal blocks scaled by e^(-iNk) and e^(iNk) (the
+Floquet twist).  The sweep carries a member index on every sample row and bracket:
 one untwisted ``prufer_periodic`` chain per theta serves every momentum, and
 only the momenta whose count is off go on to a doubled grid.
 """
@@ -48,6 +49,10 @@ from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters
 # eigvals call takes; bounds the frame and phase-matrix stacks in memory when
 # a sweep doubles its grid to thousands of points or twists many members.
 SWEEP_BLOCK = 1024
+# Most first-grid sample rows, momenta times (grid + 1) theta, one ``bands``
+# sweep takes; more momenta are swept in chunks, so that the phase table and
+# the seam-count temporaries of a sweep do not grow with the momentum grid.
+BANDS_SAMPLE_ROWS = 2 ** 16
 # The twist of a one-member family: wfn itself (broadcasts over every m x m).
 UNTWISTED = np.ones((1, 1, 1))
 # Largest entry of W* W - 1 a Pruefer unitary may carry.  Rounding grows like
@@ -363,7 +368,7 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
 def _phase_family(zipper: Zipper) -> Callable[[np.ndarray], np.ndarray]:
     """thetas -> stack of Pruefer unitaries at exp(i theta), one batched call:
     ``prufer`` for finite zippers, ``prufer_periodic`` for periodic ones,
-    sharing one transfer cache."""
+    all reading the phi table the zipper holds."""
     fac = TransferFactory(zipper)
     phase = prufer if zipper.flavor == "finite" else prufer_periodic
     return lambda thetas: phase(zipper, np.exp(1j * np.asarray(thetas)), factory=fac).matrix
@@ -455,8 +460,10 @@ def bands(zipper: Zipper, k_grid_size: int, grid_size: Optional[int] = None,
     W_k = D (W_0 S) D* S = diag(1, e^(iNk)) W_0 diag(e^(-iNk), 1), with S
     the block swap.  So the untwisted ``prufer_periodic`` chain runs once
     per theta, and member k of the sweep scales the diagonal blocks of W_0
-    by e^(-iNk) and e^(iNk).  ``zipper.fiber_zipper`` and the dense
-    ``zipper.fiber`` remain the independent check.
+    by e^(-iNk) and e^(iNk).  The momenta go to ``sweep_spectrum`` in
+    chunks of at most BANDS_SAMPLE_ROWS // (grid + 1), one sweep each.
+    ``zipper.fiber_zipper`` and the dense ``zipper.fiber`` remain the
+    independent check.
     """
     if zipper.flavor != "periodic":
         raise ValidationError("bands needs a periodic zipper")
@@ -468,6 +475,11 @@ def bands(zipper: Zipper, k_grid_size: int, grid_size: Optional[int] = None,
     twists = np.ones((len(ks), 2 * L, 2 * L), dtype=complex)
     twists[:, :L, :L] = np.conj(c)
     twists[:, L:, L:] = c
-    found = sweep_spectrum(_phase_family(zipper), zipper.N * L, grid, refine_tol, twists=twists,
-                           labels=[f"k = {k:.6g}" for k in ks])
-    return BandStructure(ks, found.spectra)
+    labels = [f"k = {k:.6g}" for k in ks]
+    wfn = _phase_family(zipper)
+    chunk = max(1, BANDS_SAMPLE_ROWS // (grid + 1))  # momenta per sweep
+    spectra = []
+    for i in range(0, len(ks), chunk):
+        spectra += sweep_spectrum(wfn, zipper.N * L, grid, refine_tol, twists=twists[i:i + chunk],
+                                  labels=labels[i:i + chunk]).spectra
+    return BandStructure(ks, spectra)

@@ -126,9 +126,9 @@ def phi(S, tol: float = 1e-12) -> np.ndarray:
     """Map a scattering block to its transfer matrix in U(L, L).
 
     phi([[a, b], [c, d]]) = [[c - d b^(-1) a, d b^(-1)], [-b^(-1) a, b^(-1)]].
-    Also accepts non-unitary input (needed for phi(S/z) with |z| != 1), and
-    a (n, 2L, 2L) stack of matrices, mapped in one batched call with the
-    same result per matrix as one call each.
+    Unitarity is not checked, only an invertible b.  Also accepts a
+    (n, 2L, 2L) stack of matrices, mapped in one batched call with the same
+    result per matrix as one call each.
     """
     a, b, c, d = mc.split_blocks(_matrix_of(S))
     if mc.smallest_singular_value(b) <= tol:

@@ -271,33 +271,31 @@ def measures_checks(seed=0) -> list:
     deg_ok = all(p.min_exponent() == ms._phi_exponent(n + 1) if (n + 1) % 2 == 0
                  else p.max_exponent() == ms._phi_exponent(n + 1)
                  for n, p in enumerate(gram.phis))
-    kappa_ok = all(np.linalg.cond(gram.kappas[n]) < 1e8 for n in gram.kappas)
+    kappa_ok = bool(np.all(np.linalg.cond(gram.kappas) < 1e8))
     out.append(CheckResult("measures", "leading_structure", deg_ok and kappa_ok,
                            "exponent ladder and invertible leading coefficients"))
 
     worst_rec = 0.0
-    for n in range(2, len(gram.phis) + 1):
-        e = gram.entries[n]
+    for n, (a, rho, rho_t) in enumerate(zip(gram.recursion_alpha, gram.rho, gram.rho_tilde), start=2):
         if n % 2 == 0:
-            r1 = gram.psis[n - 2].shifted(-1) - gram.phis[n - 1].left_mul(e.rho) \
-                - gram.phis[n - 2].left_mul(e.recursion_alpha)
-            r2 = gram.phis[n - 2].shifted(1) - gram.psis[n - 1].left_mul(e.rho_tilde) \
-                - gram.psis[n - 2].left_mul(mc.adj(e.recursion_alpha))
+            r1 = gram.psis[n - 2].shifted(-1) - gram.phis[n - 1].left_mul(rho) \
+                - gram.phis[n - 2].left_mul(a)
+            r2 = gram.phis[n - 2].shifted(1) - gram.psis[n - 1].left_mul(rho_t) \
+                - gram.psis[n - 2].left_mul(mc.adj(a))
         else:
-            r1 = gram.psis[n - 2] - gram.phis[n - 1].left_mul(e.rho) \
-                - gram.phis[n - 2].left_mul(e.recursion_alpha)
-            r2 = gram.phis[n - 2] - gram.psis[n - 1].left_mul(e.rho_tilde) \
-                - gram.psis[n - 2].left_mul(mc.adj(e.recursion_alpha))
+            r1 = gram.psis[n - 2] - gram.phis[n - 1].left_mul(rho) \
+                - gram.phis[n - 2].left_mul(a)
+            r2 = gram.phis[n - 2] - gram.psis[n - 1].left_mul(rho_t) \
+                - gram.psis[n - 2].left_mul(mc.adj(a))
         worst_rec = max(worst_rec, ms.mu_norm(r1, mu), ms.mu_norm(r2, mu))
     _check(out, "measures", "recursion_relations", worst_rec, 1e-7)
 
     worst_norm = 0.0
     one = mc.eye(2)
-    for e in gram.entries.values():
-        a = e.recursion_alpha
+    for a, rho, rho_t in zip(gram.recursion_alpha, gram.rho, gram.rho_tilde):
         worst_norm = max(worst_norm,
-                         float(np.linalg.norm(e.rho @ mc.adj(e.rho) + a @ mc.adj(a) - one, 2)),
-                         float(np.linalg.norm(e.rho_tilde @ mc.adj(e.rho_tilde) + mc.adj(a) @ a - one, 2)))
+                         float(np.linalg.norm(rho @ mc.adj(rho) + a @ mc.adj(a) - one, 2)),
+                         float(np.linalg.norm(rho_t @ mc.adj(rho_t) + mc.adj(a) @ a - one, 2)))
     _check(out, "measures", "rho_alpha_normalization", worst_norm, 1e-8)
 
     worst_f = 0.0

@@ -104,9 +104,9 @@ def e_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
     table = np.empty((N, len(points), 2 * L, 2 * L), dtype=complex)  # one row per site and point
     table[..., :L, :L], table[..., :L, L:], table[..., L:, :L], table[..., L:, L:] = (
         mc.adj(D)[:, None], -mc.adj(B)[:, None], -mc.adj(C)[:, None], mc.adj(A)[:, None])
-    for j, w in enumerate(points):  # even sites N, N - 2, ... are rows 0, 2, ...
-        table[0::2, j, :L, :L] = mc.adj(D[0::2]) / w
-        table[0::2, j, L:, L:] = w * mc.adj(A[0::2])
+    w = points[:, None, None]  # even sites N, N - 2, ... are rows 0, 2, ...
+    table[0::2, :, :L, :L] = mc.adj(D[0::2])[:, None] / w
+    table[0::2, :, L:, L:] = w * mc.adj(A[0::2])[:, None]
     with np.errstate(all="ignore"):  # a singular step is reported below, by its site
         E, dens = chart_chain(table, points, mc.adj(V), acted=None, keep=True)
     dens = dens.reshape((-1,) + E.shape[1:])  # row j is site N - j // len(points)

@@ -107,5 +107,5 @@ def test_gram_schmidt(benchmark):
     z = ensembles.finite_zipper(0, 1, 32, "cmv")
     mu = ms.spectral_measure_finite(z)
     gram = benchmark(ms.gram_schmidt, mu, z.boundary_u, z.N + 2)
-    benchmark.extra_info.update(atoms=len(mu.atoms), n_max=z.N + 2, entries=len(gram.entries))
-    assert gram.entries
+    benchmark.extra_info.update(atoms=len(mu.atoms), n_max=z.N + 2, sites=len(gram.sites[0]))
+    assert len(gram.sites[0])

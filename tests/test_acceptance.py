@@ -190,7 +190,7 @@ def test_criterion_5_bijection_roundtrip():
         assert res.n_available >= N
         for n in range(2, N + 1):
             worst_alpha = max(worst_alpha,
-                              float(np.abs(res.gram.entries[n].alpha - z.block(n).alpha).max()))
+                              float(np.abs(res.gram.sites[0][n - 2] - z.block(n).alpha).max()))
     z2 = ensembles.finite_zipper(520, 2, 6, ensemble="haar-gauge")
     mu2 = ms.spectral_measure_finite(z2)
     rng = np.random.default_rng(521)
@@ -200,17 +200,17 @@ def test_criterion_5_bijection_roundtrip():
     g = ms.gram_schmidt(mu2, z2.boundary_u, 8)
     worst_rec = 0.0
     for n in range(2, len(g.phis) + 1):
-        e = g.entries[n]
+        a, rho, rho_t = g.recursion_alpha[n - 2], g.rho[n - 2], g.rho_tilde[n - 2]
         if n % 2 == 0:
-            r1 = g.psis[n - 2].shifted(-1) - g.phis[n - 1].left_mul(e.rho) \
-                - g.phis[n - 2].left_mul(e.recursion_alpha)
-            r2 = g.phis[n - 2].shifted(1) - g.psis[n - 1].left_mul(e.rho_tilde) \
-                - g.psis[n - 2].left_mul(mc.adj(e.recursion_alpha))
+            r1 = g.psis[n - 2].shifted(-1) - g.phis[n - 1].left_mul(rho) \
+                - g.phis[n - 2].left_mul(a)
+            r2 = g.phis[n - 2].shifted(1) - g.psis[n - 1].left_mul(rho_t) \
+                - g.psis[n - 2].left_mul(mc.adj(a))
         else:
-            r1 = g.psis[n - 2] - g.phis[n - 1].left_mul(e.rho) \
-                - g.phis[n - 2].left_mul(e.recursion_alpha)
-            r2 = g.phis[n - 2] - g.psis[n - 1].left_mul(e.rho_tilde) \
-                - g.psis[n - 2].left_mul(mc.adj(e.recursion_alpha))
+            r1 = g.psis[n - 2] - g.phis[n - 1].left_mul(rho) \
+                - g.phis[n - 2].left_mul(a)
+            r2 = g.phis[n - 2] - g.psis[n - 1].left_mul(rho_t) \
+                - g.psis[n - 2].left_mul(mc.adj(a))
         worst_rec = max(worst_rec, ms.mu_norm(r1, mu2), ms.mu_norm(r2, mu2))
     ok = worst_alpha < 1e-6 and worst_f < 1e-6 and worst_rec < 1e-7
     assert _report("5 (bijection roundtrip)", ok,

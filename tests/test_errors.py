@@ -9,6 +9,7 @@ from scatzip import errors
 SRC = Path(scatzip.__file__).parent
 FAMILY_CLASSES = {name for name, obj in vars(errors).items()
                   if isinstance(obj, type) and issubclass(obj, errors.ScatZipError)}
+ROOTS = {"ScatZipError", "ValidationError", "NumericalBreakdownError"}
 
 
 def _raised_name(exc: ast.expr):
@@ -34,7 +35,26 @@ def test_every_raise_names_an_error_class():
     assert not offenders, offenders
 
 
-def test_two_families_and_one_caught_subclass():
-    assert FAMILY_CLASSES == {"ScatZipError", "ValidationError", "NumericalBreakdownError", "NotPSDError"}
-    assert issubclass(errors.NotPSDError, errors.ValidationError)
+def _caught_names(tree) -> set:
+    """The class names the ``except`` handlers of a module catch by type."""
+    names = set()
+    for h in ast.walk(tree):
+        if isinstance(h, ast.ExceptHandler) and h.type is not None:
+            for t in h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]:
+                names.add(t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None))
+    return names
+
+
+def test_the_roots_are_the_base_and_its_two_families():
+    base = errors.ScatZipError
+    roots = {name for name in FAMILY_CLASSES
+             if getattr(errors, name) is base or base in getattr(errors, name).__bases__}
+    assert roots == ROOTS
     assert not issubclass(errors.NumericalBreakdownError, errors.ValidationError)
+
+
+def test_every_other_error_class_is_caught_by_type():
+    caught = set().union(*(_caught_names(ast.parse(path.read_text(), filename=str(path)))
+                           for path in SRC.glob("*.py")))
+    others = FAMILY_CLASSES - ROOTS
+    assert others <= caught, sorted(others - caught)

@@ -21,6 +21,12 @@ def test_caratheodory_single_atom():
     assert abs(ms.caratheodory(mu, 0.5)[0, 0] - 3j) < 1e-14
 
 
+@pytest.mark.parametrize("z", [float("nan"), complex(0.2, float("nan")), 1.0])
+def test_caratheodory_refuses_points_off_the_open_disc(z):
+    with pytest.raises(ValidationError, match="inside the disc"):
+        ms.caratheodory(ms.uniform_grid_measure(1, 8), z)
+
+
 def test_caratheodory_matches_resolvent(rng):
     z = ensembles.finite_zipper(2, 2, 6)
     mu = ms.spectral_measure_finite(z)
@@ -124,7 +130,7 @@ def test_gram_schmidt_orthonormal_at_l2_n16():
 def test_gram_schmidt_n_max_below_two_gives_the_constants(n_max):
     mu = ms.uniform_grid_measure(2, 8)
     g = ms.gram_schmidt(mu, np.eye(2), n_max)
-    assert len(g.phis) == len(g.psis) == 1 and g.entries == {} and g.stop_step is None
+    assert len(g.phis) == len(g.psis) == 1 and len(g.sites[0]) == 0 and g.stop_step is None
     assert np.allclose(g.phis[0].coeff(0), np.eye(2))
 
 
@@ -137,7 +143,7 @@ def test_gram_schmidt_leading_structure(rng):
             assert p.min_exponent() == -(n // 2)
         else:
             assert p.max_exponent() == n // 2
-        kappa = g.kappas[n]
+        kappa = g.kappas[n - 1]
         assert np.linalg.eigvalsh(mc.hermitize(kappa)).min() > 0 or n == 1
 
 
@@ -146,17 +152,17 @@ def test_gram_schmidt_recursion_residuals(rng):
     mu = ms.spectral_measure_finite(z)
     g = ms.gram_schmidt(mu, z.boundary_u, 8)
     for n in range(2, len(g.phis) + 1):
-        e = g.entries[n]
+        a, rho, rho_t = g.recursion_alpha[n - 2], g.rho[n - 2], g.rho_tilde[n - 2]
         if n % 2 == 0:
-            r1 = g.psis[n - 2].shifted(-1) - g.phis[n - 1].left_mul(e.rho) \
-                - g.phis[n - 2].left_mul(e.recursion_alpha)
-            r2 = g.phis[n - 2].shifted(1) - g.psis[n - 1].left_mul(e.rho_tilde) \
-                - g.psis[n - 2].left_mul(mc.adj(e.recursion_alpha))
+            r1 = g.psis[n - 2].shifted(-1) - g.phis[n - 1].left_mul(rho) \
+                - g.phis[n - 2].left_mul(a)
+            r2 = g.phis[n - 2].shifted(1) - g.psis[n - 1].left_mul(rho_t) \
+                - g.psis[n - 2].left_mul(mc.adj(a))
         else:
-            r1 = g.psis[n - 2] - g.phis[n - 1].left_mul(e.rho) \
-                - g.phis[n - 2].left_mul(e.recursion_alpha)
-            r2 = g.phis[n - 2] - g.psis[n - 1].left_mul(e.rho_tilde) \
-                - g.psis[n - 2].left_mul(mc.adj(e.recursion_alpha))
+            r1 = g.psis[n - 2] - g.phis[n - 1].left_mul(rho) \
+                - g.phis[n - 2].left_mul(a)
+            r2 = g.phis[n - 2] - g.psis[n - 1].left_mul(rho_t) \
+                - g.psis[n - 2].left_mul(mc.adj(a))
         assert ms.mu_norm(r1, mu) < 1e-7
         assert ms.mu_norm(r2, mu) < 1e-7
 
@@ -166,12 +172,12 @@ def test_gram_schmidt_gauge_unitarity_and_normalization(rng):
     mu = ms.spectral_measure_finite(z)
     g = ms.gram_schmidt(mu, z.boundary_u, 8)
     one = np.eye(2)
-    for e in g.entries.values():
-        assert mc.unitary_defect(e.u_gauge) < 1e-7
-        assert mc.unitary_defect(e.v_gauge) < 1e-7
-        a = e.recursion_alpha
-        assert np.linalg.norm(e.rho @ mc.adj(e.rho) + a @ mc.adj(a) - one, 2) < 1e-8
-        assert np.linalg.norm(e.rho_tilde @ mc.adj(e.rho_tilde) + mc.adj(a) @ a - one, 2) < 1e-8
+    _, u_gauge, v_gauge = g.sites
+    for u, v, a, rho, rho_t in zip(u_gauge, v_gauge, g.recursion_alpha, g.rho, g.rho_tilde):
+        assert mc.unitary_defect(u) < 1e-7
+        assert mc.unitary_defect(v) < 1e-7
+        assert np.linalg.norm(rho @ mc.adj(rho) + a @ mc.adj(a) - one, 2) < 1e-8
+        assert np.linalg.norm(rho_t @ mc.adj(rho_t) + mc.adj(a) @ a - one, 2) < 1e-8
 
 
 def test_scalar_cmv_roundtrip(rng):
@@ -181,9 +187,10 @@ def test_scalar_cmv_roundtrip(rng):
         res = ms.zipper_from_measure(mu, z.boundary_u, N + 4)
         assert res.n_available >= N
         for n in range(2, N + 1):
-            assert np.abs(res.gram.entries[n].alpha - z.block(n).alpha).max() < 1e-6
-            assert np.abs(res.gram.entries[n].u_gauge - 1.0).max() < 1e-7
-            assert np.abs(res.gram.entries[n].v_gauge - 1.0).max() < 1e-7
+            alpha, u_gauge, v_gauge = (x[n - 2] for x in res.gram.sites)
+            assert np.abs(alpha - z.block(n).alpha).max() < 1e-6
+            assert np.abs(u_gauge - 1.0).max() < 1e-7
+            assert np.abs(v_gauge - 1.0).max() < 1e-7
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -193,10 +200,10 @@ def test_scalar_cmv_roundtrip_n32(seed):
     res = ms.zipper_from_measure(mu, z.boundary_u, 34)
     assert res.n_available == 32
     for n in range(2, 33):
-        e = res.gram.entries[n]
-        assert np.abs(e.alpha - z.block(n).alpha).max() < 1e-9
-        assert np.abs(e.u_gauge - 1.0).max() < 1e-9
-        assert np.abs(e.v_gauge - 1.0).max() < 1e-9
+        alpha, u_gauge, v_gauge = (x[n - 2] for x in res.gram.sites)
+        assert np.abs(alpha - z.block(n).alpha).max() < 1e-9
+        assert np.abs(u_gauge - 1.0).max() < 1e-9
+        assert np.abs(v_gauge - 1.0).max() < 1e-9
 
 
 def test_scalar_cmv_rebuilt_resolvent(rng):
@@ -209,12 +216,22 @@ def test_scalar_cmv_rebuilt_resolvent(rng):
         assert np.linalg.norm(weyl.f_matrix(rebuilt, w) - ms.caratheodory(mu, w), 2) < 1e-6
 
 
+@pytest.mark.parametrize("L, N, ensemble", [(1, 8, "cmv"), (2, 6, "haar-gauge")])
+def test_rebuilt_zipper_serves_the_gram_site_table(L, N, ensemble):
+    z = ensembles.finite_zipper(7, L, N, ensemble=ensemble)
+    res = ms.zipper_from_measure(ms.spectral_measure_finite(z), z.boundary_u, N + 2)
+    assert res.n_available == len(res.gram.sites[0]) + 1
+    res.zipper.extend(res.n_available)
+    for rebuilt, recovered in zip(res.zipper.sites, res.gram.sites):
+        assert np.array_equal(rebuilt, recovered)
+
+
 def test_two_atom_measure_finite_recursion():
     mu = ms.MatrixMeasure(np.array([1.0, -1.0]), np.array([[[0.5]], [[0.5]]]))
     res = ms.zipper_from_measure(mu, np.eye(1), 8)
     assert res.gram.stop_step == 3
     assert res.n_available == 2
-    assert np.abs(res.gram.entries[2].alpha).max() < 1e-12
+    assert np.abs(res.gram.sites[0][0]).max() < 1e-12
     # closed form: F(z) = i (1 + z^2) / (1 - z^2)
     w = 0.3
     assert abs(ms.caratheodory(mu, w)[0, 0] - 1j * (1 + w ** 2) / (1 - w ** 2)) < 1e-12
@@ -229,7 +246,7 @@ def test_block_diagonal_measure_decouples(rng):
     mu = ms.spectral_measure_finite(zd)
     res = ms.zipper_from_measure(mu, zd.boundary_u, 8)
     for n in range(2, 5):
-        a = res.gram.entries[n].alpha
+        a = res.gram.sites[0][n - 2]
         assert abs(a[0, 1]) + abs(a[1, 0]) < 1e-7
         assert np.abs(a - zd.block(n).alpha).max() < 1e-7
 
@@ -248,5 +265,5 @@ def test_uniform_grid_measure_is_free(rng):
     mu = ms.uniform_grid_measure(1, 8)
     res = ms.zipper_from_measure(mu, np.eye(1), 12)
     assert res.gram.stop_step == 9  # support exhausted after 8 steps
-    for e in res.gram.entries.values():
-        assert np.abs(e.alpha).max() < 1e-10
+    for alpha in res.gram.sites[0]:
+        assert np.abs(alpha).max() < 1e-10

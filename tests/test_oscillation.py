@@ -300,6 +300,30 @@ def test_bands_caps_the_matrices_per_call_at_the_sweep_block(monkeypatch):
     assert np.array_equal(narrow.eigenphase_table(), wide.eigenphase_table())
 
 
+def test_bands_sweeps_the_momenta_in_chunks_under_the_row_cap(monkeypatch):
+    # 64 momenta times 129 grid theta; a cap of 1000 rows sweeps 7 momenta at a time
+    z = ensembles.periodic_zipper(3, 2, 8, "haar-gauge")
+    whole = osc.bands(z, 64)
+    rows, sweeps = [], []
+    sample_grid, sweep_spectrum = osc._sample_grid, osc.sweep_spectrum
+
+    def recorded(wfn, thetas, twists):
+        rows.append(len(thetas) * len(twists))
+        return sample_grid(wfn, thetas, twists)
+
+    def counted(*args, **kwargs):
+        sweeps.append(len(kwargs["twists"]))
+        return sweep_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(osc, "BANDS_SAMPLE_ROWS", 1000)
+    monkeypatch.setattr(osc, "_sample_grid", recorded)
+    monkeypatch.setattr(osc, "sweep_spectrum", counted)
+    chunked = osc.bands(z, 64)
+    assert sweeps == [7] * 9 + [1]
+    assert max(rows) <= 1000
+    assert np.array_equal(chunked.eigenphase_table(), whole.eigenphase_table())
+
+
 def test_family_sweep_mismatch_names_the_member():
     twists = np.exp(1j * np.array([0.0, 0.5]))[:, None, None]
     wfn = _diagonal_family([lambda t: 40 * t])
