@@ -178,13 +178,6 @@ def in_siegel_disc(Z, strict: bool = True, tol: float = DEFAULT_TOL) -> bool:
     return smax * smax <= 1.0 + tol
 
 
-def in_upper_half_plane(Z, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the matrix imaginary part i(Z* - Z) is positive definite."""
-    Z = as_cmatrix(Z)
-    im = hermitize(1j * (adj(Z) - Z))
-    return bool(np.linalg.eigvalsh(im).min() > tol)
-
-
 def principal_cosines(A, B) -> np.ndarray:
     """Cosines of the principal angles between the column spans of A and B."""
     qa, _ = np.linalg.qr(as_cmatrix(A))

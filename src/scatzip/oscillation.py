@@ -12,10 +12,12 @@ Periodic zippers use the doubled (checkerboard) construction: the fixed-point
 condition of the transfer cocycle becomes a Lagrangian intersection in twice
 the dimension, handled by the same sweep on a 2L x 2L Pruefer unitary.  Both
 phases carry the chart W = b a^(-1) of their frame by Moebius steps
-(``transfer.chart_chain``), never the frame; ``checkerboard_sum`` and the
-frames of ``transfer.propagate`` stay as the references they are checked on.
+(``transfer.chart_chain``) on the phi table, never the frame; the frames of
+``transfer.propagate`` and the direct ``transfer.transfer_product`` stay as
+the references they are checked on.
 
-Both phases take an array of circle points and evaluate it in one chain.
+Both phases take one circle point or a 1-D array of them and return the
+m x m unitary, or the (B, m, m) stack, evaluated in one chain.
 The sweep samples its whole theta grid that way (at most SWEEP_BLOCK points
 per call, and as many matrices per eigvals call), counts the seam passages
 of all its intervals in one array operation, keeps the samples when a count
@@ -61,24 +63,17 @@ UNTWISTED = np.ones((1, 1, 1))
 PRUFER_UNITARY_TOL = 1e-6
 
 
-@dataclass
-class PruferPhase:
-    """Unitary phase matrix at a circle point (L x L finite, 2L x 2L periodic), or
-    at a 1-D array ``z`` of them, with ``matrix`` the (B, m, m) stack."""
-
-    z: complex
-    matrix: np.ndarray
-
-
 def _check_circle(z):
     z = np.asarray(z, dtype=complex)
+    if z.ndim > 1:
+        raise ValidationError(f"z must be a point or a 1-D array, got ndim={z.ndim}")
     off = ~(np.abs(np.abs(z) - 1.0) <= 1e-12)  # NaN is off the circle
     if np.any(off):
         raise ValidationError(f"|z| = {np.abs(z[off]).flat[0]:.8f} must be 1")
     return z / np.abs(z)
 
 
-def _unitary_chart(z, table: np.ndarray, start: np.ndarray, acted: slice, right: np.ndarray) -> PruferPhase:
+def _unitary_chart(z, table: np.ndarray, start: np.ndarray, acted: slice, right: np.ndarray) -> np.ndarray:
     """W = chart_chain(table, z, start) right, at one circle point or a 1-D array.  On
     the circle every denominator is invertible (an orthonormal Lagrangian frame has
     a* a = b* b = 1/2); an entry of W* W - 1 above PRUFER_UNITARY_TOL is a breakdown."""
@@ -90,41 +85,21 @@ def _unitary_chart(z, table: np.ndarray, start: np.ndarray, acted: slice, right:
         i = int(np.argmax(bad))
         raise NumericalBreakdownError(
             f"Pruefer unitary at z = {zs[i]:.6g} has unitarity defect {defect[i]:.1e} > {PRUFER_UNITARY_TOL:.0e}")
-    return PruferPhase(complex(zs[0]), W[0]) if np.ndim(z) == 0 else PruferPhase(zs, W)
+    return W[0] if np.ndim(z) == 0 else W
 
 
-def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> PruferPhase:
-    """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*.
+def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> np.ndarray:
+    """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*, L x L.
 
-    ``z`` is one circle point or a 1-D array of them, evaluated in one chart
-    chain from W = 1, the chart of the start frame (1; 1).
+    ``z`` is one circle point or a 1-D array of B of them, evaluated in one
+    chart chain from W = 1, the chart of the start frame (1; 1); an array
+    gives the (B, L, L) stack.
     """
     z = _check_circle(z)
     if zipper.flavor != "finite":
         raise ValidationError("prufer needs a finite zipper")
-    table = (factory or TransferFactory(zipper)).phi_table(zipper.N)
+    table = (factory or zipper).phi_table(zipper.N)
     return _unitary_chart(z, table, mc.eye(zipper.L), slice(None), mc.adj(zipper.boundary_v))
-
-
-def checkerboard_sum(T1, T2) -> np.ndarray:
-    """Block interleaving [[A,0,B,0],[0,A',0,B'],[C,0,D,0],[0,C',0,D']].
-
-    Multiplicative: (T (+) T')(S (+) S') = (TS) (+) (T'S'), and it sends the
-    pair of signature forms to the doubled signature form.
-    """
-    T1, T2 = mc.as_cmatrix(T1), mc.as_cmatrix(T2)
-    if T1.shape != T2.shape:
-        raise ValidationError(f"shapes {T1.shape} and {T2.shape} differ")
-    A, B, C, D = mc.split_blocks(T1)
-    A2, B2, C2, D2 = mc.split_blocks(T2)
-    L = A.shape[0]
-    Z = np.zeros((L, L), dtype=complex)
-    return np.block([[A, Z, B, Z], [Z, A2, Z, B2], [C, Z, D, Z], [Z, C2, Z, D2]])
-
-
-def doubled_initial_frame(L: int) -> np.ndarray:
-    """The doubled Lagrangian start frame [[0,1],[1,0],[1,0],[0,1]] in L x L blocks."""
-    return np.vstack([_swap(L), mc.eye(2 * L)])
 
 
 def _swap(L: int) -> np.ndarray:
@@ -145,8 +120,8 @@ def _doubled_table(phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> PruferPhase:
-    """Doubled Pruefer unitary of a periodic zipper, at one point or a 1-D array.
+def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> np.ndarray:
+    """Doubled Pruefer unitary of a periodic zipper, 2L x 2L, at one point or a 1-D array.
 
     Carries the chart of the doubled start frame by 1 (+) T_n(z); the
     eigenvalue-1 multiplicity of the result equals the geometric
@@ -159,7 +134,7 @@ def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None
     if zipper.flavor != "periodic":
         raise ValidationError("prufer_periodic needs a periodic zipper")
     L = zipper.L
-    table = _doubled_table((factory or TransferFactory(zipper)).phi_table(zipper.N))
+    table = _doubled_table((factory or zipper).phi_table(zipper.N))
     return _unitary_chart(z, table, _swap(L), slice(L, 2 * L), _swap(L))
 
 
@@ -369,9 +344,8 @@ def _phase_family(zipper: Zipper) -> Callable[[np.ndarray], np.ndarray]:
     """thetas -> stack of Pruefer unitaries at exp(i theta), one batched call:
     ``prufer`` for finite zippers, ``prufer_periodic`` for periodic ones,
     all reading the phi table the zipper holds."""
-    fac = TransferFactory(zipper)
     phase = prufer if zipper.flavor == "finite" else prufer_periodic
-    return lambda thetas: phase(zipper, np.exp(1j * np.asarray(thetas)), factory=fac).matrix
+    return lambda thetas: phase(zipper, np.exp(1j * np.asarray(thetas)))
 
 
 def _sweep_grid(zipper: Zipper, grid_size: Optional[int], refine_tol: float) -> int:

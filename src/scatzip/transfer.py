@@ -13,13 +13,19 @@ which drives all the Weyl-disc estimates.  The left boundary U enters as the
 z-independent first step T_1 = diag(U, 1).
 
 Two loops run over the sites, both on a 1-D array of z at once, with the
-even steps diag(1, z) phi(S_n) diag(1/z, 1).  ``chart_chain`` carries the
-charts W = b a^(-1) of frames (a; b) by Moebius steps, one batched solve
-per site: the Pruefer phases (``oscillation``) and the boundary value E
-(``weyl.e_matrix``, on the inverse transfers).  ``propagate`` carries the
-frames, one stacked QR per site with the removed right factor kept: the
-Weyl discs and radius norms (``weyl``), and the independent check of the
-Pruefer charts in the tests and ``verify``.
+even steps diag(1, z) phi(S_n) diag(1/z, 1), and both read the phi table
+of the zipper (or of a ``factory`` standing in for it).  ``chart_chain``
+carries the charts W = b a^(-1) of frames (a; b) by Moebius steps, one
+batched solve per site: the Pruefer phases (``oscillation``) and the
+boundary value E (``weyl.e_matrix``, on the inverse transfers).
+``propagate`` carries the frames, one stacked QR per site with the removed
+right factor kept: the Weyl discs and radius norms (``weyl``), and the
+independent check of the Pruefer charts in the tests and ``verify``.
+
+The references never read that table: ``site_transfer`` builds T_n(z) from
+the block of site n alone, and ``transfer_product``, ``q_form`` and
+``solve_inhomogeneous`` (and ``weyl.e_matrix_closed``, ``weyl._q_tilde``
+and the ``verify`` transfer checks) multiply its steps.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .scattering import ScatteringBlock, phi
-from .zipper import Zipper
+from .zipper import Zipper, _boundary_transfer
 
 
 def _check_z(z):
@@ -57,52 +63,44 @@ def transfer_at(block: ScatteringBlock, n: int, z: complex) -> np.ndarray:
     return _even_transfer(M, z) if n % 2 == 0 else M
 
 
-class TransferFactory:
-    """Serves T_n(z) off the phi table of a zipper.
+def site_transfer(zipper, n: int, z) -> np.ndarray:
+    """T_n(z) built from the block of site n alone, never from the phi table.
 
-    The z-independent parts phi(S_n) are the rows of ``zipper.phi_table``,
-    which the zipper object builds once (a semi-infinite zipper extends it
-    when its stored prefix grows), so every factory, frame propagation and
-    E-chain on one zipper shares one table.  ``product`` is the exception:
-    it is a reference and multiplies per-block transfers.  For finite and
-    semi-infinite zippers T_1 = diag(U, 1) carries the left boundary; for
-    periodic zippers T_1 = phi(S_1) is a genuine block.
+    For finite and semi-infinite zippers T_1 = diag(U, 1) carries the left
+    boundary; every other site (and site 1 of a periodic zipper) is
+    ``transfer_at(zipper.block(n), n, z)``.
+    """
+    if n == 1 and zipper.flavor != "periodic":
+        return _boundary_transfer(zipper.boundary_u)
+    return transfer_at(zipper.block(n), n, z)
+
+
+def transfer_product(zipper, n: int, z: complex) -> np.ndarray:
+    """Ordered product T_n(z) ... T_1(z) of ``site_transfer`` steps, a reference
+    independent of the phi table that ``propagate`` and ``e_matrix`` run on."""
+    z = _check_z(z)
+    T = mc.eye(2 * zipper.L)
+    for m in range(1, n + 1):
+        T = site_transfer(zipper, m, z) @ T
+    return T
+
+
+class TransferFactory:
+    """The table seam: serves the phi table of a zipper.
+
+    The routes that read the table (``propagate``, the Pruefer phases and
+    the ``weyl`` E-chain and frames) take as ``factory=`` any object with
+    ``phi_table(upto)`` in place of the zipper's own table, and read
+    ``zipper.phi_table`` without one; perfbench passes this class there,
+    the tests pass hand-built tables.
     """
 
     def __init__(self, zipper):
         self.zipper = zipper
-        self.L = zipper.L
 
     def phi_table(self, upto: int) -> np.ndarray:
         """Rows phi_1, ..., phi_upto as one (upto, 2L, 2L) stack."""
         return self.zipper.phi_table(upto)
-
-    def phi_at(self, n: int) -> np.ndarray:
-        return self.zipper.phi_table(n)[n - 1]
-
-    def transfer(self, n: int, z: complex) -> np.ndarray:
-        M = self.phi_at(n)
-        return _even_transfer(M, z) if n % 2 == 0 else M
-
-    def product(self, n: int, z: complex) -> np.ndarray:
-        """Ordered product T_n(z) ... T_1(z), built block by block as a reference.
-
-        Every factor comes from ``transfer_at(zipper.block(m), ...)`` and the
-        left boundary from diag(U, 1), never from the phi table, so the
-        cross-check routes built on this product (``e_matrix_closed``, the
-        radius form ``_q_tilde``, the ``verify`` suite) stay independent of
-        the stacked ``phi`` that ``propagate`` and ``e_matrix`` run on.
-        """
-        z = _check_z(z)
-        T = mc.eye(2 * self.L)
-        for m in range(1, n + 1):
-            if m == 1 and self.zipper.flavor != "periodic":
-                u = self.zipper.boundary_u
-                step = mc.join_blocks(u, np.zeros_like(u), np.zeros_like(u), mc.eye(self.L))
-            else:
-                step = transfer_at(self.zipper.block(m), m, z)
-            T = step @ T
-        return T
 
 
 def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray,
@@ -205,9 +203,8 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
     if zs.ndim > 1:
         raise ValidationError(f"z must be a point or a 1-D array, got ndim={zs.ndim}")
     points = zs.reshape(-1, 1, 1)
-    fac = factory or TransferFactory(zipper)
-    L = fac.L
-    phis = fac.phi_table(upto)
+    L = zipper.L
+    phis = (factory or zipper).phi_table(upto)
     first = np.vstack([mc.eye(L)] * 2) if start is None else np.asarray(start, dtype=complex)
     frame = np.repeat(first[None], len(points), axis=0)
     carried = frame.shape[1] - 2 * L
@@ -273,17 +270,15 @@ def p_matrix(block: ScatteringBlock, z: complex) -> QuadraticForm:
     return QuadraticForm(mc.hermitize(P), z)
 
 
-def q_form(zipper, z: complex, upto: Optional[int] = None,
-           factory: Optional[TransferFactory] = None) -> QuadraticForm:
-    """Accumulated form Q_n = (T_n ... T_1)* L (T_n ... T_1).
+def q_form(zipper, z: complex, upto: Optional[int] = None) -> QuadraticForm:
+    """Accumulated form Q_n = (T_n ... T_1)* L (T_n ... T_1), on ``site_transfer`` steps.
 
     Computed both as the direct product and as the telescoped sum
     L + sum_k (T_1 ... T_{2k-1})* P_{2k} (T_{2k-1} ... T_1); the two must
     agree, and their distance is reported in ``product_defect``.
     """
     z = _check_z(z)
-    fac = factory or TransferFactory(zipper)
-    L = fac.L
+    L = zipper.L
     n = upto if upto is not None else zipper.N
     Lf = mc.lform(L)
     T = mc.eye(2 * L)
@@ -292,7 +287,7 @@ def q_form(zipper, z: complex, upto: Optional[int] = None,
         if m % 2 == 0:
             P = p_matrix(zipper.block(m), z).matrix
             Q_sum = Q_sum + mc.adj(T) @ P @ T
-        T = fac.transfer(m, z) @ T
+        T = site_transfer(zipper, m, z) @ T
     Q_prod = mc.hermitize(mc.adj(T) @ Lf @ T)
     defect = float(np.linalg.norm(Q_prod - Q_sum, 2))
     return QuadraticForm(mc.hermitize(Q_sum), z, n=n, product_defect=defect)
@@ -306,7 +301,8 @@ def solve_inhomogeneous(zipper: Zipper, z: complex, xi) -> list:
     ``xi`` is a length-N sequence of L x m right-hand blocks.  The forward
     recursion carries the homogeneous frame and a particular accumulation
     through the transfers; the free left datum phi_1 is then pinned by the
-    right boundary condition V phi_N = psi_N.  Returns [phi_1, ..., phi_N].
+    right boundary condition V phi_N = psi_N.  Every transfer is built from
+    its site's block (``site_transfer``).  Returns [phi_1, ..., phi_N].
     """
     z = _check_z(z)
     if abs(z) >= 1.0:
@@ -319,19 +315,18 @@ def solve_inhomogeneous(zipper: Zipper, z: complex, xi) -> list:
         raise ValidationError(f"xi must be {N} blocks with {L} rows")
     m = xi[0].shape[1]
 
-    fac = TransferFactory(zipper)
     H = np.vstack([mc.eye(L)] * 2)           # homogeneous frame T_n...T_1 (1;1)
     P = np.zeros((2 * L, m), dtype=complex)  # particular accumulation
     homogeneous = [None]
     particular = [None]
     for n in range(1, N + 1):
-        T = fac.transfer(n, z)
+        S = zipper.block(n) if n % 2 == 0 else None
+        T = site_transfer(zipper, n, z) if S is None else transfer_at(S, n, z)
         H = T @ H
         P = T @ P
-        if n % 2 == 0:
+        if S is not None:
             # transfer form of V psi = z phi + xi on the site pair: the
             # inhomogeneity enters with the opposite sign to the frame term
-            S = zipper.block(n)
             binv = np.linalg.inv(S.beta)
             J = mc.join_blocks(-S.delta @ binv / z, mc.eye(L) / z, -binv, np.zeros((L, L)))
             P = P - J @ np.vstack([xi[n - 2], xi[n - 1]])

@@ -172,13 +172,12 @@ def transfer_checks(seed=0) -> list:
     out = []
     worst_cons = worst_lag = 0.0
     z = ensembles.finite_zipper(int(rng.integers(2**32)), 2, 8)
-    fac = tr.TransferFactory(z)
     for theta in rng.uniform(0, 2 * np.pi, size=5):
         zz = np.exp(1j * theta)
         for n in range(1, 9):
-            T = fac.transfer(n, zz)
+            T = tr.site_transfer(z, n, zz)
             worst_cons = max(worst_cons, float(np.linalg.norm(mc.adj(T) @ mc.lform(2) @ T - mc.lform(2), 2)))
-        fr = tr.propagate(z, zz, 8, factory=fac)
+        fr = tr.propagate(z, zz, 8)
         worst_lag = max(worst_lag, float(np.linalg.norm(fr.lform_value(), 2)))
     _check(out, "transfer", "form_conservation_on_circle", worst_cons, 1e-10)
     _check(out, "transfer", "frames_lagrangian_on_circle", worst_lag, 1e-9)
@@ -198,8 +197,8 @@ def transfer_checks(seed=0) -> list:
     worst_angle = 0.0
     for theta in rng.uniform(0, 2 * np.pi, size=3):
         zz = np.exp(1j * theta)
-        fr = tr.propagate(z, zz, 8, renormalize=True, factory=fac)
-        raw = tr.propagate(z, zz, 8, renormalize=False, factory=fac)
+        fr = tr.propagate(z, zz, 8, renormalize=True)
+        raw = tr.propagate(z, zz, 8, renormalize=False)
         worst_angle = max(worst_angle, float(np.max(mc.principal_sines(fr.matrix, raw.matrix))))
     _check(out, "transfer", "renormalization_preserves_plane", worst_angle, 1e-8)
 
@@ -233,7 +232,7 @@ def weyl_checks(seed=0) -> list:
                            float(np.linalg.norm(weyl.g_matrix(z, zz) - weyl.dense_g(op, zz), 2)))
             E1 = weyl.e_matrix(z, zz)
             E2 = weyl.e_matrix_closed(z, zz)
-            E3 = mc.mobius_inverse(mc.adj(z.boundary_v), tr.TransferFactory(z).product(N, zz))
+            E3 = mc.mobius_inverse(mc.adj(z.boundary_v), tr.transfer_product(z, N, zz))
             worst_e = max(worst_e, float(np.linalg.norm(E1 - E2, 2)), float(np.linalg.norm(E1 - E3, 2)))
     out.append(CheckResult("weyl", "caratheodory_positivity", worst_im > 0,
                            f"min imaginary-part eigenvalue {worst_im:.3e}"))
@@ -314,7 +313,7 @@ def oscillation_checks(seed=0) -> list:
     agree = True
     for idx in range(min(3, len(spec.thetas))):
         th = spec.thetas[idx]
-        W = osc.prufer(z, np.exp(1j * th)).matrix
+        W = osc.prufer(z, np.exp(1j * th))
         frame = tr.propagate(z, np.exp(1j * th), z.N).matrix
         psi_v = np.vstack([mc.eye(2), z.boundary_v]) / np.sqrt(2)
         d1 = mc.subspace_intersection_dim(frame, psi_v, tol=1e-6)

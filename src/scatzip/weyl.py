@@ -26,8 +26,8 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
-from .transfer import TransferFactory, chart_chain, propagate
-from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper
+from .transfer import TransferFactory, chart_chain, propagate, transfer_product
+from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper, _boundary_unitary
 
 # Largest relative center-reflection defect ||S(1/conj z) - S(z)*|| / ||S||
 # a Weyl disc may carry.
@@ -55,10 +55,7 @@ def _resolve_v(zipper, v_boundary):
         return zipper.boundary_v  # the constructor checked it unitary to the same 1e-9
     if v_boundary is None:
         raise ValidationError("a right boundary unitary V is required")
-    v = mc.as_cmatrix(v_boundary)
-    if mc.unitary_defect(v) > 1e-9:
-        raise ValidationError("V must be unitary")
-    return v
+    return _boundary_unitary("v_boundary", v_boundary, zipper.L)
 
 
 def _resolve_n(zipper, upto):
@@ -99,7 +96,7 @@ def e_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
     points, scalar = _disc_points(z)
     N = _resolve_n(zipper, upto)
     V = _resolve_v(zipper, v_boundary)
-    A, B, C, D = mc.split_blocks((factory or TransferFactory(zipper)).phi_table(N)[::-1])
+    A, B, C, D = mc.split_blocks((factory or zipper).phi_table(N)[::-1])
     L = zipper.L
     table = np.empty((N, len(points), 2 * L, 2 * L), dtype=complex)  # one row per site and point
     table[..., :L, :L], table[..., :L, L:], table[..., L:, :L], table[..., L:, L:] = (
@@ -122,12 +119,13 @@ def e_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
 def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = None) -> np.ndarray:
     """E from the closed form (C - V A)^(-1)(V B - D) of the full transfer product.
 
-    Cross-check route only: the raw product overflows for long hyperbolic runs.
+    Cross-check route only, on ``transfer_product``, which never reads the phi
+    table: the raw product overflows for long hyperbolic runs.
     """
     z = _check_disc_z(z)
     N = _resolve_n(zipper, upto)
     V = _resolve_v(zipper, v_boundary)
-    A, B, C, D = mc.split_blocks(TransferFactory(zipper).product(N, z))
+    A, B, C, D = mc.split_blocks(transfer_product(zipper, N, z))
     return np.linalg.solve(C - V @ A, V @ B - D)
 
 
@@ -202,10 +200,10 @@ class WeylDisc:
         return 8.0 / (self.n * (1.0 - abs(self.z) ** 2) ** 2)
 
 
-def _q_tilde(factory: TransferFactory, z: complex, n: int) -> np.ndarray:
+def _q_tilde(zipper, z: complex, n: int) -> np.ndarray:
     """Cayley transform C* T* L T C of the form of the direct product (test reference)."""
-    T = factory.product(n, z)
-    L = factory.L
+    T = transfer_product(zipper, n, z)
+    L = zipper.L
     C = mc.cayley(L)
     return mc.hermitize(mc.adj(C) @ mc.adj(T) @ mc.lform(L) @ T @ C)
 
@@ -370,13 +368,12 @@ def limit_f(zipper: SemiInfiniteZipper, z: complex, tol: float) -> LimitF:
                               f"over the cap of {LIMIT_MAX_SITES}")
     n_used = int(np.ceil(n_wanted))
     n_used += n_used % 2
-    fac = TransferFactory(zipper)
-    F = f_matrix(zipper, z, v_boundary=mc.eye(zipper.L), upto=n_used, factory=fac)
+    F = f_matrix(zipper, z, v_boundary=mc.eye(zipper.L), upto=n_used)
     certified = LIMIT_SLACK * 8.0 / (n_used * gap)
     posterior = log_posterior = None
     if z != 0:
         try:
-            lr, lr_refl = _frame_discs(zipper, np.array([z, 1.0 / np.conj(z)]), n_used, fac)[2]
+            lr, lr_refl = _frame_discs(zipper, np.array([z, 1.0 / np.conj(z)]), n_used)[2]
         except NumericalBreakdownError:
             lr = lr_refl = np.nan
         if np.isfinite(lr) and np.isfinite(lr_refl):

@@ -34,7 +34,7 @@ def test_prufer_call(benchmark, L):
     w = _circle(8 * N_PRUFER * L + 1)
     fac = tr.TransferFactory(z)
     benchmark.extra_info.update(sites=z.N, points=len(w))
-    W = benchmark(osc.prufer, z, w, factory=fac).matrix
+    W = benchmark(osc.prufer, z, w, factory=fac)
     assert W.shape == (len(w), L, L)
 
 
@@ -44,7 +44,7 @@ def test_prufer_periodic_call(benchmark, L):
     w = _circle(8 * z.N * L + 1)
     fac = tr.TransferFactory(z)
     benchmark.extra_info.update(sites=z.N, points=len(w))
-    W = benchmark(osc.prufer_periodic, z, w, factory=fac).matrix
+    W = benchmark(osc.prufer_periodic, z, w, factory=fac)
     assert W.shape == (len(w), 2 * L, 2 * L)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scatzip import ensembles, matrix_core as mc
+from scatzip.errors import ValidationError
 from scatzip.scattering import phi
 
 
@@ -36,3 +37,31 @@ class HandBuiltTable:
 
     def phi_table(self, upto):
         return self.table[:upto]
+
+
+def checkerboard_sum(T1, T2) -> np.ndarray:
+    """Block interleaving [[A,0,B,0],[0,A',0,B'],[C,0,D,0],[0,C',0,D']].
+
+    Multiplicative: (T (+) T')(S (+) S') = (TS) (+) (T'S'), and it sends the
+    pair of signature forms to the doubled signature form.
+    """
+    T1, T2 = mc.as_cmatrix(T1), mc.as_cmatrix(T2)
+    if T1.shape != T2.shape:
+        raise ValidationError(f"shapes {T1.shape} and {T2.shape} differ")
+    A, B, C, D = mc.split_blocks(T1)
+    A2, B2, C2, D2 = mc.split_blocks(T2)
+    Z = np.zeros_like(A)
+    return np.block([[A, Z, B, Z], [Z, A2, Z, B2], [C, Z, D, Z], [Z, C2, Z, D2]])
+
+
+def doubled_initial_frame(L):
+    """The doubled Lagrangian start frame [[0,1],[1,0],[1,0],[0,1]] in L x L blocks."""
+    one, zero = mc.eye(L), np.zeros((L, L), dtype=complex)
+    return np.block([[zero, one], [one, zero], [one, zero], [zero, one]])
+
+
+def in_upper_half_plane(Z, tol=mc.DEFAULT_TOL) -> bool:
+    """True iff the matrix imaginary part i(Z* - Z) is positive definite."""
+    Z = mc.as_cmatrix(Z)
+    im = mc.hermitize(1j * (mc.adj(Z) - Z))
+    return bool(np.linalg.eigvalsh(im).min() > tol)

@@ -6,7 +6,7 @@ import pytest
 from scatzip import ensembles, matrix_core as mc
 from scatzip.errors import NumericalBreakdownError, ValidationError
 
-from conftest import random_unitary
+from conftest import in_upper_half_plane, random_unitary
 
 
 def test_hermitian_sqrt_identity_fixed_point():
@@ -85,7 +85,7 @@ def test_mobius_j_unitary_preserves_half_plane(rng):
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         B = rng.standard_normal((2, 2))
         Z = A + mc.adj(A) + 1j * (B @ B.T + np.eye(2))
-        assert mc.in_upper_half_plane(mc.mobius(TJ, Z))
+        assert in_upper_half_plane(mc.mobius(TJ, Z))
 
 
 def test_mobius_inverse_roundtrip(rng):

@@ -7,14 +7,14 @@ from scatzip import ensembles, matrix_core as mc, oscillation as osc, transfer a
 from scatzip import zipper as zp
 from scatzip.errors import NumericalBreakdownError, ValidationError
 
-from conftest import HandBuiltTable
+from conftest import HandBuiltTable, checkerboard_sum, doubled_initial_frame
 
 
 def test_prufer_unitary_and_eigenvalue_one(rng):
     z = ensembles.finite_zipper(3, 2, 6)
     spec = zp.dense_spectrum(zp.assemble_finite(z))
     for idx in range(3):
-        W = osc.prufer(z, np.exp(1j * spec.thetas[idx])).matrix
+        W = osc.prufer(z, np.exp(1j * spec.thetas[idx]))
         assert mc.unitary_defect(W) < 1e-8
         assert np.min(np.abs(np.linalg.eigvals(W) - 1)) < 1e-6
 
@@ -23,7 +23,7 @@ def test_prufer_multiplicity_equals_intersection(rng):
     z = ensembles.finite_zipper(3, 2, 6)
     spec = zp.dense_spectrum(zp.assemble_finite(z))
     th = spec.thetas[1]
-    W = osc.prufer(z, np.exp(1j * th)).matrix
+    W = osc.prufer(z, np.exp(1j * th))
     frame = tr.propagate(z, np.exp(1j * th), z.N).matrix
     psi_v = np.vstack([np.eye(2), z.boundary_v]) / np.sqrt(2)
     dim = mc.subspace_intersection_dim(frame, psi_v, tol=1e-6)
@@ -38,7 +38,7 @@ def test_prufer_multiplicity_equals_intersection(rng):
 def test_prufer_invariant_under_renormalization(rng):
     z = ensembles.finite_zipper(3, 2, 8)
     w = np.exp(0.93j)
-    W1 = osc.prufer(z, w).matrix
+    W1 = osc.prufer(z, w)
     raw = tr.propagate(z, w, 8, renormalize=False)
     W2 = np.linalg.solve(raw.upper().T, raw.lower().T).T @ mc.adj(z.boundary_v)
     assert np.linalg.norm(W1 - W2, 2) < 1e-9
@@ -48,7 +48,7 @@ def test_prufer_free_two_site_closed_form():
     # all-swap N=2: the phase matrix is exp(2 i theta)
     z = ensembles.finite_zipper(0, 1, 2, ensemble="free")
     for theta in (0.3, 1.7, 4.0):
-        W = osc.prufer(z, np.exp(1j * theta)).matrix
+        W = osc.prufer(z, np.exp(1j * theta))
         assert abs(W[0, 0] - np.exp(2j * theta)) < 1e-12
 
 
@@ -99,8 +99,8 @@ def test_rotation_positivity_free_symbolic():
 
 
 def test_checkerboard_identity_and_form():
-    assert np.allclose(osc.checkerboard_sum(np.eye(2), np.eye(2)), np.eye(4))
-    Lh = osc.checkerboard_sum(mc.lform(2), mc.lform(2))
+    assert np.allclose(checkerboard_sum(np.eye(2), np.eye(2)), np.eye(4))
+    Lh = checkerboard_sum(mc.lform(2), mc.lform(2))
     assert np.allclose(Lh, mc.lform(4))
 
 
@@ -108,8 +108,8 @@ def test_checkerboard_conserves_doubled_form(rng):
     from scatzip.scattering import phi
 
     T = phi(ensembles.random_block(rng, 2, "haar-gauge"))
-    hatT = osc.checkerboard_sum(np.eye(4), T)
-    Lh = osc.checkerboard_sum(mc.lform(2), mc.lform(2))
+    hatT = checkerboard_sum(np.eye(4), T)
+    Lh = checkerboard_sum(mc.lform(2), mc.lform(2))
     assert np.linalg.norm(mc.adj(hatT) @ Lh @ hatT - Lh, 2) < 1e-10
 
 
@@ -117,18 +117,18 @@ def test_checkerboard_multiplicative(rng):
     from scatzip.scattering import phi
 
     a, b, c, d = (phi(ensembles.random_block(rng, 2, "haar-gauge")) for _ in range(4))
-    lhs = osc.checkerboard_sum(a @ c, b @ d)
-    rhs = osc.checkerboard_sum(a, b) @ osc.checkerboard_sum(c, d)
+    lhs = checkerboard_sum(a @ c, b @ d)
+    rhs = checkerboard_sum(a, b) @ checkerboard_sum(c, d)
     assert np.linalg.norm(lhs - rhs, 2) < 1e-12
 
 
 def test_checkerboard_size_mismatch():
     with pytest.raises(ValidationError, match=r"shapes \(2, 2\) and \(4, 4\) differ"):
-        osc.checkerboard_sum(np.eye(2), np.eye(4))
+        checkerboard_sum(np.eye(2), np.eye(4))
 
 
 def test_doubled_frame_chart_is_swap():
-    frame = osc.doubled_initial_frame(2)
+    frame = doubled_initial_frame(2)
     a, b = frame[:4], frame[4:]
     assert np.allclose(a @ np.linalg.inv(b), osc._swap(2))
     Lh = mc.lform(4)
@@ -142,15 +142,15 @@ def test_prufer_periodic_frame_matches_checkerboard_product():
     for seed, L in [(12, 1), (13, 2)]:
         z = ensembles.periodic_zipper(seed, L, 6)
         fac = tr.TransferFactory(z)
-        start = osc.doubled_initial_frame(L)
+        start = doubled_initial_frame(L)
         perm = np.r_[0:L, 2 * L:3 * L, L:2 * L, 3 * L:4 * L]
         for theta in (0.4, 2.1, 5.3):
             w = np.exp(1j * theta)
-            ref = osc.checkerboard_sum(np.eye(2 * L), fac.product(z.N, w)) @ start
+            ref = checkerboard_sum(np.eye(2 * L), tr.transfer_product(z, z.N, w)) @ start
             frame = tr.propagate(z, w, z.N, factory=fac, start=start).matrix[perm]
             assert mc.principal_sines(frame, ref).max() < 1e-10
             W_ref = mc.adj(ref[:2 * L] @ np.linalg.inv(ref[2 * L:])) @ osc._swap(L)
-            W = osc.prufer_periodic(z, w, factory=fac).matrix
+            W = osc.prufer_periodic(z, w, factory=fac)
             assert np.linalg.norm(W - W_ref, 2) < 1e-10
 
 
@@ -158,7 +158,7 @@ def test_prufer_periodic_eigenvalue_one(rng):
     z = ensembles.periodic_zipper(12, 2, 4)
     spec = zp.dense_spectrum(zp.assemble_periodic(z))
     for idx in range(3):
-        W = osc.prufer_periodic(z, np.exp(1j * spec.thetas[idx])).matrix
+        W = osc.prufer_periodic(z, np.exp(1j * spec.thetas[idx]))
         assert mc.unitary_defect(W) < 1e-8
         assert np.min(np.abs(np.linalg.eigvals(W) - 1)) < 1e-6
 
@@ -338,9 +338,9 @@ def test_prufer_array_equals_stacked_scalar_calls():
         for z, phase in [(ensembles.finite_zipper(60 + L, L, 6), osc.prufer),
                          (ensembles.periodic_zipper(70 + L, L, 4), osc.prufer_periodic)]:
             batch = phase(z, np.exp(1j * thetas))
-            stacked = np.array([phase(z, np.exp(1j * t)).matrix for t in thetas])
-            assert batch.matrix.shape == stacked.shape
-            assert np.abs(batch.matrix - stacked).max() < 1e-12
+            stacked = np.array([phase(z, np.exp(1j * t)) for t in thetas])
+            assert batch.shape == stacked.shape
+            assert np.abs(batch - stacked).max() < 1e-12
 
 
 def _frame_chart(frame, upper, lower):
@@ -360,13 +360,13 @@ def test_chart_chain_matches_propagated_frames():
                   ensembles.finite_zipper(0, L, 6, "free")):
             frame = tr.propagate(z, w, z.N).matrix
             ref = _frame_chart(frame, slice(0, L), slice(L, 2 * L)) @ mc.adj(z.boundary_v)
-            assert np.abs(osc.prufer(z, w).matrix - ref).max() < 1e-12
+            assert np.abs(osc.prufer(z, w) - ref).max() < 1e-12
     for L in (1, 2):
         for z in (ensembles.periodic_zipper(60 + L, L, 6, "cmv", 0.9),
                   ensembles.periodic_zipper(70 + L, L, 4, "haar-gauge")):
-            frame = tr.propagate(z, w, z.N, start=osc.doubled_initial_frame(L)).matrix
+            frame = tr.propagate(z, w, z.N, start=doubled_initial_frame(L)).matrix
             ref = _frame_chart(frame, np.r_[0:L, 2 * L:3 * L], np.r_[L:2 * L, 3 * L:4 * L]) @ osc._swap(L)
-            assert np.abs(osc.prufer_periodic(z, w).matrix - ref).max() < 1e-12
+            assert np.abs(osc.prufer_periodic(z, w) - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("args", [(124, 1, 24, "cmv", 0.95), (3, 3, 40, "haar-gauge", 0.99),
@@ -374,7 +374,7 @@ def test_chart_chain_matches_propagated_frames():
 def test_prufer_stays_unitary_on_the_hard_sweep_instances(args):
     z = ensembles.finite_zipper(*args)
     thetas = 0.37 * 2 * np.pi / 512 + np.arange(512) * (2 * np.pi / 512)
-    W = osc.prufer(z, np.exp(1j * thetas)).matrix
+    W = osc.prufer(z, np.exp(1j * thetas))
     assert np.abs(mc.adj(W) @ W - np.eye(z.L)).max() < 1e-10
 
 
@@ -602,3 +602,28 @@ def test_prufer_rejects_nan_points():
                  lambda: osc.prufer_periodic(periodic, np.array([1j, float("nan")]))):
         with pytest.raises(ValidationError, match=r"\|z\| = nan must be 1"):
             call()
+
+
+def test_prufer_rejects_two_dimensional_points():
+    finite, periodic = ensembles.finite_zipper(0, 1, 4), ensembles.periodic_zipper(0, 1, 4)
+    for call in (lambda: osc.prufer(finite, np.ones((2, 2))),
+                 lambda: osc.prufer_periodic(periodic, np.ones((2, 2)))):
+        with pytest.raises(ValidationError, match=r"z must be a point or a 1-D array, got ndim=2"):
+            call()
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdownError,
+                   reason="a resonance narrower than the grid hides crossings from the sweep")
+@pytest.mark.parametrize("args", [(5, 1, 16, "haar-gauge", 0.99), (124, 1, 24, "cmv", 0.95)],
+                         ids=["L1 N16 haar-gauge 0.99", "L1 N24 cmv 0.95"])
+def test_sweep_finds_every_crossing_next_to_a_narrow_resonance(args):
+    # Known defect: the sweep finds 15 of 16 and 22 of 24 crossings after
+    # ten grid doublings, while the dense oracle finds all N L eigenvalues
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(*args)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert dense.total_multiplicity == z.N * z.L
+    swept = osc.spectrum_by_oscillation(z)
+    assert swept.total_multiplicity == z.N * z.L
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9

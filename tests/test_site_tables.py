@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scatzip import ensembles, fileio, matrix_core as mc, scattering as sc, transfer as tr, weyl
+from scatzip import ensembles, fileio, matrix_core as mc, oscillation as osc, scattering as sc
+from scatzip import transfer as tr, weyl
 from scatzip import zipper as zp
 from scatzip.errors import NumericalBreakdownError, ValidationError
 
@@ -88,7 +89,7 @@ def test_stacked_phi_equals_per_block_phi(L):
         assert np.array_equal(delta, np.stack([b.delta for b in blocks]))
         table = z.phi_table()
         assert np.array_equal(table[1:], stacked)
-        assert np.array_equal(table[0], tr.TransferFactory(z).phi_at(1))
+        assert np.array_equal(table[0], tr.site_transfer(z, 1, 0.5))
 
 
 def test_semi_infinite_phi_table_rows_are_phi_of_the_blocks():
@@ -155,22 +156,28 @@ def test_e_matrix_equals_the_mobius_chain(L):
 
 def test_product_references_do_not_read_the_phi_table():
     # a corrupted table row moves the fast routes but none of the references
-    # built on TransferFactory.product, so they can still catch it
+    # built on site_transfer, so they can still catch it
     z = ensembles.finite_zipper(5, 2, 8)
     sem = ensembles.semi_infinite_zipper(5, 2, "haar-gauge")
-    w = 0.4 + 0.3j
-    fac, sem_fac = tr.TransferFactory(z), tr.TransferFactory(sem)
-    E, E_closed = weyl.e_matrix(z, w), weyl.e_matrix_closed(z, w)
-    Q, P = weyl._q_tilde(fac, w, 8), sem_fac.product(12, w)
-    assert np.linalg.norm(E - E_closed, 2) < 1e-12
+    w, theta = 0.4 + 0.3j, np.exp(0.7j)
+    xi = list(np.random.default_rng(3).standard_normal((8, 2, 1)) + 0j)
+
+    def references():
+        qf = tr.q_form(z, 0.4 + 0.1j)
+        return [weyl.e_matrix_closed(z, w), weyl._q_tilde(z, w, 8), tr.transfer_product(sem, 12, w),
+                qf.matrix, qf.product_defect, *tr.solve_inhomogeneous(z, w, xi)]
+
+    E, W, frame, before = weyl.e_matrix(z, w), osc.prufer(z, theta), tr.propagate(z, w, 8).matrix, references()
+    assert np.linalg.norm(E - before[0], 2) < 1e-12
     for zipper in (z, sem):
         table = zipper.phi_table(12 if zipper is sem else 8).copy()
         table[3] = table[3] @ sc.phi(ensembles.random_block(np.random.default_rng(9), 2, "cmv"))
         zipper.__dict__["_phis"] = table
     assert np.linalg.norm(weyl.e_matrix(z, w) - E, 2) > 1e-3
-    assert np.array_equal(weyl.e_matrix_closed(z, w), E_closed)
-    assert np.array_equal(weyl._q_tilde(fac, w, 8), Q)
-    assert np.array_equal(sem_fac.product(12, w), P)
+    assert np.linalg.norm(osc.prufer(z, theta) - W, 2) > 1e-3
+    assert np.abs(tr.propagate(z, w, 8).matrix - frame).max() > 1e-3
+    for got, ref in zip(references(), before, strict=True):
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("b", [8.0, 8.0 + 1e-14])

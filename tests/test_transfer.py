@@ -9,7 +9,7 @@ from scatzip.errors import ValidationError
 from scatzip.scattering import phi
 from scatzip.weyl import g_matrix
 
-from conftest import transfer_inverse_at
+from conftest import doubled_initial_frame, transfer_inverse_at
 
 def test_transfer_odd_is_z_independent(rng):
     b = ensembles.random_block(rng, 2, "haar-gauge")
@@ -78,8 +78,6 @@ def test_propagate_renormalized_vs_raw(rng):
 def test_propagate_array_equals_pointwise_calls():
     # one stacked site loop over an array of z gives, point by point, what
     # the scalar calls give: frame, normalizer and log scale
-    from scatzip.oscillation import doubled_initial_frame
-
     points = np.array([np.exp(0.9j), 0.5 + 0.1j, np.exp(4.2j), -0.3j, 1.7 - 0.4j])
     for L in (1, 2, 3):
         cases = [(ensembles.finite_zipper(40 + L, L, 8, "cmv"), None),
@@ -217,4 +215,4 @@ def test_transfer_rejects_non_finite_z(rng, z):
         tr.propagate(zipper, z, 4)
     if np.ndim(z) == 0:
         with pytest.raises(ValidationError, match="transfer matrices need a finite z, got"):
-            tr.TransferFactory(zipper).product(4, z)
+            tr.transfer_product(zipper, 4, z)

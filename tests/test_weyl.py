@@ -22,12 +22,12 @@ def test_e_matrix_stepwise_equals_closed_form(rng):
 
 
 def test_e_matrix_forward_inverse_route(rng):
-    from scatzip.transfer import TransferFactory
+    from scatzip.transfer import transfer_product
 
     z = ensembles.finite_zipper(42, 2, 6)
     w = 0.3 - 0.25j
     E = weyl.e_matrix(z, w)
-    T = TransferFactory(z).product(6, w)
+    T = transfer_product(z, 6, w)
     assert np.linalg.norm(E - mc.mobius_inverse(mc.adj(z.boundary_v), T), 2) < 1e-8
 
 
@@ -123,13 +123,10 @@ def test_radius_norm_bound(rng):
 
 
 def test_center_symmetry(rng):
-    from scatzip.transfer import TransferFactory
-
     z = ensembles.finite_zipper(9, 2, 8)
     w = 0.35 - 0.3j
     disc = weyl.radial_central(z, w)
-    fac = TransferFactory(z)
-    Qr = weyl._q_tilde(fac, 1 / np.conj(w), 8)
+    Qr = weyl._q_tilde(z, 1 / np.conj(w), 8)
     S_refl = -np.linalg.inv(Qr[:2, :2]) @ Qr[:2, 2:]
     assert np.linalg.norm(mc.adj(disc.center) - S_refl, 2) < 1e-9
 
@@ -235,40 +232,36 @@ def test_log_radius_norm_matches_extended_precision_product():
     # at L >= 2 the smallest eigenvalue of the frame's form is lost to
     # cancellation unless it is read off the inverse form
     mp = pytest.importorskip("mpmath")
-    from scatzip.transfer import TransferFactory
+    from scatzip.transfer import site_transfer
 
     z, N = 0.9j, 256
     with mp.workdps(300):
         for L in (1, 2, 3):
             sem = ensembles.semi_infinite_zipper(0, L, "cmv")
-            fac = TransferFactory(sem)
             frame = mp.matrix(np.vstack([np.eye(L), np.eye(L)]).astype(complex).tolist())
             for n in range(1, N + 1):
-                frame = mp.matrix(fac.transfer(n, z).tolist()) * frame
+                frame = mp.matrix(site_transfer(sem, n, z).tolist()) * frame
             form = frame.H * mp.diag([1] * L + [-1] * L) * frame
             smallest = min(abs(e) for e in mp.eigh(form, eigvals_only=True))
             reference = float(mp.log(2) - mp.log(smallest))
             assert abs(weyl.log_radius_norm(sem, z, N) - reference) < 1e-9, L
 
 
-def _product_disc(fac, w, N, L):
+def _product_disc(zipper, w, N, L):
     """Center and radii from the direct product of the transfers (reference route)."""
-    Qt = weyl._q_tilde(fac, w, N)
-    Qr = weyl._q_tilde(fac, 1 / np.conj(w), N)
+    Qt = weyl._q_tilde(zipper, w, N)
+    Qr = weyl._q_tilde(zipper, 1 / np.conj(w), N)
     R = np.linalg.inv(Qt[:L, :L])
     return -R @ Qt[:L, L:], R, -np.linalg.inv(Qr[:L, :L])
 
 
 def test_radial_central_matches_product_at_short_n():
-    from scatzip.transfer import TransferFactory
-
     pts = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.05, 0.9j, 0.7 - 0.6j])
     for L in (1, 2, 3):
         for N in (2, 8, 16):
             z = ensembles.finite_zipper(10 * L + N, L, N)
-            fac = TransferFactory(z)
             for w, disc in zip(pts, weyl.radial_central(z, pts)):
-                S, R, R_refl = _product_disc(fac, w, N, L)
+                S, R, R_refl = _product_disc(z, w, N, L)
                 for got, ref in ((disc.center, S), (disc.radius_left, R), (disc.radius_right, R_refl)):
                     assert np.linalg.norm(got - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2), (L, N, w)
                 assert disc.identity_defect < 1e-12
@@ -292,17 +285,16 @@ def test_radial_central_matches_extended_precision_product():
     # |z| = 1 and at z = 0.05 its lower-right identity overflows; the frame
     # read must match the same transfers multiplied at 250 digits
     mp = pytest.importorskip("mpmath")
-    from scatzip.transfer import TransferFactory
+    from scatzip.transfer import site_transfer
 
     L, N = 2, 64
     z = ensembles.finite_zipper(0, L, N, "haar-gauge", 0.99)
-    fac = TransferFactory(z)
     C = mp.matrix(mc.cayley(L).tolist())
 
     def reference(w):
         T = mp.eye(2 * L)
         for n in range(1, N + 1):
-            T = mp.matrix(fac.transfer(n, w).tolist()) * T
+            T = mp.matrix(site_transfer(z, n, w).tolist()) * T
         Q = C.H * T.H * mp.diag([1] * L + [-1] * L) * T * C
         R = mp.inverse(Q[0:L, 0:L])
         log_norm = mp.log(max(abs(e) for e in mp.eigh((R + R.H) / 2, eigvals_only=True)))
@@ -413,3 +405,12 @@ _NAN = float("nan")
 def test_nan_points_and_tolerances_are_input_errors(call, message):
     with pytest.raises(ValidationError, match=message):
         call(ensembles.finite_zipper(0, 1, 4), ensembles.semi_infinite_zipper(0, 1))
+
+
+@pytest.mark.parametrize("route", [weyl.e_matrix, weyl.f_matrix, weyl.g_matrix])
+def test_a_wrongly_shaped_or_non_unitary_v_boundary_is_an_input_error(route):
+    z = ensembles.finite_zipper(0, 2, 6)
+    with pytest.raises(ValidationError, match=r"v_boundary has shape \(3, 3\), expected \(2, 2\)"):
+        route(z, 0.3, v_boundary=np.eye(3))
+    with pytest.raises(ValidationError, match="v_boundary is not unitary"):
+        route(z, 0.3, v_boundary=2 * np.eye(2))
