@@ -30,6 +30,14 @@ def as_cstack(m) -> np.ndarray:
     return a
 
 
+def as_point(z) -> complex:
+    """One complex point z; an array raises a ValidationError naming its shape."""
+    a = np.asarray(z)
+    if a.ndim:
+        raise ValidationError(f"z must be one point, got an array of shape {a.shape}")
+    return complex(a)
+
+
 def as_cmatrix(m) -> np.ndarray:
     """Coerce to a 2-d complex ndarray with finite entries."""
     a = as_cstack(m)
@@ -93,11 +101,19 @@ def unitary_defect(U: np.ndarray) -> float:
 def hermitian_defect(M: np.ndarray) -> float:
     """Operator-norm distance of M from M* (the largest over a stack)."""
     M = as_cstack(M)
-    return float(np.linalg.norm(M - adj(M), 2, axis=(-2, -1)).max())
+    return float(np.linalg.norm(M - adj(M), 2, axis=(-2, -1)).max(initial=0.0))
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + adj(M))
+
+
+def _hermitian_eigh(M, tol: float):
+    """eigh of a Hermitian matrix or stack; a Hermiticity defect above tol raises."""
+    M = as_cstack(M)
+    if hermitian_defect(M) > tol:
+        raise ValidationError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
+    return np.linalg.eigh(hermitize(M))
 
 
 def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -106,10 +122,7 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues in [-tol, 0) are clamped to zero; an eigenvalue below -tol
     or a Hermiticity defect above tol raises a ValidationError.
     """
-    M = as_cstack(M)
-    if hermitian_defect(M) > tol:
-        raise ValidationError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
-    w, V = np.linalg.eigh(hermitize(M))
+    w, V = _hermitian_eigh(M, tol)
     if w.min() < -tol:
         raise ValidationError(f"eigenvalue {w.min():.3e} < -{tol:.1e}")
     w = np.clip(w, 0.0, None)
@@ -118,14 +131,11 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def hermitian_inv_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse Hermitian square root of a positive-definite matrix."""
-    M = as_cmatrix(M)
-    if hermitian_defect(M) > tol:
-        raise ValidationError(f"Hermiticity defect {hermitian_defect(M):.3e} > {tol:.1e}")
-    w, V = np.linalg.eigh(hermitize(M))
-    if w.min() <= tol:
+    """Inverse Hermitian square root of a positive-definite matrix, or of each matrix of a stack."""
+    w, V = _hermitian_eigh(M, tol)
+    if w.min(initial=np.inf) <= tol:
         raise ValidationError(f"eigenvalue {w.min():.3e} <= {tol:.1e}, not safely positive")
-    R = (V / np.sqrt(w)) @ adj(V)
+    R = (V / np.sqrt(w)[..., None, :]) @ adj(V)
     return hermitize(R)
 
 

@@ -14,10 +14,12 @@ a zipper block sequence: contraction coefficients alpha_n and gauge unitaries
 U_n, V_n with S_n = S(alpha_n, U_n, V_n).
 
 The Gram-Schmidt run holds each polynomial as two tables: its coefficients
-over the exponents -K..K and its values at the M atoms.  Each finished
-polynomial p also keeps W_j p(xi_j)*, so a projection <p, f> is one
-(L, M L) @ (M L, L) product and no polynomial is evaluated twice;
-``inner_product`` on ``MatrixLaurentPoly`` objects is the independent check.
+over the exponents -K..K, a (2K+1, L, L) stack with the coefficient of z^e
+in row e + K, and its values at the M atoms.  Each finished polynomial p
+also keeps W_j p(xi_j)*, so a projection <p, f> is one (L, M L) @ (M L, L)
+product and no polynomial is evaluated twice.  The polynomials come back as
+their coefficient tables; ``inner_product`` evaluates those afresh at the
+atoms and is the independent check.
 
 Gauge fixing: every orthonormal polynomial is normalized with a Hermitian
 positive-definite leading normalizer, the standard positive-kappa convention;
@@ -80,7 +82,7 @@ def uniform_grid_measure(L: int, m: int) -> MatrixMeasure:
 
 def caratheodory(mu: MatrixMeasure, z: complex) -> np.ndarray:
     """F(z) = i sum_j W_j (xi_j + z)/(xi_j - z), the Caratheodory transform."""
-    z = complex(z)
+    z = mc.as_point(z)
     if not abs(z) < 1.0:  # also rejects NaN
         raise ValidationError(f"the Caratheodory transform is evaluated inside the disc, got z = {z}")
     coeff = (mu.atoms + z) / (mu.atoms - z)
@@ -100,88 +102,52 @@ def spectral_measure_finite(zipper: Zipper) -> MatrixMeasure:
     return MatrixMeasure(spec.eigenvalues, np.array([mc.hermitize(W) for W in weights]))
 
 
-# -- Laurent polynomials -----------------------------------------------------------
+# -- Laurent polynomials as coefficient tables ------------------------------------
 
-class MatrixLaurentPoly:
-    """Finite-support Laurent polynomial with L x L matrix coefficients."""
-
-    def __init__(self, coeffs: dict, L: int):
-        self.L = L
-        self.coeffs = {int(e): mc.as_cmatrix(c) for e, c in coeffs.items()
-                       if np.any(np.abs(np.asarray(c)) > 0)}
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff, L: int) -> "MatrixLaurentPoly":
-        return cls({exponent: coeff}, L)
-
-    def min_exponent(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    def max_exponent(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def coeff(self, exponent: int) -> np.ndarray:
-        c = self.coeffs.get(int(exponent))
-        return c.copy() if c is not None else np.zeros((self.L, self.L), dtype=complex)
-
-    def left_mul(self, m) -> "MatrixLaurentPoly":
-        m = mc.as_cmatrix(m)
-        return MatrixLaurentPoly({e: m @ c for e, c in self.coeffs.items()}, self.L)
-
-    def __sub__(self, other: "MatrixLaurentPoly") -> "MatrixLaurentPoly":
-        out = {e: c.copy() for e, c in self.coeffs.items()}
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return MatrixLaurentPoly(out, self.L)
-
-    def shifted(self, k: int) -> "MatrixLaurentPoly":
-        """The polynomial z^k f(z)."""
-        return MatrixLaurentPoly({e + k: c for e, c in self.coeffs.items()}, self.L)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Values at the given circle points, shape (len(points), L, L)."""
-        points = np.asarray(points, dtype=complex).ravel()
-        out = np.zeros((len(points), self.L, self.L), dtype=complex)
-        for e, c in self.coeffs.items():
-            out += np.power(points, e)[:, None, None] * c
-        return out
+def _evaluate(table, points: np.ndarray) -> np.ndarray:
+    """Values at the points of the coefficient table (2K+1, L, L) of a Laurent
+    polynomial, its nonzero rows summed in increasing exponent."""
+    table = mc.as_cstack(table)
+    K = (table.shape[0] - 1) // 2
+    out = np.zeros((len(points),) + table.shape[1:], dtype=complex)
+    for row in np.flatnonzero(np.any(table != 0, axis=(1, 2))):
+        out += np.power(points, row - K)[:, None, None] * table[row]
+    return out
 
 
-def inner_product(f: MatrixLaurentPoly, g: MatrixLaurentPoly, mu: MatrixMeasure) -> np.ndarray:
-    """<f, g> = sum_j g(xi_j) W_j f(xi_j)*: left matrix-linear in g."""
-    fv = f.evaluate(mu.atoms)
-    gv = g.evaluate(mu.atoms)
-    return np.einsum("jab,jbc,jdc->ad", gv, mu.weights, fv.conj())
+def inner_product(f, g, mu: MatrixMeasure) -> np.ndarray:
+    """<f, g> = sum_j g(xi_j) W_j f(xi_j)* of two coefficient tables: left matrix-linear in g."""
+    return np.einsum("jab,jbc,jdc->ad", _evaluate(g, mu.atoms), mu.weights,
+                     _evaluate(f, mu.atoms).conj())
 
 
-def mu_norm(f: MatrixLaurentPoly, mu: MatrixMeasure) -> float:
+def mu_norm(f, mu: MatrixMeasure) -> float:
     return float(np.sqrt(max(np.linalg.norm(inner_product(f, f, mu), 2), 0.0)))
 
 
 # -- Gram-Schmidt and the zipper data ------------------------------------------------
 
 def _phi_exponent(n: int) -> int:
+    """The exponent phi_n adds to the ladder; psi_n adds its negative."""
     return 0 if n == 1 else (-(n // 2) if n % 2 == 0 else n // 2)
-
-
-def _psi_exponent(n: int) -> int:
-    return 0 if n == 1 else ((n // 2) if n % 2 == 0 else -(n // 2))
 
 
 @dataclass
 class GramSchmidtResult:
     """The orthonormal families and the zipper data recovered from them.
 
-    ``sites`` holds the operator-aligned blocks S_2, ..., S_n as one
-    (alpha, U, V) triple of (n - 1, L, L) stacks, the ``Zipper.sites``
-    format; ``recursion_alpha``, ``rho`` and ``rho_tilde`` are the raw
-    recursion data of the same sites, and ``kappas``, ``kappas_tilde`` the
-    leading coefficients of ``phis`` and ``psis``, each a (len(phis), L, L)
-    stack.
+    ``phis`` and ``psis`` are the coefficient tables of phi_1, phi_2, ... and
+    psi_1, psi_2, ..., each an (n, 2K+1, L, L) stack: row e + K of a table
+    holds the coefficient of z^e, K = (shape[1] - 1) // 2.  ``sites`` holds
+    the operator-aligned blocks S_2, ..., S_n as one (alpha, U, V) triple of
+    (n - 1, L, L) stacks, the ``Zipper.sites`` format; ``recursion_alpha``,
+    ``rho`` and ``rho_tilde`` are the raw recursion data of the same sites,
+    and ``kappas``, ``kappas_tilde`` the leading coefficients of ``phis`` and
+    ``psis``, each an (n, L, L) stack.
     """
 
-    phis: list
-    psis: list
+    phis: np.ndarray
+    psis: np.ndarray
     sites: tuple
     recursion_alpha: np.ndarray
     rho: np.ndarray
@@ -200,10 +166,11 @@ def _weighted(values: np.ndarray, mu: MatrixMeasure) -> np.ndarray:
 def _pair(values: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     """<p, f> = sum_j F_j W_j P_j* from the values F of f and the weighted table of p.
 
-    One (L, M L) @ (M L, L) matmul.
+    One (L, M L) @ (M L, L) matmul, or one per member of a stack of such pairs.
     """
-    M, L, _ = values.shape
-    return values.transpose(1, 0, 2).reshape(L, M * L) @ weighted.reshape(M * L, L)
+    *lead, M, L, _ = values.shape
+    return (np.swapaxes(values, -3, -2).reshape(*lead, L, M * L)
+            @ weighted.reshape(*lead, M * L, L))
 
 
 def _orthonormal_step(mu, produced, exponent, K):
@@ -251,17 +218,17 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
     contraction boundary, ||alpha_n|| >= 1 - 1e-12; this is the one place
     that decides where the recovery stops.
 
-    The run works on coefficient and atom-value tables; ``phis`` and ``psis``
-    are built from the coefficient tables at the end.
+    The run works on coefficient and atom-value tables, and ``phis`` and
+    ``psis`` are its coefficient tables.  The sites are recovered in one
+    batched pass over all n.
     """
     U = mc.as_cmatrix(boundary_u)
     if mc.unitary_defect(U) > 1e-9:
         raise ValidationError("boundary U must be unitary")
     if U.shape[0] != mu.L:
         raise ValidationError("boundary U size must match the measure")
-    L = mu.L
-    one = mc.eye(L)
-    K = max(n_max, 0) // 2 + 1  # every ladder exponent lies in -K..K
+    one = mc.eye(mu.L)
+    K = max(n_max, 0) // 2 + 1  # ladder exponents lie in -K + 1..K - 1: a margin row for z^(+-1)
 
     phis = [_ladder_start(mu, one, K)]
     psis = [_ladder_start(mu, U, K)]
@@ -269,51 +236,64 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
     stop_reason = None
     for n in range(2, n_max + 1):
         phi_n = _orthonormal_step(mu, phis, _phi_exponent(n), K)
-        psi_n = _orthonormal_step(mu, psis, _psi_exponent(n), K)
+        psi_n = _orthonormal_step(mu, psis, -_phi_exponent(n), K)
         if phi_n is None or psi_n is None:
             stop_step = n
             stop_reason = "degenerate Gram normalizer (measure support exhausted)"
             break
         phis.append(phi_n)
         psis.append(psi_n)
+    (phi_coeffs, _, phi_weighted), (psi_coeffs, psi_values, _) = (
+        [np.array(t) for t in zip(*family)] for family in (phis, psis))
+    rows = np.arange(len(phis))
+    top = np.array([_phi_exponent(n + 1) for n in rows])
+    kappas, kappas_tilde = phi_coeffs[rows, K + top], psi_coeffs[rows, K - top]
 
-    kappas = np.array([p[0][_phi_exponent(n) + K] for n, p in enumerate(phis, start=1)])
-    kappas_tilde = np.array([p[0][_psi_exponent(n) + K] for n, p in enumerate(psis, start=1)])
+    # site n = 2, 3, ... is row n - 2; for even n, z^(-1) psi_{n-1} - rho_n phi_n
+    # is a left multiple of phi_{n-1}
+    psi_values = psi_values[:-1]
+    psi_values[0::2] /= mu.atoms[:, None, None]
+    alpha = _pair(psi_values, phi_weighted[:-1])
+    boundary = np.flatnonzero(np.linalg.norm(alpha, 2, axis=(-2, -1)) >= 1.0 - 1e-12)
+    if len(boundary):
+        # short of it, 1 - alpha alpha* keeps its eigenvalues above 2e-12 - 1e-24,
+        # so the inverse square roots below never meet their tolerance
+        stop_step = int(boundary[0]) + 2
+        stop_reason = "recovered alpha reached the contraction boundary"
+        alpha = alpha[:boundary[0]]
+    S = len(alpha)
+    rho = kappas_tilde[:S] @ np.linalg.inv(kappas[1:S + 1])
+    rho_tilde = kappas[:S] @ np.linalg.inv(kappas_tilde[1:S + 1])
+    u_rec = mc.hermitian_inv_sqrt(one - alpha @ mc.adj(alpha), tol=1e-12) @ rho
+    v_rec = mc.adj(mc.hermitian_inv_sqrt(one - mc.adj(alpha) @ alpha, tol=1e-12) @ rho_tilde)
+    # the even-layer equation of the operator runs through the inverse block
+    # (V psi = z phi versus psi = z S phi), so at even n the operator's block is
+    # the adjoint S(a, U, V)* = S(a*, V*, U*) of the recursion data
+    sites = alpha.copy(), u_rec.copy(), v_rec.copy()
+    for site, even in zip(sites, (alpha, v_rec, u_rec)):
+        site[0::2] = mc.adj(even[0::2])
+    return GramSchmidtResult(phi_coeffs, psi_coeffs, sites, alpha, rho, rho_tilde,
+                             kappas, kappas_tilde, stop_step, stop_reason)
 
-    # per site n = 2, 3, ...: the operator's (alpha, U, V), then the recursion alpha, rho, rho~
-    table = np.zeros((6, len(phis) - 1, L, L), dtype=complex)
-    for n in range(2, len(phis) + 1):
-        (_, _, phi_weighted), (_, psi_values, _) = phis[n - 2], psis[n - 2]
-        if n % 2 == 0:
-            # z^(-1) psi_{n-1} - rho_n phi_n is a left multiple of phi_{n-1}
-            psi_values = psi_values / mu.atoms[:, None, None]
-        alpha = _pair(psi_values, phi_weighted)
-        if np.linalg.norm(alpha, 2) >= 1.0 - 1e-12:
-            # short of it, 1 - alpha alpha* keeps its eigenvalues above 2e-12 - 1e-24,
-            # so the inverse square roots below never meet their tolerance
-            stop_step = n
-            stop_reason = "recovered alpha reached the contraction boundary"
-            table = table[:, :n - 2]
-            break
-        rho = kappas_tilde[n - 2] @ np.linalg.inv(kappas[n - 1])
-        rho_tilde = kappas[n - 2] @ np.linalg.inv(kappas_tilde[n - 1])
-        u_rec = mc.hermitian_inv_sqrt(one - alpha @ mc.adj(alpha), tol=1e-12) @ rho
-        v_rec = mc.adj(mc.hermitian_inv_sqrt(one - mc.adj(alpha) @ alpha, tol=1e-12) @ rho_tilde)
-        if n % 2 == 0:
-            # the even-layer equation of the operator runs through the inverse block
-            # (V psi = z phi versus psi = z S phi), so the operator's block is the
-            # adjoint S(a, U, V)* = S(a*, V*, U*) of the recursion data
-            table[:, n - 2] = mc.adj(alpha), mc.adj(v_rec), mc.adj(u_rec), alpha, rho, rho_tilde
-        else:
-            table[:, n - 2] = alpha, u_rec, v_rec, alpha, rho, rho_tilde
 
-    def poly(tables):
-        coeffs = tables[0]
-        support = np.flatnonzero(np.any(coeffs != 0, axis=(1, 2)))
-        return MatrixLaurentPoly({e - K: coeffs[e] for e in support}, L)
+def recursion_residual(gram: GramSchmidtResult, mu: MatrixMeasure) -> float:
+    """The largest mu-norm of the four recursion relations over the recovered sites.
 
-    return GramSchmidtResult([poly(p) for p in phis], [poly(p) for p in psis], tuple(table[:3]),
-                             *table[3:], kappas, kappas_tilde, stop_step, stop_reason)
+    For odd n, psi_{n-1} = rho_n phi_n + alpha_n phi_{n-1} and
+    phi_{n-1} = rho~_n psi_n + alpha_n* psi_{n-1}; for even n the left sides
+    are z^(-1) psi_{n-1} and z phi_{n-1}.  Multiplying by z^k shifts a table
+    k rows along the exponent axis; the ladder's margin row keeps every
+    coefficient in the table.
+    """
+    S = len(gram.recursion_alpha)
+    phis, psis = gram.phis, gram.psis
+    a, rho, rho_t = (x[:, None] for x in (gram.recursion_alpha, gram.rho, gram.rho_tilde))
+    psi_left, phi_left = psis[:S].copy(), phis[:S].copy()
+    psi_left[0::2] = np.roll(psis[:S:2], -1, axis=1)
+    phi_left[0::2] = np.roll(phis[:S:2], 1, axis=1)
+    r1 = psi_left - rho @ phis[1:S + 1] - a @ phis[:S]
+    r2 = phi_left - rho_t @ psis[1:S + 1] - mc.adj(a) @ psis[:S]
+    return max((mu_norm(r, mu) for r in (*r1, *r2)), default=0.0)
 
 
 @dataclass
@@ -323,11 +303,6 @@ class MeasureZipper:
     zipper: SemiInfiniteZipper
     n_available: int
     gram: GramSchmidtResult
-
-    def truncate(self, N: int, boundary_v) -> Zipper:
-        if N > self.n_available:
-            raise ValidationError(f"only blocks up to n = {self.n_available} are available")
-        return self.zipper.truncate(N, boundary_v)
 
 
 def zipper_from_measure(mu: MatrixMeasure, boundary_u, n_max: int) -> MeasureZipper:

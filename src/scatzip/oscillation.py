@@ -350,12 +350,13 @@ def _phase_family(zipper: Zipper) -> Callable[[np.ndarray], np.ndarray]:
 
 def _sweep_grid(zipper: Zipper, grid_size: Optional[int], refine_tol: float) -> int:
     """The theta grid of a sweep over the N L eigenvalues of ``zipper`` (default
-    8 N L), checked against the sampling floor 4 N L, with ``refine_tol`` checked
-    to lie in (0, 2 pi / grid)."""
+    8 N L), checked to be an integer at or above the sampling floor 4 N L, with
+    ``refine_tol`` checked to lie in (0, 2 pi / grid)."""
     total = zipper.N * zipper.L
     grid = grid_size if grid_size is not None else 8 * total
-    if grid < 4 * total:
-        raise ValidationError(f"grid size {grid} under the sampling floor {4 * total}")
+    if not (isinstance(grid, (int, np.integer)) and grid >= 4 * total):  # also rejects NaN
+        raise ValidationError(f"grid size {grid} must be an integer at or above the sampling floor "
+                              f"{4 * total}")
     if not 0.0 < refine_tol < TWO_PI / grid:  # also false for NaN
         raise ValidationError(f"refine tolerance must lie in (0, 2 pi / {grid}), got {refine_tol}")
     return grid

@@ -267,27 +267,15 @@ def measures_checks(seed=0) -> list:
                                  float(np.linalg.norm(ms.inner_product(f, g, mu) - expected, 2)))
     _check(out, "measures", "orthonormality", worst_orth, 1e-8)
 
-    deg_ok = all(p.min_exponent() == ms._phi_exponent(n + 1) if (n + 1) % 2 == 0
-                 else p.max_exponent() == ms._phi_exponent(n + 1)
-                 for n, p in enumerate(gram.phis))
+    K = (gram.phis.shape[1] - 1) // 2
+    support = [np.flatnonzero(np.any(p != 0, axis=(1, 2))) - K for p in gram.phis]
+    deg_ok = all((e.min() if n % 2 == 0 else e.max()) == ms._phi_exponent(n)
+                 for n, e in enumerate(support, start=1))
     kappa_ok = bool(np.all(np.linalg.cond(gram.kappas) < 1e8))
     out.append(CheckResult("measures", "leading_structure", deg_ok and kappa_ok,
                            "exponent ladder and invertible leading coefficients"))
 
-    worst_rec = 0.0
-    for n, (a, rho, rho_t) in enumerate(zip(gram.recursion_alpha, gram.rho, gram.rho_tilde), start=2):
-        if n % 2 == 0:
-            r1 = gram.psis[n - 2].shifted(-1) - gram.phis[n - 1].left_mul(rho) \
-                - gram.phis[n - 2].left_mul(a)
-            r2 = gram.phis[n - 2].shifted(1) - gram.psis[n - 1].left_mul(rho_t) \
-                - gram.psis[n - 2].left_mul(mc.adj(a))
-        else:
-            r1 = gram.psis[n - 2] - gram.phis[n - 1].left_mul(rho) \
-                - gram.phis[n - 2].left_mul(a)
-            r2 = gram.phis[n - 2] - gram.psis[n - 1].left_mul(rho_t) \
-                - gram.psis[n - 2].left_mul(mc.adj(a))
-        worst_rec = max(worst_rec, ms.mu_norm(r1, mu), ms.mu_norm(r2, mu))
-    _check(out, "measures", "recursion_relations", worst_rec, 1e-7)
+    _check(out, "measures", "recursion_relations", ms.recursion_residual(gram, mu), 1e-7)
 
     worst_norm = 0.0
     one = mc.eye(2)

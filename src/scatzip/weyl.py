@@ -42,7 +42,7 @@ LIMIT_MAX_SITES = 500_000
 
 
 def _check_disc_z(z: complex, allow_zero: bool = False) -> complex:
-    z = complex(z)
+    z = mc.as_point(z)
     if not abs(z) < 1.0:  # also rejects NaN
         raise ValidationError(f"|z| = {abs(z):.6f} must be < 1")
     if z == 0 and not allow_zero:
@@ -318,7 +318,7 @@ def log_radius_norm(zipper, z: complex, upto: int,
     stays finite where R itself underflows.  Returns None if the frame or
     the form degenerates below floating resolution.
     """
-    z = complex(z)
+    z = mc.as_point(z)
     if not (0 < abs(z) < np.inf and abs(abs(z) - 1.0) >= 1e-14):  # also rejects NaN
         raise ValidationError(f"radius norms need 0 < |z| != 1 and finite, got z = {z}")
     try:

@@ -96,8 +96,8 @@ class Zipper:
         Row n - 1 holds site n: T_1 = diag(U, 1) for a finite zipper and
         phi(S_1) for a periodic one, phi(S_n) for n >= 2.  The table is
         built once per zipper object, in one batched ``phi`` call on
-        ``matrices``, and shared by every transfer factory, frame
-        propagation and E-chain.
+        ``matrices``, and read by the frame propagation, the Pruefer chains
+        and the E-chain unless a ``factory=`` object serves one in its place.
         """
         n = self.N if upto is None else upto
         _check_site_count(n)

@@ -1,6 +1,6 @@
 """Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
 one band structure, the dense oracle (assembly, dense spectrum) and one
-Gram-Schmidt run.
+Gram-Schmidt run on each of the two heaviest roundtrip measures.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
 run it explicitly with pytest-benchmark:
@@ -102,9 +102,11 @@ def test_dense_spectrum(benchmark):
     assert spec.total_multiplicity == op.dim
 
 
-def test_gram_schmidt(benchmark):
-    # the scalar measure of the roundtrip, recursion depth N + 2 as in ``measure roundtrip``
-    z = ensembles.finite_zipper(0, 1, 32, "cmv")
+@pytest.mark.parametrize("L, N, ensemble", [(1, 64, "cmv"), (2, 32, "haar-gauge")],
+                         ids=["L1N64cmv", "L2N32haar"])
+def test_gram_schmidt(benchmark, L, N, ensemble):
+    # the heaviest measures of the roundtrip, recursion depth N + 2 as in ``measure roundtrip``
+    z = ensembles.finite_zipper(0, L, N, ensemble)
     mu = ms.spectral_measure_finite(z)
     gram = benchmark(ms.gram_schmidt, mu, z.boundary_u, z.N + 2)
     benchmark.extra_info.update(atoms=len(mu.atoms), n_max=z.N + 2, sites=len(gram.sites[0]))

@@ -3,8 +3,11 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import scatzip
-from scatzip import errors
+from scatzip import ensembles, errors, measures, weyl
 
 SRC = Path(scatzip.__file__).parent
 FAMILY_CLASSES = {name for name, obj in vars(errors).items()
@@ -58,3 +61,17 @@ def test_every_other_error_class_is_caught_by_type():
                            for path in SRC.glob("*.py")))
     others = FAMILY_CLASSES - ROOTS
     assert others <= caught, sorted(others - caught)
+
+
+POINT_ONLY = {
+    "caratheodory": lambda z: measures.caratheodory(measures.uniform_grid_measure(1, 8), z),
+    "limit_f": lambda z: weyl.limit_f(ensembles.semi_infinite_zipper(0, 1), z, 0.1),
+    "e_matrix_closed": lambda z: weyl.e_matrix_closed(ensembles.finite_zipper(0, 1, 4), z),
+    "log_radius_norm": lambda z: weyl.log_radius_norm(ensembles.finite_zipper(0, 1, 4), z, 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POINT_ONLY))
+def test_point_only_entries_refuse_arrays_by_shape(entry):
+    with pytest.raises(errors.ValidationError, match=r"one point, got an array of shape \(2,\)"):
+        POINT_ONLY[entry](np.array([0.1, 0.2]))

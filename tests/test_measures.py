@@ -74,27 +74,27 @@ def test_measure_validation():
 def test_inner_product_total_mass(rng):
     z = ensembles.finite_zipper(5, 2, 4)
     mu = ms.spectral_measure_finite(z)
-    one = ms.MatrixLaurentPoly.monomial(0, np.eye(2), 2)
+    one = np.array([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])  # the constant 1, K = 1
     assert np.linalg.norm(ms.inner_product(one, one, mu) - np.eye(2), 2) < 1e-10
 
 
 def test_inner_product_left_linearity(rng):
     z = ensembles.finite_zipper(5, 2, 4)
     mu = ms.spectral_measure_finite(z)
-    f = ms.MatrixLaurentPoly({0: rng.standard_normal((2, 2)), -1: rng.standard_normal((2, 2))}, 2)
-    g = ms.MatrixLaurentPoly({1: rng.standard_normal((2, 2))}, 2)
+    f = np.array([rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), np.zeros((2, 2))])
+    g = np.array([np.zeros((2, 2)), np.zeros((2, 2)), rng.standard_normal((2, 2))])
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    lhs = ms.inner_product(f, g.left_mul(a), mu)
+    lhs = ms.inner_product(f, a @ g, mu)
     assert np.linalg.norm(lhs - a @ ms.inner_product(f, g, mu), 2) < 1e-12
     # adjoint-linearity in the first slot
-    lhs2 = ms.inner_product(f.left_mul(a), g, mu)
+    lhs2 = ms.inner_product(a @ f, g, mu)
     assert np.linalg.norm(lhs2 - ms.inner_product(f, g, mu) @ mc.adj(a), 2) < 1e-12
 
 
 def test_inner_product_psd(rng):
     z = ensembles.finite_zipper(5, 2, 4)
     mu = ms.spectral_measure_finite(z)
-    f = ms.MatrixLaurentPoly({0: rng.standard_normal((2, 2)), 1: rng.standard_normal((2, 2))}, 2)
+    f = np.array([np.zeros((2, 2)), rng.standard_normal((2, 2)), rng.standard_normal((2, 2))])
     G = ms.inner_product(f, f, mu)
     assert np.linalg.eigvalsh(mc.hermitize(G)).min() > -1e-12
 
@@ -103,8 +103,9 @@ def test_gram_schmidt_orthonormality_and_boundary(rng):
     z = ensembles.finite_zipper(6, 2, 6)
     mu = ms.spectral_measure_finite(z)
     g = ms.gram_schmidt(mu, z.boundary_u, 8)
-    assert np.allclose(g.phis[0].coeff(0), np.eye(2))
-    assert np.allclose(g.psis[0].coeff(0), z.boundary_u)
+    K = (g.phis.shape[1] - 1) // 2
+    assert np.allclose(g.phis[0][K], np.eye(2))
+    assert np.allclose(g.psis[0][K], z.boundary_u)
     for fam in (g.phis, g.psis):
         for i, f in enumerate(fam):
             for j, h in enumerate(fam):
@@ -131,18 +132,20 @@ def test_gram_schmidt_n_max_below_two_gives_the_constants(n_max):
     mu = ms.uniform_grid_measure(2, 8)
     g = ms.gram_schmidt(mu, np.eye(2), n_max)
     assert len(g.phis) == len(g.psis) == 1 and len(g.sites[0]) == 0 and g.stop_step is None
-    assert np.allclose(g.phis[0].coeff(0), np.eye(2))
+    assert np.allclose(g.phis[0][(g.phis.shape[1] - 1) // 2], np.eye(2))
 
 
 def test_gram_schmidt_leading_structure(rng):
     z = ensembles.finite_zipper(6, 1, 8, ensemble="cmv")
     mu = ms.spectral_measure_finite(z)
     g = ms.gram_schmidt(mu, z.boundary_u, 8)
+    K = (g.phis.shape[1] - 1) // 2
     for n, p in enumerate(g.phis, start=1):
+        exponents = np.flatnonzero(np.any(p != 0, axis=(1, 2))) - K
         if n % 2 == 0:
-            assert p.min_exponent() == -(n // 2)
+            assert exponents.min() == -(n // 2)
         else:
-            assert p.max_exponent() == n // 2
+            assert exponents.max() == n // 2
         kappa = g.kappas[n - 1]
         assert np.linalg.eigvalsh(mc.hermitize(kappa)).min() > 0 or n == 1
 
@@ -151,20 +154,7 @@ def test_gram_schmidt_recursion_residuals(rng):
     z = ensembles.finite_zipper(6, 2, 6)
     mu = ms.spectral_measure_finite(z)
     g = ms.gram_schmidt(mu, z.boundary_u, 8)
-    for n in range(2, len(g.phis) + 1):
-        a, rho, rho_t = g.recursion_alpha[n - 2], g.rho[n - 2], g.rho_tilde[n - 2]
-        if n % 2 == 0:
-            r1 = g.psis[n - 2].shifted(-1) - g.phis[n - 1].left_mul(rho) \
-                - g.phis[n - 2].left_mul(a)
-            r2 = g.phis[n - 2].shifted(1) - g.psis[n - 1].left_mul(rho_t) \
-                - g.psis[n - 2].left_mul(mc.adj(a))
-        else:
-            r1 = g.psis[n - 2] - g.phis[n - 1].left_mul(rho) \
-                - g.phis[n - 2].left_mul(a)
-            r2 = g.phis[n - 2] - g.psis[n - 1].left_mul(rho_t) \
-                - g.psis[n - 2].left_mul(mc.adj(a))
-        assert ms.mu_norm(r1, mu) < 1e-7
-        assert ms.mu_norm(r2, mu) < 1e-7
+    assert ms.recursion_residual(g, mu) < 1e-7
 
 
 def test_gram_schmidt_gauge_unitarity_and_normalization(rng):
@@ -210,7 +200,7 @@ def test_scalar_cmv_rebuilt_resolvent(rng):
     z = ensembles.finite_zipper(61, 1, 6, ensemble="cmv")
     mu = ms.spectral_measure_finite(z)
     res = ms.zipper_from_measure(mu, z.boundary_u, 10)
-    rebuilt = res.truncate(6, z.boundary_v)
+    rebuilt = res.zipper.truncate(6, z.boundary_v)
     for _ in range(5):
         w = random_disc_point(rng)
         assert np.linalg.norm(weyl.f_matrix(rebuilt, w) - ms.caratheodory(mu, w), 2) < 1e-6
@@ -226,6 +216,23 @@ def test_rebuilt_zipper_serves_the_gram_site_table(L, N, ensemble):
         assert np.array_equal(rebuilt, recovered)
 
 
+@pytest.mark.parametrize("L, M", [(1, 12), (2, 8)])
+def test_recovery_stops_at_the_contraction_boundary(monkeypatch, L, M):
+    # with no degeneracy tolerance the ladder runs past the M atoms of the grid,
+    # and the recovered alpha of site M + 1 reaches the unit sphere
+    monkeypatch.setattr(ms, "GRAM_DEGENERACY_TOL", 0.0)
+    mu = ms.uniform_grid_measure(L, M)
+    g = ms.gram_schmidt(mu, np.eye(L), M + 2)
+    assert g.stop_step == M + 1
+    assert g.stop_reason == "recovered alpha reached the contraction boundary"
+    assert len(g.sites[0]) == len(g.recursion_alpha) == M - 1
+    assert np.linalg.norm(g.recursion_alpha, 2, axis=(-2, -1)).max() < 1.0 - 1e-12
+    res = ms.zipper_from_measure(mu, np.eye(L), M + 2)
+    res.zipper.extend(res.n_available)
+    for rebuilt, recovered in zip(res.zipper.sites, g.sites):
+        assert np.array_equal(rebuilt, recovered)
+
+
 def test_two_atom_measure_finite_recursion():
     mu = ms.MatrixMeasure(np.array([1.0, -1.0]), np.array([[[0.5]], [[0.5]]]))
     res = ms.zipper_from_measure(mu, np.eye(1), 8)
@@ -235,7 +242,7 @@ def test_two_atom_measure_finite_recursion():
     # closed form: F(z) = i (1 + z^2) / (1 - z^2)
     w = 0.3
     assert abs(ms.caratheodory(mu, w)[0, 0] - 1j * (1 + w ** 2) / (1 - w ** 2)) < 1e-12
-    rebuilt = res.truncate(2, np.eye(1))
+    rebuilt = res.zipper.truncate(2, np.eye(1))
     assert abs(weyl.f_matrix(rebuilt, w)[0, 0] - 1j * (1 + w ** 2) / (1 - w ** 2)) < 1e-12
 
 

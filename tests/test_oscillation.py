@@ -83,6 +83,16 @@ def test_spectrum_grid_floor(rng):
         osc.spectrum_by_oscillation(z, grid_size=8)
 
 
+@pytest.mark.parametrize("grid", [float("nan"), float("inf"), 100.5])
+@pytest.mark.parametrize("entry", ["spectrum_by_oscillation", "bands"])
+def test_sweep_grid_must_be_an_integer_at_the_floor(entry, grid):
+    with pytest.raises(ValidationError, match=f"grid size {grid} must be an integer"):
+        if entry == "bands":
+            osc.bands(ensembles.periodic_zipper(1, 1, 4), 4, grid_size=grid)
+        else:
+            osc.spectrum_by_oscillation(ensembles.finite_zipper(1, 1, 4), grid_size=grid)
+
+
 def test_rotation_positivity_random_points(rng):
     z = ensembles.finite_zipper(31, 2, 6)
     for _ in range(10):
