@@ -139,6 +139,8 @@ def cmd_measure(args) -> int:
         raise ValidationError("an input file is required unless --uniform-grid is given")
     else:
         doc = fileio.load_document(args.input)
+    if args.n_max < 1:
+        raise ValidationError(f"--n-max must be >= 1, got {args.n_max}")
     rng = np.random.default_rng(ensembles.check_seed(args.seed))
     sample_z = 0.9 * np.sqrt(rng.uniform(size=10)) * np.exp(2j * np.pi * rng.uniform(size=10))
 
@@ -172,11 +174,14 @@ def cmd_measure(args) -> int:
     rebuilt = ms.zipper_from_measure(mu, doc.boundary_u, doc.N + 2)
     m = min(rebuilt.n_available, doc.N) - 1  # the sites 2, ..., m + 1 of both
     alpha_err = float(np.abs(rebuilt.gram.sites[0][:m] - doc.sites[0][:m]).max(initial=0.0))
+    sv_err = float(np.abs(np.linalg.svd(rebuilt.gram.sites[0][:m], compute_uv=False)
+                          - np.linalg.svd(doc.sites[0][:m], compute_uv=False)).max(initial=0.0))
     f_err = max(float(np.linalg.norm(ms.caratheodory(mu, w) - f, 2))
                 for w, f in zip(sample_z, weyl.f_matrix(doc, sample_z)))
     report = {
         "n_available": rebuilt.n_available,
         "max_alpha_error": alpha_err,
+        "max_alpha_singular_value_error": sv_err,
         "max_f_match_error": f_err,
         "stop_step": rebuilt.gram.stop_step,
         "stop_reason": rebuilt.gram.stop_reason,
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zipper JSON (to-measure, roundtrip) or measure JSON (to-zipper)")
     m.add_argument("--direction", choices=["to-measure", "to-zipper", "roundtrip"],
                    default="roundtrip")
-    m.add_argument("--n-max", type=int, default=64, help="recursion depth cap for to-zipper")
+    m.add_argument("--n-max", type=int, default=64, help="recursion depth cap for to-zipper (>= 1)")
     m.add_argument("--seed", type=int, default=0, help="seed for the F-match sample points")
     m.add_argument("--uniform-grid", type=int, default=None, metavar="M",
                    help="use the M-point equal-weight quadrature of Lebesgue measure as input")

@@ -16,10 +16,12 @@ U_n, V_n with S_n = S(alpha_n, U_n, V_n).
 The Gram-Schmidt run holds each polynomial as two tables: its coefficients
 over the exponents -K..K, a (2K+1, L, L) stack with the coefficient of z^e
 in row e + K, and its values at the M atoms.  Each finished polynomial p
-also keeps W_j p(xi_j)*, so a projection <p, f> is one (L, M L) @ (M L, L)
-product and no polynomial is evaluated twice.  The polynomials come back as
-their coefficient tables; ``inner_product`` evaluates those afresh at the
-atoms and is the independent check.
+also keeps W_j p(xi_j)*, and a family's finished polynomials sit in three
+preallocated stacks, so one pass projects f onto all n of them in one
+(L, M L) @ (n, M L, L) product, then updates f's coefficients and values in
+one product each; no polynomial is evaluated twice.  The polynomials come
+back as their coefficient tables; ``inner_product`` evaluates those afresh
+at the atoms and is the independent check.
 
 Gauge fixing: every orthonormal polynomial is normalized with a Hermitian
 positive-definite leading normalizer, the standard positive-kappa convention;
@@ -166,43 +168,54 @@ def _weighted(values: np.ndarray, mu: MatrixMeasure) -> np.ndarray:
 def _pair(values: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     """<p, f> = sum_j F_j W_j P_j* from the values F of f and the weighted table of p.
 
-    One (L, M L) @ (M L, L) matmul, or one per member of a stack of such pairs.
+    One (L, M L) @ (M L, L) matmul; stacks broadcast, so f against the n rows
+    of a weighted stack is one (L, M L) @ (n, M L, L) product.
     """
-    *lead, M, L, _ = values.shape
-    return (np.swapaxes(values, -3, -2).reshape(*lead, L, M * L)
-            @ weighted.reshape(*lead, M * L, L))
+    M, L = values.shape[-3:-1]
+    return (np.swapaxes(values, -3, -2).reshape(*values.shape[:-3], L, M * L)
+            @ weighted.reshape(*weighted.shape[:-3], M * L, L))
 
 
-def _orthonormal_step(mu, produced, exponent, K):
-    """One Gram-Schmidt step with a Hermitian positive normalizer; None if degenerate.
+def _combination(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k c_k P_k over the n rows of a (n, X, L, L) stack: one (L, n L) @ (n L, X L) product."""
+    n, X, L, _ = stack.shape
+    out = np.swapaxes(c, 0, 1).reshape(L, n * L) @ np.swapaxes(stack, 1, 2).reshape(n * L, X * L)
+    return np.swapaxes(out.reshape(L, X, L), 0, 1)
 
-    ``produced`` holds (coefficients, values, weighted) tables of the finished
-    polynomials; the new polynomial comes back as such a triple, its
-    coefficient table over the exponents -K..K.
+
+def _orthonormal_step(mu, family, n, exponent):
+    """Orthonormalize z^exponent against the n finished rows of ``family`` into row n,
+    with a Hermitian positive normalizer; False if degenerate.
+
+    ``family`` holds the (coefficients, values, weighted) stacks of one family.
+    Classical Gram-Schmidt run twice is as orthogonal as the modified version
+    ("twice is enough"), and each pass is three batched products: all n
+    projections c_k = <p_k, f>, then sum_k c_k P_k on coefficients and values.
     """
-    L = mu.L
-    coeffs = np.zeros((2 * K + 1, L, L), dtype=complex)
-    coeffs[exponent + K] = mc.eye(L)
-    values = np.power(mu.atoms, exponent)[:, None, None] * mc.eye(L)
-    for _ in range(2):  # modified Gram-Schmidt, two passes for orthogonality
-        for p_coeffs, p_values, p_weighted in produced:
-            c = _pair(values, p_weighted)
-            coeffs -= c @ p_coeffs
-            values -= c @ p_values
-    w, V = np.linalg.eigh(mc.hermitize(_pair(values, _weighted(values, mu))))
+    coeffs, values, weighted = family
+    f_coeffs = np.zeros(coeffs.shape[1:], dtype=complex)
+    f_coeffs[exponent + coeffs.shape[1] // 2] = mc.eye(mu.L)
+    f_values = np.power(mu.atoms, exponent)[:, None, None] * mc.eye(mu.L)
+    for _ in range(2):
+        c = _pair(f_values, weighted[:n])
+        f_coeffs -= _combination(c, coeffs[:n])
+        f_values -= _combination(c, values[:n])
+    w, V = np.linalg.eigh(mc.hermitize(_pair(f_values, _weighted(f_values, mu))))
     if w.min() < GRAM_DEGENERACY_TOL:
-        return None
+        return False
     R = mc.hermitize((V / np.sqrt(w)) @ mc.adj(V))  # H^(-1/2) from the same decomposition
-    values = R @ values
-    return R @ coeffs, values, _weighted(values, mu)
+    coeffs[n], values[n] = R @ f_coeffs, R @ f_values
+    weighted[n] = _weighted(values[n], mu)
+    return True
 
 
-def _ladder_start(mu, coeff, K):
-    """The tables of the constant polynomial ``coeff``."""
-    coeffs = np.zeros((2 * K + 1, mu.L, mu.L), dtype=complex)
-    coeffs[K] = coeff
-    values = np.repeat(coeffs[K][None], len(mu.atoms), axis=0)
-    return coeffs, values, _weighted(values, mu)
+def _family(mu, coeff, rows, K):
+    """The (coefficients, values, weighted) stacks of ``rows`` polynomials, row 0 the constant ``coeff``."""
+    M = len(mu.atoms)
+    family = tuple(np.zeros((rows, m, mu.L, mu.L), dtype=complex) for m in (2 * K + 1, M, M))
+    family[0][0, K], family[1][0] = coeff, coeff
+    family[2][0] = _weighted(family[1][0], mu)
+    return family
 
 
 def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult:
@@ -230,27 +243,23 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
     one = mc.eye(mu.L)
     K = max(n_max, 0) // 2 + 1  # ladder exponents lie in -K + 1..K - 1: a margin row for z^(+-1)
 
-    phis = [_ladder_start(mu, one, K)]
-    psis = [_ladder_start(mu, U, K)]
-    stop_step = None
-    stop_reason = None
-    for n in range(2, n_max + 1):
-        phi_n = _orthonormal_step(mu, phis, _phi_exponent(n), K)
-        psi_n = _orthonormal_step(mu, psis, -_phi_exponent(n), K)
-        if phi_n is None or psi_n is None:
-            stop_step = n
+    # M atoms carry at most M orthonormal polynomials, so step M + 1 is degenerate
+    rows = max(1, min(n_max, len(mu.atoms) + 1))
+    phis, psis = _family(mu, one, rows, K), _family(mu, U, rows, K)
+    count, stop_step, stop_reason = rows, None, None
+    for n in range(2, rows + 1):
+        if not (_orthonormal_step(mu, phis, n - 1, _phi_exponent(n))
+                and _orthonormal_step(mu, psis, n - 1, -_phi_exponent(n))):
+            count, stop_step = n - 1, n
             stop_reason = "degenerate Gram normalizer (measure support exhausted)"
             break
-        phis.append(phi_n)
-        psis.append(psi_n)
     (phi_coeffs, _, phi_weighted), (psi_coeffs, psi_values, _) = (
-        [np.array(t) for t in zip(*family)] for family in (phis, psis))
-    rows = np.arange(len(phis))
-    top = np.array([_phi_exponent(n + 1) for n in rows])
-    kappas, kappas_tilde = phi_coeffs[rows, K + top], psi_coeffs[rows, K - top]
+        [t[:count] for t in family] for family in (phis, psis))
+    top = np.array([_phi_exponent(n + 1) for n in range(count)])
+    kappas, kappas_tilde = phi_coeffs[range(count), K + top], psi_coeffs[range(count), K - top]
 
     # site n = 2, 3, ... is row n - 2; for even n, z^(-1) psi_{n-1} - rho_n phi_n
-    # is a left multiple of phi_{n-1}
+    # is a left multiple of phi_{n-1}; the value stack is the run's own, divided in place
     psi_values = psi_values[:-1]
     psi_values[0::2] /= mu.atoms[:, None, None]
     alpha = _pair(psi_values, phi_weighted[:-1])

@@ -109,5 +109,6 @@ def test_gram_schmidt(benchmark, L, N, ensemble):
     z = ensembles.finite_zipper(0, L, N, ensemble)
     mu = ms.spectral_measure_finite(z)
     gram = benchmark(ms.gram_schmidt, mu, z.boundary_u, z.N + 2)
-    benchmark.extra_info.update(atoms=len(mu.atoms), n_max=z.N + 2, sites=len(gram.sites[0]))
+    benchmark.extra_info.update(atoms=len(mu.atoms), n_max=z.N + 2, sites=len(gram.sites[0]),
+                                steps=len(gram.phis))
     assert len(gram.sites[0])

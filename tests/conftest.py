@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scatzip import ensembles, matrix_core as mc
+from scatzip import ensembles, matrix_core as mc, measures as ms
 from scatzip.errors import ValidationError
 from scatzip.scattering import phi
 
@@ -27,6 +27,28 @@ def transfer_inverse_at(block, n, z):
     if n % 2:
         return mc.join_blocks(mc.adj(A), -mc.adj(C), -mc.adj(B), mc.adj(D))
     return mc.join_blocks(z * mc.adj(A), -mc.adj(C), -mc.adj(B), mc.adj(D) / z)
+
+
+def sequential_orthonormal_step(mu, family, n, exponent):
+    """Reference for ``measures._orthonormal_step``, with the same arguments and
+    effect: modified Gram-Schmidt, two passes that each project out one finished
+    polynomial at a time, then the same Hermitian positive normalizer."""
+    coeffs, values, weighted = family
+    f_coeffs = np.zeros(coeffs.shape[1:], dtype=complex)
+    f_coeffs[exponent + coeffs.shape[1] // 2] = mc.eye(mu.L)
+    f_values = np.power(mu.atoms, exponent)[:, None, None] * mc.eye(mu.L)
+    for _ in range(2):
+        for k in range(n):
+            c = ms._pair(f_values, weighted[k])
+            f_coeffs -= c @ coeffs[k]
+            f_values -= c @ values[k]
+    w, V = np.linalg.eigh(mc.hermitize(ms._pair(f_values, mu.weights @ mc.adj(f_values))))
+    if w.min() < ms.GRAM_DEGENERACY_TOL:
+        return False
+    R = mc.hermitize((V / np.sqrt(w)) @ mc.adj(V))
+    coeffs[n], values[n] = R @ f_coeffs, R @ f_values
+    weighted[n] = mu.weights @ mc.adj(values[n])
+    return True
 
 
 class HandBuiltTable:

@@ -286,8 +286,10 @@ def test_recovered_zipper_files_pass_the_gauge_check(tmp_path):
 
 def test_file_format_is_pinned(tmp_path):
     # SHA-256 of outputs written before the site tables replaced per-block
-    # objects; the draws run through LAPACK QR and eigh, so another numpy or
-    # LAPACK build may round differently and need the hashes recomputed
+    # objects (to-zipper: since the batched Gram-Schmidt passes, which moved
+    # its entries by at most 2.2e-16); the draws run through LAPACK QR and
+    # eigh, so another numpy or LAPACK build may round differently and need
+    # the hashes recomputed
     runs = {
         "finite": (["gen", "--L", "2", "--N", "8", "--ensemble", "haar-gauge", "--seed", "7"],
                    "f185703252b6ec6dc348a78186160201d0fc40677a9cdd00dcb7c2edf5bc51ec"),
@@ -297,7 +299,7 @@ def test_file_format_is_pinned(tmp_path):
                            "--ensemble", "cmv"],
                           "1103df69fafff3a0052fbe1e2a84a51bc9a8bedd70e3ca5e867435c1c2545759"),
         "to-zipper": (["measure", "--direction", "to-zipper", "--uniform-grid", "16", "--L", "2"],
-                      "85030365ed1d34299dc0b9e6d57bda1b49364e3b4a20e0ed6e074c44f7f8f02b"),
+                      "7df458595e63befe393f71a9b5cd0ef25aac7e6e5f48ffb99ad4acd58c309814"),
     }
     for name, (argv, digest) in runs.items():
         out = tmp_path / f"{name}.json"
@@ -326,6 +328,21 @@ def test_measure_roundtrip_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["max_alpha_error"] < 1e-6
     assert report["max_f_match_error"] < 1e-6
+
+
+def test_measure_roundtrip_reports_gauge_invariant_alpha_error(tmp_path):
+    # at L = 2 alpha_n depends on the gauge the measure cannot see; its singular values do not
+    zfile, out = tmp_path / "z.json", tmp_path / "report.json"
+    zfile.write_text(fileio.dumps(fileio.zipper_to_dict(ensembles.finite_zipper(0, 2, 16, "haar-gauge"))))
+    assert run_cli("measure", str(zfile), "--direction", "roundtrip", "--output", str(out)) == 0
+    assert json.loads(out.read_text())["max_alpha_singular_value_error"] < 1e-8
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_measure_n_max_below_one_exits_2(capsys, n_max):
+    assert run_cli("measure", "--direction", "to-zipper", "--uniform-grid", "4", "--L", "1",
+                   "--n-max", n_max) == 2
+    assert f"error: --n-max must be >= 1, got {n_max}" in capsys.readouterr().err
 
 
 def test_measure_matrix_f_match(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from scatzip import ensembles, matrix_core as mc, measures as ms, weyl
 from scatzip import zipper as zp
 from scatzip.errors import ValidationError
 
-from conftest import random_disc_point
+from conftest import random_disc_point, sequential_orthonormal_step
 
 
 def test_caratheodory_at_zero_is_i(rng):
@@ -113,18 +113,60 @@ def test_gram_schmidt_orthonormality_and_boundary(rng):
                 assert np.linalg.norm(ms.inner_product(f, h, mu) - expect, 2) < 1e-8
 
 
+def _orthonormality_defect(g, mu):
+    """The largest ||<p_j, p_i> - delta_ij|| over both families; ``inner_product``
+    evaluates the returned coefficients afresh, independently of the atom-value
+    tables the run projected with."""
+    eye = np.eye(mu.L)
+    return max(np.linalg.norm(ms.inner_product(h, f, mu) - (eye if i == j else 0 * eye), 2)
+               for fam in (g.phis, g.psis) for i, f in enumerate(fam) for j, h in enumerate(fam[:i + 1]))
+
+
 def test_gram_schmidt_orthonormal_at_l2_n16():
-    # inner_product evaluates the returned coefficients afresh, independently
-    # of the atom-value tables the run projected with
     z = ensembles.finite_zipper(3, 2, 16, ensemble="haar-gauge")
     mu = ms.spectral_measure_finite(z)
     g = ms.gram_schmidt(mu, z.boundary_u, 16)
     assert len(g.phis) == len(g.psis) == 16
-    for fam in (g.phis, g.psis):
-        for i, f in enumerate(fam):
-            for j, h in enumerate(fam[:i + 1]):
-                expect = np.eye(2) if i == j else np.zeros((2, 2))
-                assert np.linalg.norm(ms.inner_product(h, f, mu) - expect, 2) < 1e-8
+    assert _orthonormality_defect(g, mu) < 1e-8
+
+
+@pytest.mark.parametrize("L, N, ensemble, seed",
+                         [(2, 32, "haar-gauge", seed) for seed in range(6)] + [(1, 64, "cmv", 0)])
+def test_gram_schmidt_orthonormal_at_the_heaviest_shapes(L, N, ensemble, seed):
+    # the heaviest roundtrip measures; the worst defects measured here are 2.2e-8
+    # (orthonormality) and 2.0e-8 (recursion), against 4.9e-8 and 3.3e-8 for
+    # the sequential reference
+    z = ensembles.finite_zipper(seed, L, N, ensemble)
+    mu = ms.spectral_measure_finite(z)
+    g = ms.gram_schmidt(mu, z.boundary_u, N + 2)
+    assert _orthonormality_defect(g, mu) < 1e-7
+    assert ms.recursion_residual(g, mu) < 1e-7
+
+
+@pytest.mark.parametrize("L, N, ensemble, seed, sites_agree", [
+    *((L, N, ensemble, seed, True) for L, N, ensemble in
+      [(1, 16, "cmv"), (1, 32, "cmv"), (2, 16, "haar-gauge"), (3, 8, "haar-gauge")] for seed in range(3)),
+    *((L, N, ensemble, seed, False) for L, N, ensemble in
+      [(1, 64, "cmv"), (2, 32, "haar-gauge")] for seed in range(6)),
+])
+def test_batched_gram_schmidt_matches_the_sequential_reference(monkeypatch, L, N, ensemble, seed,
+                                                              sites_agree):
+    # the late blocks at L1N64 and L2N32 are too ill-conditioned to compare
+    # (two orderings move them by up to 1e-8); there only the stop must agree
+    z = ensembles.finite_zipper(seed, L, N, ensemble)
+    mu = ms.spectral_measure_finite(z)
+    batched = ms.gram_schmidt(mu, z.boundary_u, N + 2)
+    monkeypatch.setattr(ms, "_orthonormal_step", sequential_orthonormal_step)
+    reference = ms.gram_schmidt(mu, z.boundary_u, N + 2)
+    assert (batched.stop_step, batched.stop_reason) == (reference.stop_step, reference.stop_reason)
+    assert batched.sites[0].shape == reference.sites[0].shape
+    if sites_agree:
+        for b, r in zip(batched.sites, reference.sites):
+            assert np.abs(b - r).max(initial=0.0) < 1e-11
+        # the leading coefficients grow like 1 / prod rho, to ~1e4 at N = 32
+        for b, r in ((batched.kappas, reference.kappas), (batched.kappas_tilde, reference.kappas_tilde)):
+            size = np.linalg.norm(r, 2, axis=(1, 2))
+            assert np.all(np.linalg.norm(b - r, 2, axis=(1, 2)) < 1e-11 * size)
 
 
 @pytest.mark.parametrize("n_max", [-5, 0, 1])
