@@ -23,6 +23,7 @@ eigenvalue near 1 seen at theta just below 2 pi by one route and just above
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -269,8 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, built on the first ``main`` call and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

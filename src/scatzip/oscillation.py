@@ -20,11 +20,21 @@ Both phases take one circle point or a 1-D array of them and return the
 m x m unitary, or the (B, m, m) stack, evaluated in one chain.
 The sweep samples its whole theta grid that way (at most SWEEP_BLOCK points
 per call, and as many matrices per eigvals call), counts the seam passages
-of all its intervals in one array operation, keeps the samples when a count
-mismatch doubles the grid, and refines the intervals holding crossings
-only once the total matches, all of them in lockstep with one batched call
-per level: ITP steps on the branch that passes the seam where an interval
-holds one crossing, bisection where it holds several.
+of all its intervals in one array operation, and refines the intervals
+holding crossings once the total matches, all of them in lockstep with one
+batched call per level: ITP steps on the branch that passes the seam where
+an interval holds one crossing, bisection where it holds several.
+
+A branch that turns a full circle inside one grid interval (a narrow
+resonance) hides its crossing from the seam count.  By the oscillation
+theorem the crossings in an interval are the eigenvalues in its arc, which
+``zipper.arc_counts`` reads off the band stack by inertia.  So a finite
+sweep whose first grid comes up short counts its intervals and splits only
+those whose seam passages disagree with their count, sampling only their
+midpoints, until every part agrees; a bracket whose Pruefer sample breaks
+down finishes by bisection on the counts alone.  Periodic sweeps and bands
+have no such count (the corner block makes the band stack cyclic) and
+double their whole grid instead, keeping the samples they have.
 
 Bands are one sweep over all momenta, or over chunks of them where the
 momentum grid would make the phase table too large.  The fiber at momentum
@@ -37,6 +47,7 @@ only the momenta whose count is off go on to a doubled grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,7 +56,7 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .transfer import TransferFactory, chart_chain
-from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters
+from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters, arc_counts, assemble_finite
 
 # Most theta one batched Pruefer evaluation takes, and most matrices one
 # eigvals call takes; bounds the frame and phase-matrix stacks in memory when
@@ -212,12 +223,15 @@ def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.
     stops at width refine_tol, or when no float lies inside it, and is
     returned once per crossing: at 2 pi if it holds the seam, so that the
     crossing folds to 0, else at the interpolated root of h for a single
-    crossing and at the midpoint for several.  Returns the member and the
-    theta of every crossing.
+    crossing and at the midpoint for several.  A bracket whose new sample
+    comes back as a NaN row (a breakdown) leaves the refinement as it is.
+    Returns the member and the theta of every crossing, and the (members,
+    lo, hi, count) of the brackets that left.
     """
     width0 = hi - lo  # width of each bracket when it got its single crossing
     steps = np.zeros(len(lo))  # ITP steps taken since
     done = []
+    stuck = [(members[:0], lo[:0], hi[:0], count[:0])]
     for level in range(max_iter + 1):
         mid = 0.5 * (lo + hi)
         width = hi - lo
@@ -244,6 +258,12 @@ def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.
         single = count == 1
         x = np.where(single, x, mid)
         q = sample(x, members)
+        lost = np.isnan(q[:, 0])  # a sample that broke down; never read as a phase
+        if np.any(lost):
+            stuck.append((members[lost], lo[lost], hi[lost], count[lost]))
+            members, lo, hi, x, q, lo_phases, hi_phases, count, single, width0, steps = (
+                a[~lost] for a in (members, lo, hi, x, q, lo_phases, hi_phases, count, single,
+                                   width0, steps))
         left = np.minimum(_seam_passages(lo_phases, q), count)
         right = count - left
         l, r = left > 0, right > 0
@@ -256,7 +276,139 @@ def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.
         single = np.concatenate([single[l], single[r]])
         width0 = np.where(single, np.concatenate([width0[l], width0[r]]), hi - lo)
         steps = np.where(single, np.concatenate([steps[l], steps[r]]) + 1, 0)
-    return tuple(np.concatenate(parts) for parts in zip(*done))
+    return (*(np.concatenate(parts) for parts in zip(*done)),
+            tuple(np.concatenate(parts) for parts in zip(*stuck)))
+
+
+def _sample_or_nan(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], thetas: np.ndarray,
+                   members: np.ndarray, m: int) -> np.ndarray:
+    """sample(thetas, members), with a NaN row for every point whose sample breaks down:
+    a call that breaks down is repeated on its two halves, down to single points."""
+    try:
+        return sample(thetas, members)
+    except NumericalBreakdownError:
+        if len(thetas) == 1:
+            return np.full((1, m), np.nan)
+        h = len(thetas) // 2
+        return np.concatenate([_sample_or_nan(sample, thetas[:h], members[:h], m),
+                               _sample_or_nan(sample, thetas[h:], members[h:], m)])
+
+
+def _below(arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
+           anchor: np.ndarray) -> np.ndarray:
+    """Eigenvalues in the open arcs from ``anchor`` up to x.
+
+    Callers keep x - anchor within pi / 2 of pi, where an eigenvalue at
+    distance d from x moves a pivot by about d.  The count inside a bracket
+    is the difference of two such counts with one anchor: an arc as narrow
+    as the bracket would lose its eigenvalues to the cancellation in
+    cos(theta - phi) - cos(delta) once delta nears 1e-8.
+    """
+    return arc_count(0.5 * (x + anchor), 0.5 * (x - anchor))
+
+
+def _split_hidden(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], thetas: np.ndarray,
+                  phases: np.ndarray, seam: np.ndarray, expected_total: int,
+                  refine_tol: float) -> tuple:
+    """Brackets of a one-member sweep whose seam passages match the eigenvalue count.
+
+    ``thetas`` and ``phases`` are the sampled grid and ``seam`` the seam
+    passages of its intervals; ``sample`` gives NaN rows where it breaks
+    down (``_sample_or_nan``).  Every grid point is counted once, in one
+    ``arc_count`` call: the first half of the grid from the anchor
+    thetas[0] - pi / 2, the second half from thetas[g // 2] - pi / 2, so the
+    intervals get their eigenvalue counts as differences (which must add up
+    to ``expected_total``).  An interval whose seam passages fall short of
+    its count (a branch turned a full circle inside it) or exceed it is cut
+    at its midpoint, which alone is sampled and counted, and the parts are
+    checked again, until every part agrees.  Parts that agree and hold
+    crossings are the brackets (lo, hi, lo_phases, hi_phases, count)
+    returned first.  A part whose midpoint sample breaks down, or that still
+    disagrees at width refine_tol, is returned second as (lo, hi, count),
+    for ``_count_bisection``.
+    """
+    g, h = len(thetas) - 1, (len(thetas) - 1) // 2
+    anchors = thetas[[0, h]] - 0.5 * np.pi
+    first, second = np.split(_below(arc_count, np.concatenate([thetas[:h + 1], thetas[h:]]),
+                                    np.repeat(anchors, [h + 1, g - h + 1])), [h + 1])
+    count = np.concatenate([np.diff(first), np.diff(second)])
+    if np.any(count < 0) or count.sum() != expected_total:
+        raise NumericalBreakdownError(f"arc counts of the grid intervals find {count.sum()} "
+                                      f"eigenvalues, expected {expected_total}")
+    parts = (thetas[:-1], thetas[1:], np.repeat(anchors, [h, g - h]),
+             np.concatenate([first[:-1], second[:-1]]), count, phases[:-1], phases[1:])
+    kept, stuck = [], []
+    while True:
+        lo, hi, anchor, base, count, lo_phases, hi_phases = parts
+        agree = seam == count
+        kept.append(tuple(a[agree & (count > 0)] for a in (lo, hi, lo_phases, hi_phases, count)))
+        mid = 0.5 * (lo + hi)
+        fine = (hi - lo <= refine_tol) | (mid <= lo) | (mid >= hi)
+        q = np.full(lo_phases.shape, np.nan)
+        cut = ~agree & ~fine
+        if np.any(cut):
+            q[cut] = sample(mid[cut], np.zeros(np.count_nonzero(cut), dtype=int))
+        lost = ~agree & np.isnan(q[:, 0])  # at width refine_tol, or a sample broke down
+        stuck.append((lo[lost], hi[lost], count[lost]))
+        cut &= ~lost
+        if not np.any(cut):
+            break
+        lo, hi, anchor, base, count, lo_phases, hi_phases, mid, q = (
+            a[cut] for a in (*parts, mid, q))
+        at = _below(arc_count, mid, anchor)
+        left = at - base
+        _check_halves(left, count, lo, hi)
+        seam = np.concatenate([_seam_passages(lo_phases, q), _seam_passages(q, hi_phases)])
+        parts = tuple(np.concatenate(pair) for pair in (
+            (lo, mid), (mid, hi), (anchor, anchor), (base, at), (left, count - left),
+            (lo_phases, q), (q, hi_phases)))
+    return (tuple(np.concatenate(a) for a in zip(*kept)),
+            tuple(np.concatenate(a) for a in zip(*stuck)))
+
+
+def _check_halves(left: np.ndarray, count: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """A left half must hold between none and all of its bracket's eigenvalues."""
+    bad = (left < 0) | (left > count)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalBreakdownError(f"arc counts of [{lo[i]:.6g}, {hi[i]:.6g}] disagree: "
+                                      f"{left[i]} in its left half of {count[i]}")
+
+
+def _count_bisection(arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
+                     hi: np.ndarray, count: np.ndarray, refine_tol: float) -> np.ndarray:
+    """The crossings inside the brackets [lo, hi], ``count`` each, by bisection on arc counts alone.
+
+    A bracket is counted ``_below`` its cuts from the anchor 0.5 (lo + hi)
+    - pi: the crossings in (lo, x) are the count below x minus the count
+    below lo, and the count below hi must leave ``count``.  Parts are cut
+    at their midpoints in lockstep, one ``arc_count`` call per level, until
+    width refine_tol or no float inside, and each is returned at its
+    midpoint, once per crossing.
+    """
+    anchor = 0.5 * (lo + hi) - np.pi
+    base, top = np.split(_below(arc_count, np.concatenate([lo, hi]), np.concatenate([anchor, anchor])), 2)
+    bad = top - base != count
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalBreakdownError(f"arc counts find {top[i] - base[i]} eigenvalues in "
+                                      f"[{lo[i]:.6g}, {hi[i]:.6g}], the sweep {count[i]}")
+    done = []
+    while True:
+        mid = 0.5 * (lo + hi)
+        fine = (hi - lo <= refine_tol) | (mid <= lo) | (mid >= hi)
+        done.append(np.repeat(mid[fine], count[fine]))
+        lo, hi, mid, anchor, base, count = (a[~fine] for a in (lo, hi, mid, anchor, base, count))
+        if len(lo) == 0:
+            return np.concatenate(done)
+        at = _below(arc_count, mid, anchor)
+        left = at - base
+        _check_halves(left, count, lo, hi)
+        l, r = left > 0, count - left > 0
+        lo, hi, anchor, base, count = (np.concatenate(pair) for pair in (
+            (lo[l], mid[r]), (mid[l], hi[r]), (anchor[l], anchor[r]), (base[l], at[r]),
+            (left[l], (count - left)[r])))
 
 
 @dataclass
@@ -272,21 +424,32 @@ class FamilySpectra:
 
 def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
                    grid_size: int, refine_tol: float = 1e-10, retries: int = 10,
-                   twists: np.ndarray = UNTWISTED, labels: Optional[list] = None) -> FamilySpectra:
+                   twists: np.ndarray = UNTWISTED, labels: Optional[list] = None,
+                   arc_count: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+                   ) -> FamilySpectra:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
 
     ``wfn(thetas)`` must return the stack of (near-)unitary phase matrices at
     a 1-D array of theta; a crossing is an eigenphase passing the 2 pi seam.
     The whole grid is sampled in batched calls and the seam passages of all
     grid intervals are counted at once; the intervals holding crossings are
-    refined by ``_refine``, all in lockstep, only once the total matches
+    refined by ``_refine``, all in lockstep, once the total matches
     ``expected_total``.  A crossing hides from the sampled sweep when a
     branch completes a full turn inside one grid interval (a narrow
-    resonance), which no endpoint-based test can detect; the grid is
-    therefore doubled on a count mismatch, up to ``retries`` times.  The
-    previous samples become the even rows of the doubled grid and only the
-    new odd theta are evaluated, so the cumulative cost stays proportional
-    to the finest grid actually needed.
+    resonance), which no endpoint-based test can detect.
+
+    With ``arc_count(centers, halfwidths)``, the number of eigenvalues in
+    each open arc (``zipper.arc_counts`` of a finite zipper), a first grid
+    whose total falls short is certified interval by interval: only the
+    intervals whose seam passages disagree with their count are split, and
+    only their midpoints sampled (``_split_hidden``), until every part
+    agrees.  A bracket whose Pruefer sample breaks down then finishes by
+    ``_count_bisection`` instead, and its sample is never read as a phase.
+
+    Without it, the grid is doubled on a count mismatch, up to ``retries``
+    times.  The previous samples become the even rows of the doubled grid
+    and only the new odd theta are evaluated, so the cumulative cost stays
+    proportional to the finest grid actually needed.
 
     One sweep covers the K monotone families of ``twists``, a (K, m, m)
     stack of unit-modulus factors (or anything broadcasting to it; the
@@ -296,15 +459,20 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     rows and brackets carry their member, every grid theta is evaluated
     once for all members, one count covers the grid intervals of all
     members, only the members whose count is off go on to the doubled grid,
-    and the brackets of all members are refined in one lockstep.  Returns
-    the FamilySpectra with one SpectrumResult per member.
+    and the brackets of all members are refined in one lockstep.  An
+    ``arc_count`` certifies one-member sweeps only.  Returns the
+    FamilySpectra with one SpectrumResult per member.
     """
     K = len(twists)
+    if arc_count is not None and K != 1:
+        raise ValidationError(f"an arc count certifies a one-member sweep, got {K} members")
     grid = int(grid_size)
     offset = 0.37 * TWO_PI / grid  # fixed across retries so refined grids nest
     live = np.arange(K)  # members whose count has not matched yet
     samples = None  # (len(live), grid + 1, m) sorted eigenphases
     brackets = []  # (members, lo, hi, lo_phases, hi_phases, count) per grid
+    stuck = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))  # (lo, hi, count) left to the counts
+    sample = lambda thetas, members: _sample_rows(wfn, thetas, twists, members)
     for _ in range(retries + 1):
         thetas = offset + np.arange(grid + 1) * (TWO_PI / grid)
         new = thetas if samples is None else thetas[1::2]
@@ -323,7 +491,7 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
         match = found == expected_total
         f, i = np.nonzero(count * match[:, None])
         brackets.append((live[f], thetas[i], thetas[i + 1], samples[f, i], samples[f, i + 1], count[f, i]))
-        if match.all():
+        if match.all() or arc_count is not None:
             break
         miss = int(np.argmin(match))
         at = "" if labels is None else f" at {labels[live[miss]]}"
@@ -332,8 +500,18 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
         grid *= 2
     else:
         raise NumericalBreakdownError(last_error)
-    members, crossings = _refine(lambda thetas, members: _sample_rows(wfn, thetas, twists, members),
-                                 *(np.concatenate(parts) for parts in zip(*brackets)), refine_tol)
+    if arc_count is not None:  # a sample that breaks down leaves its bracket to the counts
+        sample = lambda thetas, members, rows=sample: _sample_or_nan(rows, thetas, members, m)
+        if not match.all():
+            split, stuck = _split_hidden(sample, arc_count, thetas, samples[0], count[0],
+                                         expected_total, refine_tol)
+            brackets.append((np.zeros(len(split[0]), dtype=int), *split))
+    members, crossings, lost = _refine(sample, *(np.concatenate(parts) for parts in zip(*brackets)),
+                                       refine_tol)
+    lo, hi, count = (np.concatenate(pair) for pair in zip(stuck, lost[1:]))
+    if len(lo):
+        crossings = np.concatenate([crossings, _count_bisection(arc_count, lo, hi, count, refine_tol)])
+        members = np.concatenate([members, np.zeros(int(count.sum()), dtype=int)])
     return FamilySpectra([_circular_clusters(crossings[members == j], 10.0 * refine_tol)[0]
                           for j in range(K)])
 
@@ -366,13 +544,19 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
                             refine_tol: float = 1e-10) -> SpectrumResult:
     """All N L eigenvalues of a finite or periodic zipper by Pruefer-phase crossing counting.
 
-    Finite zippers sweep the L eigenphases of ``prufer``, periodic ones the
-    2L eigenphases of the doubled ``prufer_periodic``.
+    Finite zippers sweep the L eigenphases of ``prufer`` and certify a short
+    first grid by ``arc_counts`` on their band stack; periodic ones sweep the
+    2L eigenphases of the doubled ``prufer_periodic`` and double their grid.
     """
     if not isinstance(zipper, Zipper):
         raise ValidationError("oscillation spectra need a finite or periodic zipper")
     grid = _sweep_grid(zipper, grid_size, refine_tol)
-    return sweep_spectrum(_phase_family(zipper), zipper.N * zipper.L, grid, refine_tol).spectra[0]
+    counter = None
+    if zipper.flavor == "finite":
+        op = functools.cache(lambda: assemble_finite(zipper))  # a sweep that never counts never assembles
+        counter = lambda centers, halfwidths: arc_counts(op(), centers, halfwidths)
+    return sweep_spectrum(_phase_family(zipper), zipper.N * zipper.L, grid, refine_tol,
+                          arc_count=counter).spectra[0]
 
 
 def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> float:

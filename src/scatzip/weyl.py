@@ -113,7 +113,7 @@ def e_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
     bad = np.flatnonzero(~(smallest > 1e-13))
     if len(bad):
         raise NumericalBreakdownError(f"C Z + D is numerically singular at site {N - bad[0] // len(points)}")
-    return E[0] if scalar else E
+    return E[0].copy() if scalar else E
 
 
 def e_matrix_closed(zipper, z: complex, v_boundary=None, upto: Optional[int] = None) -> np.ndarray:
@@ -139,7 +139,7 @@ def f_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
     if np.any(inner):
         E = e_matrix(zipper, points[inner], v_boundary, upto, factory)
         F[inner] = -1j * np.linalg.solve((E - one).transpose(0, 2, 1), (E + one).transpose(0, 2, 1)).transpose(0, 2, 1)
-    return F[0] if scalar else F
+    return F[0].copy() if scalar else F
 
 
 def g_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
@@ -149,7 +149,7 @@ def g_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
     E = e_matrix(zipper, points, v_boundary, upto, factory)
     G = np.linalg.solve((mc.eye(zipper.L) - E).transpose(0, 2, 1), E.transpose(0, 2, 1)).transpose(0, 2, 1)
     G /= points[:, None, None]
-    return G[0] if scalar else G
+    return G[0].copy() if scalar else G
 
 
 def dense_f(op: BlockBandedUnitary, z: complex) -> np.ndarray:

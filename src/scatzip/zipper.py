@@ -31,11 +31,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import ValidationError
+from .errors import NumericalBreakdownError, ValidationError
 from .scattering import ScatteringBlock, normal_form, phi
 
 DENSE_CAP = 512  # largest N*L the dense routines will touch by default
 TWO_PI = 2.0 * np.pi
+# Smallest |eigenvalue| of a Schur-complement pivot that ``arc_counts`` reads as a sign.
+PIVOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -345,6 +347,57 @@ def fiber_zipper(zipper: Zipper, k: float) -> Zipper:
 def fiber(zipper: Zipper, k: float) -> BlockBandedUnitary:
     """Bloch-Floquet fiber at momentum k of a periodic zipper (see fiber_zipper)."""
     return assemble_periodic(fiber_zipper(zipper, k))
+
+
+def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
+    """Number of eigenvalues e^(i theta) with |theta - phi| < delta, for every arc (phi, delta).
+
+    U is normal, so A = Re(e^(-i phi) U) - cos(delta) has the eigenvalues
+    cos(theta_j - phi) - cos(delta), and the count is the number of
+    positive ones.  A is block tridiagonal in the 2L x 2L superblocks of
+    the band rows: the diagonal block of row I is ``band[I, :, L:3L]``, the
+    lower one is ``band[I, :, :L]`` in its second-site columns and the
+    upper one ``band[I, :, 3L:]`` in its first-site columns (Haynsworth,
+    Linear Algebra Appl. 1, 1968).  The positive eigenvalues of the Schur
+    complement pivots D_I = B_I - C_I D_(I-1)^(-1) C_I* add up to those of
+    A; one loop of N/2 steps computes them for all arcs at once.  Reads
+    ``op.band`` only.  A pivot eigenvalue within PIVOT_TOL of zero (an
+    eigenvalue on an arc edge, or a singular leading block) is a breakdown,
+    never a count.
+    """
+    if op.periodic:
+        raise ValidationError("arc counts need a finite operator")
+    phi = np.asarray(centers, dtype=float)
+    delta = np.asarray(halfwidths, dtype=float)
+    if phi.ndim != 1 or phi.shape != delta.shape:
+        raise ValidationError(f"centers and halfwidths must be 1-D of one length, got shapes "
+                              f"{phi.shape} and {delta.shape}")
+    if not np.all(np.isfinite(phi)):
+        raise ValidationError("arc centers must be finite")
+    if not np.all((0.0 < delta) & (delta < np.pi)):  # also false for NaN
+        raise ValidationError("arc half-widths must lie in (0, pi)")
+    L = op.L
+    turn = np.exp(-1j * phi)[:, None, None]
+    lower = np.zeros((len(op.band), 1, 2 * L, 2 * L), dtype=complex)  # U[I, I-1]
+    lower[..., L:] = op.band[:, None, :, :L]
+    upper = np.zeros_like(lower)  # U[I-1, I]*, placed in row I
+    upper[1:, :, :L] = mc.adj(op.band[:-1, None, :, 3 * L:])
+    C = 0.5 * (turn * lower + np.conj(turn) * upper)  # (N/2, arcs, 2L, 2L)
+    D = mc.hermitize(turn * op.band[:, None, :, L:3 * L]) - np.cos(delta)[:, None, None] * np.eye(2 * L)
+    try:
+        with np.errstate(all="ignore"):  # a singular pivot is reported below
+            for I in range(1, len(D)):  # B_I becomes D_I in place
+                D[I] -= C[I] @ np.linalg.solve(D[I - 1], mc.adj(C[I]))
+                D[I] = mc.hermitize(D[I])
+        pivots = np.linalg.eigvalsh(D).transpose(1, 0, 2).reshape(len(phi), -1)
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdownError("singular pivot: an eigenvalue lies on an arc edge") from None
+    small = ~(np.abs(pivots).min(axis=1, initial=np.inf) > PIVOT_TOL)  # NaN is small
+    if np.any(small):
+        i = int(np.argmax(small))
+        raise NumericalBreakdownError(f"zero pivot on the arc ({phi[i]:.6g}, {delta[i]:.6g}): "
+                                      f"an eigenvalue lies on its edge")
+    return np.count_nonzero(pivots > 0, axis=1)
 
 
 def apply(op: BlockBandedUnitary, vec: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
-one band structure, the dense oracle (assembly, dense spectrum) and one
+one band structure, one finite sweep whose first grid is short, one arc
+count over that grid, the dense oracle (assembly, dense spectrum) and one
 Gram-Schmidt run on each of the two heaviest roundtrip measures.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
@@ -8,10 +9,11 @@ run it explicitly with pytest-benchmark:
     python -m pytest tests/bench_layers.py --benchmark-json=out.json
 
 Each benchmark records its work counts (sites walked, points per call,
-momenta and Pruefer calls per band structure) in ``extra_info``; counts do
-not depend on the machine, seconds do.  The calls use only entry points
-whose signatures are stable across versions, so the same file times an
-older checkout too.
+momenta and Pruefer calls per band structure, theta evaluated and count
+calls per sweep) in ``extra_info``; counts do not depend on the machine,
+seconds do.  The calls use only entry points whose signatures are stable
+across versions, so the same file times an older checkout too; one that
+has no ``zipper.arc_counts`` skips ``test_arc_counts``.
 """
 
 import numpy as np
@@ -64,6 +66,40 @@ def test_bands(benchmark, monkeypatch, L, N, ensemble):
     benchmark.extra_info.update(sites=N, momenta=64, prufer_periodic_calls=len(calls))
     bs = benchmark(osc.bands, z, 64)
     assert len(bs.spectra) == 64
+
+
+@pytest.mark.parametrize("seed", [7], ids=["L1N24haar085s7"])
+def test_sweep(benchmark, monkeypatch, seed):
+    # the pinned spectra job whose first grid of 8 N L = 192 intervals finds 12 of 24 crossings
+    z = ensembles.finite_zipper(seed, 1, 24, "haar-gauge", 0.85)
+    points, counts = [], []
+    prufer = osc.prufer
+
+    def counted(zipper, w, *args, **kwargs):
+        points.append(np.size(w))
+        return prufer(zipper, w, *args, **kwargs)
+
+    monkeypatch.setattr(osc, "prufer", counted)
+    if hasattr(osc, "arc_counts"):
+        arc_counts = osc.arc_counts
+        monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
+    osc.spectrum_by_oscillation(z)
+    benchmark.extra_info.update(sites=z.N, thetas=sum(points), prufer_calls=len(points),
+                                count_calls=len(counts))
+    spec = benchmark(osc.spectrum_by_oscillation, z)
+    assert spec.total_multiplicity == 24
+
+
+def test_arc_counts(benchmark):
+    if not hasattr(zp, "arc_counts"):
+        pytest.skip("no zipper.arc_counts")
+    z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
+    op = zp.assemble_finite(z)
+    edges = 0.37 * 2 * np.pi / 192 + np.arange(193) * (2 * np.pi / 192)
+    centers, halfwidths = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    benchmark.extra_info.update(sites=z.N, arcs=len(centers))
+    counts = benchmark(zp.arc_counts, op, centers, halfwidths)
+    assert counts.sum() == 24
 
 
 @pytest.mark.parametrize("L, N", [(1, 16), (2, 32)])

@@ -18,6 +18,25 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    out = tmp_path / "z.json"
+    try:
+        assert run_cli("gen", "--L", "1", "--N", "4", "--output", str(out)) == 0
+        assert run_cli("spectrum", str(out), "--output", str(tmp_path / "s.json")) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_gen_deterministic(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

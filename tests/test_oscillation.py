@@ -421,9 +421,9 @@ def test_prufer_guard_names_the_point_of_a_non_unitary_chart():
 
 
 def test_stall_instance_sweeps_in_few_batched_calls(monkeypatch):
-    # gen --L 1 --N 24 --alpha-max 0.85 --seed 7: the sweep doubles its grid
-    # 7 times (to 24576 points), so one call per theta would be ~28400 calls;
-    # batched calls of at most SWEEP_BLOCK theta need a few dozen
+    # gen --L 1 --N 24 --alpha-max 0.85 --seed 7: a doubling sweep went to
+    # 24576 points, ~28400 calls at one call per theta; batched calls of at
+    # most SWEEP_BLOCK theta need a few dozen
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
@@ -622,13 +622,11 @@ def test_prufer_rejects_two_dimensional_points():
             call()
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalBreakdownError,
-                   reason="a resonance narrower than the grid hides crossings from the sweep")
 @pytest.mark.parametrize("args", [(5, 1, 16, "haar-gauge", 0.99), (124, 1, 24, "cmv", 0.95)],
                          ids=["L1 N16 haar-gauge 0.99", "L1 N24 cmv 0.95"])
 def test_sweep_finds_every_crossing_next_to_a_narrow_resonance(args):
-    # Known defect: the sweep finds 15 of 16 and 22 of 24 crossings after
-    # ten grid doublings, while the dense oracle finds all N L eigenvalues
+    # a doubling sweep found 15 of 16 and 22 of 24 crossings after ten grid
+    # doublings; the arc counts show which intervals hide them
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.finite_zipper(*args)
@@ -637,3 +635,128 @@ def test_sweep_finds_every_crossing_next_to_a_narrow_resonance(args):
     swept = osc.spectrum_by_oscillation(z)
     assert swept.total_multiplicity == z.N * z.L
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+def _counted_prufer(monkeypatch):
+    """Wrap ``osc.prufer``; the list gets the number of theta of every call."""
+    points = []
+    prufer = osc.prufer
+
+    def counted(zipper, z, *args, **kwargs):
+        points.append(np.size(z))
+        return prufer(zipper, z, *args, **kwargs)
+
+    monkeypatch.setattr(osc, "prufer", counted)
+    return points
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_short_first_grid_splits_only_the_intervals_that_hide_crossings(monkeypatch, seed):
+    # a doubling sweep went to grid 24 576 on both (24 577 theta); the
+    # first grid of 192 intervals is short, and only its intervals whose
+    # seam passages miss their arc count are split
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(seed, 1, 24, "haar-gauge", 0.85)
+    points = _counted_prufer(monkeypatch)
+    grids = []
+    sample_grid = osc._sample_grid
+
+    def recorded(wfn, thetas, twists):
+        grids.append(len(thetas))
+        return sample_grid(wfn, thetas, twists)
+
+    monkeypatch.setattr(osc, "_sample_grid", recorded)
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert grids == [193]
+    assert swept.total_multiplicity == 24
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+    assert sum(points) <= 2000
+
+
+def test_matching_first_grid_never_counts(monkeypatch):
+    calls = []
+    monkeypatch.setattr(osc, "arc_counts", lambda *args: calls.append(1))
+    for seed in range(4):
+        z = ensembles.finite_zipper(seed, 2, 8, "cmv", 0.95)
+        dense = zp.dense_spectrum(zp.assemble_finite(z))
+        assert np.abs(osc.spectrum_by_oscillation(z).thetas - dense.thetas).max() < 1e-9
+    assert calls == []
+
+
+def _breaking_down_near(monkeypatch, centers, radius):
+    """Make ``osc.prufer`` break down on any call that holds a theta within radius
+    of one of the centers; the list gets the theta of every call that did."""
+    broken = []
+    prufer = osc.prufer
+
+    def fragile(zipper, z, *args, **kwargs):
+        theta = np.mod(np.angle(np.atleast_1d(z)), 2 * np.pi)
+        gap = np.abs(np.angle(np.exp(1j * (theta[:, None] - np.asarray(centers)[None, :]))))
+        if np.any(gap < radius):
+            broken.append(theta)
+            raise NumericalBreakdownError("Pruefer unitary has unitarity defect 1e-3 > 1e-06")
+        return prufer(zipper, z, *args, **kwargs)
+
+    monkeypatch.setattr(osc, "prufer", fragile)
+    return broken
+
+
+@pytest.mark.parametrize("args, short", [((1, 1, 12, "cmv", 0.5), False),
+                                         ((7, 1, 24, "haar-gauge", 0.85), True)],
+                         ids=["matching grid", "short grid"])
+def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch, args, short):
+    # the Pruefer samples break down near the two crossings farthest from
+    # the first grid (no grid point breaks down): in the refinement where
+    # the first grid matches, in the splits and the refinement where it is short
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(*args)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    grid = 8 * z.N * z.L
+    thetas = osc.TWO_PI * (0.37 + np.arange(grid + 1)) / grid
+    first = osc._sample_grid(osc._phase_family(z), thetas, osc.UNTWISTED)[0]
+    assert (osc._seam_passages(first[:-1], first[1:]).sum() < z.N) == short
+    gap = np.abs(np.angle(np.exp(1j * (dense.thetas[:, None] - thetas[None, :])))).min(axis=1)
+    centers = dense.thetas[np.argsort(gap)[-2:]]
+    broken = _breaking_down_near(monkeypatch, centers, 0.5 * np.sort(gap)[-2])
+    bisected = []
+    count_bisection = osc._count_bisection
+
+    def recorded(arc_count, lo, *args):
+        bisected.append(len(lo))
+        return count_bisection(arc_count, lo, *args)
+
+    monkeypatch.setattr(osc, "_count_bisection", recorded)
+    swept = osc.spectrum_by_oscillation(z)
+    assert broken and sum(bisected) == 2
+    assert swept.total_multiplicity == z.N
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
+    # h(s) = s + 2 arctan(1e6 tan(s / 2)) turns a full circle close to s = 0:
+    # an interval (-a, b) around it sees h rise by 2 pi + a + b - 4e-6 (1/a + 1/b),
+    # so the grid interval around c = 2 hides the crossing at c until a and b
+    # fall below about 0.002.  The other crossing is at c + pi.  Only that
+    # interval is split, one midpoint per level, where a doubling sweep would
+    # go to grid 2048.
+    c = 2.0
+    crossings = np.array([c, c + np.pi])
+    wfn, calls = _counted(_diagonal_family([lambda t: t - c + 2 * np.arctan(1e6 * np.tan((t - c) / 2))]))
+
+    def arc_count(centers, halfwidths):
+        gap = np.abs(np.angle(np.exp(1j * (crossings[None, :] - centers[:, None]))))
+        return (gap < halfwidths[:, None]).sum(axis=1)
+
+    with pytest.raises(NumericalBreakdownError, match=r"found 1 crossings, expected 2 \(grid 16\)"):
+        osc.sweep_spectrum(wfn, 2, 16, retries=0)
+    calls.clear()
+    res = osc.sweep_spectrum(wfn, 2, 16, arc_count=arc_count).spectra[0]
+    assert res.multiplicities.tolist() == [1, 1]
+    assert np.abs(res.thetas - crossings).max() < 1e-9
+    split = calls[1:calls.index(2)]  # the levels before the refinement of both brackets
+    assert calls[0] == 17 and split == [1] * len(split) and 4 <= len(split) <= 8
+    with pytest.raises(ValidationError, match="one-member sweep, got 2 members"):
+        osc.sweep_spectrum(wfn, 2, 16, twists=np.ones((2, 1, 1)), arc_count=arc_count)

@@ -59,6 +59,15 @@ def test_f_and_g_match_dense_oracle(rng):
             assert np.linalg.norm(weyl.g_matrix(z, w) - weyl.dense_g(op, w), 2) < 1e-8
 
 
+def test_scalar_points_return_owned_matrices():
+    # a view such as F[0] would keep the whole (1, L, L) stack, for G its transposed solve buffer
+    z = ensembles.finite_zipper(7, 2, 6)
+    for fn in (weyl.e_matrix, weyl.f_matrix, weyl.g_matrix):
+        M = fn(z, 0.3 + 0.4j)
+        assert M.shape == (2, 2) and M.base is None, fn.__name__
+    assert weyl.f_matrix(z, 0.0).base is None
+
+
 def test_f_g_consistency_identity(rng):
     z = ensembles.finite_zipper(7, 2, 6)
     w = random_disc_point(rng)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from scatzip import ensembles, fileio, matrix_core as mc
+from scatzip import ensembles, fileio, matrix_core as mc, transfer as tr
 from scatzip import zipper as zp
-from scatzip.errors import ValidationError
+from scatzip.errors import NumericalBreakdownError, ValidationError
 
 def _free_finite(L, N):
     return ensembles.finite_zipper(0, L, N, ensemble="free")
@@ -255,3 +255,68 @@ def test_apply_matches_dense_on_periodic_and_random_bands(rng, L, N):
             out = zp.apply(op, v)
             assert out.shape == v.shape
             assert np.linalg.norm(out - X @ v) < 1e-12 * np.linalg.norm(v)
+
+
+def _dense_arc_counts(thetas, centers, halfwidths):
+    """Eigenphases strictly inside each arc, and the smallest distance of an eigenphase to an edge."""
+    gap = np.abs(np.angle(np.exp(1j * (thetas[None, :] - centers[:, None]))))
+    return (gap < halfwidths[:, None]).sum(axis=1), np.abs(gap - halfwidths[:, None]).min()
+
+
+@pytest.mark.parametrize("args", [(7, 1, 24, "haar-gauge", 0.85), (124, 1, 24, "cmv", 0.95),
+                                  (5, 1, 16, "haar-gauge", 0.99), (3, 3, 8, "cmv", 0.95),
+                                  (0, 2, 8, "free")],
+                         ids=["L1N24haar085s7", "L1N24cmv095", "L1N16haar099", "L3N8cmv095", "L2N8free"])
+def test_arc_counts_match_the_dense_spectrum(args):
+    z = ensembles.finite_zipper(*args)
+    op = zp.assemble_finite(z)
+    thetas = zp.dense_spectrum(op).expanded_thetas()
+    assert len(thetas) == z.N * z.L
+    rng = np.random.default_rng(sum(args[:3]))
+    centers = rng.uniform(0.0, 2 * np.pi, 400)
+    halfwidths = np.concatenate([rng.uniform(1e-3, np.pi - 1e-3, 300), rng.uniform(1e-3, 0.05, 100)])
+    expected, margin = _dense_arc_counts(thetas, centers, halfwidths)
+    assert margin > 1e-9  # no eigenvalue sits on an edge
+    counts = zp.arc_counts(op, centers, halfwidths)
+    assert np.array_equal(counts, expected)
+    assert 0 < counts.max() and counts.min() == 0
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_arc_counts_see_an_eigenvalue_at_zero_with_its_multiplicity(L):
+    # the free N = 4 zipper has the eigenvalues 1, i, -1, -i, each of multiplicity L
+    op = zp.assemble_finite(_free_finite(L, 4))
+    counts = zp.arc_counts(op, np.array([0.0, 2 * np.pi - 0.1, 0.2, np.pi / 2, 0.0]),
+                           np.array([0.3, 0.2, 0.1, 3.0, 3.0]))
+    assert counts.tolist() == [L, L, 0, 3 * L, 3 * L]
+
+
+def test_arc_counts_refuse_an_eigenvalue_on_an_edge():
+    # the arc (pi / 4 - pi / 4, pi / 4 + pi / 4) ends on the eigenvalues 1 and i
+    op = zp.assemble_finite(_free_finite(1, 4))
+    with pytest.raises(NumericalBreakdownError, match=r"an eigenvalue lies on its edge"):
+        zp.arc_counts(op, np.array([1.0, np.pi / 4]), np.array([0.3, np.pi / 4]))
+
+
+def test_arc_counts_read_the_band_alone(monkeypatch):
+    z = ensembles.finite_zipper(7, 2, 8, "haar-gauge", 0.85)
+    centers, halfwidths = np.linspace(0.1, 6.0, 40), np.linspace(0.05, 3.0, 40)
+    before = zp.arc_counts(zp.assemble_finite(z), centers, halfwidths)
+    z.phi_table()[3] = 1e3 * np.eye(4)  # corrupt the cached phi table in place
+    assert np.abs(z.phi_table()[3] - 1e3 * np.eye(4)).max() == 0
+    for name in ("propagate", "chart_chain"):
+        monkeypatch.setattr(tr, name, lambda *a, **k: pytest.fail("the count ran a transfer chain"))
+    assert np.array_equal(zp.arc_counts(zp.assemble_finite(z), centers, halfwidths), before)
+
+
+def test_arc_counts_reject_bad_arcs_and_periodic_operators():
+    op = zp.assemble_finite(_free_finite(1, 4))
+    for halfwidths in ([0.0], [np.pi], [np.nan], [-0.1]):
+        with pytest.raises(ValidationError, match=r"half-widths must lie in \(0, pi\)"):
+            zp.arc_counts(op, [1.0], halfwidths)
+    with pytest.raises(ValidationError, match="arc centers must be finite"):
+        zp.arc_counts(op, [np.nan], [0.1])
+    with pytest.raises(ValidationError, match="1-D of one length"):
+        zp.arc_counts(op, [1.0, 2.0], [0.1])
+    with pytest.raises(ValidationError, match="need a finite operator"):
+        zp.arc_counts(zp.assemble_periodic(ensembles.periodic_zipper(0, 1, 4)), [1.0], [0.1])
