@@ -31,8 +31,8 @@ theorem the crossings in an interval are the eigenvalues in its arc, which
 ``zipper.arc_counts`` reads off the band stack by inertia.  So a finite
 sweep whose first grid comes up short counts its intervals and splits only
 those whose seam passages disagree with their count, sampling only their
-midpoints, until every part agrees; a bracket whose Pruefer sample breaks
-down finishes by bisection on the counts alone.  Periodic sweeps and bands
+midpoints, until every part agrees; the same loop bisects a bracket whose
+Pruefer sample breaks down on the counts alone.  Periodic sweeps and bands
 have no such count (the corner block makes the band stack cyclic) and
 double their whole grid instead, keeping the samples they have.
 
@@ -66,6 +66,8 @@ SWEEP_BLOCK = 1024
 # sweep takes; more momenta are swept in chunks, so that the phase table and
 # the seam-count temporaries of a sweep do not grow with the momentum grid.
 BANDS_SAMPLE_ROWS = 2 ** 16
+# Most grid doublings of a sweep that has no arc count (periodic sweeps, bands).
+SWEEP_RETRIES = 10
 # The twist of a one-member family: wfn itself (broadcasts over every m x m).
 UNTWISTED = np.ones((1, 1, 1))
 # Largest entry of W* W - 1 a Pruefer unitary may carry.  Rounding grows like
@@ -308,107 +310,50 @@ def _below(arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndar
 
 
 def _split_hidden(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                  arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], thetas: np.ndarray,
-                  phases: np.ndarray, seam: np.ndarray, expected_total: int,
+                  arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], parts: tuple,
                   refine_tol: float) -> tuple:
-    """Brackets of a one-member sweep whose seam passages match the eigenvalue count.
+    """Split one-member brackets until their seam passages agree with their eigenvalue counts.
 
-    ``thetas`` and ``phases`` are the sampled grid and ``seam`` the seam
-    passages of its intervals; ``sample`` gives NaN rows where it breaks
-    down (``_sample_or_nan``).  Every grid point is counted once, in one
-    ``arc_count`` call: the first half of the grid from the anchor
-    thetas[0] - pi / 2, the second half from thetas[g // 2] - pi / 2, so the
-    intervals get their eigenvalue counts as differences (which must add up
-    to ``expected_total``).  An interval whose seam passages fall short of
-    its count (a branch turned a full circle inside it) or exceed it is cut
-    at its midpoint, which alone is sampled and counted, and the parts are
-    checked again, until every part agrees.  Parts that agree and hold
-    crossings are the brackets (lo, hi, lo_phases, hi_phases, count)
-    returned first.  A part whose midpoint sample breaks down, or that still
-    disagrees at width refine_tol, is returned second as (lo, hi, count),
-    for ``_count_bisection``.
+    ``parts`` is (lo, hi, anchor, base, count, lo_phases, hi_phases): a
+    bracket holds ``count`` eigenvalues, and ``base`` lie ``_below`` lo from
+    ``anchor``; ``sample`` gives NaN rows where it breaks down.  A bracket
+    with both end phases whose seam passages agree with its count is kept.
+    Every other one is cut at its midpoint, in lockstep with one
+    ``arc_count`` call per level, and its parts keep its anchor.  Only a
+    midpoint between two known phases is sampled: a part with a NaN end is
+    cut and counted alone until it holds no eigenvalue.  A part that still
+    disagrees at width refine_tol, or with no float inside, is located at
+    its midpoint once per eigenvalue.  Returns the kept brackets (lo, hi,
+    lo_phases, hi_phases, count) that hold crossings and the crossings
+    located by counts alone.
     """
-    g, h = len(thetas) - 1, (len(thetas) - 1) // 2
-    anchors = thetas[[0, h]] - 0.5 * np.pi
-    first, second = np.split(_below(arc_count, np.concatenate([thetas[:h + 1], thetas[h:]]),
-                                    np.repeat(anchors, [h + 1, g - h + 1])), [h + 1])
-    count = np.concatenate([np.diff(first), np.diff(second)])
-    if np.any(count < 0) or count.sum() != expected_total:
-        raise NumericalBreakdownError(f"arc counts of the grid intervals find {count.sum()} "
-                                      f"eigenvalues, expected {expected_total}")
-    parts = (thetas[:-1], thetas[1:], np.repeat(anchors, [h, g - h]),
-             np.concatenate([first[:-1], second[:-1]]), count, phases[:-1], phases[1:])
-    kept, stuck = [], []
+    kept, counted = [], []
     while True:
         lo, hi, anchor, base, count, lo_phases, hi_phases = parts
-        agree = seam == count
+        known = ~np.isnan(lo_phases[:, 0] + hi_phases[:, 0])
+        agree = known & (_seam_passages(lo_phases, hi_phases) == count)
         kept.append(tuple(a[agree & (count > 0)] for a in (lo, hi, lo_phases, hi_phases, count)))
         mid = 0.5 * (lo + hi)
-        fine = (hi - lo <= refine_tol) | (mid <= lo) | (mid >= hi)
-        q = np.full(lo_phases.shape, np.nan)
-        cut = ~agree & ~fine
-        if np.any(cut):
-            q[cut] = sample(mid[cut], np.zeros(np.count_nonzero(cut), dtype=int))
-        lost = ~agree & np.isnan(q[:, 0])  # at width refine_tol, or a sample broke down
-        stuck.append((lo[lost], hi[lost], count[lost]))
-        cut &= ~lost
+        fine = ~agree & ((hi - lo <= refine_tol) | (mid <= lo) | (mid >= hi))
+        counted.append(np.repeat(mid[fine], count[fine]))
+        cut = ~agree & ~fine & (known | (count > 0))
         if not np.any(cut):
-            break
-        lo, hi, anchor, base, count, lo_phases, hi_phases, mid, q = (
-            a[cut] for a in (*parts, mid, q))
+            return tuple(np.concatenate(a) for a in zip(*kept)), np.concatenate(counted)
+        lo, hi, anchor, base, count, lo_phases, hi_phases, mid, known = (
+            a[cut] for a in (*parts, mid, known))
+        q = np.full(lo_phases.shape, np.nan)
+        if np.any(known):
+            q[known] = sample(mid[known], np.zeros(np.count_nonzero(known), dtype=int))
         at = _below(arc_count, mid, anchor)
         left = at - base
-        _check_halves(left, count, lo, hi)
-        seam = np.concatenate([_seam_passages(lo_phases, q), _seam_passages(q, hi_phases)])
+        bad = (left < 0) | (left > count)  # a left half holds between none and all
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NumericalBreakdownError(f"arc counts of [{lo[i]:.6g}, {hi[i]:.6g}] disagree: "
+                                          f"{left[i]} in its left half of {count[i]}")
         parts = tuple(np.concatenate(pair) for pair in (
             (lo, mid), (mid, hi), (anchor, anchor), (base, at), (left, count - left),
             (lo_phases, q), (q, hi_phases)))
-    return (tuple(np.concatenate(a) for a in zip(*kept)),
-            tuple(np.concatenate(a) for a in zip(*stuck)))
-
-
-def _check_halves(left: np.ndarray, count: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """A left half must hold between none and all of its bracket's eigenvalues."""
-    bad = (left < 0) | (left > count)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalBreakdownError(f"arc counts of [{lo[i]:.6g}, {hi[i]:.6g}] disagree: "
-                                      f"{left[i]} in its left half of {count[i]}")
-
-
-def _count_bisection(arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
-                     hi: np.ndarray, count: np.ndarray, refine_tol: float) -> np.ndarray:
-    """The crossings inside the brackets [lo, hi], ``count`` each, by bisection on arc counts alone.
-
-    A bracket is counted ``_below`` its cuts from the anchor 0.5 (lo + hi)
-    - pi: the crossings in (lo, x) are the count below x minus the count
-    below lo, and the count below hi must leave ``count``.  Parts are cut
-    at their midpoints in lockstep, one ``arc_count`` call per level, until
-    width refine_tol or no float inside, and each is returned at its
-    midpoint, once per crossing.
-    """
-    anchor = 0.5 * (lo + hi) - np.pi
-    base, top = np.split(_below(arc_count, np.concatenate([lo, hi]), np.concatenate([anchor, anchor])), 2)
-    bad = top - base != count
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalBreakdownError(f"arc counts find {top[i] - base[i]} eigenvalues in "
-                                      f"[{lo[i]:.6g}, {hi[i]:.6g}], the sweep {count[i]}")
-    done = []
-    while True:
-        mid = 0.5 * (lo + hi)
-        fine = (hi - lo <= refine_tol) | (mid <= lo) | (mid >= hi)
-        done.append(np.repeat(mid[fine], count[fine]))
-        lo, hi, mid, anchor, base, count = (a[~fine] for a in (lo, hi, mid, anchor, base, count))
-        if len(lo) == 0:
-            return np.concatenate(done)
-        at = _below(arc_count, mid, anchor)
-        left = at - base
-        _check_halves(left, count, lo, hi)
-        l, r = left > 0, count - left > 0
-        lo, hi, anchor, base, count = (np.concatenate(pair) for pair in (
-            (lo[l], mid[r]), (mid[l], hi[r]), (anchor[l], anchor[r]), (base[l], at[r]),
-            (left[l], (count - left)[r])))
 
 
 @dataclass
@@ -423,8 +368,8 @@ class FamilySpectra:
 
 
 def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
-                   grid_size: int, refine_tol: float = 1e-10, retries: int = 10,
-                   twists: np.ndarray = UNTWISTED, labels: Optional[list] = None,
+                   grid_size: int, refine_tol: float = 1e-10, twists: np.ndarray = UNTWISTED,
+                   labels: Optional[list] = None,
                    arc_count: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
                    ) -> FamilySpectra:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
@@ -443,10 +388,10 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     whose total falls short is certified interval by interval: only the
     intervals whose seam passages disagree with their count are split, and
     only their midpoints sampled (``_split_hidden``), until every part
-    agrees.  A bracket whose Pruefer sample breaks down then finishes by
-    ``_count_bisection`` instead, and its sample is never read as a phase.
+    agrees.  A bracket whose Pruefer sample breaks down, there or in
+    ``_refine``, goes on through that loop on its counts alone.
 
-    Without it, the grid is doubled on a count mismatch, up to ``retries``
+    Without it, the grid is doubled on a count mismatch, up to SWEEP_RETRIES
     times.  The previous samples become the even rows of the doubled grid
     and only the new odd theta are evaluated, so the cumulative cost stays
     proportional to the finest grid actually needed.
@@ -471,9 +416,8 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     live = np.arange(K)  # members whose count has not matched yet
     samples = None  # (len(live), grid + 1, m) sorted eigenphases
     brackets = []  # (members, lo, hi, lo_phases, hi_phases, count) per grid
-    stuck = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))  # (lo, hi, count) left to the counts
     sample = lambda thetas, members: _sample_rows(wfn, thetas, twists, members)
-    for _ in range(retries + 1):
+    for _ in range(SWEEP_RETRIES + 1):
         thetas = offset + np.arange(grid + 1) * (TWO_PI / grid)
         new = thetas if samples is None else thetas[1::2]
         fresh = _sample_grid(wfn, new, twists[live])
@@ -500,18 +444,39 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
         grid *= 2
     else:
         raise NumericalBreakdownError(last_error)
+    counted = [np.zeros(0)]  # crossings located by arc counts alone
     if arc_count is not None:  # a sample that breaks down leaves its bracket to the counts
         sample = lambda thetas, members, rows=sample: _sample_or_nan(rows, thetas, members, m)
-        if not match.all():
-            split, stuck = _split_hidden(sample, arc_count, thetas, samples[0], count[0],
-                                         expected_total, refine_tol)
-            brackets.append((np.zeros(len(split[0]), dtype=int), *split))
-    members, crossings, lost = _refine(sample, *(np.concatenate(parts) for parts in zip(*brackets)),
-                                       refine_tol)
-    lo, hi, count = (np.concatenate(pair) for pair in zip(stuck, lost[1:]))
-    if len(lo):
-        crossings = np.concatenate([crossings, _count_bisection(arc_count, lo, hi, count, refine_tol)])
-        members = np.concatenate([members, np.zeros(int(count.sum()), dtype=int)])
+        if not match.all():  # each grid half is counted from pi / 2 below its first theta
+            h = grid // 2
+            anchors = thetas[[0, h]] - 0.5 * np.pi
+            first, second = np.split(_below(arc_count, np.concatenate([thetas[:h + 1], thetas[h:]]),
+                                            np.repeat(anchors, [h + 1, grid - h + 1])), [h + 1])
+            count = np.concatenate([np.diff(first), np.diff(second)])
+            if np.any(count < 0) or count.sum() != expected_total:
+                raise NumericalBreakdownError(f"arc counts of the grid intervals find {count.sum()} "
+                                              f"eigenvalues, expected {expected_total}")
+            kept, by_count = _split_hidden(sample, arc_count, (
+                thetas[:-1], thetas[1:], np.repeat(anchors, [h, grid - h]),
+                np.concatenate([first[:-1], second[:-1]]), count, samples[0, :-1], samples[0, 1:]),
+                refine_tol)
+            brackets.append((np.zeros(len(kept[0]), dtype=int), *kept))
+            counted.append(by_count)
+    members, crossings, (_, lo, hi, count) = _refine(
+        sample, *(np.concatenate(parts) for parts in zip(*brackets)), refine_tol)
+    if len(lo):  # brackets whose refinement broke down, each counted from pi below its middle
+        anchor = 0.5 * (lo + hi) - np.pi
+        base, top = np.split(_below(arc_count, np.concatenate([lo, hi]), np.tile(anchor, 2)), 2)
+        bad = top - base != count
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NumericalBreakdownError(f"arc counts find {top[i] - base[i]} eigenvalues in "
+                                          f"[{lo[i]:.6g}, {hi[i]:.6g}], the sweep {count[i]}")
+        nan = np.full((len(lo), m), np.nan)
+        counted.append(_split_hidden(sample, arc_count, (lo, hi, anchor, base, count, nan, nan),
+                                     refine_tol)[1])
+    crossings = np.concatenate([crossings, *counted])
+    members = np.concatenate([members, np.zeros(len(crossings) - len(members), dtype=int)])
     return FamilySpectra([_circular_clusters(crossings[members == j], 10.0 * refine_tol)[0]
                           for j in range(K)])
 

@@ -1,7 +1,8 @@
 """Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
-one band structure, one finite sweep whose first grid is short, one arc
-count over that grid, the dense oracle (assembly, dense spectrum) and one
-Gram-Schmidt run on each of the two heaviest roundtrip measures.
+one band structure, two finite sweeps (a first grid that is short, a long
+chain whose Pruefer samples break down), one arc count over a grid, the
+dense oracle (assembly, dense spectrum) and one Gram-Schmidt run on each
+of the two heaviest roundtrip measures.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
 run it explicitly with pytest-benchmark:
@@ -9,11 +10,12 @@ run it explicitly with pytest-benchmark:
     python -m pytest tests/bench_layers.py --benchmark-json=out.json
 
 Each benchmark records its work counts (sites walked, points per call,
-momenta and Pruefer calls per band structure, theta evaluated and count
-calls per sweep) in ``extra_info``; counts do not depend on the machine,
-seconds do.  The calls use only entry points whose signatures are stable
-across versions, so the same file times an older checkout too; one that
-has no ``zipper.arc_counts`` skips ``test_arc_counts``.
+momenta and Pruefer calls per band structure, theta evaluated, Pruefer
+calls, the Pruefer calls that broke down and count calls per sweep) in
+``extra_info``; counts do not depend on the machine, seconds do.  The
+calls use only entry points whose signatures are stable across versions,
+so the same file times an older checkout too; one that has no
+``zipper.arc_counts`` skips ``test_arc_counts``.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 
 from scatzip import ensembles, measures as ms, oscillation as osc, transfer as tr, weyl
 from scatzip import zipper as zp
+from scatzip.errors import NumericalBreakdownError
 
 N_PRUFER = 16
 
@@ -68,16 +71,22 @@ def test_bands(benchmark, monkeypatch, L, N, ensemble):
     assert len(bs.spectra) == 64
 
 
-@pytest.mark.parametrize("seed", [7], ids=["L1N24haar085s7"])
-def test_sweep(benchmark, monkeypatch, seed):
-    # the pinned spectra job whose first grid of 8 N L = 192 intervals finds 12 of 24 crossings
-    z = ensembles.finite_zipper(seed, 1, 24, "haar-gauge", 0.85)
-    points, counts = [], []
+@pytest.mark.parametrize("args", [(7, 1, 24, "haar-gauge", 0.85), (0, 1, 128, "cmv", 0.5)],
+                         ids=["L1N24haar085s7", "L1N128cmv05s0"])
+def test_sweep(benchmark, monkeypatch, args):
+    # the pinned spectra job whose first grid of 8 N L = 192 intervals finds
+    # 12 of 24 crossings, and a long chain on which many Pruefer calls break down
+    z = ensembles.finite_zipper(*args)
+    points, broken, counts = [], [], []
     prufer = osc.prufer
 
     def counted(zipper, w, *args, **kwargs):
         points.append(np.size(w))
-        return prufer(zipper, w, *args, **kwargs)
+        try:
+            return prufer(zipper, w, *args, **kwargs)
+        except NumericalBreakdownError:
+            broken.append(1)
+            raise
 
     monkeypatch.setattr(osc, "prufer", counted)
     if hasattr(osc, "arc_counts"):
@@ -85,9 +94,9 @@ def test_sweep(benchmark, monkeypatch, seed):
         monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
     osc.spectrum_by_oscillation(z)
     benchmark.extra_info.update(sites=z.N, thetas=sum(points), prufer_calls=len(points),
-                                count_calls=len(counts))
+                                broken_calls=len(broken), count_calls=len(counts))
     spec = benchmark(osc.spectrum_by_oscillation, z)
-    assert spec.total_multiplicity == 24
+    assert spec.total_multiplicity == z.N * z.L
 
 
 def test_arc_counts(benchmark):

@@ -334,12 +334,13 @@ def test_bands_sweeps_the_momenta_in_chunks_under_the_row_cap(monkeypatch):
     assert np.array_equal(chunked.eigenphase_table(), whole.eigenphase_table())
 
 
-def test_family_sweep_mismatch_names_the_member():
+def test_family_sweep_mismatch_names_the_member(monkeypatch):
     twists = np.exp(1j * np.array([0.0, 0.5]))[:, None, None]
     wfn = _diagonal_family([lambda t: 40 * t])
+    monkeypatch.setattr(osc, "SWEEP_RETRIES", 0)
     with pytest.raises(NumericalBreakdownError,
                        match=r"crossings, expected 40 at k = 0\.25 \(grid 16\)"):
-        osc.sweep_spectrum(wfn, 40, 16, retries=0, twists=twists, labels=["k = 0.25", "k = 0.75"])
+        osc.sweep_spectrum(wfn, 40, 16, twists=twists, labels=["k = 0.25", "k = 0.75"])
 
 
 def test_prufer_array_equals_stacked_scalar_calls():
@@ -499,12 +500,14 @@ def test_sweep_returns_an_exact_double_crossing_with_multiplicity_two():
     assert np.abs(res.thetas - [2.5, 5.0]).max() < 1e-9
 
 
-def test_sweep_doubles_the_grid_for_a_fast_branch():
+def test_sweep_doubles_the_grid_for_a_fast_branch(monkeypatch):
     # diag(exp(40 i theta)) turns 2.5 times per interval of a 16-point grid;
     # one row counts at most one passage, so the count only matches at grid 64
     wfn = _diagonal_family([lambda t: 40 * t])
-    with pytest.raises(NumericalBreakdownError, match=r"crossings, expected 40 \(grid 16\)"):
-        osc.sweep_spectrum(wfn, 40, 16, retries=0)
+    with monkeypatch.context() as m, \
+            pytest.raises(NumericalBreakdownError, match=r"crossings, expected 40 \(grid 16\)"):
+        m.setattr(osc, "SWEEP_RETRIES", 0)
+        osc.sweep_spectrum(wfn, 40, 16)
     res = osc.sweep_spectrum(wfn, 40, 16).spectra[0]
     assert res.multiplicities.tolist() == [1] * 40
     expected = 2 * np.pi * np.arange(40) / 40
@@ -704,38 +707,43 @@ def _breaking_down_near(monkeypatch, centers, radius):
 
 
 @pytest.mark.parametrize("args, short", [((1, 1, 12, "cmv", 0.5), False),
-                                         ((7, 1, 24, "haar-gauge", 0.85), True)],
-                         ids=["matching grid", "short grid"])
+                                         ((7, 1, 24, "haar-gauge", 0.85), True),
+                                         ((0, 2, 16, "free"), False)],
+                         ids=["matching grid", "short grid", "double eigenvalues"])
 def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch, args, short):
-    # the Pruefer samples break down near the two crossings farthest from
+    # the Pruefer samples break down near the two eigenvalues farthest from
     # the first grid (no grid point breaks down): in the refinement where
-    # the first grid matches, in the splits and the refinement where it is short
+    # the first grid matches, in the splits and the refinement where it is
+    # short; every eigenvalue of the free L = 2 zipper is double, so there a
+    # bracket located by counts alone holds two crossings
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.finite_zipper(*args)
     dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert set(dense.multiplicities.tolist()) == {z.L}
     grid = 8 * z.N * z.L
     thetas = osc.TWO_PI * (0.37 + np.arange(grid + 1)) / grid
     first = osc._sample_grid(osc._phase_family(z), thetas, osc.UNTWISTED)[0]
-    assert (osc._seam_passages(first[:-1], first[1:]).sum() < z.N) == short
+    assert (osc._seam_passages(first[:-1], first[1:]).sum() < z.N * z.L) == short
     gap = np.abs(np.angle(np.exp(1j * (dense.thetas[:, None] - thetas[None, :])))).min(axis=1)
     centers = dense.thetas[np.argsort(gap)[-2:]]
     broken = _breaking_down_near(monkeypatch, centers, 0.5 * np.sort(gap)[-2])
-    bisected = []
-    count_bisection = osc._count_bisection
+    counted = []
+    split_hidden = osc._split_hidden
 
-    def recorded(arc_count, lo, *args):
-        bisected.append(len(lo))
-        return count_bisection(arc_count, lo, *args)
+    def recorded(*args):
+        kept, by_count = split_hidden(*args)
+        counted.append(len(by_count))
+        return kept, by_count
 
-    monkeypatch.setattr(osc, "_count_bisection", recorded)
+    monkeypatch.setattr(osc, "_split_hidden", recorded)
     swept = osc.spectrum_by_oscillation(z)
-    assert broken and sum(bisected) == 2
-    assert swept.total_multiplicity == z.N
+    assert broken and sum(counted) == 2 * z.L
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
 
 
-def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
+def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global(monkeypatch):
     # h(s) = s + 2 arctan(1e6 tan(s / 2)) turns a full circle close to s = 0:
     # an interval (-a, b) around it sees h rise by 2 pi + a + b - 4e-6 (1/a + 1/b),
     # so the grid interval around c = 2 hides the crossing at c until a and b
@@ -750,8 +758,10 @@ def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
         gap = np.abs(np.angle(np.exp(1j * (crossings[None, :] - centers[:, None]))))
         return (gap < halfwidths[:, None]).sum(axis=1)
 
-    with pytest.raises(NumericalBreakdownError, match=r"found 1 crossings, expected 2 \(grid 16\)"):
-        osc.sweep_spectrum(wfn, 2, 16, retries=0)
+    with monkeypatch.context() as m, \
+            pytest.raises(NumericalBreakdownError, match=r"found 1 crossings, expected 2 \(grid 16\)"):
+        m.setattr(osc, "SWEEP_RETRIES", 0)
+        osc.sweep_spectrum(wfn, 2, 16)
     calls.clear()
     res = osc.sweep_spectrum(wfn, 2, 16, arc_count=arc_count).spectra[0]
     assert res.multiplicities.tolist() == [1, 1]
