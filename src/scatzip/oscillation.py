@@ -27,22 +27,22 @@ an interval holds one crossing, bisection where it holds several.
 
 A branch that turns a full circle inside one grid interval (a narrow
 resonance) hides its crossing from the seam count.  By the oscillation
-theorem the crossings in an interval are the eigenvalues in its arc, which
-``zipper.arc_counts`` reads off the band stack by inertia.  So a finite
-sweep whose first grid comes up short counts its intervals and splits only
-those whose seam passages disagree with their count, sampling only their
-midpoints, until every part agrees; the same loop bisects a bracket whose
-Pruefer sample breaks down on the counts alone.  Periodic sweeps and bands
-have no such count (the corner block makes the band stack cyclic) and
-double their whole grid instead, keeping the samples they have.
+theorem the crossings in an interval are the eigenvalues in its arc, for a
+finite zipper and for the doubled periodic phase at every momentum, and
+``zipper.arc_counts`` reads them off the band stack by inertia.  So a sweep
+whose first grid comes up short counts its intervals and splits only those
+whose seam passages disagree with their count, sampling only their
+midpoints, until every part agrees; a bracket whose Pruefer sample breaks
+down finishes on the counts alone.  No sweep samples a second grid.
 
 Bands are one sweep over all momenta, or over chunks of them where the
 momentum grid would make the phase table too large.  The fiber at momentum
 k scales each transfer by e^(ik), so its doubled Pruefer unitary is the
 untwisted one with the diagonal blocks scaled by e^(-iNk) and e^(iNk) (the
-Floquet twist).  The sweep carries a member index on every sample row and bracket:
-one untwisted ``prufer_periodic`` chain per theta serves every momentum, and
-only the momenta whose count is off go on to a doubled grid.
+Floquet twist).  The sweep carries a member index on every sample row and
+bracket: one untwisted ``prufer_periodic`` chain per theta serves every
+momentum, and only the momenta whose first grid is short count their arcs,
+each on the band stack of its own fiber.
 """
 
 from __future__ import annotations
@@ -56,18 +56,17 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .transfer import TransferFactory, chart_chain
-from .zipper import TWO_PI, SpectrumResult, Zipper, _circular_clusters, arc_counts, assemble_finite
+from .zipper import (TWO_PI, SpectrumResult, Zipper, _circular_clusters, arc_counts, assemble_finite,
+                     assemble_periodic, fiber)
 
 # Most theta one batched Pruefer evaluation takes, and most matrices one
 # eigvals call takes; bounds the frame and phase-matrix stacks in memory when
-# a sweep doubles its grid to thousands of points or twists many members.
+# a sweep samples thousands of points or twists many members.
 SWEEP_BLOCK = 1024
 # Most first-grid sample rows, momenta times (grid + 1) theta, one ``bands``
 # sweep takes; more momenta are swept in chunks, so that the phase table and
 # the seam-count temporaries of a sweep do not grow with the momentum grid.
 BANDS_SAMPLE_ROWS = 2 ** 16
-# Most grid doublings of a sweep that has no arc count (periodic sweeps, bands).
-SWEEP_RETRIES = 10
 # The twist of a one-member family: wfn itself (broadcasts over every m x m).
 UNTWISTED = np.ones((1, 1, 1))
 # Largest entry of W* W - 1 a Pruefer unitary may carry.  Rounding grows like
@@ -296,9 +295,9 @@ def _sample_or_nan(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], theta
                                _sample_or_nan(sample, thetas[h:], members[h:], m)])
 
 
-def _below(arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
-           anchor: np.ndarray) -> np.ndarray:
-    """Eigenvalues in the open arcs from ``anchor`` up to x.
+def _below(arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+           members: np.ndarray, x: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each member in the open arcs from ``anchor`` up to x.
 
     Callers keep x - anchor within pi / 2 of pi, where an eigenvalue at
     distance d from x moves a pivot by about d.  The count inside a bracket
@@ -306,45 +305,52 @@ def _below(arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndar
     as the bracket would lose its eigenvalues to the cancellation in
     cos(theta - phi) - cos(delta) once delta nears 1e-8.
     """
-    return arc_count(0.5 * (x + anchor), 0.5 * (x - anchor))
+    return arc_count(members, 0.5 * (x + anchor), 0.5 * (x - anchor))
 
 
-def _split_hidden(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                  arc_count: Callable[[np.ndarray, np.ndarray], np.ndarray], parts: tuple,
+def _split_hidden(sample: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+                  arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], parts: tuple,
                   refine_tol: float) -> tuple:
-    """Split one-member brackets until their seam passages agree with their eigenvalue counts.
+    """Split brackets until their seam passages agree with their eigenvalue counts.
 
-    ``parts`` is (lo, hi, anchor, base, count, lo_phases, hi_phases): a
-    bracket holds ``count`` eigenvalues, and ``base`` lie ``_below`` lo from
-    ``anchor``; ``sample`` gives NaN rows where it breaks down.  A bracket
-    with both end phases whose seam passages agree with its count is kept.
-    Every other one is cut at its midpoint, in lockstep with one
-    ``arc_count`` call per level, and its parts keep its anchor.  Only a
-    midpoint between two known phases is sampled: a part with a NaN end is
-    cut and counted alone until it holds no eigenvalue.  A part that still
+    ``parts`` is (members, lo, hi, anchor, base, count, lo_phases,
+    hi_phases): a bracket of member ``members[i]`` holds ``count``
+    eigenvalues, and ``base`` lie ``_below`` lo from ``anchor``; ``sample``
+    gives NaN rows where it breaks down.  A bracket with both end phases
+    whose seam passages agree with its count is kept.  Every other one is
+    cut at its midpoint, in lockstep with one ``arc_count`` call per level,
+    and its parts keep its anchor.  Only a midpoint between two known
+    phases is sampled.  A part with a NaN end that holds eigenvalues is
+    handed back open, to finish with the brackets ``_refine`` loses in one
+    pass on counts alone: the pass with ``sample`` None, which cuts and
+    counts such parts until they hold no eigenvalue.  A part that still
     disagrees at width refine_tol, or with no float inside, is located at
-    its midpoint once per eigenvalue.  Returns the kept brackets (lo, hi,
-    lo_phases, hi_phases, count) that hold crossings and the crossings
-    located by counts alone.
+    its midpoint once per eigenvalue.  Returns the kept brackets (members,
+    lo, hi, lo_phases, hi_phases, count) that hold crossings, the (members,
+    thetas) of the crossings located by counts alone, and the open parts
+    (members, lo, hi, anchor, base, count).
     """
-    kept, counted = [], []
+    kept, counted, held = [], [], []
     while True:
-        lo, hi, anchor, base, count, lo_phases, hi_phases = parts
+        members, lo, hi, anchor, base, count, lo_phases, hi_phases = parts
         known = ~np.isnan(lo_phases[:, 0] + hi_phases[:, 0])
         agree = known & (_seam_passages(lo_phases, hi_phases) == count)
-        kept.append(tuple(a[agree & (count > 0)] for a in (lo, hi, lo_phases, hi_phases, count)))
+        kept.append(tuple(a[agree & (count > 0)] for a in (members, lo, hi, lo_phases, hi_phases, count)))
         mid = 0.5 * (lo + hi)
         fine = ~agree & ((hi - lo <= refine_tol) | (mid <= lo) | (mid >= hi))
-        counted.append(np.repeat(mid[fine], count[fine]))
+        counted.append((np.repeat(members[fine], count[fine]), np.repeat(mid[fine], count[fine])))
         cut = ~agree & ~fine & (known | (count > 0))
+        hold = cut & ~known & (sample is not None)
+        held.append(tuple(a[hold] for a in parts[:6]))
+        cut &= ~hold
         if not np.any(cut):
-            return tuple(np.concatenate(a) for a in zip(*kept)), np.concatenate(counted)
-        lo, hi, anchor, base, count, lo_phases, hi_phases, mid, known = (
+            return tuple(tuple(np.concatenate(a) for a in zip(*b)) for b in (kept, counted, held))
+        members, lo, hi, anchor, base, count, lo_phases, hi_phases, mid, known = (
             a[cut] for a in (*parts, mid, known))
         q = np.full(lo_phases.shape, np.nan)
         if np.any(known):
-            q[known] = sample(mid[known], np.zeros(np.count_nonzero(known), dtype=int))
-        at = _below(arc_count, mid, anchor)
+            q[known] = sample(mid[known], members[known])
+        at = _below(arc_count, members, mid, anchor)
         left = at - base
         bad = (left < 0) | (left > count)  # a left half holds between none and all
         if np.any(bad):
@@ -352,8 +358,8 @@ def _split_hidden(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
             raise NumericalBreakdownError(f"arc counts of [{lo[i]:.6g}, {hi[i]:.6g}] disagree: "
                                           f"{left[i]} in its left half of {count[i]}")
         parts = tuple(np.concatenate(pair) for pair in (
-            (lo, mid), (mid, hi), (anchor, anchor), (base, at), (left, count - left),
-            (lo_phases, q), (q, hi_phases)))
+            (members, members), (lo, mid), (mid, hi), (anchor, anchor), (base, at),
+            (left, count - left), (lo_phases, q), (q, hi_phases)))
 
 
 @dataclass
@@ -367,116 +373,86 @@ class FamilySpectra:
         return sum(s.total_multiplicity for s in self.spectra)
 
 
-def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
-                   grid_size: int, refine_tol: float = 1e-10, twists: np.ndarray = UNTWISTED,
-                   labels: Optional[list] = None,
-                   arc_count: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-                   ) -> FamilySpectra:
+def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int, grid_size: int,
+                   arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+                   refine_tol: float = 1e-10, twists: np.ndarray = UNTWISTED) -> FamilySpectra:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
 
     ``wfn(thetas)`` must return the stack of (near-)unitary phase matrices at
     a 1-D array of theta; a crossing is an eigenphase passing the 2 pi seam.
-    The whole grid is sampled in batched calls and the seam passages of all
-    grid intervals are counted at once; the intervals holding crossings are
-    refined by ``_refine``, all in lockstep, once the total matches
-    ``expected_total``.  A crossing hides from the sampled sweep when a
-    branch completes a full turn inside one grid interval (a narrow
-    resonance), which no endpoint-based test can detect.
+    One grid is sampled in batched calls and the seam passages of all its
+    intervals are counted at once; the intervals holding crossings are
+    refined by ``_refine``, all in lockstep.  A crossing hides from the
+    sampled grid when a branch completes a full turn inside one grid
+    interval (a narrow resonance), which no endpoint-based test can detect.
 
-    With ``arc_count(centers, halfwidths)``, the number of eigenvalues in
-    each open arc (``zipper.arc_counts`` of a finite zipper), a first grid
-    whose total falls short is certified interval by interval: only the
-    intervals whose seam passages disagree with their count are split, and
-    only their midpoints sampled (``_split_hidden``), until every part
-    agrees.  A bracket whose Pruefer sample breaks down, there or in
-    ``_refine``, goes on through that loop on its counts alone.
-
-    Without it, the grid is doubled on a count mismatch, up to SWEEP_RETRIES
-    times.  The previous samples become the even rows of the doubled grid
-    and only the new odd theta are evaluated, so the cumulative cost stays
-    proportional to the finest grid actually needed.
+    ``arc_count(members, centers, halfwidths)`` gives the number of
+    eigenvalues of member ``members[i]`` in the open arc (centers[i],
+    halfwidths[i]) (``zipper.arc_counts`` on its band stack).  A member
+    whose seam passages fall short of ``expected_total`` is certified
+    interval by interval: only the intervals whose seam passages disagree
+    with their count are split, and only their midpoints sampled
+    (``_split_hidden``), until every part agrees.  A bracket whose Pruefer
+    sample breaks down, there or in ``_refine``, finishes on its counts
+    alone, all such brackets in one lockstep pass.  A sweep whose grid
+    matches for every member never counts.
 
     One sweep covers the K monotone families of ``twists``, a (K, m, m)
     stack of unit-modulus factors (or anything broadcasting to it; the
     default UNTWISTED is the one member wfn itself): member j is
     wfn(theta) * twists[j] entrywise, each with ``expected_total``
-    crossings, and ``labels[j]`` names it in the mismatch error.  Sample
-    rows and brackets carry their member, every grid theta is evaluated
-    once for all members, one count covers the grid intervals of all
-    members, only the members whose count is off go on to the doubled grid,
-    and the brackets of all members are refined in one lockstep.  An
-    ``arc_count`` certifies one-member sweeps only.  Returns the
+    crossings.  Sample rows and brackets carry their member, every grid
+    theta is evaluated once for all members, and the brackets of all
+    members are split and refined in one lockstep.  Returns the
     FamilySpectra with one SpectrumResult per member.
     """
-    K = len(twists)
-    if arc_count is not None and K != 1:
-        raise ValidationError(f"an arc count certifies a one-member sweep, got {K} members")
     grid = int(grid_size)
-    offset = 0.37 * TWO_PI / grid  # fixed across retries so refined grids nest
-    live = np.arange(K)  # members whose count has not matched yet
-    samples = None  # (len(live), grid + 1, m) sorted eigenphases
-    brackets = []  # (members, lo, hi, lo_phases, hi_phases, count) per grid
-    sample = lambda thetas, members: _sample_rows(wfn, thetas, twists, members)
-    for _ in range(SWEEP_RETRIES + 1):
-        thetas = offset + np.arange(grid + 1) * (TWO_PI / grid)
-        new = thetas if samples is None else thetas[1::2]
-        fresh = _sample_grid(wfn, new, twists[live])
-        if samples is None:
-            samples = fresh
-        else:
-            doubled = np.empty((len(live), grid + 1, fresh.shape[-1]))
-            doubled[:, 0::2] = samples
-            doubled[:, 1::2] = fresh
-            samples = doubled
-        m = samples.shape[-1]
-        count = _seam_passages(samples[:, :-1].reshape(-1, m),
-                               samples[:, 1:].reshape(-1, m)).reshape(len(live), grid)
-        found = count.sum(axis=1)
-        match = found == expected_total
-        f, i = np.nonzero(count * match[:, None])
-        brackets.append((live[f], thetas[i], thetas[i + 1], samples[f, i], samples[f, i + 1], count[f, i]))
-        if match.all() or arc_count is not None:
-            break
-        miss = int(np.argmin(match))
-        at = "" if labels is None else f" at {labels[live[miss]]}"
-        last_error = f"found {found[miss]} crossings, expected {expected_total}{at} (grid {grid})"
-        live, samples = live[~match], samples[~match]
-        grid *= 2
-    else:
-        raise NumericalBreakdownError(last_error)
-    counted = [np.zeros(0)]  # crossings located by arc counts alone
-    if arc_count is not None:  # a sample that breaks down leaves its bracket to the counts
-        sample = lambda thetas, members, rows=sample: _sample_or_nan(rows, thetas, members, m)
-        if not match.all():  # each grid half is counted from pi / 2 below its first theta
-            h = grid // 2
-            anchors = thetas[[0, h]] - 0.5 * np.pi
-            first, second = np.split(_below(arc_count, np.concatenate([thetas[:h + 1], thetas[h:]]),
-                                            np.repeat(anchors, [h + 1, grid - h + 1])), [h + 1])
-            count = np.concatenate([np.diff(first), np.diff(second)])
-            if np.any(count < 0) or count.sum() != expected_total:
-                raise NumericalBreakdownError(f"arc counts of the grid intervals find {count.sum()} "
-                                              f"eigenvalues, expected {expected_total}")
-            kept, by_count = _split_hidden(sample, arc_count, (
-                thetas[:-1], thetas[1:], np.repeat(anchors, [h, grid - h]),
-                np.concatenate([first[:-1], second[:-1]]), count, samples[0, :-1], samples[0, 1:]),
-                refine_tol)
-            brackets.append((np.zeros(len(kept[0]), dtype=int), *kept))
-            counted.append(by_count)
-    members, crossings, (_, lo, hi, count) = _refine(
+    thetas = 0.37 * TWO_PI / grid + np.arange(grid + 1) * (TWO_PI / grid)
+    samples = _sample_grid(wfn, thetas, twists)  # (K, grid + 1, m) sorted eigenphases
+    K, m = len(samples), samples.shape[-1]
+    count = _seam_passages(samples[:, :-1].reshape(-1, m), samples[:, 1:].reshape(-1, m)).reshape(K, grid)
+    short = np.flatnonzero(count.sum(axis=1) != expected_total)
+    count[short] = 0
+    f, i = np.nonzero(count)
+    brackets = [(f, thetas[i], thetas[i + 1], samples[f, i], samples[f, i + 1], count[f, i])]
+    counted, held = [(f[:0], thetas[:0])], []  # crossings located by counts alone, parts left to them
+    rows = lambda thetas, members: _sample_rows(wfn, thetas, twists, members)
+    sample = lambda thetas, members: _sample_or_nan(rows, thetas, members, m)  # NaN where it breaks down
+    if len(short):  # each grid half is counted from pi / 2 below its first theta
+        h, n = grid // 2, len(short)
+        anchors = thetas[[0, h]] - 0.5 * np.pi
+        at = _below(arc_count, np.repeat(short, grid + 2), np.tile(np.r_[thetas[:h + 1], thetas[h:]], n),
+                    np.tile(np.repeat(anchors, [h + 1, grid - h + 1]), n)).reshape(n, grid + 2)
+        base = np.delete(at, [h, grid + 1], axis=1)
+        holds = np.delete(at, [0, h + 1], axis=1) - base
+        bad = np.any(holds < 0, axis=1) | (holds.sum(axis=1) != expected_total)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NumericalBreakdownError(f"arc counts of member {short[i]} find {holds[i].sum()} eigenvalues "
+                                          f"in the grid intervals, expected {expected_total}")
+        kept, by_count, open_parts = _split_hidden(sample, arc_count, (
+            np.repeat(short, grid), np.tile(thetas[:-1], n), np.tile(thetas[1:], n),
+            np.tile(np.repeat(anchors, [h, grid - h]), n), base.ravel(), holds.ravel(),
+            samples[short, :-1].reshape(-1, m), samples[short, 1:].reshape(-1, m)), refine_tol)
+        brackets.append(kept)
+        counted.append(by_count)
+        held.append(open_parts)
+    members, crossings, (lost, lo, hi, count) = _refine(
         sample, *(np.concatenate(parts) for parts in zip(*brackets)), refine_tol)
     if len(lo):  # brackets whose refinement broke down, each counted from pi below its middle
         anchor = 0.5 * (lo + hi) - np.pi
-        base, top = np.split(_below(arc_count, np.concatenate([lo, hi]), np.tile(anchor, 2)), 2)
+        base, top = np.split(_below(arc_count, np.tile(lost, 2), np.r_[lo, hi], np.tile(anchor, 2)), 2)
         bad = top - base != count
         if np.any(bad):
             i = int(np.argmax(bad))
             raise NumericalBreakdownError(f"arc counts find {top[i] - base[i]} eigenvalues in "
                                           f"[{lo[i]:.6g}, {hi[i]:.6g}], the sweep {count[i]}")
-        nan = np.full((len(lo), m), np.nan)
-        counted.append(_split_hidden(sample, arc_count, (lo, hi, anchor, base, count, nan, nan),
-                                     refine_tol)[1])
-    crossings = np.concatenate([crossings, *counted])
-    members = np.concatenate([members, np.zeros(len(crossings) - len(members), dtype=int)])
+        held.append((lost, lo, hi, anchor, base, count))
+    if held:  # one pass on counts alone
+        held = [np.concatenate(parts) for parts in zip(*held)]
+        nan = np.full((2, len(held[0]), m), np.nan)
+        counted.append(_split_hidden(None, arc_count, (*held, *nan), refine_tol)[1])
+    members, crossings = (np.concatenate([a, *b]) for a, b in zip((members, crossings), zip(*counted)))
     return FamilySpectra([_circular_clusters(crossings[members == j], 10.0 * refine_tol)[0]
                           for j in range(K)])
 
@@ -509,19 +485,19 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
                             refine_tol: float = 1e-10) -> SpectrumResult:
     """All N L eigenvalues of a finite or periodic zipper by Pruefer-phase crossing counting.
 
-    Finite zippers sweep the L eigenphases of ``prufer`` and certify a short
-    first grid by ``arc_counts`` on their band stack; periodic ones sweep the
-    2L eigenphases of the doubled ``prufer_periodic`` and double their grid.
+    Finite zippers sweep the L eigenphases of ``prufer``, periodic ones the
+    2L eigenphases of the doubled ``prufer_periodic``; both certify a short
+    first grid by ``arc_counts`` on the band stack of ``assemble_finite`` or
+    ``assemble_periodic``.
     """
     if not isinstance(zipper, Zipper):
         raise ValidationError("oscillation spectra need a finite or periodic zipper")
     grid = _sweep_grid(zipper, grid_size, refine_tol)
-    counter = None
-    if zipper.flavor == "finite":
-        op = functools.cache(lambda: assemble_finite(zipper))  # a sweep that never counts never assembles
-        counter = lambda centers, halfwidths: arc_counts(op(), centers, halfwidths)
-    return sweep_spectrum(_phase_family(zipper), zipper.N * zipper.L, grid, refine_tol,
-                          arc_count=counter).spectra[0]
+    assemble = assemble_finite if zipper.flavor == "finite" else assemble_periodic
+    op = functools.cache(lambda: assemble(zipper))  # a sweep that never counts never assembles
+    return sweep_spectrum(_phase_family(zipper), zipper.N * zipper.L, grid,
+                          lambda members, centers, halfwidths: arc_counts(op(), centers, halfwidths),
+                          refine_tol).spectra[0]
 
 
 def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> float:
@@ -585,25 +561,33 @@ def bands(zipper: Zipper, k_grid_size: int, grid_size: Optional[int] = None,
     the block swap.  So the untwisted ``prufer_periodic`` chain runs once
     per theta, and member k of the sweep scales the diagonal blocks of W_0
     by e^(-iNk) and e^(iNk).  The momenta go to ``sweep_spectrum`` in
-    chunks of at most BANDS_SAMPLE_ROWS // (grid + 1), one sweep each.
-    ``zipper.fiber_zipper`` and the dense ``zipper.fiber`` remain the
-    independent check.
+    chunks of at most BANDS_SAMPLE_ROWS // (grid + 1), one sweep each.  A
+    momentum whose first grid comes up short counts its arcs on the band
+    stack of its fiber (``zipper.fiber``), assembled for it alone on its
+    first count.  The dense ``zipper.fiber`` remains the independent check.
     """
     if zipper.flavor != "periodic":
         raise ValidationError("bands needs a periodic zipper")
-    if k_grid_size < 1:
-        raise ValidationError(f"momentum grid size must be >= 1, got {k_grid_size}")
+    if not (isinstance(k_grid_size, (int, np.integer)) and k_grid_size >= 1):  # also rejects NaN
+        raise ValidationError(f"momentum grid size must be an integer >= 1, got {k_grid_size!r}")
     grid = _sweep_grid(zipper, grid_size, refine_tol)
     ks = momentum_grid(zipper.N, k_grid_size)
     L, c = zipper.L, np.exp(1j * zipper.N * ks)[:, None, None]
     twists = np.ones((len(ks), 2 * L, 2 * L), dtype=complex)
     twists[:, :L, :L] = np.conj(c)
     twists[:, L:, L:] = c
-    labels = [f"k = {k:.6g}" for k in ks]
+    fibers = functools.cache(lambda i: fiber(zipper, ks[i]))  # assembled on a momentum's first count
     wfn = _phase_family(zipper)
     chunk = max(1, BANDS_SAMPLE_ROWS // (grid + 1))  # momenta per sweep
     spectra = []
     for i in range(0, len(ks), chunk):
-        spectra += sweep_spectrum(wfn, zipper.N * L, grid, refine_tol, twists=twists[i:i + chunk],
-                                  labels=labels[i:i + chunk]).spectra
+        def arc_count(members, centers, halfwidths, start=i):
+            out = np.zeros(len(members), dtype=int)
+            for j in np.unique(members):
+                arcs = members == j
+                out[arcs] = arc_counts(fibers(start + int(j)), centers[arcs], halfwidths[arcs])
+            return out
+
+        spectra += sweep_spectrum(wfn, zipper.N * L, grid, arc_count, refine_tol,
+                                  twists=twists[i:i + chunk]).spectra
     return BandStructure(ks, spectra)

@@ -360,13 +360,18 @@ def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
     upper one ``band[I, :, 3L:]`` in its first-site columns (Haynsworth,
     Linear Algebra Appl. 1, 1968).  The positive eigenvalues of the Schur
     complement pivots D_I = B_I - C_I D_(I-1)^(-1) C_I* add up to those of
-    A; one loop of N/2 steps computes them for all arcs at once.  Reads
-    ``op.band`` only.  A pivot eigenvalue within PIVOT_TOL of zero (an
-    eigenvalue on an arc edge, or a singular leading block) is a breakdown,
-    never a count.
+    A; one loop of N/2 steps computes them for all arcs at once.
+
+    The couplings are read cyclically: C_0 is the corner block A[0, P-1]
+    (P = N/2), exact zero for a finite operator.  A periodic operator
+    eliminates superblocks 0, ..., P-2 and carries one border column towards
+    P-1 (G_0 = C_0, G_I = -C_I D_(I-1)^(-1) G_(I-1), plus C_(P-1)* at
+    I = P-2); its last pivot is S = B_(P-1) - sum_I G_I* D_I^(-1) G_I.  At
+    P <= 2 the columns alias: P = 2 starts at G_0 = C_0 + C_1*, and P = 1
+    adds C_0 + C_0* to its one pivot.  Reads ``op.band`` only.  A pivot
+    eigenvalue within PIVOT_TOL of zero (an eigenvalue on an arc edge, or a
+    singular leading block) is a breakdown, never a count.
     """
-    if op.periodic:
-        raise ValidationError("arc counts need a finite operator")
     phi = np.asarray(centers, dtype=float)
     delta = np.asarray(halfwidths, dtype=float)
     if phi.ndim != 1 or phi.shape != delta.shape:
@@ -376,19 +381,30 @@ def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
         raise ValidationError("arc centers must be finite")
     if not np.all((0.0 < delta) & (delta < np.pi)):  # also false for NaN
         raise ValidationError("arc half-widths must lie in (0, pi)")
-    L = op.L
+    L, P = op.L, len(op.band)
     turn = np.exp(-1j * phi)[:, None, None]
-    lower = np.zeros((len(op.band), 1, 2 * L, 2 * L), dtype=complex)  # U[I, I-1]
+    lower = np.zeros((P, 1, 2 * L, 2 * L), dtype=complex)  # U[I, I-1]
     lower[..., L:] = op.band[:, None, :, :L]
     upper = np.zeros_like(lower)  # U[I-1, I]*, placed in row I
-    upper[1:, :, :L] = mc.adj(op.band[:-1, None, :, 3 * L:])
+    upper[..., :L, :] = mc.adj(np.roll(op.band, 1, axis=0)[:, None, :, 3 * L:])
     C = 0.5 * (turn * lower + np.conj(turn) * upper)  # (N/2, arcs, 2L, 2L)
     D = mc.hermitize(turn * op.band[:, None, :, L:3 * L]) - np.cos(delta)[:, None, None] * np.eye(2 * L)
+    border = op.periodic and P > 1
     try:
         with np.errstate(all="ignore"):  # a singular pivot is reported below
-            for I in range(1, len(D)):  # B_I becomes D_I in place
+            if P == 1:
+                D[0] += C[0] + mc.adj(C[0])
+            G = C[0]
+            for I in range(1, P - border):  # B_I becomes D_I in place
                 D[I] -= C[I] @ np.linalg.solve(D[I - 1], mc.adj(C[I]))
                 D[I] = mc.hermitize(D[I])
+                if border:
+                    X = np.linalg.solve(D[I - 1], G)
+                    D[-1] -= mc.adj(G) @ X
+                    G = -C[I] @ X
+            if border:
+                G = G + mc.adj(C[-1])
+                D[-1] = mc.hermitize(D[-1] - mc.adj(G) @ np.linalg.solve(D[-2], G))
         pivots = np.linalg.eigvalsh(D).transpose(1, 0, 2).reshape(len(phi), -1)
     except np.linalg.LinAlgError:
         raise NumericalBreakdownError("singular pivot: an eigenvalue lies on an arc edge") from None

@@ -1,8 +1,9 @@
 """Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
-one band structure, two finite sweeps (a first grid that is short, a long
-chain whose Pruefer samples break down), one arc count over a grid, the
-dense oracle (assembly, dense spectrum) and one Gram-Schmidt run on each
-of the two heaviest roundtrip measures.
+one band structure, three sweeps (a finite first grid that is short, a long
+finite chain whose Pruefer samples break down, a periodic narrow resonance),
+one arc count over a grid (finite and on a periodic fiber), the dense oracle
+(assembly, dense spectrum) and one Gram-Schmidt run on each of the two
+heaviest roundtrip measures.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
 run it explicitly with pytest-benchmark:
@@ -15,7 +16,9 @@ calls, the Pruefer calls that broke down and count calls per sweep) in
 ``extra_info``; counts do not depend on the machine, seconds do.  The
 calls use only entry points whose signatures are stable across versions,
 so the same file times an older checkout too; one that has no
-``zipper.arc_counts`` skips ``test_arc_counts``.
+``zipper.arc_counts`` skips ``test_arc_counts``, one whose count refuses
+periodic operators skips its periodic case, and one whose periodic sweeps
+double their grid fails ``test_sweep[P1N100haar0999s0]``.
 """
 
 import numpy as np
@@ -23,7 +26,7 @@ import pytest
 
 from scatzip import ensembles, measures as ms, oscillation as osc, transfer as tr, weyl
 from scatzip import zipper as zp
-from scatzip.errors import NumericalBreakdownError
+from scatzip.errors import NumericalBreakdownError, ValidationError
 
 N_PRUFER = 16
 
@@ -71,24 +74,29 @@ def test_bands(benchmark, monkeypatch, L, N, ensemble):
     assert len(bs.spectra) == 64
 
 
-@pytest.mark.parametrize("args", [(7, 1, 24, "haar-gauge", 0.85), (0, 1, 128, "cmv", 0.5)],
-                         ids=["L1N24haar085s7", "L1N128cmv05s0"])
-def test_sweep(benchmark, monkeypatch, args):
+@pytest.mark.parametrize("make, args", [(ensembles.finite_zipper, (7, 1, 24, "haar-gauge", 0.85)),
+                                        (ensembles.finite_zipper, (0, 1, 128, "cmv", 0.5)),
+                                        (ensembles.periodic_zipper, (0, 1, 100, "haar-gauge", 0.999))],
+                         ids=["L1N24haar085s7", "L1N128cmv05s0", "P1N100haar0999s0"])
+def test_sweep(benchmark, monkeypatch, make, args):
     # the pinned spectra job whose first grid of 8 N L = 192 intervals finds
-    # 12 of 24 crossings, and a long chain on which many Pruefer calls break down
-    z = ensembles.finite_zipper(*args)
+    # 12 of 24 crossings, a long chain on which many Pruefer calls break down,
+    # and a periodic narrow resonance that a doubling sweep never finished;
+    # thetas, prufer_calls and broken_calls count prufer or prufer_periodic
+    z = make(*args)
     points, broken, counts = [], [], []
-    prufer = osc.prufer
+    name = "prufer" if z.flavor == "finite" else "prufer_periodic"
+    phase = getattr(osc, name)
 
     def counted(zipper, w, *args, **kwargs):
         points.append(np.size(w))
         try:
-            return prufer(zipper, w, *args, **kwargs)
+            return phase(zipper, w, *args, **kwargs)
         except NumericalBreakdownError:
             broken.append(1)
             raise
 
-    monkeypatch.setattr(osc, "prufer", counted)
+    monkeypatch.setattr(osc, name, counted)
     if hasattr(osc, "arc_counts"):
         arc_counts = osc.arc_counts
         monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
@@ -99,14 +107,23 @@ def test_sweep(benchmark, monkeypatch, args):
     assert spec.total_multiplicity == z.N * z.L
 
 
-def test_arc_counts(benchmark):
+@pytest.mark.parametrize("periodic", [False, True], ids=["L1N24haar085s7", "P1N24haar085s7k03"])
+def test_arc_counts(benchmark, periodic):
+    # the grid intervals of the pinned spectra job, and of the fiber at k = 0.3
+    # of the periodic zipper with the same seed and shape
     if not hasattr(zp, "arc_counts"):
         pytest.skip("no zipper.arc_counts")
-    z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
-    op = zp.assemble_finite(z)
+    if periodic:
+        op = zp.fiber(ensembles.periodic_zipper(7, 1, 24, "haar-gauge", 0.85), 0.3)
+        try:
+            zp.arc_counts(op, [1.0], [0.5])
+        except ValidationError:
+            pytest.skip("arc_counts refuses periodic operators")
+    else:
+        op = zp.assemble_finite(ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85))
     edges = 0.37 * 2 * np.pi / 192 + np.arange(193) * (2 * np.pi / 192)
     centers, halfwidths = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    benchmark.extra_info.update(sites=z.N, arcs=len(centers))
+    benchmark.extra_info.update(sites=op.N, arcs=len(centers))
     counts = benchmark(zp.arc_counts, op, centers, halfwidths)
     assert counts.sum() == 24
 

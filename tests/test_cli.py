@@ -84,7 +84,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                            "alpha_max must lie in [0, 1), got 1.5"),
                           (["gen", "--L", "1", "--N", "4", "--alpha-max", "-0.5"],
                            "alpha_max must lie in [0, 1), got -0.5"),
-                          (["bands", str(zper), "--grid", "0"], "momentum grid size must be >= 1, got 0"),
+                          (["bands", str(zper), "--grid", "0"], "momentum grid size must be an integer >= 1, got 0"),
                           (to_zipper + ["--uniform-grid", "0", "--L", "1"],
                            "the uniform grid needs m >= 1 atoms, got 0"),
                           (to_zipper + ["--uniform-grid", "-3", "--L", "1"],

@@ -1,5 +1,7 @@
 """Pruefer phases, crossing sweeps, checkerboard doubling, and bands."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -264,25 +266,41 @@ def test_bands_is_one_sweep_with_few_prufer_calls(monkeypatch):
     assert hits["prufer_periodic"] <= 40
 
 
-def test_bands_doubles_only_the_momenta_whose_count_is_off(monkeypatch):
-    # at 6 of these 16 momenta the default grid of 64 misses a crossing
+def test_bands_count_only_the_momenta_whose_first_grid_is_short(monkeypatch):
+    # at 6 of these 16 momenta the default grid of 64 misses a crossing; a
+    # doubling sweep sampled 64 more theta for those six, the count samples
+    # no second grid and assembles the fibers of those six alone
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.periodic_zipper(6, 1, 8, "haar-gauge", 0.99)
-    calls = []
-    sample_grid = osc._sample_grid
+    calls, fibers = [], []
+    sample_grid, fiber = osc._sample_grid, osc.fiber
 
     def recorded(wfn, thetas, twists):
         calls.append((len(thetas), len(twists)))
         return sample_grid(wfn, thetas, twists)
 
+    def assembled(zipper, k):
+        fibers.append(k)
+        return fiber(zipper, k)
+
     monkeypatch.setattr(osc, "_sample_grid", recorded)
+    monkeypatch.setattr(osc, "fiber", assembled)
     bs = osc.bands(z, 16)
-    # the grid of all momenta, then the 64 new points of the doubled grid of the six
-    assert calls == [(65, 16), (64, 6)]
+    assert calls == [(65, 16)]
+    assert len(fibers) == len(set(fibers)) == 6 and set(fibers) <= set(bs.ks)
     for k, swept in zip(bs.ks, bs.spectra):
         dense = zp.dense_spectrum(zp.fiber(z, k))
         assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+@pytest.mark.parametrize("k_grid", [2.5, float("nan"), "3", 0], ids=["2.5", "nan", "'3'", "0"])
+def test_bands_momentum_grid_must_be_an_integer_at_least_one(k_grid):
+    # 2.5 used to sweep 3 momenta at spacing 2 pi / (2.5 N); nan and "3"
+    # escaped as a bare ValueError and TypeError
+    with pytest.raises(ValidationError, match=rf"momentum grid size must be an integer >= 1, "
+                                              rf"got {re.escape(repr(k_grid))}$"):
+        osc.bands(ensembles.periodic_zipper(1, 1, 4), k_grid)
 
 
 def test_bands_caps_the_matrices_per_call_at_the_sweep_block(monkeypatch):
@@ -334,13 +352,21 @@ def test_bands_sweeps_the_momenta_in_chunks_under_the_row_cap(monkeypatch):
     assert np.array_equal(chunked.eigenphase_table(), whole.eigenphase_table())
 
 
-def test_family_sweep_mismatch_names_the_member(monkeypatch):
+def test_family_sweep_mismatch_names_the_member():
+    # exp(40 i theta) twisted by 1 and exp(0.5 i) comes up short on a 16-point
+    # grid for both members; each is counted on its own crossings, and a
+    # count that loses a crossing of member 1 is named in the error
     twists = np.exp(1j * np.array([0.0, 0.5]))[:, None, None]
     wfn = _diagonal_family([lambda t: 40 * t])
-    monkeypatch.setattr(osc, "SWEEP_RETRIES", 0)
-    with pytest.raises(NumericalBreakdownError,
-                       match=r"crossings, expected 40 at k = 0\.25 \(grid 16\)"):
-        osc.sweep_spectrum(wfn, 40, 16, twists=twists, labels=["k = 0.25", "k = 0.75"])
+    crossings = np.mod((2 * np.pi * np.arange(40) - np.array([[0.0], [0.5]])) / 40, 2 * np.pi)
+    res = osc.sweep_spectrum(wfn, 40, 16, _arc_count(crossings), twists=twists).spectra
+    for j in range(2):
+        assert res[j].multiplicities.tolist() == [1] * 40
+        assert np.abs(np.sort(res[j].thetas) - np.sort(crossings[j])).max() < 1e-9
+    crossings[1, 7] = np.nan  # never inside an arc
+    with pytest.raises(NumericalBreakdownError, match=r"arc counts of member 1 find 39 eigenvalues "
+                                                      r"in the grid intervals, expected 40"):
+        osc.sweep_spectrum(wfn, 40, 16, _arc_count(crossings), twists=twists)
 
 
 def test_prufer_array_equals_stacked_scalar_calls():
@@ -480,6 +506,21 @@ def _diagonal_family(phase_fns):
                                     for t in np.asarray(thetas)])
 
 
+def _arc_count(crossings):
+    """The arc count of a family whose member j crosses at the theta crossings[j]."""
+    crossings = np.atleast_2d(crossings)
+
+    def arc_count(members, centers, halfwidths):
+        gap = np.abs(np.angle(np.exp(1j * (crossings[members] - centers[:, None]))))
+        return (gap < halfwidths[:, None]).sum(axis=1)
+    return arc_count
+
+
+def _never_counted(members, centers, halfwidths):
+    """The arc count of a sweep whose first grid matches: it is never called."""
+    pytest.fail("a sweep whose first grid matches counted arcs")
+
+
 def test_sweep_splits_two_crossings_in_one_interval():
     grid = 16
     h = 2 * np.pi / grid
@@ -488,29 +529,27 @@ def test_sweep_splits_two_crossings_in_one_interval():
     wfn = _diagonal_family([lambda t, c=c: t - c for c in crossings])
     count = osc._seam_passages(*osc._sample_grid(wfn, [left, left + h], osc.UNTWISTED)[0, :, None])
     assert count.tolist() == [2]
-    res = osc.sweep_spectrum(wfn, 3, grid).spectra[0]
+    res = osc.sweep_spectrum(wfn, 3, grid, _never_counted).spectra[0]
     assert res.multiplicities.tolist() == [1, 1, 1]
     assert np.abs(res.thetas - np.sort(crossings)).max() < 1e-9
 
 
 def test_sweep_returns_an_exact_double_crossing_with_multiplicity_two():
     wfn = _diagonal_family([lambda t: t - 2.5, lambda t: t - 2.5, lambda t: t - 5.0])
-    res = osc.sweep_spectrum(wfn, 3, 16).spectra[0]
+    res = osc.sweep_spectrum(wfn, 3, 16, _never_counted).spectra[0]
     assert res.multiplicities.tolist() == [2, 1]
     assert np.abs(res.thetas - [2.5, 5.0]).max() < 1e-9
 
 
-def test_sweep_doubles_the_grid_for_a_fast_branch(monkeypatch):
+def test_sweep_splits_every_interval_of_a_fast_branch():
     # diag(exp(40 i theta)) turns 2.5 times per interval of a 16-point grid;
-    # one row counts at most one passage, so the count only matches at grid 64
-    wfn = _diagonal_family([lambda t: 40 * t])
-    with monkeypatch.context() as m, \
-            pytest.raises(NumericalBreakdownError, match=r"crossings, expected 40 \(grid 16\)"):
-        m.setattr(osc, "SWEEP_RETRIES", 0)
-        osc.sweep_spectrum(wfn, 40, 16)
-    res = osc.sweep_spectrum(wfn, 40, 16).spectra[0]
-    assert res.multiplicities.tolist() == [1] * 40
+    # one row counts at most one passage, so every interval disagrees with
+    # its count of 2 or 3 and is split, all 16 midpoints in one call
+    wfn, calls = _counted(_diagonal_family([lambda t: 40 * t]))
     expected = 2 * np.pi * np.arange(40) / 40
+    res = osc.sweep_spectrum(wfn, 40, 16, _arc_count(expected)).spectra[0]
+    assert calls[:2] == [17, 16]
+    assert res.multiplicities.tolist() == [1] * 40
     gap = np.abs(res.thetas[:, None] - expected[None, :])
     assert np.minimum(gap, 2 * np.pi - gap).min(axis=0).max() < 1e-9
 
@@ -531,7 +570,7 @@ def test_sweep_refines_single_crossings_in_few_levels():
     crossings = [1.0, 2.6, 4.1, 5.5]
     wfn, calls = _counted(_diagonal_family([lambda t, c=c: t - c + 0.5 * np.sin(t - c)
                                             for c in crossings]))
-    res = osc.sweep_spectrum(wfn, 4, 32).spectra[0]
+    res = osc.sweep_spectrum(wfn, 4, 32, _never_counted).spectra[0]
     assert res.multiplicities.tolist() == [1, 1, 1, 1]
     # reported at the interpolated root of the final bracket, not its midpoint
     assert np.abs(res.thetas - crossings).max() < 1e-14
@@ -549,7 +588,7 @@ def test_sweep_of_a_cmv_zipper_takes_few_prufer_calls():
     for seed in range(4):
         z = ensembles.finite_zipper(seed, 2, 8, "cmv", 0.95)
         wfn, calls = _counted(osc._phase_family(z))
-        swept = osc.sweep_spectrum(wfn, 16, 128).spectra[0]
+        swept = osc.sweep_spectrum(wfn, 16, 128, _never_counted).spectra[0]
         dense = zp.dense_spectrum(zp.assemble_finite(z))
         assert len(calls) <= 12, seed
         assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
@@ -567,7 +606,7 @@ def test_sweep_of_hard_branches_needs_at_most_one_level_over_bisection():
                             (lambda t, c: t - c - np.sin(t - c), 1e-6)]:
         for c in (0.7, 2.0, 4.2, 5.9):
             wfn, calls = _counted(_diagonal_family([lambda t, c=c: phase(t, c)]))
-            res = osc.sweep_spectrum(wfn, 1, grid, refine_tol=tol).spectra[0]
+            res = osc.sweep_spectrum(wfn, 1, grid, _never_counted, refine_tol=tol).spectra[0]
             assert res.multiplicities.tolist() == [1]
             assert abs(res.thetas[0] - c) < accuracy, c
             assert len(calls) <= bisection_calls + 1, c
@@ -579,14 +618,14 @@ def test_sweep_reports_a_crossing_on_the_seam_near_zero():
     tol = 1e-10
     wfn = _diagonal_family([lambda t: t, lambda t: t - 2.0 + 0.3 * np.sin(t - 2.0),
                             lambda t: t - 4.5])
-    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol).spectra[0]
+    res = osc.sweep_spectrum(wfn, 3, 8, _never_counted, refine_tol=tol).spectra[0]
     assert res.multiplicities.tolist() == [1, 1, 1]
     assert 0.0 <= res.thetas[0] < tol
     assert np.abs(res.thetas[1:] - [2.0, 4.5]).max() < tol
     # a double crossing on the seam is bisected as one bracket of count 2
     wfn = _diagonal_family([lambda t: t + 0.2 * np.sin(t), lambda t: t + 0.2 * np.sin(t),
                             lambda t: t - 3.0])
-    res = osc.sweep_spectrum(wfn, 3, 8, refine_tol=tol).spectra[0]
+    res = osc.sweep_spectrum(wfn, 3, 8, _never_counted, refine_tol=tol).spectra[0]
     assert res.multiplicities.tolist() == [2, 1]
     assert 0.0 <= res.thetas[0] < tol
     assert abs(res.thetas[1] - 3.0) < tol
@@ -603,7 +642,7 @@ def test_spectrum_by_oscillation_rejects_bad_refine_tol():
 def test_sweep_below_float_resolution_stops_when_no_float_is_left_inside():
     # 2 pi / 32 halves to the float spacing at 2.6 in 48 levels; 1e-20 is never reached
     wfn, calls = _counted(_diagonal_family([lambda t: t - 2.6 + 0.5 * np.sin(t - 2.6)]))
-    res = osc.sweep_spectrum(wfn, 1, 32, refine_tol=1e-20).spectra[0]
+    res = osc.sweep_spectrum(wfn, 1, 32, _never_counted, refine_tol=1e-20).spectra[0]
     assert abs(res.thetas[0] - 2.6) <= 4.5e-16
     assert len(calls) <= 1 + 48
 
@@ -637,6 +676,30 @@ def test_sweep_finds_every_crossing_next_to_a_narrow_resonance(args):
     assert dense.total_multiplicity == z.N * z.L
     swept = osc.spectrum_by_oscillation(z)
     assert swept.total_multiplicity == z.N * z.L
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_periodic_sweep_finds_every_crossing_next_to_a_narrow_resonance(monkeypatch, seed):
+    # a doubling sweep found 45 of 100 crossings at seed 0 after 803
+    # prufer_periodic calls over 819 201 theta, and stalled or failed at seed
+    # 5; the cyclic arc counts show which intervals of the first grid hide them
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.periodic_zipper(seed, 1, 100, "haar-gauge", 0.999)
+    calls = []
+    prufer_periodic = osc.prufer_periodic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 400:
+            raise AssertionError("more than 400 prufer_periodic calls")
+        return prufer_periodic(*args, **kwargs)
+
+    monkeypatch.setattr(osc, "prufer_periodic", counted)
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_periodic(z))
+    assert swept.total_multiplicity == dense.total_multiplicity == 100
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
 
 
@@ -688,11 +751,11 @@ def test_matching_first_grid_never_counts(monkeypatch):
     assert calls == []
 
 
-def _breaking_down_near(monkeypatch, centers, radius):
-    """Make ``osc.prufer`` break down on any call that holds a theta within radius
+def _breaking_down_near(monkeypatch, centers, radius, name="prufer"):
+    """Make ``osc.<name>`` break down on any call that holds a theta within radius
     of one of the centers; the list gets the theta of every call that did."""
     broken = []
-    prufer = osc.prufer
+    phase = getattr(osc, name)
 
     def fragile(zipper, z, *args, **kwargs):
         theta = np.mod(np.angle(np.atleast_1d(z)), 2 * np.pi)
@@ -700,50 +763,59 @@ def _breaking_down_near(monkeypatch, centers, radius):
         if np.any(gap < radius):
             broken.append(theta)
             raise NumericalBreakdownError("Pruefer unitary has unitarity defect 1e-3 > 1e-06")
-        return prufer(zipper, z, *args, **kwargs)
+        return phase(zipper, z, *args, **kwargs)
 
-    monkeypatch.setattr(osc, "prufer", fragile)
+    monkeypatch.setattr(osc, name, fragile)
     return broken
 
 
-@pytest.mark.parametrize("args, short", [((1, 1, 12, "cmv", 0.5), False),
-                                         ((7, 1, 24, "haar-gauge", 0.85), True),
-                                         ((0, 2, 16, "free"), False)],
-                         ids=["matching grid", "short grid", "double eigenvalues"])
-def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch, args, short):
-    # the Pruefer samples break down near the two eigenvalues farthest from
-    # the first grid (no grid point breaks down): in the refinement where
-    # the first grid matches, in the splits and the refinement where it is
+@pytest.mark.parametrize("flavor, args, short, far, most_counts", [
+    ("finite", (1, 1, 12, "cmv", 0.5), False, 2, 31), ("finite", (7, 1, 24, "haar-gauge", 0.85), True, 2, 38),
+    ("finite", (0, 2, 16, "free"), False, 2, 29), ("finite", (3, 1, 16, "haar-gauge", 0.85), True, 3, 34),
+    ("periodic", (0, 1, 16, "haar-gauge", 0.99), True, 2, 33)],
+    ids=["matching grid", "short grid", "double eigenvalues", "short grid three far", "periodic"])
+def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch, flavor, args, short, far,
+                                                                     most_counts):
+    # the Pruefer samples break down near the eigenvalues farthest from the
+    # first grid (no grid point breaks down): in the refinement where the
+    # first grid matches, in the splits and the refinement where it is
     # short; every eigenvalue of the free L = 2 zipper is double, so there a
-    # bracket located by counts alone holds two crossings
+    # bracket located by counts alone holds two crossings.  The parts the
+    # splits leave to the counts finish in one pass with the brackets the
+    # refinement loses: in two passes the three-far case took 60 count calls.
+    # A periodic sweep whose sample broke down used to stop there.
     from scatzip.cli import _cyclic_pairing
 
-    z = ensembles.finite_zipper(*args)
-    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    periodic = flavor == "periodic"
+    z = (ensembles.periodic_zipper if periodic else ensembles.finite_zipper)(*args)
+    dense = zp.dense_spectrum((zp.assemble_periodic if periodic else zp.assemble_finite)(z))
     assert set(dense.multiplicities.tolist()) == {z.L}
     grid = 8 * z.N * z.L
     thetas = osc.TWO_PI * (0.37 + np.arange(grid + 1)) / grid
     first = osc._sample_grid(osc._phase_family(z), thetas, osc.UNTWISTED)[0]
     assert (osc._seam_passages(first[:-1], first[1:]).sum() < z.N * z.L) == short
     gap = np.abs(np.angle(np.exp(1j * (dense.thetas[:, None] - thetas[None, :])))).min(axis=1)
-    centers = dense.thetas[np.argsort(gap)[-2:]]
-    broken = _breaking_down_near(monkeypatch, centers, 0.5 * np.sort(gap)[-2])
-    counted = []
-    split_hidden = osc._split_hidden
+    centers = dense.thetas[np.argsort(gap)[-far:]]
+    broken = _breaking_down_near(monkeypatch, centers, 0.5 * np.sort(gap)[-far],
+                                 "prufer_periodic" if periodic else "prufer")
+    counted, counts = [], []
+    split_hidden, arc_counts = osc._split_hidden, osc.arc_counts
 
     def recorded(*args):
-        kept, by_count = split_hidden(*args)
-        counted.append(len(by_count))
-        return kept, by_count
+        kept, by_count, held = split_hidden(*args)
+        counted.append(len(by_count[1]))
+        return kept, by_count, held
 
     monkeypatch.setattr(osc, "_split_hidden", recorded)
+    monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
     swept = osc.spectrum_by_oscillation(z)
-    assert broken and sum(counted) == 2 * z.L
+    assert broken and sum(counted) == far * z.L
+    assert len(counts) <= most_counts
     assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
 
 
-def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global(monkeypatch):
+def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
     # h(s) = s + 2 arctan(1e6 tan(s / 2)) turns a full circle close to s = 0:
     # an interval (-a, b) around it sees h rise by 2 pi + a + b - 4e-6 (1/a + 1/b),
     # so the grid interval around c = 2 hides the crossing at c until a and b
@@ -753,20 +825,17 @@ def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global(monkeyp
     c = 2.0
     crossings = np.array([c, c + np.pi])
     wfn, calls = _counted(_diagonal_family([lambda t: t - c + 2 * np.arctan(1e6 * np.tan((t - c) / 2))]))
-
-    def arc_count(centers, halfwidths):
-        gap = np.abs(np.angle(np.exp(1j * (crossings[None, :] - centers[:, None]))))
-        return (gap < halfwidths[:, None]).sum(axis=1)
-
-    with monkeypatch.context() as m, \
-            pytest.raises(NumericalBreakdownError, match=r"found 1 crossings, expected 2 \(grid 16\)"):
-        m.setattr(osc, "SWEEP_RETRIES", 0)
-        osc.sweep_spectrum(wfn, 2, 16)
+    first = osc._sample_grid(wfn, 0.37 * np.pi / 8 + np.arange(17) * np.pi / 8, osc.UNTWISTED)[0]
+    assert osc._seam_passages(first[:-1], first[1:]).sum() == 1
     calls.clear()
-    res = osc.sweep_spectrum(wfn, 2, 16, arc_count=arc_count).spectra[0]
+    res = osc.sweep_spectrum(wfn, 2, 16, _arc_count(crossings)).spectra[0]
     assert res.multiplicities.tolist() == [1, 1]
     assert np.abs(res.thetas - crossings).max() < 1e-9
     split = calls[1:calls.index(2)]  # the levels before the refinement of both brackets
     assert calls[0] == 17 and split == [1] * len(split) and 4 <= len(split) <= 8
-    with pytest.raises(ValidationError, match="one-member sweep, got 2 members"):
-        osc.sweep_spectrum(wfn, 2, 16, twists=np.ones((2, 1, 1)), arc_count=arc_count)
+    # two members, both short, split their two intervals in lockstep
+    calls.clear()
+    twins = osc.sweep_spectrum(wfn, 2, 16, _arc_count([crossings, crossings]), twists=np.ones((2, 1, 1)))
+    assert calls[0] == 17 and calls[1:1 + len(split)] == [2] * len(split)
+    for spectrum in twins.spectra:
+        assert np.array_equal(spectrum.thetas, res.thetas)

@@ -263,13 +263,25 @@ def _dense_arc_counts(thetas, centers, halfwidths):
     return (gap < halfwidths[:, None]).sum(axis=1), np.abs(gap - halfwidths[:, None]).min()
 
 
-@pytest.mark.parametrize("args", [(7, 1, 24, "haar-gauge", 0.85), (124, 1, 24, "cmv", 0.95),
-                                  (5, 1, 16, "haar-gauge", 0.99), (3, 3, 8, "cmv", 0.95),
-                                  (0, 2, 8, "free")],
-                         ids=["L1N24haar085s7", "L1N24cmv095", "L1N16haar099", "L3N8cmv095", "L2N8free"])
-def test_arc_counts_match_the_dense_spectrum(args):
-    z = ensembles.finite_zipper(*args)
-    op = zp.assemble_finite(z)
+@pytest.mark.parametrize("args, k", [
+    ((7, 1, 24, "haar-gauge", 0.85), None), ((124, 1, 24, "cmv", 0.95), None),
+    ((5, 1, 16, "haar-gauge", 0.99), None), ((3, 3, 8, "cmv", 0.95), None), ((0, 2, 8, "free"), None),
+    # periodic fibers: N = 2 and 4 alias the band columns; the free fiber at k = 0 has
+    # its eigenvalue at theta = 0 with multiplicity 2L, at k = 0.3 each has multiplicity L
+    ((1, 1, 2, "cmv", 0.95), 0.3), ((2, 2, 2, "haar-gauge", 0.99), -0.55),
+    ((3, 1, 4, "haar-gauge", 0.99), 0.0), ((4, 2, 4, "cmv", 0.95), -1.1 / 4),
+    ((0, 2, 4, "free"), 0.0), ((0, 2, 4, "free"), 0.3), ((5, 3, 6, "cmv", 0.95), 0.3),
+    ((6, 1, 12, "haar-gauge", 0.99), -1.1 / 12), ((0, 1, 100, "haar-gauge", 0.999), 0.0)],
+    ids=["L1N24haar085s7", "L1N24cmv095", "L1N16haar099", "L3N8cmv095", "L2N8free",
+         "P L1N2cmv095", "P L2N2haar099", "P L1N4haar099 k0", "P L2N4cmv095", "P L2N4free k0",
+         "P L2N4free", "P L3N6cmv095", "P L1N12haar099", "P L1N100haar0999 k0"])
+def test_arc_counts_match_the_dense_spectrum(args, k):
+    if k is None:
+        z = ensembles.finite_zipper(*args)
+        op = zp.assemble_finite(z)
+    else:
+        z = ensembles.periodic_zipper(*args)
+        op = zp.fiber(z, k)
     thetas = zp.dense_spectrum(op).expanded_thetas()
     assert len(thetas) == z.N * z.L
     rng = np.random.default_rng(sum(args[:3]))
@@ -299,17 +311,20 @@ def test_arc_counts_refuse_an_eigenvalue_on_an_edge():
 
 
 def test_arc_counts_read_the_band_alone(monkeypatch):
-    z = ensembles.finite_zipper(7, 2, 8, "haar-gauge", 0.85)
+    cases = [(ensembles.finite_zipper(7, 2, 8, "haar-gauge", 0.85), zp.assemble_finite),
+             (ensembles.periodic_zipper(7, 2, 8, "haar-gauge", 0.85), zp.assemble_periodic)]
     centers, halfwidths = np.linspace(0.1, 6.0, 40), np.linspace(0.05, 3.0, 40)
-    before = zp.arc_counts(zp.assemble_finite(z), centers, halfwidths)
-    z.phi_table()[3] = 1e3 * np.eye(4)  # corrupt the cached phi table in place
-    assert np.abs(z.phi_table()[3] - 1e3 * np.eye(4)).max() == 0
+    before = [zp.arc_counts(assemble(z), centers, halfwidths) for z, assemble in cases]
+    for z, _ in cases:
+        z.phi_table()[3] = 1e3 * np.eye(4)  # corrupt the cached phi table in place
+        assert np.abs(z.phi_table()[3] - 1e3 * np.eye(4)).max() == 0
     for name in ("propagate", "chart_chain"):
         monkeypatch.setattr(tr, name, lambda *a, **k: pytest.fail("the count ran a transfer chain"))
-    assert np.array_equal(zp.arc_counts(zp.assemble_finite(z), centers, halfwidths), before)
+    for (z, assemble), counts in zip(cases, before):
+        assert np.array_equal(zp.arc_counts(assemble(z), centers, halfwidths), counts)
 
 
-def test_arc_counts_reject_bad_arcs_and_periodic_operators():
+def test_arc_counts_reject_bad_arcs():
     op = zp.assemble_finite(_free_finite(1, 4))
     for halfwidths in ([0.0], [np.pi], [np.nan], [-0.1]):
         with pytest.raises(ValidationError, match=r"half-widths must lie in \(0, pi\)"):
@@ -318,5 +333,3 @@ def test_arc_counts_reject_bad_arcs_and_periodic_operators():
         zp.arc_counts(op, [np.nan], [0.1])
     with pytest.raises(ValidationError, match="1-D of one length"):
         zp.arc_counts(op, [1.0, 2.0], [0.1])
-    with pytest.raises(ValidationError, match="need a finite operator"):
-        zp.arc_counts(zp.assemble_periodic(ensembles.periodic_zipper(0, 1, 4)), [1.0], [0.1])
