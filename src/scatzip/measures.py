@@ -13,15 +13,20 @@ produces two orthonormal polynomial families whose recursion data is exactly
 a zipper block sequence: contraction coefficients alpha_n and gauge unitaries
 U_n, V_n with S_n = S(alpha_n, U_n, V_n).
 
-The Gram-Schmidt run holds each polynomial as two tables: its coefficients
-over the exponents -K..K, a (2K+1, L, L) stack with the coefficient of z^e
-in row e + K, and its values at the M atoms.  Each finished polynomial p
-also keeps W_j p(xi_j)*, and a family's finished polynomials sit in three
-preallocated stacks, so one pass projects f onto all n of them in one
-(L, M L) @ (n, M L, L) product, then updates f's coefficients and values in
-one product each; no polynomial is evaluated twice.  The polynomials come
-back as their coefficient tables; ``inner_product`` evaluates those afresh
-at the atoms and is the independent check.
+The Gram-Schmidt run holds each polynomial as two tables, its coefficients
+over the exponents -K..K and its values at the M atoms, and advances both
+families (phi, psi) in one pass.  Their finished polynomials sit in
+preallocated stacks with a leading family axis, stored as (2, rows, L, X, L)
+with the coefficient of z^e at x = e + K (X = 2K+1) or the value at atom x
+(X = M), so the first n rows of a family reshape for free into one
+(n L, X L) matrix.  Each finished polynomial p also keeps W_j p(xi_j)*, in a
+(2, rows, M, L, L) stack.  One pass then projects both families' f onto all
+their n finished polynomials in one (2, 1, L, M L) @ (2, n, M L, L) product
+and updates f's coefficients and values in one (2, L, n L) @ (2, n L, X L)
+product each; no polynomial is evaluated twice.  The coefficient stacks
+become the documented (n, 2K+1, L, L) tables once, at the end, and
+``inner_product`` evaluates those afresh at the atoms as the independent
+check.
 
 Gauge fixing: every orthonormal polynomial is normalized with a Hermitian
 positive-definite leading normalizer, the standard positive-kappa convention;
@@ -41,6 +46,11 @@ from .errors import ValidationError
 from .zipper import SemiInfiniteZipper, Zipper, assemble_finite, dense_spectrum, stored_block_fn
 
 GRAM_DEGENERACY_TOL = 1e-10
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):  # also rejects NaN and 4.0
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,8 @@ class MatrixMeasure:
 
 def uniform_grid_measure(L: int, m: int) -> MatrixMeasure:
     """Quadrature of normalized Lebesgue measure: m equispaced atoms, weights 1/m."""
+    _check_integer("L", L)
+    _check_integer("the atom count m", m)
     if L < 1:
         raise ValidationError(f"L must be >= 1, got {L}")
     if m < 1:
@@ -161,61 +173,69 @@ class GramSchmidtResult:
 
 
 def _weighted(values: np.ndarray, mu: MatrixMeasure) -> np.ndarray:
-    """W_j V_j*, shape (M, L, L): the right factor of every projection onto V."""
-    return mu.weights @ mc.adj(values)
+    """W_j P_j* from the value table (..., L, M, L) of P: shape (..., M, L, L),
+    the right factor of every projection onto P."""
+    return mu.weights @ values.swapaxes(-3, -1).swapaxes(-3, -2).conj()
 
 
 def _pair(values: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """<p, f> = sum_j F_j W_j P_j* from the values F of f and the weighted table of p.
+    """<p, f> = sum_j F_j W_j P_j* from the value table F (..., L, M, L) of f
+    and the weighted table (..., M, L, L) of p.
 
-    One (L, M L) @ (M L, L) matmul; stacks broadcast, so f against the n rows
-    of a weighted stack is one (L, M L) @ (n, M L, L) product.
+    One (L, M L) @ (M L, L) matmul on free reshapes; stacks broadcast, so both
+    families' f against the n finished rows of each is one
+    (2, 1, L, M L) @ (2, n, M L, L) product.
     """
-    M, L = values.shape[-3:-1]
-    return (np.swapaxes(values, -3, -2).reshape(*values.shape[:-3], L, M * L)
+    L, M = values.shape[-3:-1]
+    return (values.reshape(*values.shape[:-3], L, M * L)
             @ weighted.reshape(*weighted.shape[:-3], M * L, L))
 
 
-def _combination(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_k c_k P_k over the n rows of a (n, X, L, L) stack: one (L, n L) @ (n L, X L) product."""
-    n, X, L, _ = stack.shape
-    out = np.swapaxes(c, 0, 1).reshape(L, n * L) @ np.swapaxes(stack, 1, 2).reshape(n * L, X * L)
-    return np.swapaxes(out.reshape(L, X, L), 0, 1)
+def _orthonormal_step(mu, stacks, n, exponent):
+    """Orthonormalize z^exponent (phi) and z^-exponent (psi) against the n
+    finished rows of their families into row n, with Hermitian positive
+    normalizers.  Returns the smallest eigenvalue of each family's Gram
+    matrix; row n is written only if both reach GRAM_DEGENERACY_TOL.
 
-
-def _orthonormal_step(mu, family, n, exponent):
-    """Orthonormalize z^exponent against the n finished rows of ``family`` into row n,
-    with a Hermitian positive normalizer; False if degenerate.
-
-    ``family`` holds the (coefficients, values, weighted) stacks of one family.
-    Classical Gram-Schmidt run twice is as orthogonal as the modified version
-    ("twice is enough"), and each pass is three batched products: all n
-    projections c_k = <p_k, f>, then sum_k c_k P_k on coefficients and values.
+    ``stacks`` holds the (coefficients, values, weighted) stacks of both
+    families, the layouts of the module docstring.  Classical Gram-Schmidt run
+    twice is as orthogonal as the modified version ("twice is enough"), and
+    each pass is three batched products over both families: all n projections
+    c_k = <p_k, f>, then sum_k c_k P_k on coefficients and on values.  One
+    ``eigh`` over the (2, L, L) Gram stack gives both normalizers.
     """
-    coeffs, values, weighted = family
-    f_coeffs = np.zeros(coeffs.shape[1:], dtype=complex)
-    f_coeffs[exponent + coeffs.shape[1] // 2] = mc.eye(mu.L)
-    f_values = np.power(mu.atoms, exponent)[:, None, None] * mc.eye(mu.L)
+    coeffs, values, weighted = stacks
+    L, X, M = coeffs.shape[2], coeffs.shape[3], values.shape[3]
+    f_coeffs = np.zeros((2, L, X, L), dtype=complex)
+    f_coeffs[0, :, X // 2 + exponent] = f_coeffs[1, :, X // 2 - exponent] = mc.eye(L)
+    powers = np.power(mu.atoms, np.array([[exponent], [-exponent]]))
+    f_values = powers[:, None, :, None] * mc.eye(L)[:, None, :]
     for _ in range(2):
-        c = _pair(f_values, weighted[:n])
-        f_coeffs -= _combination(c, coeffs[:n])
-        f_values -= _combination(c, values[:n])
+        c = np.swapaxes(_pair(f_values[:, None], weighted[:, :n]), 1, 2).reshape(2, L, n * L)
+        f_coeffs -= (c @ coeffs[:, :n].reshape(2, n * L, X * L)).reshape(f_coeffs.shape)
+        f_values -= (c @ values[:, :n].reshape(2, n * L, M * L)).reshape(f_values.shape)
     w, V = np.linalg.eigh(mc.hermitize(_pair(f_values, _weighted(f_values, mu))))
-    if w.min() < GRAM_DEGENERACY_TOL:
-        return False
-    R = mc.hermitize((V / np.sqrt(w)) @ mc.adj(V))  # H^(-1/2) from the same decomposition
-    coeffs[n], values[n] = R @ f_coeffs, R @ f_values
-    weighted[n] = _weighted(values[n], mu)
-    return True
+    smallest = w[:, 0]
+    if smallest.min() < GRAM_DEGENERACY_TOL:
+        return smallest
+    R = mc.hermitize((V / np.sqrt(w)[:, None]) @ mc.adj(V))  # H^(-1/2) from the same decomposition
+    coeffs[:, n] = (R @ f_coeffs.reshape(2, L, X * L)).reshape(f_coeffs.shape)
+    values[:, n] = (R @ f_values.reshape(2, L, M * L)).reshape(f_values.shape)
+    weighted[:, n] = _weighted(values[:, n], mu)
+    return smallest
 
 
-def _family(mu, coeff, rows, K):
-    """The (coefficients, values, weighted) stacks of ``rows`` polynomials, row 0 the constant ``coeff``."""
-    M = len(mu.atoms)
-    family = tuple(np.zeros((rows, m, mu.L, mu.L), dtype=complex) for m in (2 * K + 1, M, M))
-    family[0][0, K], family[1][0] = coeff, coeff
-    family[2][0] = _weighted(family[1][0], mu)
-    return family
+def _degeneracy_reason(mu: MatrixMeasure, n: int, smallest: np.ndarray) -> str:
+    """Why step n stopped: the support is exhausted once n L exceeds the total
+    rank D of the weights, since D dimensions hold at most D // L orthonormal
+    L x L polynomials; short of that, the ladder ran out of numerical rank."""
+    reason = f"degenerate Gram normalizer at step {n}"
+    rank = int(np.linalg.matrix_rank(mu.weights).sum())
+    if n * mu.L > rank:
+        return f"{reason}: measure support exhausted ({len(mu.atoms)} atoms of total rank {rank})"
+    k = int(np.argmax(smallest < GRAM_DEGENERACY_TOL))  # phi's if both are degenerate
+    return (f"{reason} of {len(mu.atoms)} atoms: smallest {('phi', 'psi')[k]} normalizer "
+            f"eigenvalue {smallest[k]:.1e} < GRAM_DEGENERACY_TOL = {GRAM_DEGENERACY_TOL:g}")
 
 
 def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult:
@@ -223,9 +243,11 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
 
     phi_1 = 1 and psi_1 = U; both families advance together and the run stops
     at the first degenerate Gram normalizer (a measure with finite support
-    carries only finitely many steps).  For every fully available index n >= 2
-    the result holds alpha_n (a strict contraction), the leading-coefficient
-    ratios rho_n, rho~_n, and the gauges U_n, V_n with
+    carries only finitely many steps); ``stop_reason`` tells an exhausted
+    support from a ladder that ran out of numerical rank before it, and then
+    names the family and its smallest normalizer eigenvalue.  For every fully
+    available index n >= 2 the result holds alpha_n (a strict contraction),
+    the leading-coefficient ratios rho_n, rho~_n, and the gauges U_n, V_n with
     rho_n = (1 - alpha alpha*)^(1/2) U_n and rho~_n = (1 - alpha* alpha)^(1/2) V_n*.
     The recovered sites end before the first n whose alpha reaches the
     contraction boundary, ||alpha_n|| >= 1 - 1e-12; this is the one place
@@ -240,28 +262,35 @@ def gram_schmidt(mu: MatrixMeasure, boundary_u, n_max: int) -> GramSchmidtResult
         raise ValidationError("boundary U must be unitary")
     if U.shape[0] != mu.L:
         raise ValidationError("boundary U size must match the measure")
-    one = mc.eye(mu.L)
+    _check_integer("n_max", n_max)
+    L, M = mu.L, len(mu.atoms)
+    one = mc.eye(L)
     K = max(n_max, 0) // 2 + 1  # ladder exponents lie in -K + 1..K - 1: a margin row for z^(+-1)
 
     # M atoms carry at most M orthonormal polynomials, so step M + 1 is degenerate
-    rows = max(1, min(n_max, len(mu.atoms) + 1))
-    phis, psis = _family(mu, one, rows, K), _family(mu, U, rows, K)
+    rows = max(1, min(n_max, M + 1))
+    coeffs = np.zeros((2, rows, L, 2 * K + 1, L), dtype=complex)
+    values = np.zeros((2, rows, L, M, L), dtype=complex)
+    weighted = np.zeros((2, rows, M, L, L), dtype=complex)
+    firsts = np.stack([one, U])  # phi_1 = 1, psi_1 = U
+    coeffs[:, 0, :, K], values[:, 0] = firsts, firsts[:, :, None]
+    weighted[:, 0] = _weighted(values[:, 0], mu)
     count, stop_step, stop_reason = rows, None, None
     for n in range(2, rows + 1):
-        if not (_orthonormal_step(mu, phis, n - 1, _phi_exponent(n))
-                and _orthonormal_step(mu, psis, n - 1, -_phi_exponent(n))):
-            count, stop_step = n - 1, n
-            stop_reason = "degenerate Gram normalizer (measure support exhausted)"
+        smallest = _orthonormal_step(mu, (coeffs, values, weighted), n - 1, _phi_exponent(n))
+        if smallest.min() < GRAM_DEGENERACY_TOL:
+            count, stop_step, stop_reason = n - 1, n, _degeneracy_reason(mu, n, smallest)
             break
-    (phi_coeffs, _, phi_weighted), (psi_coeffs, psi_values, _) = (
-        [t[:count] for t in family] for family in (phis, psis))
+    # the documented (n, 2K+1, L, L) coefficient tables, in one copy each
+    phi_coeffs, psi_coeffs = np.ascontiguousarray(np.swapaxes(coeffs[:, :count], 2, 3))
+    phi_weighted, psi_values = weighted[0, :count], values[1, :count]
     top = np.array([_phi_exponent(n + 1) for n in range(count)])
     kappas, kappas_tilde = phi_coeffs[range(count), K + top], psi_coeffs[range(count), K - top]
 
     # site n = 2, 3, ... is row n - 2; for even n, z^(-1) psi_{n-1} - rho_n phi_n
     # is a left multiple of phi_{n-1}; the value stack is the run's own, divided in place
     psi_values = psi_values[:-1]
-    psi_values[0::2] /= mu.atoms[:, None, None]
+    psi_values[0::2] /= mu.atoms[:, None]
     alpha = _pair(psi_values, phi_weighted[:-1])
     boundary = np.flatnonzero(np.linalg.norm(alpha, 2, axis=(-2, -1)) >= 1.0 - 1e-12)
     if len(boundary):

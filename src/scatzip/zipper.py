@@ -488,7 +488,10 @@ def eig_unitary(U: np.ndarray):
     """Eigen-decomposition of a (numerically) unitary matrix.
 
     Diagonalizes H = (U + U*)/2 by eigh, then the compression of
-    K = (U - U*)/(2i) inside each H-eigenspace; eigenvalues are recombined as
+    K = (U - U*)/(2i) inside each cluster of nearby H-eigenvalues; a cluster
+    of one keeps its H-eigenvector, whose 1 x 1 compression has the
+    eigenvector 1, so only clusters of two or more (conjugate pairs and
+    multiple eigenvalues) run an eigh.  Eigenvalues are recombined as
     Rayleigh quotients h + i k, which puts them on the unit circle to
     roundoff.  Returns (eigenvalues, orthonormal eigenvector matrix).
     """
@@ -496,9 +499,11 @@ def eig_unitary(U: np.ndarray):
     H = mc.hermitize(0.5 * (U + mc.adj(U)))
     K = mc.hermitize((U - mc.adj(U)) / 2j)
     hw, hv = np.linalg.eigh(H)
-    vectors = np.zeros_like(hv)
+    vectors = hv + 0.0  # a copy whose zeros are all +0.0, as a 1 x 1 compression's product gives
     # group nearby h eigenvalues conservatively; K separates conjugate pairs
     for group in _cluster_sorted(hw, 1e-8):
+        if len(group) == 1:
+            continue
         Q = hv[:, group]
         _, kv = np.linalg.eigh(mc.hermitize(mc.adj(Q) @ K @ Q))
         vectors[:, group] = Q @ kv

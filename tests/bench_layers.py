@@ -2,8 +2,9 @@
 one band structure, three sweeps (a finite first grid that is short, a long
 finite chain whose Pruefer samples break down, a periodic narrow resonance),
 one arc count over a grid (finite and on a periodic fiber), the dense oracle
-(assembly, dense spectrum) and one Gram-Schmidt run on each of the two
-heaviest roundtrip measures.
+(assembly, dense spectrum) and one Gram-Schmidt run on each of four
+roundtrip measures: the two heaviest and the two most frequent in the
+``measures`` workload.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
 run it explicitly with pytest-benchmark:
@@ -164,10 +165,12 @@ def test_dense_spectrum(benchmark):
     assert spec.total_multiplicity == op.dim
 
 
-@pytest.mark.parametrize("L, N, ensemble", [(1, 64, "cmv"), (2, 32, "haar-gauge")],
-                         ids=["L1N64cmv", "L2N32haar"])
+@pytest.mark.parametrize("L, N, ensemble", [(1, 64, "cmv"), (2, 32, "haar-gauge"),
+                                             (1, 32, "cmv"), (2, 16, "haar-gauge")],
+                         ids=["L1N64cmv", "L2N32haar", "L1N32cmv", "L2N16haar"])
 def test_gram_schmidt(benchmark, L, N, ensemble):
-    # the heaviest measures of the roundtrip, recursion depth N + 2 as in ``measure roundtrip``
+    # the heaviest measures of the roundtrip and the two most frequent, recursion
+    # depth N + 2 as in ``measure roundtrip``
     z = ensembles.finite_zipper(0, L, N, ensemble)
     mu = ms.spectral_measure_finite(z)
     gram = benchmark(ms.gram_schmidt, mu, z.boundary_u, z.N + 2)

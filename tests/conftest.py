@@ -29,26 +29,35 @@ def transfer_inverse_at(block, n, z):
     return mc.join_blocks(z * mc.adj(A), -mc.adj(C), -mc.adj(B), mc.adj(D) / z)
 
 
-def sequential_orthonormal_step(mu, family, n, exponent):
+def sequential_orthonormal_step(mu, stacks, n, exponent):
     """Reference for ``measures._orthonormal_step``, with the same arguments and
-    effect: modified Gram-Schmidt, two passes that each project out one finished
-    polynomial at a time, then the same Hermitian positive normalizer."""
-    coeffs, values, weighted = family
-    f_coeffs = np.zeros(coeffs.shape[1:], dtype=complex)
-    f_coeffs[exponent + coeffs.shape[1] // 2] = mc.eye(mu.L)
-    f_values = np.power(mu.atoms, exponent)[:, None, None] * mc.eye(mu.L)
-    for _ in range(2):
-        for k in range(n):
-            c = ms._pair(f_values, weighted[k])
-            f_coeffs -= c @ coeffs[k]
-            f_values -= c @ values[k]
-    w, V = np.linalg.eigh(mc.hermitize(ms._pair(f_values, mu.weights @ mc.adj(f_values))))
-    if w.min() < ms.GRAM_DEGENERACY_TOL:
-        return False
-    R = mc.hermitize((V / np.sqrt(w)) @ mc.adj(V))
-    coeffs[n], values[n] = R @ f_coeffs, R @ f_values
-    weighted[n] = mu.weights @ mc.adj(values[n])
-    return True
+    effect: each family on its own runs modified Gram-Schmidt, two passes that
+    each project out one finished polynomial at a time, then the same Hermitian
+    positive normalizer; row n is written only if both families reach the
+    tolerance."""
+    coeffs, values, weighted = stacks
+    L, X = coeffs.shape[2:4]
+    smallest, finished = [], []
+    for family, e in enumerate((exponent, -exponent)):
+        f_coeffs = np.zeros((L, X, L), dtype=complex)
+        f_coeffs[:, X // 2 + e] = mc.eye(L)
+        f_values = mc.eye(L)[:, None, :] * np.power(mu.atoms, e)[:, None]
+        for _ in range(2):
+            for k in range(n):
+                c = ms._pair(f_values, weighted[family, k])
+                f_coeffs -= np.einsum("ab,bxc->axc", c, coeffs[family, k])
+                f_values -= np.einsum("ab,bxc->axc", c, values[family, k])
+        w_f = np.einsum("jab,cjb->jac", mu.weights, f_values.conj())  # W_j F_j*
+        w, V = np.linalg.eigh(mc.hermitize(ms._pair(f_values, w_f)))
+        smallest.append(w[0])
+        if w[0] >= ms.GRAM_DEGENERACY_TOL:
+            R = mc.hermitize((V / np.sqrt(w)) @ mc.adj(V))
+            finished.append((np.einsum("ab,bxc->axc", R, f_coeffs), np.einsum("ab,bxc->axc", R, f_values)))
+    if len(finished) == 2:
+        for family, (c_row, v_row) in enumerate(finished):
+            coeffs[family, n], values[family, n] = c_row, v_row
+            weighted[family, n] = np.einsum("jab,cjb->jac", mu.weights, v_row.conj())
+    return np.array(smallest)
 
 
 class HandBuiltTable:

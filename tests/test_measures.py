@@ -51,10 +51,21 @@ def test_spectral_measure_total_mass(rng):
 
 @pytest.mark.parametrize("L, m, message", [(1, 0, "needs m >= 1 atoms, got 0"),
                                             (1, -3, "needs m >= 1 atoms, got -3"),
-                                            (0, 4, "L must be >= 1, got 0")])
+                                            (0, 4, "L must be >= 1, got 0"),
+                                            (1, 2.5, r"m must be an integer, got 2\.5$"),
+                                            (1, float("nan"), "m must be an integer, got nan$"),
+                                            (1, "3", "m must be an integer, got '3'$"),
+                                            (1.0, 4, r"L must be an integer, got 1\.0$")])
 def test_uniform_grid_measure_rejects_bad_sizes(L, m, message):
     with pytest.raises(ValidationError, match=message):
         ms.uniform_grid_measure(L, m)
+
+
+@pytest.mark.parametrize("entry", [ms.gram_schmidt, ms.zipper_from_measure])
+@pytest.mark.parametrize("n_max, shown", [(2.5, r"2\.5"), (float("nan"), "nan"), ("3", "'3'"), (4.0, r"4\.0")])
+def test_measure_entries_reject_non_integer_depths(entry, n_max, shown):
+    with pytest.raises(ValidationError, match=f"^n_max must be an integer, got {shown}$"):
+        entry(ms.uniform_grid_measure(1, 8), np.eye(1), n_max)
 
 
 def test_measure_validation():
@@ -314,5 +325,30 @@ def test_uniform_grid_measure_is_free(rng):
     mu = ms.uniform_grid_measure(1, 8)
     res = ms.zipper_from_measure(mu, np.eye(1), 12)
     assert res.gram.stop_step == 9  # support exhausted after 8 steps
+    assert res.gram.stop_reason == ("degenerate Gram normalizer at step 9: "
+                                    "measure support exhausted (8 atoms of total rank 8)")
     for alpha in res.gram.sites[0]:
         assert np.abs(alpha).max() < 1e-10
+
+
+def test_stop_reason_names_a_ladder_short_of_the_support():
+    # the scalar N = 64 roundtrip stops at step 45 of 64 atoms: the monomial
+    # ladder runs out of numerical rank long before the support does
+    z = ensembles.finite_zipper(0, 1, 64, "cmv")
+    g = ms.gram_schmidt(ms.spectral_measure_finite(z), z.boundary_u, 66)
+    assert g.stop_step == 45
+    head = "degenerate Gram normalizer at step 45 of 64 atoms: smallest phi normalizer eigenvalue "
+    assert g.stop_reason.startswith(head) and "exhausted" not in g.stop_reason
+    value, tol = g.stop_reason[len(head):].split(" < GRAM_DEGENERACY_TOL = ")
+    assert 0.0 < float(value) < float(tol) == ms.GRAM_DEGENERACY_TOL
+
+
+@pytest.mark.parametrize("L, N", [(2, 16), (3, 8)])
+def test_stop_reason_counts_the_support_by_weight_rank(L, N):
+    # N L atoms with rank-one weights hold N polynomials of size L, so step
+    # N + 1 exhausts the support although the atoms number N L
+    z = ensembles.finite_zipper(0, L, N, "haar-gauge")
+    g = ms.gram_schmidt(ms.spectral_measure_finite(z), z.boundary_u, N + 2)
+    assert g.stop_step == N + 1
+    assert g.stop_reason == (f"degenerate Gram normalizer at step {N + 1}: "
+                             f"measure support exhausted ({N * L} atoms of total rank {N * L})")
