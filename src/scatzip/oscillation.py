@@ -12,9 +12,12 @@ Periodic zippers use the doubled (checkerboard) construction: the fixed-point
 condition of the transfer cocycle becomes a Lagrangian intersection in twice
 the dimension, handled by the same sweep on a 2L x 2L Pruefer unitary.  Both
 phases carry the chart W = b a^(-1) of their frame by Moebius steps
-(``transfer.chart_chain``) on the phi table, never the frame; the frames of
-``transfer.propagate`` and the direct ``transfer.transfer_product`` stay as
-the references they are checked on.
+(``transfer.chart_chain``), never the frame, one step per site pair: only
+even sites depend on z, so the (odd, even) pair T_2k(z) T_(2k-1) =
+diag(1, z) (X_k / z + Y_k) is one period of the transfer cocycle, with X_k
+and Y_k folded from the phi table on every call (``_pair_table``).  The
+frames of ``transfer.propagate`` and the direct
+``transfer.transfer_product`` stay as the references they are checked on.
 
 Both phases take one circle point or a 1-D array of them and return the
 m x m unitary, or the (B, m, m) stack, evaluated in one chain.
@@ -22,8 +25,8 @@ The sweep samples its whole theta grid that way (at most SWEEP_BLOCK points
 per call, and as many matrices per eigvals call), counts the seam passages
 of all its intervals in one array operation, and refines the intervals
 holding crossings once the total matches, all of them in lockstep with one
-batched call per level: ITP steps on the branch that passes the seam where
-an interval holds one crossing, bisection where it holds several.
+batched call per level: ITP steps on the mean of the branches that pass
+the seam, one branch or several.
 
 A branch that turns a full circle inside one grid interval (a narrow
 resonance) hides its crossing from the seam count.  By the oscillation
@@ -86,9 +89,9 @@ def _check_circle(z):
 
 
 def _unitary_chart(z, table: np.ndarray, start: np.ndarray, acted: slice, right: np.ndarray) -> np.ndarray:
-    """W = chart_chain(table, z, start) right, at one circle point or a 1-D array.  On
-    the circle every denominator is invertible (an orthonormal Lagrangian frame has
-    a* a = b* b = 1/2); an entry of W* W - 1 above PRUFER_UNITARY_TOL is a breakdown."""
+    """W = chart_chain(table, z, start, acted) right, at one circle point or a 1-D array.
+    On the circle every denominator is invertible (an orthonormal Lagrangian frame
+    has a* a = b* b = 1/2); an entry of W* W - 1 above PRUFER_UNITARY_TOL is a breakdown."""
     zs = np.atleast_1d(z)
     W = chart_chain(table, zs, start, acted)[0] @ right
     defect = np.abs(mc.adj(W) @ W - mc.eye(W.shape[-1])).max(axis=(-2, -1))
@@ -100,17 +103,27 @@ def _unitary_chart(z, table: np.ndarray, start: np.ndarray, acted: slice, right:
     return W[0] if np.ndim(z) == 0 else W
 
 
+def _pair_table(phis: np.ndarray) -> np.ndarray:
+    """[X_k; Y_k] of the site pairs (2k - 1, 2k) of a phi table, two stacked products:
+    T_2k(z) T_(2k-1) = diag(1, z) (X_k / z + Y_k) with X_k = phi_2k diag(1, 0) phi_(2k-1)
+    and Y_k = phi_2k diag(0, 1) phi_(2k-1)."""
+    L = phis.shape[-1] // 2
+    odd, even = phis[0::2], phis[1::2]
+    return np.concatenate([even[..., :L] @ odd[:, :L], even[..., L:] @ odd[:, L:]], axis=1)
+
+
 def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> np.ndarray:
     """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*, L x L.
 
     ``z`` is one circle point or a 1-D array of B of them, evaluated in one
-    chart chain from W = 1, the chart of the start frame (1; 1); an array
-    gives the (B, L, L) stack.
+    chart chain from W = 1, the chart of the start frame (1; 1), with one
+    Moebius step per site pair on the ``_pair_table`` of the phi table; an
+    array gives the (B, L, L) stack.
     """
     z = _check_circle(z)
     if zipper.flavor != "finite":
         raise ValidationError("prufer needs a finite zipper")
-    table = (factory or zipper).phi_table(zipper.N)
+    table = _pair_table((factory or zipper).phi_table(zipper.N))
     return _unitary_chart(z, table, mc.eye(zipper.L), slice(None), mc.adj(zipper.boundary_v))
 
 
@@ -120,15 +133,16 @@ def _swap(L: int) -> np.ndarray:
     return np.block([[zero, one], [one, zero]])
 
 
-def _doubled_table(phis: np.ndarray) -> np.ndarray:
-    """Rows 1 (+) phi_n as [[diag(1, A), diag(0, B)], [diag(0, C), diag(1, D)]]: the
-    checkerboard sum with the middle two L-row blocks swapped, so that the frame
-    halves are (carried upper, acted upper) and (carried lower, acted lower)."""
-    L = phis.shape[-1] // 2
-    out = np.zeros((len(phis), 4 * L, 4 * L), dtype=complex)
-    out[:, :L, :L] = out[:, 2 * L:3 * L, 2 * L:3 * L] = mc.eye(L)
+def _doubled_table(rows: np.ndarray, carried: float) -> np.ndarray:
+    """Rows c (+) T as [[diag(c, A), diag(0, B)], [diag(0, C), diag(c, D)]], with c the
+    ``carried`` scalar: the checkerboard sum with the middle two L-row blocks
+    swapped, so that the frame halves are (carried upper, acted upper) and
+    (carried lower, acted lower)."""
+    L = rows.shape[-1] // 2
+    out = np.zeros((len(rows), 4 * L, 4 * L), dtype=complex)
+    out[:, :L, :L] = out[:, 2 * L:3 * L, 2 * L:3 * L] = carried * mc.eye(L)
     acted = np.r_[L:2 * L, 3 * L:4 * L]
-    out[:, acted[:, None], acted] = phis
+    out[:, acted[:, None], acted] = rows
     return out
 
 
@@ -139,14 +153,17 @@ def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None
     eigenvalue-1 multiplicity of the result equals the geometric
     multiplicity of 1 as eigenvalue of the full transfer product, hence the
     multiplicity of z in the periodic operator spectrum.  The start frame
-    has chart S, the block swap; the chain runs on ``_doubled_table`` with
-    E = diag(1, z), and W = b a^(-1) S = (a b^(-1))* S on Lagrangian frames.
+    has chart S, the block swap; one Moebius step per site pair applies
+    1 (+) diag(1, z) (X_k / z + Y_k) = diag(1, E) ((0 (+) X_k) / z + 1 (+) Y_k),
+    E = z on the acted lower rows, and W = b a^(-1) S = (a b^(-1))* S on
+    Lagrangian frames.
     """
     z = _check_circle(z)
     if zipper.flavor != "periodic":
         raise ValidationError("prufer_periodic needs a periodic zipper")
     L = zipper.L
-    table = _doubled_table((factory or zipper).phi_table(zipper.N))
+    pairs = _pair_table((factory or zipper).phi_table(zipper.N))
+    table = np.concatenate([_doubled_table(pairs[:, :2 * L], 0.0), _doubled_table(pairs[:, 2 * L:], 1.0)], axis=1)
     return _unitary_chart(z, table, _swap(L), slice(L, 2 * L), _swap(L))
 
 
@@ -209,39 +226,44 @@ def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.
     Bracket i belongs to family member ``members[i]``, and ``sample(thetas,
     members)`` gives the sorted eigenphases of those members at those theta.
     ``lo_phases`` and ``hi_phases`` are the sorted eigenphases at the ends
-    and ``count`` the crossings inside each bracket.  A bracket with several
-    crossings is cut at its midpoint.  One with a single crossing takes an
-    ITP step (interpolate, truncate, project; Oliveira and Takahashi 2020,
-    with k1 = 0.2 / width0, k2 = 2, n0 = 1) on its seam branch h: the top
-    phase minus 2 pi before the passage, the bottom phase after it, which is
-    continuous and increasing in theta.  ITP converges superlinearly on
-    smooth branches, and its projection keeps every bracket within one
-    halving of bisection, so it never needs more than one level more.  Its
-    points keep refine_tol / 4 from the ends, so that the far end moves once
-    the interpolant sits on the root.  The left part gets min(s, count)
-    crossings, with s the seam passages from lo to the new point, and the
-    right part the rest; parts without a crossing are dropped.  A bracket
-    stops at width refine_tol, or when no float lies inside it, and is
-    returned once per crossing: at 2 pi if it holds the seam, so that the
-    crossing folds to 0, else at the interpolated root of h for a single
-    crossing and at the midpoint for several.  A bracket whose new sample
-    comes back as a NaN row (a breakdown) leaves the refinement as it is.
-    Returns the member and the theta of every crossing, and the (members,
-    lo, hi, count) of the brackets that left.
+    and ``count`` the c crossings inside each bracket.  Every bracket takes
+    an ITP step (interpolate, truncate, project; Oliveira and Takahashi
+    2020, with k1 = 0.2 / width0, k2 = 2, n0 = 1) on the centroid h of its c
+    crossing branches: the mean of the top c phases minus 2 pi before the
+    passage, of the bottom c phases after it, which is continuous and
+    increasing in theta; at c = 1 it is the seam branch itself.  A cluster
+    of c crossings at one eigenvalue is a root of h, which ITP reaches
+    superlinearly on smooth branches, and its projection keeps every
+    bracket within one halving of bisection, so it never needs more than
+    one level more.  width0 and the step count restart whenever a step
+    changes the bracket's count.  The points keep refine_tol / 4 from the
+    ends, so that the far end moves once the interpolant sits on the root.
+    The left part gets min(s, count) crossings, with s the seam passages
+    from lo to the new point, and the right part the rest; parts without a
+    crossing are dropped.  A bracket stops at width refine_tol, or when no
+    float lies inside it, and is returned once per crossing: at 2 pi if it
+    holds the seam, so that the crossing folds to 0, else at the
+    interpolated root of h.  A bracket whose new sample comes back as a NaN
+    row (a breakdown) leaves the refinement as it is.  Returns the member
+    and the theta of every crossing, and the (members, lo, hi, count) of
+    the brackets that left.
     """
-    width0 = hi - lo  # width of each bracket when it got its single crossing
+    width0 = hi - lo  # width of each bracket when it got its count
     steps = np.zeros(len(lo))  # ITP steps taken since
     done = []
     stuck = [(members[:0], lo[:0], hi[:0], count[:0])]
+    rank = np.arange(lo_phases.shape[1])  # sorted position of each phase
     for level in range(max_iter + 1):
         mid = 0.5 * (lo + hi)
         width = hi - lo
-        h_lo = lo_phases[:, -1] - TWO_PI  # h(lo) <= 0 <= h(hi)
-        rise = hi_phases[:, 0] - h_lo
+        top = np.where(rank >= len(rank) - count[:, None], lo_phases, 0.0).sum(axis=1) / count
+        bottom = np.where(rank < count[:, None], hi_phases, 0.0).sum(axis=1) / count
+        h_lo = top - TWO_PI  # h(lo) <= 0 <= h(hi)
+        rise = bottom - h_lo
         interp = lo + width * np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0)
         fine = (width <= refine_tol) | (mid <= lo) | (mid >= hi) | (level == max_iter)
         seam = (lo <= TWO_PI) & (TWO_PI <= hi)
-        theta = np.where(seam, TWO_PI, np.where(count == 1, interp, mid))
+        theta = np.where(seam, TWO_PI, interp)
         done.append((np.repeat(members[fine], count[fine]), np.repeat(theta[fine], count[fine])))
         members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
             a[~fine] for a in (members, lo, hi, mid, width, interp, lo_phases, hi_phases, count,
@@ -256,15 +278,12 @@ def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.
         x = np.where(np.abs(x - mid) <= radius, x, mid - side * radius)
         x = np.clip(x, np.maximum(lo + 0.25 * refine_tol, np.nextafter(lo, hi)),
                     np.minimum(hi - 0.25 * refine_tol, np.nextafter(hi, lo)))
-        single = count == 1
-        x = np.where(single, x, mid)
         q = sample(x, members)
         lost = np.isnan(q[:, 0])  # a sample that broke down; never read as a phase
         if np.any(lost):
             stuck.append((members[lost], lo[lost], hi[lost], count[lost]))
-            members, lo, hi, x, q, lo_phases, hi_phases, count, single, width0, steps = (
-                a[~lost] for a in (members, lo, hi, x, q, lo_phases, hi_phases, count, single,
-                                   width0, steps))
+            members, lo, hi, x, q, lo_phases, hi_phases, count, width0, steps = (
+                a[~lost] for a in (members, lo, hi, x, q, lo_phases, hi_phases, count, width0, steps))
         left = np.minimum(_seam_passages(lo_phases, q), count)
         right = count - left
         l, r = left > 0, right > 0
@@ -273,10 +292,11 @@ def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.
         hi = np.concatenate([x[l], hi[r]])
         lo_phases = np.concatenate([lo_phases[l], q[r]])
         hi_phases = np.concatenate([q[l], hi_phases[r]])
+        before = np.concatenate([count[l], count[r]])
         count = np.concatenate([left[l], right[r]])
-        single = np.concatenate([single[l], single[r]])
-        width0 = np.where(single, np.concatenate([width0[l], width0[r]]), hi - lo)
-        steps = np.where(single, np.concatenate([steps[l], steps[r]]) + 1, 0)
+        same = count == before
+        width0 = np.where(same, np.concatenate([width0[l], width0[r]]), hi - lo)
+        steps = np.where(same, np.concatenate([steps[l], steps[r]]) + 1, 0)
     return (*(np.concatenate(parts) for parts in zip(*done)),
             tuple(np.concatenate(parts) for parts in zip(*stuck)))
 
@@ -504,8 +524,13 @@ def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> 
     """Smallest eigenvalue of the central-difference estimate of W* dW/dtheta / i.
 
     Positive values confirm the monotone rotation of the eigenphases; the
-    periodic flavor checks the doubled phase matrix.
+    periodic flavor checks the doubled phase matrix.  ``theta`` must be
+    finite and the step ``h`` finite and positive.
     """
+    if not np.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {theta}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValidationError(f"h must be finite and positive, got {h}")
     W0, W_plus, W_minus = _phase_family(zipper)(np.array([theta, theta + h, theta - h]))
     D = (W_plus - W_minus) / (2.0 * h)
     M = mc.hermitize(mc.adj(W0) @ D / 1j)

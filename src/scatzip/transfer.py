@@ -12,15 +12,17 @@ transfer conserves the signature-(L, L) form, so frames stay Lagrangian; for
 which drives all the Weyl-disc estimates.  The left boundary U enters as the
 z-independent first step T_1 = diag(U, 1).
 
-Two loops run over the sites, both on a 1-D array of z at once, with the
-even steps diag(1, z) phi(S_n) diag(1/z, 1), and both read the phi table
-of the zipper (or of a ``factory`` standing in for it).  ``chart_chain``
-carries the charts W = b a^(-1) of frames (a; b) by Moebius steps, one
-batched solve per site: the Pruefer phases (``oscillation``) and the
-boundary value E (``weyl.e_matrix``, on the inverse transfers).
-``propagate`` carries the frames, one stacked QR per site with the removed
-right factor kept: the Weyl discs and radius norms (``weyl``), and the
-independent check of the Pruefer charts in the tests and ``verify``.
+Two loops run over the sites, both on a 1-D array of z at once, and both
+read the phi table of the zipper (or of a ``factory`` standing in for it).
+``chart_chain`` carries the charts W = b a^(-1) of frames (a; b) by Moebius
+steps, one batched solve per row: the Pruefer phases (``oscillation``), one
+row per site pair, T_2k(z) T_(2k-1) = diag(1, z) (X_k / z + Y_k) with X_k
+and Y_k free of z, and the boundary value E (``weyl.e_matrix``), one row
+per site of the inverse transfers.  ``propagate`` carries the frames, with
+the even steps diag(1, z) phi(S_n) diag(1/z, 1) and one stacked QR per site
+with the removed right factor kept: the Weyl discs and radius norms
+(``weyl``), and the independent check of the Pruefer charts in the tests
+and ``verify``.
 
 The references never read that table: ``site_transfer`` builds T_n(z) from
 the block of site n alone, and ``transfer_product``, ``q_form`` and
@@ -39,6 +41,12 @@ from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .scattering import ScatteringBlock, phi
 from .zipper import Zipper, _boundary_transfer
+
+
+# Most multiply-adds of one shared-row product in ``chart_chain``: OpenBLAS
+# runs larger products on several threads, and waking them costs more than
+# a product of this size.
+CHAIN_PRODUCT_SIZE = 2 ** 15
 
 
 def _check_z(z):
@@ -103,29 +111,48 @@ class TransferFactory:
         return self.zipper.phi_table(upto)
 
 
+def _times(row: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """row @ W over a (B, m, k) stack.  A row shared by all points multiplies the
+    charts side by side, as products with m x (b k) columns of at most
+    CHAIN_PRODUCT_SIZE multiply-adds; a row per point (ndim 3) takes the batched
+    product."""
+    if row.ndim == 3:
+        return row @ W
+    B, m, k = W.shape
+    cols = max(k, CHAIN_PRODUCT_SIZE // row.size // k * k)
+    side = W.transpose(1, 0, 2).reshape(m, B * k)
+    out = np.empty((len(row), B * k), dtype=complex)
+    for i in range(0, B * k, cols):
+        np.matmul(row, side[:, i:i + cols], out=out[:, i:i + cols])
+    return out.reshape(len(row), B, k).transpose(1, 0, 2)
+
+
 def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray,
-                acted: Optional[slice] = slice(None), keep: bool = False):
+                acted: Optional[slice] = None, keep: bool = False):
     """Carry a (B, m, m) stack of charts W from ``start`` through the rows of ``table``.
 
     A row T = [[A, B], [C, D]] moves the chart W = b a^(-1) of frames (a; b)
-    to M_T(W) = (C + D W)(A + B W)^(-1): one product [B; D] W + [A; C] and
-    one batched solve over the B ``points`` per row.  Rows 1, 3, ... (sites
-    2, 4, ... of a forward table) act as diag(1, E) T diag(E^(-1), 1),
-    W <- E M_T(W E), with E = z on the ``acted`` coordinates and 1 elsewhere;
-    with ``acted`` None the rows carry z already and may be one per site and
-    point.  Returns the final stack and, with ``keep``, the denominators
-    A + B W of the rows walked; an exactly singular one ends the walk with NaN.
+    to M_T(W) = (C + D W)(A + B W)^(-1): one product T (1; W) and one
+    batched solve over the B ``points`` per row.  With ``acted`` None the
+    rows carry z already and may be one per site and point.  With ``acted``
+    a slice, each row is a site pair stacked as [X; Y], 4m x 2m, with X and
+    Y free of z, and acts as diag(1, E) (X / z + Y), E = z on the ``acted``
+    rows of the chart and 1 elsewhere: Q = [X; Y] (1; W), the solve on
+    Q_X / z + Q_Y, then W <- E W.  Returns the final stack and, with
+    ``keep``, the denominators of the rows walked; an exactly singular one
+    ends the walk with NaN.
     """
     m = start.shape[-1]
     left, right = table[..., :m], table[..., m:]
     if acted is not None:
-        e = np.ones((len(points), 1, m), dtype=complex)
-        e[:, 0, acted] = points[:, None]
+        z = points[:, None, None]
+        inverse = 1.0 / z
     W = np.repeat(np.asarray(start, dtype=complex)[None], len(points), axis=0)
     dens = np.empty((len(table),) + W.shape, dtype=complex) if keep else None
     for i in range(len(table)):
-        scaled = i % 2 == 1 and acted is not None
-        P = right[i] @ (W * e if scaled else W) + left[i]
+        P = _times(right[i], W) + left[i]
+        if acted is not None:
+            P = P[:, :2 * m] * inverse + P[:, 2 * m:]
         if keep:
             dens[i] = P[:, :m]
         try:
@@ -134,8 +161,8 @@ def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray,
             if keep:
                 dens[i] = np.nan
             return np.full_like(W, np.nan), dens[:i + 1] if keep else None
-        if scaled:
-            W *= e.transpose(0, 2, 1)
+        if acted is not None:
+            W[:, acted] *= z
     return W, dens
 
 

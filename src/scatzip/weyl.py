@@ -105,7 +105,7 @@ def e_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
     table[0::2, :, :L, :L] = mc.adj(D[0::2])[:, None] / w
     table[0::2, :, L:, L:] = w * mc.adj(A[0::2])[:, None]
     with np.errstate(all="ignore"):  # a singular step is reported below, by its site
-        E, dens = chart_chain(table, points, mc.adj(V), acted=None, keep=True)
+        E, dens = chart_chain(table, points, mc.adj(V), keep=True)
     dens = dens.reshape((-1,) + E.shape[1:])  # row j is site N - j // len(points)
     finite = np.all(np.isfinite(dens), axis=(-2, -1))
     smallest = np.zeros(len(dens))

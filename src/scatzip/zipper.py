@@ -474,14 +474,19 @@ def _circular_clusters(thetas, window: float):
     """
     t = _fold(thetas)
     order = np.argsort(t)
-    groups = _cluster_sorted(t[order], window)
-    if len(groups) > 1 and t[order[0]] + TWO_PI - t[order[-1]] <= window:
-        groups[0] = groups.pop() + groups[0]
-    groups = [order[g] for g in groups]
-    centers = _fold([np.angle(np.mean(np.exp(1j * t[g]))) for g in groups])
+    if len(t) == 0:
+        return SpectrumResult(t, np.zeros(0, dtype=int)), []
+    starts = np.flatnonzero(np.diff(t[order]) > window) + 1
+    if len(starts) and t[order[0]] + TWO_PI - t[order[-1]] <= window:
+        # the last group wraps onto the first: rotate it to the front
+        order = np.roll(order, len(t) - starts[-1])
+        starts = starts[:-1] + len(t) - starts[-1]
+    starts = np.r_[0, starts]
+    mults = np.diff(np.r_[starts, len(t)])
+    centers = _fold(np.angle(np.add.reduceat(np.exp(1j * t[order]), starts) / mults))
     rank = np.argsort(centers)
-    mults = np.array([len(groups[i]) for i in rank], dtype=int)
-    return SpectrumResult(centers[rank], mults), [groups[i] for i in rank]
+    groups = np.split(order, starts[1:])
+    return SpectrumResult(centers[rank], mults[rank]), [groups[i] for i in rank]
 
 
 def eig_unitary(U: np.ndarray):

@@ -11,12 +11,12 @@ run it explicitly with pytest-benchmark:
 
     python -m pytest tests/bench_layers.py --benchmark-json=out.json
 
-Each benchmark records its work counts (sites walked, points per call,
-momenta and Pruefer calls per band structure, theta evaluated, Pruefer
-calls, the Pruefer calls that broke down and count calls per sweep) in
-``extra_info``; counts do not depend on the machine, seconds do.  The
-calls use only entry points whose signatures are stable across versions,
-so the same file times an older checkout too; one that has no
+Each benchmark records its work counts (sites walked, points and batched
+solves per Pruefer call, momenta and Pruefer calls per band structure,
+theta evaluated, Pruefer calls, the Pruefer calls that broke down and count
+calls per sweep) in ``extra_info``; counts do not depend on the machine,
+seconds do.  The calls use only entry points whose signatures are stable
+across versions, so the same file times an older checkout too; one that has no
 ``zipper.arc_counts`` skips ``test_arc_counts``, one whose count refuses
 periodic operators skips its periodic case, and one whose periodic sweeps
 double their grid fails ``test_sweep[P1N100haar0999s0]``.
@@ -37,22 +37,36 @@ def _circle(n):
     return np.exp(1j * (0.37 * 2 * np.pi / (n - 1) + np.arange(n) * (2 * np.pi / (n - 1))))
 
 
+def _solves(monkeypatch, call) -> int:
+    """The np.linalg.solve calls that one run of ``call`` makes, after a first run
+    that builds the phi table."""
+    call()
+    count = []
+    solve = np.linalg.solve
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", lambda *args, **kwargs: count.append(1) or solve(*args, **kwargs))
+        call()
+    return len(count)
+
+
 @pytest.mark.parametrize("L", [1, 2, 3])
-def test_prufer_call(benchmark, L):
+def test_prufer_call(benchmark, monkeypatch, L):
     z = ensembles.finite_zipper(7, L, N_PRUFER, "haar-gauge", 0.85)
     w = _circle(8 * N_PRUFER * L + 1)
     fac = tr.TransferFactory(z)
-    benchmark.extra_info.update(sites=z.N, points=len(w))
+    benchmark.extra_info.update(sites=z.N, points=len(w),
+                                solves=_solves(monkeypatch, lambda: osc.prufer(z, w, factory=fac)))
     W = benchmark(osc.prufer, z, w, factory=fac)
     assert W.shape == (len(w), L, L)
 
 
 @pytest.mark.parametrize("L", [1, 2])
-def test_prufer_periodic_call(benchmark, L):
+def test_prufer_periodic_call(benchmark, monkeypatch, L):
     z = ensembles.periodic_zipper(7, L, 8, "haar-gauge", 0.85)
     w = _circle(8 * z.N * L + 1)
     fac = tr.TransferFactory(z)
-    benchmark.extra_info.update(sites=z.N, points=len(w))
+    benchmark.extra_info.update(sites=z.N, points=len(w),
+                                solves=_solves(monkeypatch, lambda: osc.prufer_periodic(z, w, factory=fac)))
     W = benchmark(osc.prufer_periodic, z, w, factory=fac)
     assert W.shape == (len(w), 2 * L, 2 * L)
 

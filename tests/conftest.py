@@ -60,6 +60,37 @@ def sequential_orthonormal_step(mu, stacks, n, exponent):
     return np.array(smallest)
 
 
+def per_site_prufer(zipper, z):
+    """Reference for ``oscillation.prufer`` and ``prufer_periodic``: the chart chain
+    with one Moebius step per site.  Odd sites move W to M_phi(W), even sites act
+    as diag(1, E) phi diag(E^(-1), 1), W <- E M_phi(W E), with E = z on the acted
+    chart coordinates (all of them for a finite zipper, the acted lower block of
+    the doubled periodic chart) and 1 elsewhere."""
+    points = np.atleast_1d(np.asarray(z, dtype=complex))
+    L = zipper.L
+    phis = zipper.phi_table(zipper.N)
+    if zipper.flavor == "finite":
+        table, start, right, acted = phis, mc.eye(L), mc.adj(zipper.boundary_v), slice(None)
+    else:
+        table = np.zeros((len(phis), 4 * L, 4 * L), dtype=complex)
+        table[:, :L, :L] = table[:, 2 * L:3 * L, 2 * L:3 * L] = mc.eye(L)
+        rows = np.r_[L:2 * L, 3 * L:4 * L]
+        table[:, rows[:, None], rows] = phis
+        start = right = np.block([[np.zeros((L, L)), mc.eye(L)], [mc.eye(L), np.zeros((L, L))]])
+        acted = slice(L, 2 * L)
+    m = start.shape[-1]
+    e = np.ones((len(points), 1, m), dtype=complex)
+    e[:, 0, acted] = points[:, None]
+    W = np.repeat(start[None].astype(complex), len(points), axis=0)
+    for i, T in enumerate(table):
+        P = T[:, m:] @ (W * e if i % 2 else W) + T[:, :m]
+        W = np.linalg.solve(P[:, :m].transpose(0, 2, 1), P[:, m:].transpose(0, 2, 1)).transpose(0, 2, 1)
+        if i % 2:
+            W *= e.transpose(0, 2, 1)
+    W = W @ right
+    return W[0] if np.ndim(z) == 0 else W
+
+
 class HandBuiltTable:
     """Stands in for a TransferFactory: serves a given phi table."""
 

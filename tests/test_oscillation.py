@@ -9,7 +9,7 @@ from scatzip import ensembles, matrix_core as mc, oscillation as osc, transfer a
 from scatzip import zipper as zp
 from scatzip.errors import NumericalBreakdownError, ValidationError
 
-from conftest import HandBuiltTable, checkerboard_sum, doubled_initial_frame
+from conftest import HandBuiltTable, checkerboard_sum, doubled_initial_frame, per_site_prufer
 
 
 def test_prufer_unitary_and_eigenvalue_one(rng):
@@ -108,6 +108,14 @@ def test_rotation_positivity_free_symbolic():
     d2 = osc.rotation_positivity_check(z, 0.8, h=5e-5)
     assert abs(d1 - 2.0) < 1e-6
     assert abs(d2 - 2.0) < abs(d1 - 2.0)  # central difference refines as O(h^2)
+
+
+@pytest.mark.parametrize("theta, h, name", [(0.3, 0.0, "h"), (0.3, -1e-5, "h"), (0.3, float("nan"), "h"),
+                                             (0.3, float("inf"), "h"), (float("nan"), 1e-5, "theta")])
+def test_rotation_positivity_check_rejects_a_bad_theta_or_step(theta, h, name):
+    z = ensembles.finite_zipper(31, 2, 6)
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite"):
+        osc.rotation_positivity_check(z, theta, h=h)
 
 
 def test_checkerboard_identity_and_form():
@@ -406,16 +414,37 @@ def test_chart_chain_matches_propagated_frames():
             assert np.abs(osc.prufer_periodic(z, w) - ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("args", [(124, 1, 24, "cmv", 0.95), (3, 3, 40, "haar-gauge", 0.99),
-                                  (0, 1, 100, "haar-gauge", 0.999)])
+@pytest.mark.parametrize("args", [(ensembles.finite_zipper, (124, 1, 24, "cmv", 0.95)),
+                                  (ensembles.finite_zipper, (3, 3, 40, "haar-gauge", 0.99)),
+                                  (ensembles.finite_zipper, (0, 1, 100, "haar-gauge", 0.999)),
+                                  (ensembles.periodic_zipper, (0, 1, 100, "haar-gauge", 0.999))])
 def test_prufer_stays_unitary_on_the_hard_sweep_instances(args):
-    z = ensembles.finite_zipper(*args)
+    make, shape = args
+    z = make(*shape)
+    phase = osc.prufer if z.flavor == "finite" else osc.prufer_periodic
     thetas = 0.37 * 2 * np.pi / 512 + np.arange(512) * (2 * np.pi / 512)
-    W = osc.prufer(z, np.exp(1j * thetas))
-    assert np.abs(mc.adj(W) @ W - np.eye(z.L)).max() < 1e-10
+    W = phase(z, np.exp(1j * thetas))
+    assert np.abs(mc.adj(W) @ W - np.eye(W.shape[-1])).max() < 1e-10
 
 
-def test_prufer_makes_one_batched_solve_per_site_and_no_qr(monkeypatch):
+@pytest.mark.parametrize("make, args", [
+    (ensembles.finite_zipper, (31, 1, 8, "cmv", 0.5)), (ensembles.finite_zipper, (32, 2, 12, "haar-gauge", 0.85)),
+    (ensembles.finite_zipper, (33, 3, 16, "haar-gauge", 0.95)), (ensembles.finite_zipper, (0, 2, 8, "free")),
+    (ensembles.finite_zipper, (0, 1, 100, "haar-gauge", 0.999)),
+    (ensembles.periodic_zipper, (34, 1, 8, "cmv", 0.9)), (ensembles.periodic_zipper, (35, 2, 12, "haar-gauge", 0.85)),
+    (ensembles.periodic_zipper, (0, 1, 100, "haar-gauge", 0.999))],
+    ids=["L1N8cmv", "L2N12haar", "L3N16haar", "L2N8free", "L1N100haar0999",
+         "P1N8cmv", "P2N12haar", "P1N100haar0999"])
+def test_pair_chain_matches_the_per_site_reference(make, args):
+    # one Moebius step per site pair against one per site, at the first grid of a sweep
+    z = make(*args)
+    n = 8 * z.N * z.L
+    w = np.exp(1j * (0.37 * 2 * np.pi / n + np.arange(n) * (2 * np.pi / n)))
+    phase = osc.prufer if z.flavor == "finite" else osc.prufer_periodic
+    assert np.abs(phase(z, w) - per_site_prufer(z, w)).max() < 1e-11
+
+
+def test_prufer_makes_one_batched_solve_per_site_pair_and_no_qr(monkeypatch):
     calls = {"solve": 0, "qr": 0}
     solve, qr = np.linalg.solve, np.linalg.qr
 
@@ -433,7 +462,23 @@ def test_prufer_makes_one_batched_solve_per_site_and_no_qr(monkeypatch):
         z.phi_table()  # built with the zipper, not counted below
         calls.update(solve=0, qr=0)
         phase(z, w)
-        assert calls == {"solve": z.N, "qr": 0}
+        assert calls == {"solve": z.N // 2, "qr": 0}
+
+
+def test_prufer_periodic_builds_no_table_per_point():
+    # the pair rows are folded once per call, not once per point and site pair
+    import tracemalloc
+
+    z = ensembles.periodic_zipper(0, 1, 512, "cmv", 0.5)
+    z.phi_table()
+    w = np.exp(1j * (0.37 * 2 * np.pi / 1024 + np.arange(1024) * (2 * np.pi / 1024)))
+    tracemalloc.start()
+    try:
+        osc.prufer_periodic(z, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_prufer_guard_names_the_point_of_a_non_unitary_chart():
@@ -539,6 +584,20 @@ def test_sweep_returns_an_exact_double_crossing_with_multiplicity_two():
     res = osc.sweep_spectrum(wfn, 3, 16, _never_counted).spectra[0]
     assert res.multiplicities.tolist() == [2, 1]
     assert np.abs(res.thetas - [2.5, 5.0]).max() < 1e-9
+
+
+def test_sweep_refines_double_eigenvalues_on_their_centroid(monkeypatch):
+    # every eigenvalue of the free L = 2 zipper is double: ITP on the mean of
+    # the two crossing branches takes 8 levels where bisection took 28
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(0, 2, 16, "free")
+    points = _counted_prufer(monkeypatch)
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert len(points) <= 12
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist() == [2] * 16
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-12
 
 
 def test_sweep_splits_every_interval_of_a_fast_branch():

@@ -195,6 +195,40 @@ def test_direct_sum_doubles_multiplicities():
     assert np.array_equal(2 * s1.multiplicities, sd.multiplicities)
 
 
+def _looped_clusters(thetas, window):
+    """One group at a time: the sorted phases cut at gaps above ``window``, the last
+    group joined in front of the first across the seam, centers by circular mean."""
+    t = zp._fold(thetas)
+    order = np.argsort(t)
+    groups = zp._cluster_sorted(t[order], window)
+    if len(groups) > 1 and t[order[0]] + 2 * np.pi - t[order[-1]] <= window:
+        groups[0] = groups.pop() + groups[0]
+    groups = [order[g] for g in groups]
+    centers = zp._fold([np.angle(np.mean(np.exp(1j * t[g]))) for g in groups])
+    rank = np.argsort(centers)
+    return centers[rank], [len(groups[i]) for i in rank], [groups[i] for i in rank]
+
+
+def test_circular_clusters_match_the_group_loop(rng):
+    for case in range(240):
+        centers = rng.uniform(0, 2 * np.pi, rng.integers(3, 30))
+        if case % 3 == 0:  # a cluster on the seam
+            centers[:3] = rng.uniform(-1e-9, 1e-9, 3)
+        if case % 4 == 0:
+            centers[0] = 2 * np.pi - 1e-12
+        thetas = np.repeat(centers, rng.integers(1, 4, len(centers)))
+        thetas = rng.permutation(thetas + rng.uniform(-1e-10, 1e-10, len(thetas)))
+        result, groups = zp._circular_clusters(thetas, 1e-9)
+        ref_centers, ref_mults, ref_groups = _looped_clusters(thetas, 1e-9)
+        assert result.multiplicities.tolist() == ref_mults
+        assert len(groups) == len(ref_groups)
+        assert all(np.array_equal(g, r) for g, r in zip(groups, ref_groups))
+        gap = np.abs(result.thetas - ref_centers)
+        assert np.minimum(gap, 2 * np.pi - gap).max() <= 1e-15
+    empty, groups = zp._circular_clusters([], 1e-9)
+    assert len(empty.thetas) == len(empty.multiplicities) == len(groups) == 0
+
+
 def test_semi_infinite_truncation_replayable():
     sem = ensembles.semi_infinite_zipper(5, 2, "cmv")
     z1 = sem.truncate(6, np.eye(2))
