@@ -20,7 +20,9 @@ frames of ``transfer.propagate`` and the direct
 ``transfer.transfer_product`` stay as the references they are checked on.
 
 Both phases take one circle point or a 1-D array of them and return the
-m x m unitary, or the (B, m, m) stack, evaluated in one chain.
+m x m unitary, or the (B, m, m) stack, evaluated in one chain; a point whose
+chart drifts more than PRUFER_UNITARY_TOL from unitary breaks down alone,
+to a NaN matrix, and the other points of its call keep their W.
 The sweep samples its whole theta grid that way (at most SWEEP_BLOCK points
 per call, and as many matrices per eigvals call), counts the seam passages
 of all its intervals in one array operation, and refines the intervals
@@ -33,10 +35,14 @@ resonance) hides its crossing from the seam count.  By the oscillation
 theorem the crossings in an interval are the eigenvalues in its arc, for a
 finite zipper and for the doubled periodic phase at every momentum, and
 ``zipper.arc_counts`` reads them off the band stack by inertia.  So a sweep
-whose first grid comes up short counts its intervals and splits only those
-whose seam passages disagree with their count, sampling only their
-midpoints, until every part agrees; a bracket whose Pruefer sample breaks
-down finishes on the counts alone.  No sweep samples a second grid.
+whose first grid comes up short, or breaks down at a grid point, counts its
+intervals.  Every bracket is then either certified, trusting its seam
+passages, or counted: a counted one is cut at its midpoint, sampled there
+only between two known phases, until its seam passages agree with its
+count; a certified one whose sample breaks down finishes on the counts
+alone.  Both kinds share one lockstep loop (``_locate``), with at most one
+batched sample and one count call per level.  No sweep samples a second
+grid.
 
 Bands are one sweep over all momenta, or over chunks of them where the
 momentum grid would make the phase table too large.  The fiber at momentum
@@ -91,16 +97,23 @@ def _check_circle(z):
 def _unitary_chart(z, table: np.ndarray, start: np.ndarray, acted: slice, right: np.ndarray) -> np.ndarray:
     """W = chart_chain(table, z, start, acted) right, at one circle point or a 1-D array.
     On the circle every denominator is invertible (an orthonormal Lagrangian frame
-    has a* a = b* b = 1/2); an entry of W* W - 1 above PRUFER_UNITARY_TOL is a breakdown."""
+    has a* a = b* b = 1/2); a point whose W* W - 1 has an entry above
+    PRUFER_UNITARY_TOL has broken down, and its W is NaN throughout."""
     zs = np.atleast_1d(z)
     W = chart_chain(table, zs, start, acted)[0] @ right
     defect = np.abs(mc.adj(W) @ W - mc.eye(W.shape[-1])).max(axis=(-2, -1))
-    bad = ~(defect <= PRUFER_UNITARY_TOL)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalBreakdownError(
-            f"Pruefer unitary at z = {zs[i]:.6g} has unitarity defect {defect[i]:.1e} > {PRUFER_UNITARY_TOL:.0e}")
+    W[~(defect <= PRUFER_UNITARY_TOL)] = np.nan
     return W[0] if np.ndim(z) == 0 else W
+
+
+def _unbroken(W: np.ndarray, z) -> np.ndarray:
+    """W, the Pruefer unitary at z or the stack at a 1-D array of z, if none broke
+    down; else a NumericalBreakdownError naming the first point whose W is NaN."""
+    if np.isnan(W).any():
+        z = np.atleast_1d(z)[np.argmax(np.isnan(W).any(axis=(-2, -1)))]
+        raise NumericalBreakdownError(f"Pruefer unitary at z = {z:.6g} has unitarity defect above "
+                                      f"{PRUFER_UNITARY_TOL:.0e}")
+    return W
 
 
 def _pair_table(phis: np.ndarray) -> np.ndarray:
@@ -118,7 +131,9 @@ def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> np.n
     ``z`` is one circle point or a 1-D array of B of them, evaluated in one
     chart chain from W = 1, the chart of the start frame (1; 1), with one
     Moebius step per site pair on the ``_pair_table`` of the phi table; an
-    array gives the (B, L, L) stack.
+    array gives the (B, L, L) stack.  A point whose W drifts more than
+    PRUFER_UNITARY_TOL from unitary has broken down and gets a NaN matrix;
+    nothing is raised.
     """
     z = _check_circle(z)
     if zipper.flavor != "finite":
@@ -156,7 +171,8 @@ def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None
     has chart S, the block swap; one Moebius step per site pair applies
     1 (+) diag(1, z) (X_k / z + Y_k) = diag(1, E) ((0 (+) X_k) / z + 1 (+) Y_k),
     E = z on the acted lower rows, and W = b a^(-1) S = (a b^(-1))* S on
-    Lagrangian frames.
+    Lagrangian frames.  A point that breaks down gets a NaN matrix, as in
+    ``prufer``.
     """
     z = _check_circle(z)
     if zipper.flavor != "periodic":
@@ -170,7 +186,11 @@ def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None
 # -- monotone eigenphase sweep ---------------------------------------------------
 
 def _sorted_phases(W: np.ndarray) -> np.ndarray:
-    """Sorted eigenphases in [0, 2 pi) of W, or of each matrix of a stack."""
+    """Sorted eigenphases in [0, 2 pi) of W, or of each matrix of a stack; a NaN
+    row for a matrix that broke down (NaN throughout)."""
+    ok = ~np.isnan(W[..., 0, 0])
+    if not ok.all():  # eigvals refuses NaN: the rows of the others, from W with 1 in place of NaN
+        return np.where(ok[..., None], _sorted_phases(np.where(ok[..., None, None], W, 1.0)), np.nan)
     return np.sort(np.mod(np.angle(np.linalg.eigvals(W)), TWO_PI), axis=-1)
 
 
@@ -218,103 +238,6 @@ def _sample_rows(wfn: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray,
                            for i in range(0, len(thetas), SWEEP_BLOCK)])
 
 
-def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], members: np.ndarray,
-            lo: np.ndarray, hi: np.ndarray, lo_phases: np.ndarray, hi_phases: np.ndarray,
-            count: np.ndarray, refine_tol: float, max_iter: int = 60) -> tuple:
-    """Shrink the brackets [lo, hi] in lockstep, one batched evaluation per level.
-
-    Bracket i belongs to family member ``members[i]``, and ``sample(thetas,
-    members)`` gives the sorted eigenphases of those members at those theta.
-    ``lo_phases`` and ``hi_phases`` are the sorted eigenphases at the ends
-    and ``count`` the c crossings inside each bracket.  Every bracket takes
-    an ITP step (interpolate, truncate, project; Oliveira and Takahashi
-    2020, with k1 = 0.2 / width0, k2 = 2, n0 = 1) on the centroid h of its c
-    crossing branches: the mean of the top c phases minus 2 pi before the
-    passage, of the bottom c phases after it, which is continuous and
-    increasing in theta; at c = 1 it is the seam branch itself.  A cluster
-    of c crossings at one eigenvalue is a root of h, which ITP reaches
-    superlinearly on smooth branches, and its projection keeps every
-    bracket within one halving of bisection, so it never needs more than
-    one level more.  width0 and the step count restart whenever a step
-    changes the bracket's count.  The points keep refine_tol / 4 from the
-    ends, so that the far end moves once the interpolant sits on the root.
-    The left part gets min(s, count) crossings, with s the seam passages
-    from lo to the new point, and the right part the rest; parts without a
-    crossing are dropped.  A bracket stops at width refine_tol, or when no
-    float lies inside it, and is returned once per crossing: at 2 pi if it
-    holds the seam, so that the crossing folds to 0, else at the
-    interpolated root of h.  A bracket whose new sample comes back as a NaN
-    row (a breakdown) leaves the refinement as it is.  Returns the member
-    and the theta of every crossing, and the (members, lo, hi, count) of
-    the brackets that left.
-    """
-    width0 = hi - lo  # width of each bracket when it got its count
-    steps = np.zeros(len(lo))  # ITP steps taken since
-    done = []
-    stuck = [(members[:0], lo[:0], hi[:0], count[:0])]
-    rank = np.arange(lo_phases.shape[1])  # sorted position of each phase
-    for level in range(max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        width = hi - lo
-        top = np.where(rank >= len(rank) - count[:, None], lo_phases, 0.0).sum(axis=1) / count
-        bottom = np.where(rank < count[:, None], hi_phases, 0.0).sum(axis=1) / count
-        h_lo = top - TWO_PI  # h(lo) <= 0 <= h(hi)
-        rise = bottom - h_lo
-        interp = lo + width * np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0)
-        fine = (width <= refine_tol) | (mid <= lo) | (mid >= hi) | (level == max_iter)
-        seam = (lo <= TWO_PI) & (TWO_PI <= hi)
-        theta = np.where(seam, TWO_PI, interp)
-        done.append((np.repeat(members[fine], count[fine]), np.repeat(theta[fine], count[fine])))
-        members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
-            a[~fine] for a in (members, lo, hi, mid, width, interp, lo_phases, hi_phases, count,
-                               width0, steps))
-        if len(lo) == 0:
-            break
-        side = np.sign(mid - interp)
-        shift = 0.2 / width0 * width ** 2
-        x = np.where(shift <= np.abs(mid - interp), interp + side * shift, mid)
-        # project so that after j steps the width is at most width0 2^(1 - j)
-        radius = np.maximum(width0 * 2.0 ** -steps - 0.5 * width, 0.0)
-        x = np.where(np.abs(x - mid) <= radius, x, mid - side * radius)
-        x = np.clip(x, np.maximum(lo + 0.25 * refine_tol, np.nextafter(lo, hi)),
-                    np.minimum(hi - 0.25 * refine_tol, np.nextafter(hi, lo)))
-        q = sample(x, members)
-        lost = np.isnan(q[:, 0])  # a sample that broke down; never read as a phase
-        if np.any(lost):
-            stuck.append((members[lost], lo[lost], hi[lost], count[lost]))
-            members, lo, hi, x, q, lo_phases, hi_phases, count, width0, steps = (
-                a[~lost] for a in (members, lo, hi, x, q, lo_phases, hi_phases, count, width0, steps))
-        left = np.minimum(_seam_passages(lo_phases, q), count)
-        right = count - left
-        l, r = left > 0, right > 0
-        members = np.concatenate([members[l], members[r]])
-        lo = np.concatenate([lo[l], x[r]])
-        hi = np.concatenate([x[l], hi[r]])
-        lo_phases = np.concatenate([lo_phases[l], q[r]])
-        hi_phases = np.concatenate([q[l], hi_phases[r]])
-        before = np.concatenate([count[l], count[r]])
-        count = np.concatenate([left[l], right[r]])
-        same = count == before
-        width0 = np.where(same, np.concatenate([width0[l], width0[r]]), hi - lo)
-        steps = np.where(same, np.concatenate([steps[l], steps[r]]) + 1, 0)
-    return (*(np.concatenate(parts) for parts in zip(*done)),
-            tuple(np.concatenate(parts) for parts in zip(*stuck)))
-
-
-def _sample_or_nan(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], thetas: np.ndarray,
-                   members: np.ndarray, m: int) -> np.ndarray:
-    """sample(thetas, members), with a NaN row for every point whose sample breaks down:
-    a call that breaks down is repeated on its two halves, down to single points."""
-    try:
-        return sample(thetas, members)
-    except NumericalBreakdownError:
-        if len(thetas) == 1:
-            return np.full((1, m), np.nan)
-        h = len(thetas) // 2
-        return np.concatenate([_sample_or_nan(sample, thetas[:h], members[:h], m),
-                               _sample_or_nan(sample, thetas[h:], members[h:], m)])
-
-
 def _below(arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
            members: np.ndarray, x: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Eigenvalues of each member in the open arcs from ``anchor`` up to x.
@@ -328,58 +251,137 @@ def _below(arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     return arc_count(members, 0.5 * (x + anchor), 0.5 * (x - anchor))
 
 
-def _split_hidden(sample: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
-                  arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], parts: tuple,
-                  refine_tol: float) -> tuple:
-    """Split brackets until their seam passages agree with their eigenvalue counts.
+def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+            certified: tuple, counted: tuple, refine_tol: float, max_iter: int = 60) -> tuple:
+    """Shrink all brackets in lockstep until each locates its crossings.
 
-    ``parts`` is (members, lo, hi, anchor, base, count, lo_phases,
-    hi_phases): a bracket of member ``members[i]`` holds ``count``
-    eigenvalues, and ``base`` lie ``_below`` lo from ``anchor``; ``sample``
-    gives NaN rows where it breaks down.  A bracket with both end phases
-    whose seam passages agree with its count is kept.  Every other one is
-    cut at its midpoint, in lockstep with one ``arc_count`` call per level,
-    and its parts keep its anchor.  Only a midpoint between two known
-    phases is sampled.  A part with a NaN end that holds eigenvalues is
-    handed back open, to finish with the brackets ``_refine`` loses in one
-    pass on counts alone: the pass with ``sample`` None, which cuts and
-    counts such parts until they hold no eigenvalue.  A part that still
-    disagrees at width refine_tol, or with no float inside, is located at
-    its midpoint once per eigenvalue.  Returns the kept brackets (members,
-    lo, hi, lo_phases, hi_phases, count) that hold crossings, the (members,
-    thetas) of the crossings located by counts alone, and the open parts
-    (members, lo, hi, anchor, base, count).
+    A bracket [lo, hi] of family member ``members[i]`` holds ``count``
+    crossings and knows the sorted eigenphases ``lo_phases`` and
+    ``hi_phases`` at its ends (a NaN row where unknown); ``sample(thetas,
+    members)`` gives such rows, NaN where a sample breaks down.
+    ``certified`` is (members, lo, hi, lo_phases, hi_phases, count) of
+    brackets that trust their seam passages; ``counted`` adds (anchor,
+    base): ``base`` eigenvalues lie ``_below`` lo from ``anchor``.  Each
+    level makes at most one ``sample`` and one ``arc_count`` call.
+
+    A counted bracket whose known end phases agree with its count becomes
+    certified.  Every other one is cut at its midpoint, sampled there if
+    both its end phases are known, and counted there; its parts keep its
+    anchor.  Every certified bracket takes an ITP step (interpolate,
+    truncate, project; Oliveira and Takahashi 2020, with k1 = 0.2 /
+    width0, k2 = 2, n0 = 1) on the centroid h of its c crossing branches:
+    the mean of the top c phases minus 2 pi before the passage, of the
+    bottom c phases after it, which is continuous and increasing in theta;
+    at c = 1 it is the seam branch itself.  A cluster of c crossings at one
+    eigenvalue is a root of h, which ITP reaches superlinearly on smooth
+    branches, and its projection keeps every bracket within one halving of
+    bisection, so it never needs more than one level more.  width0 (hi -
+    lo when the bracket became certified) and the step count restart
+    whenever a step changes the bracket's count.  The points keep
+    refine_tol / 4 from the ends, so that the far end moves once the
+    interpolant sits on the root.  The left part gets min(s, count)
+    crossings, with s the seam passages from lo to the new point, and the
+    right part the rest.  A certified bracket whose sample is a NaN row
+    becomes counted, from pi below its midpoint and with unknown phases,
+    once the counts at its ends confirm its count.  Parts without a
+    crossing are dropped.
+
+    A bracket stops at width refine_tol, or when no float lies inside it,
+    and is returned once per crossing: a certified one at 2 pi if it holds
+    the seam, so that the crossing folds to 0, else at the interpolated
+    root of h; a counted one at its midpoint.  Returns the member and the
+    theta of every crossing.
     """
-    kept, counted, held = [], [], []
-    while True:
-        members, lo, hi, anchor, base, count, lo_phases, hi_phases = parts
-        known = ~np.isnan(lo_phases[:, 0] + hi_phases[:, 0])
-        agree = known & (_seam_passages(lo_phases, hi_phases) == count)
-        kept.append(tuple(a[agree & (count > 0)] for a in (members, lo, hi, lo_phases, hi_phases, count)))
+    members, lo, hi, lo_phases, hi_phases, count = certified
+    width0 = hi - lo  # width of each bracket when it got its count
+    steps = np.zeros(len(lo))  # ITP steps taken since
+    done = []
+    rank = np.arange(lo_phases.shape[1])  # sorted position of each phase
+    for level in range(max_iter + 1):
+        if len(counted[0]):
+            c_lo, c_hi, c_lo_phases, c_hi_phases, c_count = counted[1:6]
+            known = ~np.isnan(c_lo_phases[:, 0] + c_hi_phases[:, 0])
+            agree = known & (_seam_passages(c_lo_phases, c_hi_phases) == c_count)
+            members, lo, hi, lo_phases, hi_phases, count, width0, steps = (
+                np.concatenate([a, b[agree]]) for a, b in zip(
+                    (members, lo, hi, lo_phases, hi_phases, count, width0, steps),
+                    (*counted[:6], c_hi - c_lo, np.zeros(len(c_lo)))))
+            c_mid = 0.5 * (c_lo + c_hi)
+            fine = ~agree & ((c_hi - c_lo <= refine_tol) | (c_mid <= c_lo) | (c_mid >= c_hi) | (level == max_iter))
+            done.append((np.repeat(counted[0][fine], c_count[fine]), np.repeat(c_mid[fine], c_count[fine])))
+            cut = ~(agree | fine)
+            counted, c_mid, known = tuple(a[cut] for a in counted), c_mid[cut], known[cut]
         mid = 0.5 * (lo + hi)
-        fine = ~agree & ((hi - lo <= refine_tol) | (mid <= lo) | (mid >= hi))
-        counted.append((np.repeat(members[fine], count[fine]), np.repeat(mid[fine], count[fine])))
-        cut = ~agree & ~fine & (known | (count > 0))
-        hold = cut & ~known & (sample is not None)
-        held.append(tuple(a[hold] for a in parts[:6]))
-        cut &= ~hold
-        if not np.any(cut):
-            return tuple(tuple(np.concatenate(a) for a in zip(*b)) for b in (kept, counted, held))
-        members, lo, hi, anchor, base, count, lo_phases, hi_phases, mid, known = (
-            a[cut] for a in (*parts, mid, known))
-        q = np.full(lo_phases.shape, np.nan)
-        if np.any(known):
-            q[known] = sample(mid[known], members[known])
-        at = _below(arc_count, members, mid, anchor)
-        left = at - base
-        bad = (left < 0) | (left > count)  # a left half holds between none and all
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise NumericalBreakdownError(f"arc counts of [{lo[i]:.6g}, {hi[i]:.6g}] disagree: "
-                                          f"{left[i]} in its left half of {count[i]}")
-        parts = tuple(np.concatenate(pair) for pair in (
-            (members, members), (lo, mid), (mid, hi), (anchor, anchor), (base, at),
-            (left, count - left), (lo_phases, q), (q, hi_phases)))
+        width = hi - lo
+        top = np.where(rank >= len(rank) - count[:, None], lo_phases, 0.0).sum(axis=1) / count
+        bottom = np.where(rank < count[:, None], hi_phases, 0.0).sum(axis=1) / count
+        h_lo = top - TWO_PI  # h(lo) <= 0 <= h(hi)
+        rise = bottom - h_lo
+        interp = lo + width * np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0)
+        fine = (width <= refine_tol) | (mid <= lo) | (mid >= hi) | (level == max_iter)
+        seam = (lo <= TWO_PI) & (TWO_PI <= hi)
+        theta = np.where(seam, TWO_PI, interp)
+        done.append((np.repeat(members[fine], count[fine]), np.repeat(theta[fine], count[fine])))
+        members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
+            a[~fine] for a in (members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps))
+        c_members, c_lo, c_hi, c_lo_phases, c_hi_phases, c_count, anchor, base = counted
+        if len(lo) == len(c_lo) == 0:
+            break
+        side = np.sign(mid - interp)
+        shift = 0.2 / width0 * width ** 2
+        x = np.where(shift <= np.abs(mid - interp), interp + side * shift, mid)
+        # project so that after j steps the width is at most width0 2^(1 - j)
+        radius = np.maximum(width0 * 2.0 ** -steps - 0.5 * width, 0.0)
+        x = np.where(np.abs(x - mid) <= radius, x, mid - side * radius)
+        x = np.clip(x, np.maximum(lo + 0.25 * refine_tol, np.nextafter(lo, hi)),
+                    np.minimum(hi - 0.25 * refine_tol, np.nextafter(hi, lo)))
+        if len(c_lo):  # one sample call: the ITP points, then the cut midpoints between known phases
+            c_q = np.full(c_lo_phases.shape, np.nan)  # the rows at the cut midpoints, NaN where not sampled
+            points = np.r_[x, c_mid[known]]
+            q = sample(points, np.r_[members, c_members[known]]) if len(points) else c_q[:0]
+            c_q[known], q = q[len(x):], q[:len(x)]
+        else:
+            q, c_mid, c_q = sample(x, members), c_lo, c_lo_phases  # nothing is counted
+        lost = np.isnan(q[:, 0])  # a sample that broke down; never read as a phase
+        gone = tuple(a[lost] for a in (members, lo, hi, count)) if np.any(lost) else ()
+        if gone:
+            members, lo, hi, x, q, lo_phases, hi_phases, count, width0, steps = (
+                a[~lost] for a in (members, lo, hi, x, q, lo_phases, hi_phases, count, width0, steps))
+        left = np.minimum(_seam_passages(lo_phases, q), count)
+        right = count - left
+        l, r = left > 0, right > 0
+        members, lo, hi, lo_phases, hi_phases, before, count, width0, steps = (np.concatenate(pair) for pair in (
+            (members[l], members[r]), (lo[l], x[r]), (x[l], hi[r]), (lo_phases[l], q[r]), (q[l], hi_phases[r]),
+            (count[l], count[r]), (left[l], right[r]), (width0[l], width0[r]), (steps[l], steps[r])))
+        same = count == before
+        width0 = np.where(same, width0, hi - lo)
+        steps = np.where(same, steps + 1, 0)
+        # one count call: the cut midpoints, then both ends of each bracket whose sample broke down
+        if len(c_lo) or gone:
+            g_members, g_lo, g_hi, g_count = gone or (c_members[:0], c_lo[:0], c_lo[:0], c_count[:0])
+            g_anchor = 0.5 * (g_lo + g_hi) - np.pi
+            at, g_base, g_top = np.split(_below(arc_count, np.r_[c_members, g_members, g_members],
+                                                np.r_[c_mid, g_lo, g_hi], np.r_[anchor, g_anchor, g_anchor]),
+                                         [len(c_lo), len(c_lo) + len(g_lo)])
+            left = at - base
+            bad = (left < 0) | (left > c_count)  # a left half holds between none and all
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise NumericalBreakdownError(f"arc counts of [{c_lo[i]:.6g}, {c_hi[i]:.6g}] disagree: "
+                                              f"{left[i]} in its left half of {c_count[i]}")
+            bad = g_top - g_base != g_count
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise NumericalBreakdownError(f"arc counts find {g_top[i] - g_base[i]} eigenvalues in "
+                                              f"[{g_lo[i]:.6g}, {g_hi[i]:.6g}], the sweep {g_count[i]}")
+            l, r = left > 0, c_count > left
+            unknown = np.full((len(g_lo), len(rank)), np.nan)
+            counted = tuple(np.concatenate(parts) for parts in (
+                (c_members[l], c_members[r], g_members), (c_lo[l], c_mid[r], g_lo), (c_mid[l], c_hi[r], g_hi),
+                (c_lo_phases[l], c_q[r], unknown), (c_q[l], c_hi_phases[r], unknown),
+                (left[l], (c_count - left)[r], g_count), (anchor[l], anchor[r], g_anchor), (base[l], at[r], g_base)))
+    return tuple(np.concatenate(parts) for parts in zip(*done))
 
 
 @dataclass
@@ -399,50 +401,46 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
 
     ``wfn(thetas)`` must return the stack of (near-)unitary phase matrices at
-    a 1-D array of theta; a crossing is an eigenphase passing the 2 pi seam.
-    One grid is sampled in batched calls and the seam passages of all its
-    intervals are counted at once; the intervals holding crossings are
-    refined by ``_refine``, all in lockstep.  A crossing hides from the
-    sampled grid when a branch completes a full turn inside one grid
-    interval (a narrow resonance), which no endpoint-based test can detect.
+    a 1-D array of theta, a NaN matrix where one broke down; a crossing is
+    an eigenphase passing the 2 pi seam.  One grid is sampled in batched
+    calls and the seam passages of all its intervals are counted at once.
+    A crossing hides from the sampled grid when a branch completes a full
+    turn inside one grid interval (a narrow resonance), which no
+    endpoint-based test can detect.
 
     ``arc_count(members, centers, halfwidths)`` gives the number of
     eigenvalues of member ``members[i]`` in the open arc (centers[i],
-    halfwidths[i]) (``zipper.arc_counts`` on its band stack).  A member
-    whose seam passages fall short of ``expected_total`` is certified
-    interval by interval: only the intervals whose seam passages disagree
-    with their count are split, and only their midpoints sampled
-    (``_split_hidden``), until every part agrees.  A bracket whose Pruefer
-    sample breaks down, there or in ``_refine``, finishes on its counts
-    alone, all such brackets in one lockstep pass.  A sweep whose grid
+    halfwidths[i]) (``zipper.arc_counts`` on its band stack).  The
+    intervals of a member whose grid matches ``expected_total`` and holds
+    no NaN row trust their seam passages; every interval of any other
+    member is counted, each grid half from pi / 2 below its first theta.
+    All of them go to ``_locate`` as brackets, certified or counted, and
+    are split and refined there in one lockstep.  A sweep whose grid
     matches for every member never counts.
 
     One sweep covers the K monotone families of ``twists``, a (K, m, m)
     stack of unit-modulus factors (or anything broadcasting to it; the
     default UNTWISTED is the one member wfn itself): member j is
     wfn(theta) * twists[j] entrywise, each with ``expected_total``
-    crossings.  Sample rows and brackets carry their member, every grid
-    theta is evaluated once for all members, and the brackets of all
-    members are split and refined in one lockstep.  Returns the
-    FamilySpectra with one SpectrumResult per member.
+    crossings.  Sample rows and brackets carry their member, and every grid
+    theta is evaluated once for all members.  Returns the FamilySpectra
+    with one SpectrumResult per member.
     """
     grid = int(grid_size)
     thetas = 0.37 * TWO_PI / grid + np.arange(grid + 1) * (TWO_PI / grid)
     samples = _sample_grid(wfn, thetas, twists)  # (K, grid + 1, m) sorted eigenphases
     K, m = len(samples), samples.shape[-1]
     count = _seam_passages(samples[:, :-1].reshape(-1, m), samples[:, 1:].reshape(-1, m)).reshape(K, grid)
-    short = np.flatnonzero(count.sum(axis=1) != expected_total)
+    short = np.flatnonzero((count.sum(axis=1) != expected_total) | np.isnan(samples[..., 0]).any(axis=1))
     count[short] = 0
     f, i = np.nonzero(count)
-    brackets = [(f, thetas[i], thetas[i + 1], samples[f, i], samples[f, i + 1], count[f, i])]
-    counted, held = [(f[:0], thetas[:0])], []  # crossings located by counts alone, parts left to them
-    rows = lambda thetas, members: _sample_rows(wfn, thetas, twists, members)
-    sample = lambda thetas, members: _sample_or_nan(rows, thetas, members, m)  # NaN where it breaks down
-    if len(short):  # each grid half is counted from pi / 2 below its first theta
-        h, n = grid // 2, len(short)
-        anchors = thetas[[0, h]] - 0.5 * np.pi
-        at = _below(arc_count, np.repeat(short, grid + 2), np.tile(np.r_[thetas[:h + 1], thetas[h:]], n),
-                    np.tile(np.repeat(anchors, [h + 1, grid - h + 1]), n)).reshape(n, grid + 2)
+    certified = (f, thetas[i], thetas[i + 1], samples[f, i], samples[f, i + 1], count[f, i])
+    h = grid // 2
+    anchors = thetas[[0, h]] - 0.5 * np.pi
+    base = holds = np.zeros((0, grid), dtype=int)
+    if len(short):
+        at = _below(arc_count, np.repeat(short, grid + 2), np.tile(np.r_[thetas[:h + 1], thetas[h:]], len(short)),
+                    np.tile(np.repeat(anchors, [h + 1, grid - h + 1]), len(short))).reshape(-1, grid + 2)
         base = np.delete(at, [h, grid + 1], axis=1)
         holds = np.delete(at, [0, h + 1], axis=1) - base
         bad = np.any(holds < 0, axis=1) | (holds.sum(axis=1) != expected_total)
@@ -450,29 +448,11 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
             i = int(np.argmax(bad))
             raise NumericalBreakdownError(f"arc counts of member {short[i]} find {holds[i].sum()} eigenvalues "
                                           f"in the grid intervals, expected {expected_total}")
-        kept, by_count, open_parts = _split_hidden(sample, arc_count, (
-            np.repeat(short, grid), np.tile(thetas[:-1], n), np.tile(thetas[1:], n),
-            np.tile(np.repeat(anchors, [h, grid - h]), n), base.ravel(), holds.ravel(),
-            samples[short, :-1].reshape(-1, m), samples[short, 1:].reshape(-1, m)), refine_tol)
-        brackets.append(kept)
-        counted.append(by_count)
-        held.append(open_parts)
-    members, crossings, (lost, lo, hi, count) = _refine(
-        sample, *(np.concatenate(parts) for parts in zip(*brackets)), refine_tol)
-    if len(lo):  # brackets whose refinement broke down, each counted from pi below its middle
-        anchor = 0.5 * (lo + hi) - np.pi
-        base, top = np.split(_below(arc_count, np.tile(lost, 2), np.r_[lo, hi], np.tile(anchor, 2)), 2)
-        bad = top - base != count
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise NumericalBreakdownError(f"arc counts find {top[i] - base[i]} eigenvalues in "
-                                          f"[{lo[i]:.6g}, {hi[i]:.6g}], the sweep {count[i]}")
-        held.append((lost, lo, hi, anchor, base, count))
-    if held:  # one pass on counts alone
-        held = [np.concatenate(parts) for parts in zip(*held)]
-        nan = np.full((2, len(held[0]), m), np.nan)
-        counted.append(_split_hidden(None, arc_count, (*held, *nan), refine_tol)[1])
-    members, crossings = (np.concatenate([a, *b]) for a, b in zip((members, crossings), zip(*counted)))
+    j, i = np.nonzero(holds)
+    counted = (short[j], thetas[i], thetas[i + 1], samples[short[j], i], samples[short[j], i + 1], holds[j, i],
+               anchors[(i >= h) * 1], base[j, i])
+    members, crossings = _locate(lambda thetas, members: _sample_rows(wfn, thetas, twists, members),
+                                 arc_count, certified, counted, refine_tol)
     return FamilySpectra([_circular_clusters(crossings[members == j], 10.0 * refine_tol)[0]
                           for j in range(K)])
 
@@ -525,13 +505,15 @@ def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> 
 
     Positive values confirm the monotone rotation of the eigenphases; the
     periodic flavor checks the doubled phase matrix.  ``theta`` must be
-    finite and the step ``h`` finite and positive.
+    finite and the step ``h`` finite and positive; a Pruefer unitary that
+    breaks down at one of the three points raises NumericalBreakdownError.
     """
     if not np.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
     if not (np.isfinite(h) and h > 0):
         raise ValidationError(f"h must be finite and positive, got {h}")
-    W0, W_plus, W_minus = _phase_family(zipper)(np.array([theta, theta + h, theta - h]))
+    thetas = np.array([theta, theta + h, theta - h])
+    W0, W_plus, W_minus = _unbroken(_phase_family(zipper)(thetas), np.exp(1j * thetas))
     D = (W_plus - W_minus) / (2.0 * h)
     M = mc.hermitize(mc.adj(W0) @ D / 1j)
     return float(np.linalg.eigvalsh(M).min())

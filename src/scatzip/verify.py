@@ -301,7 +301,7 @@ def oscillation_checks(seed=0) -> list:
     agree = True
     for idx in range(min(3, len(spec.thetas))):
         th = spec.thetas[idx]
-        W = osc.prufer(z, np.exp(1j * th))
+        W = osc._unbroken(osc.prufer(z, np.exp(1j * th)), np.exp(1j * th))
         frame = tr.propagate(z, np.exp(1j * th), z.N).matrix
         psi_v = np.vstack([mc.eye(2), z.boundary_v]) / np.sqrt(2)
         d1 = mc.subspace_intersection_dim(frame, psi_v, tol=1e-6)

@@ -13,13 +13,15 @@ run it explicitly with pytest-benchmark:
 
 Each benchmark records its work counts (sites walked, points and batched
 solves per Pruefer call, momenta and Pruefer calls per band structure,
-theta evaluated, Pruefer calls, the Pruefer calls that broke down and count
-calls per sweep) in ``extra_info``; counts do not depend on the machine,
+theta evaluated, Pruefer calls, the points whose Pruefer unitary broke down
+(the NaN matrices the calls return) and count calls per sweep) in
+``extra_info``; counts do not depend on the machine,
 seconds do.  The calls use only entry points whose signatures are stable
 across versions, so the same file times an older checkout too; one that has no
 ``zipper.arc_counts`` skips ``test_arc_counts``, one whose count refuses
-periodic operators skips its periodic case, and one whose periodic sweeps
-double their grid fails ``test_sweep[P1N100haar0999s0]``.
+periodic operators skips its periodic case, one whose periodic sweeps
+double their grid fails ``test_sweep[P1N100haar0999s0]``, and one whose
+Pruefer calls raise on a breakdown reads ``broken_points`` 0.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ import pytest
 
 from scatzip import ensembles, measures as ms, oscillation as osc, transfer as tr, weyl
 from scatzip import zipper as zp
-from scatzip.errors import NumericalBreakdownError, ValidationError
+from scatzip.errors import ValidationError
 
 N_PRUFER = 16
 
@@ -97,7 +99,7 @@ def test_sweep(benchmark, monkeypatch, make, args):
     # the pinned spectra job whose first grid of 8 N L = 192 intervals finds
     # 12 of 24 crossings, a long chain on which many Pruefer calls break down,
     # and a periodic narrow resonance that a doubling sweep never finished;
-    # thetas, prufer_calls and broken_calls count prufer or prufer_periodic
+    # thetas, prufer_calls and broken_points count prufer or prufer_periodic
     z = make(*args)
     points, broken, counts = [], [], []
     name = "prufer" if z.flavor == "finite" else "prufer_periodic"
@@ -105,11 +107,9 @@ def test_sweep(benchmark, monkeypatch, make, args):
 
     def counted(zipper, w, *args, **kwargs):
         points.append(np.size(w))
-        try:
-            return phase(zipper, w, *args, **kwargs)
-        except NumericalBreakdownError:
-            broken.append(1)
-            raise
+        W = phase(zipper, w, *args, **kwargs)
+        broken.append(int(np.isnan(W).any(axis=(-2, -1)).sum()))
+        return W
 
     monkeypatch.setattr(osc, name, counted)
     if hasattr(osc, "arc_counts"):
@@ -117,7 +117,7 @@ def test_sweep(benchmark, monkeypatch, make, args):
         monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
     osc.spectrum_by_oscillation(z)
     benchmark.extra_info.update(sites=z.N, thetas=sum(points), prufer_calls=len(points),
-                                broken_calls=len(broken), count_calls=len(counts))
+                                broken_points=sum(broken), count_calls=len(counts))
     spec = benchmark(osc.spectrum_by_oscillation, z)
     assert spec.total_multiplicity == z.N * z.L
 

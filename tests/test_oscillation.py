@@ -481,15 +481,38 @@ def test_prufer_periodic_builds_no_table_per_point():
     assert peak <= 2e6
 
 
-def test_prufer_guard_names_the_point_of_a_non_unitary_chart():
-    # diag(2, 1) leaves U(L, L) and halves the chart, so W leaves the unitary group
+def test_prufer_guard_names_the_point_of_a_non_unitary_chart(monkeypatch):
+    # diag(1 + 2e-6, 1 + 2e-6, 1, 1) leaves U(L, L) by a little, so W leaves the
+    # unitary group by 1.4e-7 to 1.7e-5 depending on z: the points past 1e-6
+    # break down to NaN matrices, the others keep the chain's W
     z = ensembles.finite_zipper(3, 2, 6)
     table = z.phi_table().copy()
-    table[3] = np.diag([2.0, 2.0, 1.0, 1.0]) @ table[3]
-    w = np.exp(1j * np.array([0.4, 1.9]))
-    with pytest.raises(NumericalBreakdownError, match=r"Pruefer unitary at z = 0\.921061\+0\.389418j "
-                                                      r"has unitarity defect .* > 1e-06"):
-        osc.prufer(z, w, factory=HandBuiltTable(table))
+    table[3] = np.diag([1 + 2e-6, 1 + 2e-6, 1.0, 1.0]) @ table[3]
+    thetas = 2 * np.pi * np.array([1, 2, 3, 5, 9]) / 13
+    w = np.exp(1j * thetas)
+    chain = tr.chart_chain(osc._pair_table(table), w, mc.eye(2), slice(None))[0] @ mc.adj(z.boundary_v)
+    defect = np.abs(mc.adj(chain) @ chain - np.eye(2)).max(axis=(1, 2))
+    W = osc.prufer(z, w, factory=HandBuiltTable(table))
+    broken = np.isnan(W).all(axis=(1, 2))
+    assert broken.tolist() == (defect > osc.PRUFER_UNITARY_TOL).tolist() == [False, True, False, True, True]
+    assert np.array_equal(W[~broken], chain[~broken])
+    # a check that needs W raises a breakdown naming the point, never LinAlgError
+    prufer = osc.prufer
+    monkeypatch.setattr(osc, "prufer", lambda zipper, z: prufer(zipper, z, factory=HandBuiltTable(table)))
+    with pytest.raises(NumericalBreakdownError, match=r"Pruefer unitary at z = 0\.568065\+0\.822984j "
+                                                      r"has unitarity defect above 1e-06"):
+        osc.rotation_positivity_check(z, thetas[1])
+    assert osc.rotation_positivity_check(z, thetas[0]) > 0
+
+
+def test_verify_reports_a_prufer_breakdown_as_a_breakdown(monkeypatch):
+    # eigvals on a NaN matrix raises numpy's LinAlgError, which the CLI does not catch
+    from scatzip import verify
+
+    prufer = osc.prufer
+    monkeypatch.setattr(osc, "prufer", lambda zipper, z: np.full_like(prufer(zipper, z), np.nan))
+    with pytest.raises(NumericalBreakdownError, match=r"Pruefer unitary at z = .* has unitarity defect above 1e-06"):
+        verify.oscillation_checks(0)
 
 
 def test_stall_instance_sweeps_in_few_batched_calls(monkeypatch):
@@ -811,27 +834,29 @@ def test_matching_first_grid_never_counts(monkeypatch):
 
 
 def _breaking_down_near(monkeypatch, centers, radius, name="prufer"):
-    """Make ``osc.<name>`` break down on any call that holds a theta within radius
-    of one of the centers; the list gets the theta of every call that did."""
+    """Make ``osc.<name>`` break down at every theta within radius of one of the
+    centers, as a chart past PRUFER_UNITARY_TOL does: its matrix there is NaN.
+    The list gets every theta that broke down."""
     broken = []
     phase = getattr(osc, name)
 
     def fragile(zipper, z, *args, **kwargs):
+        W = phase(zipper, z, *args, **kwargs)
         theta = np.mod(np.angle(np.atleast_1d(z)), 2 * np.pi)
         gap = np.abs(np.angle(np.exp(1j * (theta[:, None] - np.asarray(centers)[None, :]))))
-        if np.any(gap < radius):
-            broken.append(theta)
-            raise NumericalBreakdownError("Pruefer unitary has unitarity defect 1e-3 > 1e-06")
-        return phase(zipper, z, *args, **kwargs)
+        near = np.any(gap < radius, axis=1)
+        broken.extend(theta[near])
+        W[near] = np.nan
+        return W
 
     monkeypatch.setattr(osc, name, fragile)
     return broken
 
 
 @pytest.mark.parametrize("flavor, args, short, far, most_counts", [
-    ("finite", (1, 1, 12, "cmv", 0.5), False, 2, 31), ("finite", (7, 1, 24, "haar-gauge", 0.85), True, 2, 38),
-    ("finite", (0, 2, 16, "free"), False, 2, 29), ("finite", (3, 1, 16, "haar-gauge", 0.85), True, 3, 34),
-    ("periodic", (0, 1, 16, "haar-gauge", 0.99), True, 2, 33)],
+    ("finite", (1, 1, 12, "cmv", 0.5), False, 2, 31), ("finite", (7, 1, 24, "haar-gauge", 0.85), True, 2, 31),
+    ("finite", (0, 2, 16, "free"), False, 2, 29), ("finite", (3, 1, 16, "haar-gauge", 0.85), True, 3, 31),
+    ("periodic", (0, 1, 16, "haar-gauge", 0.99), True, 2, 31)],
     ids=["matching grid", "short grid", "double eigenvalues", "short grid three far", "periodic"])
 def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch, flavor, args, short, far,
                                                                      most_counts):
@@ -839,9 +864,9 @@ def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch
     # first grid (no grid point breaks down): in the refinement where the
     # first grid matches, in the splits and the refinement where it is
     # short; every eigenvalue of the free L = 2 zipper is double, so there a
-    # bracket located by counts alone holds two crossings.  The parts the
-    # splits leave to the counts finish in one pass with the brackets the
-    # refinement loses: in two passes the three-far case took 60 count calls.
+    # bracket located by counts alone holds two crossings.  The brackets
+    # whose samples break down are counted in the same lockstep as the
+    # splits: in two count passes the three-far case took 60 count calls.
     # A periodic sweep whose sample broke down used to stop there.
     from scatzip.cli import _cyclic_pairing
 
@@ -857,19 +882,37 @@ def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch
     centers = dense.thetas[np.argsort(gap)[-far:]]
     broken = _breaking_down_near(monkeypatch, centers, 0.5 * np.sort(gap)[-far],
                                  "prufer_periodic" if periodic else "prufer")
-    counted, counts = [], []
-    split_hidden, arc_counts = osc._split_hidden, osc.arc_counts
-
-    def recorded(*args):
-        kept, by_count, held = split_hidden(*args)
-        counted.append(len(by_count[1]))
-        return kept, by_count, held
-
-    monkeypatch.setattr(osc, "_split_hidden", recorded)
+    counts = []
+    arc_counts = osc.arc_counts
     monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
     swept = osc.spectrum_by_oscillation(z)
-    assert broken and sum(counted) == far * z.L
+    assert broken
     assert len(counts) <= most_counts
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+    for c in centers:  # each far eigenvalue is found once, with multiplicity L
+        near = np.abs(np.angle(np.exp(1j * (swept.thetas - c)))) < 1e-9
+        assert swept.multiplicities[near].tolist() == [z.L]
+
+
+@pytest.mark.parametrize("flavor, args", [("finite", (1, 2, 12, "cmv", 0.5)), ("periodic", (1, 1, 8, "cmv", 0.5))],
+                         ids=["finite", "periodic"])
+def test_a_first_grid_point_that_breaks_down_sends_its_sweep_to_the_counts(monkeypatch, flavor, args):
+    # grid point 17 of the first grid breaks down, which used to stop the sweep;
+    # one of its two intervals holds an eigenvalue, which counts alone locate
+    from scatzip.cli import _cyclic_pairing
+
+    periodic = flavor == "periodic"
+    z = (ensembles.periodic_zipper if periodic else ensembles.finite_zipper)(*args)
+    grid = 8 * z.N * z.L
+    broken = _breaking_down_near(monkeypatch, [osc.TWO_PI * (0.37 + 17) / grid], 1e-12,
+                                 "prufer_periodic" if periodic else "prufer")
+    counts = []
+    arc_counts = osc.arc_counts
+    monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum((zp.assemble_periodic if periodic else zp.assemble_finite)(z))
+    assert len(broken) == 1 and len(counts) > 1
     assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
 
@@ -879,22 +922,29 @@ def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
     # an interval (-a, b) around it sees h rise by 2 pi + a + b - 4e-6 (1/a + 1/b),
     # so the grid interval around c = 2 hides the crossing at c until a and b
     # fall below about 0.002.  The other crossing is at c + pi.  Only that
-    # interval is split, one midpoint per level, where a doubling sweep would
-    # go to grid 2048.
+    # interval is split, one midpoint per level in the calls that refine the
+    # other crossing, where a doubling sweep would go to grid 2048.
     c = 2.0
     crossings = np.array([c, c + np.pi])
     wfn, calls = _counted(_diagonal_family([lambda t: t - c + 2 * np.arctan(1e6 * np.tan((t - c) / 2))]))
     first = osc._sample_grid(wfn, 0.37 * np.pi / 8 + np.arange(17) * np.pi / 8, osc.UNTWISTED)[0]
     assert osc._seam_passages(first[:-1], first[1:]).sum() == 1
     calls.clear()
-    res = osc.sweep_spectrum(wfn, 2, 16, _arc_count(crossings)).spectra[0]
+    arcs = []
+
+    def recorded(crossings):
+        count = _arc_count(crossings)
+        return lambda members, centers, halfwidths: arcs.append(len(members)) or count(members, centers, halfwidths)
+
+    res = osc.sweep_spectrum(wfn, 2, 16, recorded(crossings)).spectra[0]
     assert res.multiplicities.tolist() == [1, 1]
     assert np.abs(res.thetas - crossings).max() < 1e-9
-    split = calls[1:calls.index(2)]  # the levels before the refinement of both brackets
-    assert calls[0] == 17 and split == [1] * len(split) and 4 <= len(split) <= 8
+    split = arcs[1:]  # the levels after the counts of the first grid
+    assert calls[0] == 17 and arcs[0] == 18 and split == [1] * len(split) and 4 <= len(split) <= 8
     # two members, both short, split their two intervals in lockstep
     calls.clear()
-    twins = osc.sweep_spectrum(wfn, 2, 16, _arc_count([crossings, crossings]), twists=np.ones((2, 1, 1)))
-    assert calls[0] == 17 and calls[1:1 + len(split)] == [2] * len(split)
+    arcs.clear()
+    twins = osc.sweep_spectrum(wfn, 2, 16, recorded([crossings, crossings]), twists=np.ones((2, 1, 1)))
+    assert calls[0] == 17 and arcs == [36] + [2] * len(split)
     for spectrum in twins.spectra:
         assert np.array_equal(spectrum.thetas, res.thetas)
