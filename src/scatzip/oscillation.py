@@ -15,8 +15,8 @@ phases carry the chart W = b a^(-1) of their frame by Moebius steps
 (``transfer.chart_chain``), never the frame, one step per site pair: only
 even sites depend on z, so the (odd, even) pair T_2k(z) T_(2k-1) =
 diag(1, z) (X_k / z + Y_k) is one period of the transfer cocycle, with X_k
-and Y_k folded from the phi table on every call (``_pair_table``).  The
-frames of ``transfer.propagate`` and the direct
+and Y_k folded from the phi table on every call (``transfer.pair_table``).
+The frames of ``transfer.propagate`` and the direct
 ``transfer.transfer_product`` stay as the references they are checked on.
 
 Both phases take one circle point or a 1-D array of them and return the
@@ -64,7 +64,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
-from .transfer import TransferFactory, chart_chain
+from .transfer import TransferFactory, chart_chain, pair_table
 from .zipper import (TWO_PI, SpectrumResult, Zipper, _circular_clusters, arc_counts, assemble_finite,
                      assemble_periodic, fiber)
 
@@ -82,6 +82,12 @@ UNTWISTED = np.ones((1, 1, 1))
 # eps times the branch slope: at a resonance of finite_zipper(7, 1, 24,
 # "haar-gauge", 0.85) (slope 5e7) the chart drifts 1.8e-8, QR frames 1.2e-8.
 PRUFER_UNITARY_TOL = 1e-6
+# Largest downward step of a sorted eigenphase that ``_seam_passages`` still
+# reads as rounding of a branch that only moves upward.
+MONO_TOL = 1e-7
+# Levels ``_locate`` shrinks its brackets at most; every bracket still open
+# after the last one is returned as it stands.
+LOCATE_MAX_LEVELS = 60
 
 
 def _check_circle(z):
@@ -116,29 +122,20 @@ def _unbroken(W: np.ndarray, z) -> np.ndarray:
     return W
 
 
-def _pair_table(phis: np.ndarray) -> np.ndarray:
-    """[X_k; Y_k] of the site pairs (2k - 1, 2k) of a phi table, two stacked products:
-    T_2k(z) T_(2k-1) = diag(1, z) (X_k / z + Y_k) with X_k = phi_2k diag(1, 0) phi_(2k-1)
-    and Y_k = phi_2k diag(0, 1) phi_(2k-1)."""
-    L = phis.shape[-1] // 2
-    odd, even = phis[0::2], phis[1::2]
-    return np.concatenate([even[..., :L] @ odd[:, :L], even[..., L:] @ odd[:, L:]], axis=1)
-
-
 def prufer(zipper: Zipper, z, factory: Optional[TransferFactory] = None) -> np.ndarray:
     """Pruefer unitary of a finite zipper: W = psi_N phi_N^(-1) V*, L x L.
 
     ``z`` is one circle point or a 1-D array of B of them, evaluated in one
     chart chain from W = 1, the chart of the start frame (1; 1), with one
-    Moebius step per site pair on the ``_pair_table`` of the phi table; an
-    array gives the (B, L, L) stack.  A point whose W drifts more than
+    Moebius step per site pair on the ``transfer.pair_table`` of the phi
+    table; an array gives the (B, L, L) stack.  A point whose W drifts more than
     PRUFER_UNITARY_TOL from unitary has broken down and gets a NaN matrix;
     nothing is raised.
     """
     z = _check_circle(z)
     if zipper.flavor != "finite":
         raise ValidationError("prufer needs a finite zipper")
-    table = _pair_table((factory or zipper).phi_table(zipper.N))
+    table = pair_table((factory or zipper).phi_table(zipper.N))
     return _unitary_chart(z, table, mc.eye(zipper.L), slice(None), mc.adj(zipper.boundary_v))
 
 
@@ -178,7 +175,7 @@ def prufer_periodic(zipper: Zipper, z, factory: Optional[TransferFactory] = None
     if zipper.flavor != "periodic":
         raise ValidationError("prufer_periodic needs a periodic zipper")
     L = zipper.L
-    pairs = _pair_table((factory or zipper).phi_table(zipper.N))
+    pairs = pair_table((factory or zipper).phi_table(zipper.N))
     table = np.concatenate([_doubled_table(pairs[:, :2 * L], 0.0), _doubled_table(pairs[:, 2 * L:], 1.0)], axis=1)
     return _unitary_chart(z, table, _swap(L), slice(L, 2 * L), _swap(L))
 
@@ -194,14 +191,14 @@ def _sorted_phases(W: np.ndarray) -> np.ndarray:
     return np.sort(np.mod(np.angle(np.linalg.eigvals(W)), TWO_PI), axis=-1)
 
 
-def _seam_passages(p: np.ndarray, q: np.ndarray, mono_tol: float = 1e-7) -> np.ndarray:
+def _seam_passages(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Seam passages between the sorted eigenphase rows of two (n, m) stacks.
 
     Branches only move upward, so sorted position j in row p maps to
     position (j + s) mod m in row q, where s counts the branch passages of
     the 2 pi seam in between.  Returns, per row, the smallest s in [0, m]
     whose increments q[(j+s) % m] + 2 pi ((j+s) // m) - p[j] are all
-    >= -mono_tol; s = m always qualifies because phases lie in [0, 2 pi].
+    >= -MONO_TOL; s = m always qualifies because phases lie in [0, 2 pi].
     A branch that turns more than once inside one interval is undercounted;
     the sweep catches this through the total count.
     """
@@ -210,7 +207,7 @@ def _seam_passages(p: np.ndarray, q: np.ndarray, mono_tol: float = 1e-7) -> np.n
     count = np.full(len(p), m)
     for s in range(m - 1, -1, -1):  # the smallest qualifying shift is written last
         delta = q[:, (j + s) % m] + TWO_PI * ((j + s) // m) - p
-        count[np.all(delta >= -mono_tol, axis=1)] = s
+        count[np.all(delta >= -MONO_TOL, axis=1)] = s
     return count
 
 
@@ -253,7 +250,7 @@ def _below(arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
             arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-            certified: tuple, counted: tuple, refine_tol: float, max_iter: int = 60) -> tuple:
+            certified: tuple, counted: tuple, refine_tol: float) -> tuple:
     """Shrink all brackets in lockstep until each locates its crossings.
 
     A bracket [lo, hi] of family member ``members[i]`` holds ``count``
@@ -298,7 +295,8 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     steps = np.zeros(len(lo))  # ITP steps taken since
     done = []
     rank = np.arange(lo_phases.shape[1])  # sorted position of each phase
-    for level in range(max_iter + 1):
+    for level in range(LOCATE_MAX_LEVELS + 1):
+        last = level == LOCATE_MAX_LEVELS
         if len(counted[0]):
             c_lo, c_hi, c_lo_phases, c_hi_phases, c_count = counted[1:6]
             known = ~np.isnan(c_lo_phases[:, 0] + c_hi_phases[:, 0])
@@ -308,7 +306,7 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     (members, lo, hi, lo_phases, hi_phases, count, width0, steps),
                     (*counted[:6], c_hi - c_lo, np.zeros(len(c_lo)))))
             c_mid = 0.5 * (c_lo + c_hi)
-            fine = ~agree & ((c_hi - c_lo <= refine_tol) | (c_mid <= c_lo) | (c_mid >= c_hi) | (level == max_iter))
+            fine = ~agree & ((c_hi - c_lo <= refine_tol) | (c_mid <= c_lo) | (c_mid >= c_hi) | last)
             done.append((np.repeat(counted[0][fine], c_count[fine]), np.repeat(c_mid[fine], c_count[fine])))
             cut = ~(agree | fine)
             counted, c_mid, known = tuple(a[cut] for a in counted), c_mid[cut], known[cut]
@@ -319,7 +317,7 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
         h_lo = top - TWO_PI  # h(lo) <= 0 <= h(hi)
         rise = bottom - h_lo
         interp = lo + width * np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0)
-        fine = (width <= refine_tol) | (mid <= lo) | (mid >= hi) | (level == max_iter)
+        fine = (width <= refine_tol) | (mid <= lo) | (mid >= hi) | last
         seam = (lo <= TWO_PI) & (TWO_PI <= hi)
         theta = np.where(seam, TWO_PI, interp)
         done.append((np.repeat(members[fine], count[fine]), np.repeat(theta[fine], count[fine])))

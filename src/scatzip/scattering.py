@@ -99,7 +99,7 @@ def build_block(alpha, u_gauge, v_gauge, tol: float = mc.DEFAULT_TOL) -> Scatter
     return ScatteringBlock(alpha, u, v)
 
 
-def decompose_block(S, tol: float = mc.DEFAULT_TOL, beta_threshold: float = BETA_THRESHOLD):
+def decompose_block(S, tol: float = mc.DEFAULT_TOL):
     """Recover the unique (alpha, U, V) with S = S(alpha, U, V).
 
     Raises ValidationError when the upper-right block is numerically singular,
@@ -107,12 +107,12 @@ def decompose_block(S, tol: float = mc.DEFAULT_TOL, beta_threshold: float = BETA
     """
     S = _check_unitary(S, tol, "scattering matrix")
     alpha, beta, gamma, _ = mc.split_blocks(S)
-    if mc.smallest_singular_value(beta) <= beta_threshold:
+    if mc.smallest_singular_value(beta) <= BETA_THRESHOLD:
         raise ValidationError("upper-right block is singular: event is not effective")
     # beta = (1 - alpha alpha*)^(1/2) U and gamma = V (1 - alpha* alpha)^(1/2),
     # so U and V are the polar factors of beta and gamma.
-    u = mc.polar_unitary(beta, tol=beta_threshold)
-    v = mc.polar_unitary(gamma, tol=beta_threshold)
+    u = mc.polar_unitary(beta, tol=BETA_THRESHOLD)
+    v = mc.polar_unitary(gamma, tol=BETA_THRESHOLD)
     return alpha.copy(), u, v
 
 

@@ -15,14 +15,14 @@ z-independent first step T_1 = diag(U, 1).
 Two loops run over the sites, both on a 1-D array of z at once, and both
 read the phi table of the zipper (or of a ``factory`` standing in for it).
 ``chart_chain`` carries the charts W = b a^(-1) of frames (a; b) by Moebius
-steps, one batched solve per row: the Pruefer phases (``oscillation``), one
-row per site pair, T_2k(z) T_(2k-1) = diag(1, z) (X_k / z + Y_k) with X_k
-and Y_k free of z, and the boundary value E (``weyl.e_matrix``), one row
-per site of the inverse transfers.  ``propagate`` carries the frames, with
-the even steps diag(1, z) phi(S_n) diag(1/z, 1) and one stacked QR per site
-with the removed right factor kept: the Weyl discs and radius norms
-(``weyl``), and the independent check of the Pruefer charts in the tests
-and ``verify``.
+steps, one batched solve per site pair: only even sites depend on z, so
+T_2k(z) T_(2k-1) = diag(1, z) (X_k / z + Y_k) with X_k and Y_k free of z
+(``pair_table``).  Its rows serve the Pruefer phases (``oscillation``) as
+they stand and the boundary value E (``weyl.e_matrix``) as their inverses,
+walked backwards.  ``propagate`` carries the frames, with the even steps
+diag(1, z) phi(S_n) diag(1/z, 1) and one stacked QR per site with the
+removed right factor kept: the Weyl discs and radius norms (``weyl``), and
+the independent check of the Pruefer charts in the tests and ``verify``.
 
 The references never read that table: ``site_transfer`` builds T_n(z) from
 the block of site n alone, and ``transfer_product``, ``q_form`` and
@@ -112,12 +112,8 @@ class TransferFactory:
 
 
 def _times(row: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """row @ W over a (B, m, k) stack.  A row shared by all points multiplies the
-    charts side by side, as products with m x (b k) columns of at most
-    CHAIN_PRODUCT_SIZE multiply-adds; a row per point (ndim 3) takes the batched
-    product."""
-    if row.ndim == 3:
-        return row @ W
+    """row @ W for one row shared by a (B, m, k) stack: the charts side by side, as
+    products with m x (b k) columns of at most CHAIN_PRODUCT_SIZE multiply-adds."""
     B, m, k = W.shape
     cols = max(k, CHAIN_PRODUCT_SIZE // row.size // k * k)
     side = W.transpose(1, 0, 2).reshape(m, B * k)
@@ -127,32 +123,37 @@ def _times(row: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out.reshape(len(row), B, k).transpose(1, 0, 2)
 
 
-def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray,
-                acted: Optional[slice] = None, keep: bool = False):
-    """Carry a (B, m, m) stack of charts W from ``start`` through the rows of ``table``.
+def pair_table(phis: np.ndarray) -> np.ndarray:
+    """[X_k; Y_k] of the site pairs (2k - 1, 2k) of a phi table, two stacked products:
+    T_2k(z) T_(2k-1) = diag(1, z) (X_k / z + Y_k) with X_k = phi_2k diag(1, 0) phi_(2k-1)
+    and Y_k = phi_2k diag(0, 1) phi_(2k-1)."""
+    L = phis.shape[-1] // 2
+    odd, even = phis[0::2], phis[1::2]
+    return np.concatenate([even[..., :L] @ odd[:, :L], even[..., L:] @ odd[:, L:]], axis=1)
+
+
+def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray, acted: slice, keep: bool = False):
+    """Carry a (B, m, m) stack of charts W from ``start`` through the site-pair rows of ``table``.
 
     A row T = [[A, B], [C, D]] moves the chart W = b a^(-1) of frames (a; b)
-    to M_T(W) = (C + D W)(A + B W)^(-1): one product T (1; W) and one
-    batched solve over the B ``points`` per row.  With ``acted`` None the
-    rows carry z already and may be one per site and point.  With ``acted``
-    a slice, each row is a site pair stacked as [X; Y], 4m x 2m, with X and
-    Y free of z, and acts as diag(1, E) (X / z + Y), E = z on the ``acted``
-    rows of the chart and 1 elsewhere: Q = [X; Y] (1; W), the solve on
-    Q_X / z + Q_Y, then W <- E W.  Returns the final stack and, with
-    ``keep``, the denominators of the rows walked; an exactly singular one
-    ends the walk with NaN.
+    to M_T(W) = (C + D W)(A + B W)^(-1).  Each row of ``table`` is a site
+    pair stacked as [X; Y], 4m x 2m, with X and Y free of z, and acts as
+    diag(1, E) (X / z + Y), E = z on the ``acted`` rows of the chart and 1
+    elsewhere: Q = [X; Y] (1; W) for all B ``points`` at once, one batched
+    solve on Q_X / z + Q_Y, then W <- E W.  ``start`` is one m x m chart for
+    every point or a (B, m, m) stack of them.  Returns the final stack and,
+    with ``keep``, the (rows, B, m, m) denominators of the rows walked; an
+    exactly singular one ends the walk with NaN.
     """
     m = start.shape[-1]
     left, right = table[..., :m], table[..., m:]
-    if acted is not None:
-        z = points[:, None, None]
-        inverse = 1.0 / z
-    W = np.repeat(np.asarray(start, dtype=complex)[None], len(points), axis=0)
+    z = points[:, None, None]
+    inverse = 1.0 / z
+    W = np.array(np.broadcast_to(np.asarray(start, dtype=complex), (len(points), m, m)))
     dens = np.empty((len(table),) + W.shape, dtype=complex) if keep else None
     for i in range(len(table)):
         P = _times(right[i], W) + left[i]
-        if acted is not None:
-            P = P[:, :2 * m] * inverse + P[:, 2 * m:]
+        P = P[:, :2 * m] * inverse + P[:, 2 * m:]
         if keep:
             dens[i] = P[:, :m]
         try:
@@ -161,8 +162,7 @@ def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray,
             if keep:
                 dens[i] = np.nan
             return np.full_like(W, np.nan), dens[:i + 1] if keep else None
-        if acted is not None:
-            W[:, acted] *= z
+        W[:, acted] *= z
     return W, dens
 
 
@@ -170,8 +170,8 @@ def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray,
 class SolutionFrame:
     """A full-rank frame at a given site (2L x L, or taller with carried rows).
 
-    When propagated with renormalization, ``matrix`` has orthonormal columns
-    and the removed right factor is exp(log_scale) * normalizer with
+    ``matrix`` has orthonormal columns, and the right factor that the
+    renormalization removed is exp(log_scale) * normalizer with
     ||normalizer||_F = 1; the raw frame is matrix @ normalizer * exp(log_scale).
     Propagated from an array of B points, ``z`` is that array and every other
     field gains a leading axis of length B.
@@ -180,20 +180,12 @@ class SolutionFrame:
     matrix: np.ndarray
     site: int
     z: complex
-    normalizer: Optional[np.ndarray] = None
+    normalizer: np.ndarray
     log_scale: float = 0.0
 
     def raw(self) -> np.ndarray:
         """Reconstruct the unrenormalized frame (overflows for long hyperbolic runs)."""
-        if self.normalizer is None:
-            return self.matrix
         return self.matrix @ self.normalizer * np.exp(self.log_scale)[..., None, None]
-
-    def upper(self) -> np.ndarray:
-        return self.matrix[..., : self.matrix.shape[-1], :]
-
-    def lower(self) -> np.ndarray:
-        return self.matrix[..., self.matrix.shape[-1]:, :]
 
     def lform_value(self) -> np.ndarray:
         """The frame's value of the (L, L) form, Phi* L Phi (for the stored matrix)."""
@@ -210,17 +202,17 @@ def _qr_positive(A: np.ndarray):
     return Q * phase[..., None, :], R / phase[..., :, None]
 
 
-def propagate(zipper, z, upto: int, renormalize: bool = True,
-              factory: Optional[TransferFactory] = None,
+def propagate(zipper, z, upto: int, factory: Optional[TransferFactory] = None,
               start: Optional[np.ndarray] = None) -> SolutionFrame:
     """Propagate a frame through T_1, ..., T_upto, from (1; 1) unless ``start`` is given.
 
     T_n acts on the last 2L rows of the frame; any rows above them are
     carried along unchanged (the doubled periodic frame carries the identity
-    factor of 1 (+) T_n this way).  With renormalization the frame is
-    column-orthonormalized after every step (QR), which only removes a right
-    factor and therefore leaves the spanned plane unchanged; the factor is
-    accumulated as a Frobenius-normalized matrix and a log scale.
+    factor of 1 (+) T_n this way).  The frame is column-orthonormalized
+    after every step (QR), which only removes a right factor and therefore
+    leaves the spanned plane unchanged; the factor is accumulated as a
+    Frobenius-normalized matrix and a log scale.  ``transfer_product`` gives
+    the raw frame T_upto ... T_1 (1; 1) as the reference.
 
     ``z`` is one point or a 1-D array of B points; for an array all B frames
     run through the same site loop as one stack, with the normalizer and the
@@ -235,7 +227,7 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
     first = np.vstack([mc.eye(L)] * 2) if start is None else np.asarray(start, dtype=complex)
     frame = np.repeat(first[None], len(points), axis=0)
     carried = frame.shape[1] - 2 * L
-    tau = np.repeat(mc.eye(frame.shape[2])[None], len(points), axis=0) if renormalize else None
+    tau = np.repeat(mc.eye(frame.shape[2])[None], len(points), axis=0)
     log_scale = np.zeros(len(points))
     for n in range(1, upto + 1):
         even = n % 2 == 0  # even T_n(z) = diag(1, z) phi(S_n) diag(1/z, 1)
@@ -244,8 +236,6 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
         frame[:, carried:] = phis[n - 1] @ frame[:, carried:]
         if even:
             frame[:, carried + L:] *= points
-        if not renormalize:
-            continue
         frame, R = _qr_positive(frame)
         M = R @ tau
         nu = np.linalg.norm(M, axis=(-2, -1))
@@ -254,9 +244,8 @@ def propagate(zipper, z, upto: int, renormalize: bool = True,
         tau = M / nu[:, None, None]
         log_scale += np.log(nu)
     if zs.ndim == 0:
-        return SolutionFrame(frame[0], upto, complex(zs), normalizer=None if tau is None else tau[0],
-                             log_scale=float(log_scale[0]))
-    return SolutionFrame(frame, upto, zs, normalizer=tau, log_scale=log_scale)
+        return SolutionFrame(frame[0], upto, complex(zs), tau[0], float(log_scale[0]))
+    return SolutionFrame(frame, upto, zs, tau, log_scale)
 
 
 # -- quadratic forms ----------------------------------------------------------

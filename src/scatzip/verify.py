@@ -197,9 +197,9 @@ def transfer_checks(seed=0) -> list:
     worst_angle = 0.0
     for theta in rng.uniform(0, 2 * np.pi, size=3):
         zz = np.exp(1j * theta)
-        fr = tr.propagate(z, zz, 8, renormalize=True)
-        raw = tr.propagate(z, zz, 8, renormalize=False)
-        worst_angle = max(worst_angle, float(np.max(mc.principal_sines(fr.matrix, raw.matrix))))
+        fr = tr.propagate(z, zz, 8)
+        raw = tr.transfer_product(z, 8, zz) @ np.vstack([mc.eye(z.L)] * 2)
+        worst_angle = max(worst_angle, float(np.max(mc.principal_sines(fr.matrix, raw))))
     _check(out, "transfer", "renormalization_preserves_plane", worst_angle, 1e-8)
 
     worst_eq = 0.0

@@ -5,8 +5,9 @@ For a finite zipper with right boundary V and |z| < 1, the boundary value
     E(z, V) = T(N,0)^(-1) . V*
 
 (the Moebius chart chain of the Pruefer phases, ``transfer.chart_chain``, run
-from V* on the inverse transfers, for one z or an array) lies in the Siegel
-disc; the Caratheodory-type resolvent matrix and Green matrix follow as
+backwards from V* on the inverses of the same site-pair rows, for one z or
+an array) lies in the Siegel disc; the Caratheodory-type resolvent matrix
+and Green matrix follow as
 
     F = (E + 1)(E - 1)^(-1) / i,      G = E (1 - E)^(-1) / z .
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
-from .transfer import TransferFactory, chart_chain, propagate, transfer_product
+from .transfer import TransferFactory, chart_chain, pair_table, propagate, transfer_product
 from .zipper import BlockBandedUnitary, SemiInfiniteZipper, Zipper, _boundary_unitary
 
 # Largest relative center-reflection defect ||S(1/conj z) - S(z)*|| / ||S||
@@ -82,37 +83,40 @@ def e_matrix(zipper, z, v_boundary=None, upto: Optional[int] = None,
              factory: Optional[TransferFactory] = None) -> np.ndarray:
     """Boundary value E in the Siegel disc at one z or a 1-D array, by the inverse-Moebius chain.
 
-    Each factor maps the closed disc into itself (strictly inside for even
-    steps), so the chain is unconditionally stable in N; a singular
-    denominator here would contradict the contraction property and is
-    surfaced as a numerical breakdown naming the site.
+    Each inverse site pair maps the closed disc strictly inside itself, so
+    the chain is unconditionally stable in N; a singular denominator here
+    would contradict the contraction property and is surfaced as a
+    numerical breakdown naming the site pair.
 
-    The chain is ``transfer.chart_chain`` from V* through sites N, ..., 1 of
-    T_n^(-1) = L T_n(1/conj z)* L in the swapped orientation, z folded in per
-    point: E <- (A' E + B')(C' E + D')^(-1) with A' = z A*, B' = -C*,
-    C' = -B*, D' = D*/z ((A, B, C, D) the blocks of phi_n, z -> 1 on odd
-    sites).  One batched SVD checks the denominators C' E + D' after it.
+    The chain is ``transfer.chart_chain`` on the site pairs k = N/2, ..., 1
+    of ``transfer.pair_table``, in the swapped orientation, where the
+    inverse of M = [[A, B], [C, D]] in U(L, L) is R(M) = [[D*, -B*], [-C*, A*]]
+    and R(M N) = R(N) R(M).  The inverse of the pair at z is then
+    (z R(X_k) + R(Y_k)) diag(1/z, 1), a multiple of
+    (R(Y_k) / z + R(X_k)) diag(1/z, 1): the rows are [R(Y_k); R(X_k)], acting
+    on every row of the chart, and E = chart_chain(rows, z, z V*) / z.  One
+    batched SVD checks the denominators after it.
     """
     points, scalar = _disc_points(z)
     N = _resolve_n(zipper, upto)
     V = _resolve_v(zipper, v_boundary)
-    A, B, C, D = mc.split_blocks((factory or zipper).phi_table(N)[::-1])
     L = zipper.L
-    table = np.empty((N, len(points), 2 * L, 2 * L), dtype=complex)  # one row per site and point
+    pairs = pair_table((factory or zipper).phi_table(N)).reshape(N // 2, 2, 2 * L, 2 * L)
+    A, B, C, D = mc.split_blocks(pairs[::-1, ::-1])  # (Y_k, X_k) for k = N/2, ..., 1
+    table = np.empty((N // 2, 2, 2 * L, 2 * L), dtype=complex)  # [R(Y_k); R(X_k)]
     table[..., :L, :L], table[..., :L, L:], table[..., L:, :L], table[..., L:, L:] = (
-        mc.adj(D)[:, None], -mc.adj(B)[:, None], -mc.adj(C)[:, None], mc.adj(A)[:, None])
-    w = points[:, None, None]  # even sites N, N - 2, ... are rows 0, 2, ...
-    table[0::2, :, :L, :L] = mc.adj(D[0::2])[:, None] / w
-    table[0::2, :, L:, L:] = w * mc.adj(A[0::2])[:, None]
-    with np.errstate(all="ignore"):  # a singular step is reported below, by its site
-        E, dens = chart_chain(table, points, mc.adj(V), keep=True)
-    dens = dens.reshape((-1,) + E.shape[1:])  # row j is site N - j // len(points)
-    finite = np.all(np.isfinite(dens), axis=(-2, -1))
-    smallest = np.zeros(len(dens))
-    smallest[finite] = np.linalg.svd(dens[finite], compute_uv=False)[:, -1]
-    bad = np.flatnonzero(~(smallest > 1e-13))
+        mc.adj(D), -mc.adj(B), -mc.adj(C), mc.adj(A))
+    w = points[:, None, None]
+    with np.errstate(all="ignore"):  # a singular step is reported below, by its site pair
+        E, dens = chart_chain(table.reshape(N // 2, 4 * L, 2 * L), points, w * mc.adj(V), slice(None), keep=True)
+    dens[~np.all(np.isfinite(dens), axis=(-2, -1))] = 0.0  # a non-finite denominator counts as singular
+    smallest = np.linalg.svd(dens, compute_uv=False)[..., -1]
+    bad = np.flatnonzero(~np.all(smallest > 1e-13, axis=1))
     if len(bad):
-        raise NumericalBreakdownError(f"C Z + D is numerically singular at site {N - bad[0] // len(points)}")
+        k = N // 2 - bad[0]
+        raise NumericalBreakdownError(
+            f"C Z + D is numerically singular at site pair {k} (sites {2 * k - 1} and {2 * k})")
+    E /= w
     return E[0].copy() if scalar else E
 
 

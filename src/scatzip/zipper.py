@@ -35,6 +35,7 @@ from .errors import NumericalBreakdownError, ValidationError
 from .scattering import ScatteringBlock, normal_form, phi
 
 DENSE_CAP = 512  # largest N*L the dense routines will touch by default
+DENSE_CLUSTER_TOL = 1e-7  # eigenphases of dense_spectrum closer than this are one eigenvalue
 TWO_PI = 2.0 * np.pi
 # Smallest |eigenvalue| of a Schur-complement pivot that ``arc_counts`` reads as a sign.
 PIVOT_TOL = 1e-14
@@ -517,8 +518,7 @@ def eig_unitary(U: np.ndarray):
     return hh + 1j * kk, vectors
 
 
-def dense_spectrum(op: BlockBandedUnitary, cap: int = DENSE_CAP,
-                   tol_cluster: float = 1e-7, want_projections: bool = False):
+def dense_spectrum(op: BlockBandedUnitary, cap: int = DENSE_CAP, want_projections: bool = False):
     """Full spectrum of the assembled unitary via the Hermitian-pair oracle.
 
     With ``want_projections`` also returns, per distinct eigenvalue, the list
@@ -527,7 +527,7 @@ def dense_spectrum(op: BlockBandedUnitary, cap: int = DENSE_CAP,
     if op.dim > cap:
         raise ValidationError(f"dim {op.dim} exceeds dense cap {cap}")
     lam, vectors = eig_unitary(op.to_dense())
-    result, groups = _circular_clusters(np.angle(lam), tol_cluster)
+    result, groups = _circular_clusters(np.angle(lam), DENSE_CLUSTER_TOL)
     if want_projections:
         return result, [vectors[:, g] for g in groups]
     return result

@@ -12,10 +12,10 @@ run it explicitly with pytest-benchmark:
     python -m pytest tests/bench_layers.py --benchmark-json=out.json
 
 Each benchmark records its work counts (sites walked, points and batched
-solves per Pruefer call, momenta and Pruefer calls per band structure,
-theta evaluated, Pruefer calls, the points whose Pruefer unitary broke down
-(the NaN matrices the calls return) and count calls per sweep) in
-``extra_info``; counts do not depend on the machine,
+solves per Pruefer call and per E-chain, momenta and Pruefer calls per
+band structure, theta evaluated, Pruefer calls, the points whose Pruefer
+unitary broke down (the NaN matrices the calls return) and count calls
+per sweep) in ``extra_info``; counts do not depend on the machine,
 seconds do.  The calls use only entry points whose signatures are stable
 across versions, so the same file times an older checkout too; one that has no
 ``zipper.arc_counts`` skips ``test_arc_counts``, one whose count refuses
@@ -144,11 +144,12 @@ def test_arc_counts(benchmark, periodic):
 
 
 @pytest.mark.parametrize("L, N", [(1, 16), (2, 32)])
-def test_e_matrix_call(benchmark, L, N):
+def test_e_matrix_call(benchmark, monkeypatch, L, N):
     # one point per call, as the f_matrix/g_matrix jobs of the resolvent workload
     z = ensembles.finite_zipper(11, L, N, "haar-gauge")
     fac = tr.TransferFactory(z)
-    benchmark.extra_info.update(sites=N, points=1)
+    benchmark.extra_info.update(sites=N, points=1,
+                                solves=_solves(monkeypatch, lambda: weyl.e_matrix(z, 0.3 + 0.4j, factory=fac)))
     E = benchmark(weyl.e_matrix, z, 0.3 + 0.4j, factory=fac)
     assert E.shape == (L, L)
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from scatzip import ensembles, matrix_core as mc, oscillation as osc, transfer as tr
+from scatzip import ensembles, matrix_core as mc, oscillation as osc, transfer as tr, weyl
 from scatzip import zipper as zp
 from scatzip.errors import NumericalBreakdownError, ValidationError
 
@@ -41,8 +41,8 @@ def test_prufer_invariant_under_renormalization(rng):
     z = ensembles.finite_zipper(3, 2, 8)
     w = np.exp(0.93j)
     W1 = osc.prufer(z, w)
-    raw = tr.propagate(z, w, 8, renormalize=False)
-    W2 = np.linalg.solve(raw.upper().T, raw.lower().T).T @ mc.adj(z.boundary_v)
+    raw = tr.transfer_product(z, 8, w) @ np.vstack([np.eye(2)] * 2)
+    W2 = np.linalg.solve(raw[:2].T, raw[2:].T).T @ mc.adj(z.boundary_v)
     assert np.linalg.norm(W1 - W2, 2) < 1e-9
 
 
@@ -457,11 +457,12 @@ def test_prufer_makes_one_batched_solve_per_site_pair_and_no_qr(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
     w = np.exp(1j * np.linspace(0.1, 6.2, 97))
-    for z, phase in [(ensembles.finite_zipper(5, 2, 16), osc.prufer),
-                     (ensembles.periodic_zipper(5, 2, 8), osc.prufer_periodic)]:
+    for z, phase, points in [(ensembles.finite_zipper(5, 2, 16), osc.prufer, w),
+                             (ensembles.periodic_zipper(5, 2, 8), osc.prufer_periodic, w),
+                             (ensembles.finite_zipper(5, 2, 16), weyl.e_matrix, 0.9 * w)]:
         z.phi_table()  # built with the zipper, not counted below
         calls.update(solve=0, qr=0)
-        phase(z, w)
+        phase(z, points)
         assert calls == {"solve": z.N // 2, "qr": 0}
 
 
@@ -490,7 +491,7 @@ def test_prufer_guard_names_the_point_of_a_non_unitary_chart(monkeypatch):
     table[3] = np.diag([1 + 2e-6, 1 + 2e-6, 1.0, 1.0]) @ table[3]
     thetas = 2 * np.pi * np.array([1, 2, 3, 5, 9]) / 13
     w = np.exp(1j * thetas)
-    chain = tr.chart_chain(osc._pair_table(table), w, mc.eye(2), slice(None))[0] @ mc.adj(z.boundary_v)
+    chain = tr.chart_chain(tr.pair_table(table), w, mc.eye(2), slice(None))[0] @ mc.adj(z.boundary_v)
     defect = np.abs(mc.adj(chain) @ chain - np.eye(2)).max(axis=(1, 2))
     W = osc.prufer(z, w, factory=HandBuiltTable(table))
     broken = np.isnan(W).all(axis=(1, 2))

@@ -67,12 +67,14 @@ def test_propagate_lagrangian_on_circle(rng):
 
 
 def test_propagate_renormalized_vs_raw(rng):
+    # the raw frame is the direct product of site_transfer steps on (1; 1),
+    # which never reads the phi table that propagate reads
     z = ensembles.finite_zipper(3, 2, 8)
     w = np.exp(0.9j)
-    fr = tr.propagate(z, w, 8, renormalize=True)
-    raw = tr.propagate(z, w, 8, renormalize=False)
-    assert mc.principal_sines(fr.matrix, raw.matrix).max() < 1e-8
-    assert np.linalg.norm(fr.raw() - raw.matrix) < 1e-10 * np.linalg.norm(raw.matrix)
+    fr = tr.propagate(z, w, 8)
+    raw = tr.transfer_product(z, 8, w) @ np.vstack([np.eye(2)] * 2)
+    assert mc.principal_sines(fr.matrix, raw).max() < 1e-8
+    assert np.linalg.norm(fr.raw() - raw) < 1e-10 * np.linalg.norm(raw)
 
 
 def test_propagate_array_equals_pointwise_calls():
@@ -83,20 +85,16 @@ def test_propagate_array_equals_pointwise_calls():
         cases = [(ensembles.finite_zipper(40 + L, L, 8, "cmv"), None),
                  (ensembles.periodic_zipper(50 + L, L, 6), doubled_initial_frame(L))]
         for z, start in cases:
-            for renormalize in (True, False):
-                batch = tr.propagate(z, points, z.N, renormalize=renormalize, start=start)
-                assert batch.matrix.shape[0] == len(points)
-                assert np.array_equal(batch.z, points)
-                for i, w in enumerate(points):
-                    one = tr.propagate(z, w, z.N, renormalize=renormalize, start=start)
-                    assert one.z == w and batch.matrix[i].shape == one.matrix.shape
-                    scale = max(1.0, np.abs(one.matrix).max())
-                    assert np.abs(batch.matrix[i] - one.matrix).max() < 1e-13 * scale
-                    if renormalize:
-                        assert np.abs(batch.normalizer[i] - one.normalizer).max() < 1e-13
-                        assert abs(batch.log_scale[i] - one.log_scale) < 1e-13
-                    else:
-                        assert batch.normalizer is None and one.normalizer is None
+            batch = tr.propagate(z, points, z.N, start=start)
+            assert batch.matrix.shape[0] == len(points)
+            assert np.array_equal(batch.z, points)
+            for i, w in enumerate(points):
+                one = tr.propagate(z, w, z.N, start=start)
+                assert one.z == w and batch.matrix[i].shape == one.matrix.shape
+                scale = max(1.0, np.abs(one.matrix).max())
+                assert np.abs(batch.matrix[i] - one.matrix).max() < 1e-13 * scale
+                assert np.abs(batch.normalizer[i] - one.normalizer).max() < 1e-13
+                assert abs(batch.log_scale[i] - one.log_scale) < 1e-13
 
 
 def test_propagate_array_rejects_zero_and_matrix_z():
