@@ -37,12 +37,16 @@ finite zipper and for the doubled periodic phase at every momentum, and
 ``zipper.arc_counts`` reads them off the band stack by inertia.  So a sweep
 whose first grid comes up short, or breaks down at a grid point, counts its
 intervals.  Every bracket is then either certified, trusting its seam
-passages, or counted: a counted one is cut at its midpoint, sampled there
-only between two known phases, until its seam passages agree with its
-count; a certified one whose sample breaks down finishes on the counts
-alone.  Both kinds share one lockstep loop (``_locate``), with at most one
-batched sample and one count call per level.  No sweep samples a second
-grid.
+passages, or counted.  A counted bracket of one eigenvalue finishes by
+shifted inverse iteration on the band stack (``zipper.shifted_solve``), with
+Rayleigh-quotient updates of its shift, and is located once the Bauer-Fike
+arc of its residual lies inside it; a run that leaves its bracket, or takes
+INVERSE_STEPS solves, hands it back to the counts.  Any other counted one
+is cut at its midpoint, sampled there only between two known phases, until
+its seam passages agree with its count; a certified one whose sample breaks
+down finishes on the counts alone.  All of them share one lockstep loop
+(``_locate``), with at most one batched solve, one batched sample and one
+count call per level.  No sweep samples a second grid.
 
 Bands are one sweep over all momenta, or over chunks of them where the
 momentum grid would make the phase table too large.  The fiber at momentum
@@ -51,7 +55,8 @@ untwisted one with the diagonal blocks scaled by e^(-iNk) and e^(iNk) (the
 Floquet twist).  The sweep carries a member index on every sample row and
 bracket: one untwisted ``prufer_periodic`` chain per theta serves every
 momentum, and only the momenta whose first grid is short count their arcs,
-each on the band stack of its own fiber.
+each on the band stack of its own fiber; their brackets finish by counts,
+not by inverse iteration.
 """
 
 from __future__ import annotations
@@ -65,8 +70,8 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .transfer import TransferFactory, chart_chain, pair_table
-from .zipper import (TWO_PI, SpectrumResult, Zipper, _circular_clusters, arc_counts, assemble_finite,
-                     assemble_periodic, fiber)
+from .zipper import (TWO_PI, BlockBandedUnitary, SpectrumResult, Zipper, _circular_clusters, apply, arc_counts,
+                     assemble_finite, assemble_periodic, fiber, shifted_solve)
 
 # Most theta one batched Pruefer evaluation takes, and most matrices one
 # eigvals call takes; bounds the frame and phase-matrix stacks in memory when
@@ -88,6 +93,12 @@ MONO_TOL = 1e-7
 # Levels ``_locate`` shrinks its brackets at most; every bracket still open
 # after the last one is returned as it stands.
 LOCATE_MAX_LEVELS = 60
+# Solves an inverse-iteration run takes at most before its bracket goes back
+# to count bisection.
+INVERSE_STEPS = 6
+# Most runs one inverse-iteration step solves and applies the operator to at
+# once: at N L = 1024 a thousand runs in one piece took 40-70 MB more RSS.
+INVERSE_BLOCK = 256
 
 
 def _check_circle(z):
@@ -250,7 +261,7 @@ def _below(arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
             arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-            certified: tuple, counted: tuple, refine_tol: float) -> tuple:
+            certified: tuple, counted: tuple, refine_tol: float, iterate: Optional[Callable] = None) -> tuple:
     """Shrink all brackets in lockstep until each locates its crossings.
 
     A bracket [lo, hi] of family member ``members[i]`` holds ``count``
@@ -284,6 +295,17 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     once the counts at its ends confirm its count.  Parts without a
     crossing are dropped.
 
+    With ``iterate``, every counted bracket of count 1 (a new one at the
+    start of a level) starts a run at its midpoint instead: each level
+    makes one ``iterate(members, thetas, vectors)`` call for every run,
+    which returns the runs' vectors, their new thetas and residual radii
+    (``_inverse_step``).  A run is located at its theta once the arc of
+    radius 2 arcsin(r / 2) around it, where a normal operator has an
+    eigenvalue, lies inside its bracket, which holds exactly one, and is
+    at most refine_tol / 2 wide.  A run whose theta leaves its bracket, or
+    that has taken INVERSE_STEPS solves, hands its bracket back to the
+    counted ones at the same level; the parts of its cut start runs again.
+
     A bracket stops at width refine_tol, or when no float lies inside it,
     and is returned once per crossing: a certified one at 2 pi if it holds
     the seam, so that the crossing folds to 0, else at the interpolated
@@ -295,8 +317,24 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     steps = np.zeros(len(lo))  # ITP steps taken since
     done = []
     rank = np.arange(lo_phases.shape[1])  # sorted position of each phase
+    runs, vectors = tuple(a[:0] for a in counted) + (lo[:0], count[:0]), None  # counted, theta, solves
     for level in range(LOCATE_MAX_LEVELS + 1):
         last = level == LOCATE_MAX_LEVELS
+        if iterate is not None and len(counted[0]):  # counted brackets of one eigenvalue start runs
+            start = counted[5] == 1
+            runs = tuple(np.concatenate([a, b[start]]) for a, b in zip(
+                runs, (*counted, 0.5 * (counted[1] + counted[2]), np.zeros(len(start), dtype=int))))
+            counted = tuple(a[~start] for a in counted)
+        if len(runs[0]):  # one batched factor-and-solve for every run
+            r_members, r_lo, r_hi, solves = runs[0], runs[1], runs[2], runs[9] + 1
+            vectors, theta, radius = iterate(r_members, runs[8], vectors)
+            arc = 2.0 * np.arcsin(np.minimum(0.5 * radius, 1.0))  # NaN where the solve broke down
+            located = (r_lo < theta - arc) & (theta + arc < r_hi) & (arc <= 0.5 * refine_tol)
+            back = ~located & (~((r_lo < theta) & (theta < r_hi)) | (solves >= INVERSE_STEPS) | last)
+            done.append((r_members[located], theta[located]))
+            counted = tuple(np.concatenate([a, b[back]]) for a, b in zip(counted, runs[:8]))
+            keep = ~(located | back)
+            runs, vectors = tuple(a[keep] for a in (*runs[:8], theta, solves)), vectors[keep]
         if len(counted[0]):
             c_lo, c_hi, c_lo_phases, c_hi_phases, c_count = counted[1:6]
             known = ~np.isnan(c_lo_phases[:, 0] + c_hi_phases[:, 0])
@@ -324,7 +362,7 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
         members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
             a[~fine] for a in (members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps))
         c_members, c_lo, c_hi, c_lo_phases, c_hi_phases, c_count, anchor, base = counted
-        if len(lo) == len(c_lo) == 0:
+        if len(lo) == len(c_lo) == len(runs[0]) == 0:
             break
         side = np.sign(mid - interp)
         shift = 0.2 / width0 * width ** 2
@@ -340,7 +378,8 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
             q = sample(points, np.r_[members, c_members[known]]) if len(points) else c_q[:0]
             c_q[known], q = q[len(x):], q[:len(x)]
         else:
-            q, c_mid, c_q = sample(x, members), c_lo, c_lo_phases  # nothing is counted
+            q = sample(x, members) if len(x) else lo_phases  # nothing is counted
+            c_mid, c_q = c_lo, c_lo_phases
         lost = np.isnan(q[:, 0])  # a sample that broke down; never read as a phase
         gone = tuple(a[lost] for a in (members, lo, hi, count)) if np.any(lost) else ()
         if gone:
@@ -395,7 +434,8 @@ class FamilySpectra:
 
 def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int, grid_size: int,
                    arc_count: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                   refine_tol: float = 1e-10, twists: np.ndarray = UNTWISTED) -> FamilySpectra:
+                   refine_tol: float = 1e-10, twists: np.ndarray = UNTWISTED,
+                   iterate: Optional[Callable] = None) -> FamilySpectra:
     """Locate all eigenvalue-1 crossings of a monotone unitary family over theta.
 
     ``wfn(thetas)`` must return the stack of (near-)unitary phase matrices at
@@ -414,7 +454,9 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     member is counted, each grid half from pi / 2 below its first theta.
     All of them go to ``_locate`` as brackets, certified or counted, and
     are split and refined there in one lockstep.  A sweep whose grid
-    matches for every member never counts.
+    matches for every member never counts.  With ``iterate`` (one step of
+    inverse iteration for a batch of runs, as ``_inverse_step``), counted
+    brackets of one eigenvalue finish by inverse iteration instead.
 
     One sweep covers the K monotone families of ``twists``, a (K, m, m)
     stack of unit-modulus factors (or anything broadcasting to it; the
@@ -450,7 +492,7 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     counted = (short[j], thetas[i], thetas[i + 1], samples[short[j], i], samples[short[j], i + 1], holds[j, i],
                anchors[(i >= h) * 1], base[j, i])
     members, crossings = _locate(lambda thetas, members: _sample_rows(wfn, thetas, twists, members),
-                                 arc_count, certified, counted, refine_tol)
+                                 arc_count, certified, counted, refine_tol, iterate)
     return FamilySpectra([_circular_clusters(crossings[members == j], 10.0 * refine_tol)[0]
                           for j in range(K)])
 
@@ -486,7 +528,8 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     Finite zippers sweep the L eigenphases of ``prufer``, periodic ones the
     2L eigenphases of the doubled ``prufer_periodic``; both certify a short
     first grid by ``arc_counts`` on the band stack of ``assemble_finite`` or
-    ``assemble_periodic``.
+    ``assemble_periodic``, and finish its brackets of one eigenvalue by
+    inverse iteration on the same band stack (``_inverse_step``).
     """
     if not isinstance(zipper, Zipper):
         raise ValidationError("oscillation spectra need a finite or periodic zipper")
@@ -495,7 +538,36 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     op = functools.cache(lambda: assemble(zipper))  # a sweep that never counts never assembles
     return sweep_spectrum(_phase_family(zipper), zipper.N * zipper.L, grid,
                           lambda members, centers, halfwidths: arc_counts(op(), centers, halfwidths),
-                          refine_tol).spectra[0]
+                          refine_tol, iterate=lambda members, thetas, x: _inverse_step(op(), thetas, x)).spectra[0]
+
+
+def _inverse_step(op: BlockBandedUnitary, thetas: np.ndarray, x: Optional[np.ndarray]) -> tuple:
+    """One step of shifted inverse iteration with a Rayleigh-quotient update, for every run at once.
+
+    Row j of ``x`` is the vector of run j; runs past len(x) (all of them
+    if x is None) start from seeded random vectors.  Solves H(theta_j) y_j
+    = x_j with ``zipper.shifted_solve`` and normalizes y_j, then moves
+    theta_j to arg(y_j* U y_j), taken within pi of theta_j.  Returns the
+    rows y_j, the new theta_j and the residuals ||U y_j - e^(i theta_j) y_j||:
+    U is normal, so an eigenvalue lies within that distance of
+    e^(i theta_j) (Bauer and Fike, Numer. Math. 2, 1960).  A run whose
+    solve breaks down gets NaN.  Runs go INVERSE_BLOCK at a time, which
+    bounds the temporaries of the solve and of ``zipper.apply``.
+    """
+    fresh = len(thetas) - (0 if x is None else len(x))
+    draw = np.random.default_rng(fresh).standard_normal((2, fresh, op.dim))
+    rows = np.concatenate(([] if x is None else [x]) + [draw[0] + 1j * draw[1]])
+    theta, radius = np.empty(len(thetas)), np.empty(len(thetas))
+    with np.errstate(all="ignore"):  # a breakdown is NaN, read by the caller
+        for i in range(0, len(thetas), INVERSE_BLOCK):
+            part = slice(i, i + INVERSE_BLOCK)
+            y = shifted_solve(op, thetas[part], rows[part].T)
+            y /= np.linalg.norm(y, axis=0)
+            Uy = apply(op, y)
+            theta[part] = thetas[part] + np.angle(np.einsum("ij,ij->j", y.conj(), Uy) * np.exp(-1j * thetas[part]))
+            radius[part] = np.linalg.norm(Uy - np.exp(1j * theta[part]) * y, axis=0)
+            rows[part] = y.T
+    return rows, theta, radius
 
 
 def rotation_positivity_check(zipper: Zipper, theta: float, h: float = 1e-5) -> float:

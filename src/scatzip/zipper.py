@@ -15,6 +15,11 @@ block matrices, from which the layers, the phi table and the Bloch-Floquet
 twists are read.  A ScatteringBlock is built only when ``block(n)`` asks
 for one.
 
+The band stack alone also gives eigenvalue counts on arcs (``arc_counts``)
+and the shifted solves of inverse iteration (``shifted_solve``): both are
+one streamed LDL* of a Hermitian part of the operator, block tridiagonal in
+the superblocks of the band rows (``_eliminate``).
+
 Also provides the dense spectral oracle used to cross-check the
 oscillation-theory solvers: eigenvalues of the unitary are obtained by
 simultaneous diagonalization of the commuting Hermitian pair
@@ -23,6 +28,7 @@ H = (X + X*)/2 and K = (X - X*)/(2i).
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,8 +43,12 @@ from .scattering import ScatteringBlock, normal_form, phi
 DENSE_CAP = 512  # largest N*L the dense routines will touch by default
 DENSE_CLUSTER_TOL = 1e-7  # eigenphases of dense_spectrum closer than this are one eigenvalue
 TWO_PI = 2.0 * np.pi
-# Smallest |eigenvalue| of a Schur-complement pivot that ``arc_counts`` reads as a sign.
+# Smallest |scalar pivot| of its LDL* that ``arc_counts`` reads as a sign.
 PIVOT_TOL = 1e-14
+# Most factor entries one ``shifted_solve`` pass keeps for its back substitution.
+SOLVE_BLOCK = 2 ** 21
+# Most entries of the diagonal and coupling blocks ``_eliminate`` builds at once.
+STREAM_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -350,28 +360,172 @@ def fiber(zipper: Zipper, k: float) -> BlockBandedUnitary:
     return assemble_periodic(fiber_zipper(zipper, k))
 
 
+def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, rhs: Optional[np.ndarray] = None) -> tuple:
+    """Scalar LDL* of A = Re(e^(-i phi_j) U) - cos_delta_j for every column j, streamed by superblocks.
+
+    A is block tridiagonal in the 2L x 2L superblocks of the band rows,
+    read cyclically: B_I = A[I, I] from ``band[I, :, L:3L]``, and C_I =
+    A[I, I-1] from ``band[I, :, :L]`` (second-site columns) and the
+    adjoint of ``band[I-1, :, 3L:]`` (first-site columns), with C_0 the
+    corner A[0, P-1] (P = N/2), exact zero for a finite operator.  Step I
+    eliminates the 2L scalar pivots of D_I (D_0 = B_0) on a window that
+    holds D_I, the next superblock and, for a periodic operator, the border
+    superblock P-1, as a (w, w, columns) array of which only the lower
+    triangle is read.  So B_(I+1) becomes the Schur complement D_(I+1) =
+    B_(I+1) - C_(I+1) D_I^(-1) C_(I+1)*, the border row G_I* (G_0* = C_0*,
+    plus C_(P-1) at I = P-2) becomes -G_I* D_I^(-1) C_(I+1)*, and the
+    border block, eliminated last, takes every -G_I* D_I^(-1) G_I
+    (Haynsworth, Linear Algebra Appl. 1, 1968).  At P = 2 the border row
+    aliases into C_0* + C_1, and P = 1 adds C_0 + C_0* to its one block.
+    Every superblock is taken in the basis of ``_mixing(2L)``, which
+    changes the scalar pivots but neither the number of positive ones nor
+    the solution.  Memory does not grow with N.
+
+    Returns the number of positive scalar pivots and the smallest |pivot|
+    (NaN if one is NaN) per column; with ``rhs``, a (P, 2L, columns)
+    stack, also the solution of A x = rhs in that shape: the forward
+    substitution runs in the same windows, which keep their multipliers
+    for the back substitution.
+    """
+    L, P = op.L, len(op.band)
+    m = 2 * L
+    border = op.periodic and P > 1
+    t = np.exp(-1j * phi)
+    half = 0.5 * np.stack([t, np.conj(t)])  # (2, columns)
+    lower = np.zeros((P, m, m), dtype=complex)  # U[I, I-1]
+    lower[:, :, L:] = op.band[:, :, :L]
+    upper = np.zeros_like(lower)  # U[I-1, I]*
+    upper[:, :L] = mc.adj(np.roll(op.band, 1, axis=0)[:, :, 3 * L:])
+    R = _mixing(m)
+    lower, upper, diagonal = (mc.adj(R) @ X @ R for X in (lower, upper, op.band[:, :, L:3 * L]))
+    coupling = np.stack([lower, upper], axis=-1)  # (P, m, m, 2): C_I = coupling[I] @ half
+    diagonal = np.stack([diagonal, mc.adj(diagonal)], axis=-1)
+    shift = np.eye(m)[:, :, None] * cos_delta
+
+    def adjoint(C):
+        return C.conj().transpose(1, 0, 2)
+
+    def superblocks():  # (B_I, C_I) for I = 1, ..., P - 1 - border, built a few superblocks at a time
+        step = max(1, STREAM_BLOCK // (m * m * len(phi)))
+        for start in range(1, P - border, step):
+            part = slice(start, min(start + step, P - border))
+            yield from zip(diagonal[part] @ half - shift, coupling[part] @ half)
+
+    positive = np.zeros(len(phi), dtype=int)
+    smallest = np.full(len(phi), np.inf)
+    stream = superblocks()
+    cur = diagonal[0] @ half - shift
+    if P == 1:
+        cur += coupling[0] @ half + adjoint(coupling[0] @ half)
+    if border:
+        edge, corner = adjoint(coupling[0] @ half), diagonal[P - 1] @ half - shift
+    if rhs is not None:
+        rhs = np.einsum("ji,Pjn->Pin", R.conj(), rhs)
+        factors, y, y_border = [], rhs[0], rhs[P - 1]
+    diagonal_entries = (np.arange(m), np.arange(m))
+    with np.errstate(all="ignore"):  # a zero pivot gives inf or NaN, read by the callers
+        for I in range(P):
+            nxt = I + 1 < P - border  # a superblock follows that is not the border
+            carry = border and I < P - 1  # the border superblock rides along
+            w = m * (1 + nxt + carry)
+            W = np.empty((w, w, len(phi)), dtype=complex)
+            W[:m, :m] = cur
+            if nxt:
+                W[m:2 * m, m:2 * m], W[m:2 * m, :m] = next(stream)
+            if carry:
+                W[w - m:, :m] = edge + coupling[P - 1] @ half if I == P - 2 else edge
+                W[w - m:, m:w - m] = 0.0
+                W[w - m:, w - m:] = corner
+            if rhs is not None:
+                r = np.concatenate([y] + ([rhs[I + 1]] if nxt else []) + ([y_border] if carry else []))
+            for k in range(m):
+                d = W[k, k].real
+                positive += d > 0
+                smallest = np.minimum(smallest, np.abs(d))  # NaN stays NaN
+                column = W[k + 1:, k].conj()
+                W[k + 1:, k] /= d
+                W[k + 1:, k + 1:] -= W[k + 1:, k, None] * column
+                if rhs is not None:
+                    r[k + 1:] -= W[k + 1:, k] * r[k]
+            cur = W[m:2 * m, m:2 * m] if nxt else W[m:, m:]
+            if carry and nxt:
+                edge, corner = W[w - m:, m:2 * m], W[w - m:, w - m:]
+            if rhs is not None:
+                factors.append((W[:, :m].conj(), r[:m] / W[diagonal_entries].real))
+                y = r[m:2 * m] if nxt else r[m:]
+                y_border = r[w - m:]
+    if rhs is None:
+        return positive, smallest, None
+    x = np.empty(rhs.shape, dtype=complex)
+    for I in range(P - 1, -1, -1):  # back substitution: L* x = D^(-1) y, window by window
+        multipliers, z = factors[I]  # conjugated
+        later = ([x[I + 1]] if I + 1 < P - border else []) + ([x[P - 1]] if border and I < P - 1 else [])
+        if later:
+            z -= np.einsum("jkn,jn->kn", multipliers[m:], np.concatenate(later))
+        for k in range(m - 2, -1, -1):
+            z[k] -= np.einsum("jn,jn->n", multipliers[k + 1:m, k], z[k + 1:])
+        x[I] = z
+    return positive, smallest, np.einsum("ij,Pjn->Pin", R, x)
+
+
+@functools.cache
+def _mixing(m: int) -> np.ndarray:
+    """A fixed m x m unitary that ``_eliminate`` works in on every superblock.
+
+    The inertia and the solutions do not depend on the basis, but the
+    scalar pivots do: a structured operator (the free zipper, say) can put
+    an exact zero on the diagonal of an invertible pivot block, where an
+    LDL* without pivoting would stop.  In a generic basis such a zero is
+    not met; the seed only makes the basis repeat from run to run.
+    """
+    X = np.random.default_rng(m).standard_normal((2, m, m))
+    R = np.linalg.qr(X[0] + 1j * X[1])[0]
+    R.flags.writeable = False  # one array serves every call
+    return R
+
+
+def shifted_solve(op: BlockBandedUnitary, thetas, rhs) -> np.ndarray:
+    """The solution x_j of H(theta_j) x_j = rhs_j for every column j of the (dim, n) ``rhs``.
+
+    H(theta) = 1 - Re(e^(-i theta) U) = (U - e^(i theta))* (U - e^(i theta)) / 2
+    is Hermitian, positive semidefinite and block tridiagonal on the
+    superblocks of the band, so ``_eliminate`` factors it as it counts, at
+    cos(delta) = 1; near an eigenvalue e^(i theta) it is nearly singular,
+    which is what inverse iteration wants.  The columns are solved in
+    chunks whose kept factors hold at most SOLVE_BLOCK entries.  Reads
+    ``op.band`` only; a column whose elimination meets a zero pivot comes
+    back inf or NaN.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    rhs = np.asarray(rhs, dtype=complex)
+    if rhs.shape != (op.dim, len(thetas)):
+        raise ValidationError(f"rhs must have shape ({op.dim}, {len(thetas)}), got {rhs.shape}")
+    P, m = op.N // 2, 2 * op.L
+    chunk = max(1, SOLVE_BLOCK // (3 * P * m * m))
+    x = np.empty_like(rhs)
+    for i in range(0, len(thetas), chunk):
+        part = rhs[:, i:i + chunk].reshape(P, m, -1)
+        x[:, i:i + chunk] = -_eliminate(op, thetas[i:i + chunk], 1.0, part)[2].reshape(op.dim, -1)
+    return x
+
+
 def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
     """Number of eigenvalues e^(i theta) with |theta - phi| < delta, for every arc (phi, delta).
 
     U is normal, so A = Re(e^(-i phi) U) - cos(delta) has the eigenvalues
     cos(theta_j - phi) - cos(delta), and the count is the number of
-    positive ones.  A is block tridiagonal in the 2L x 2L superblocks of
-    the band rows: the diagonal block of row I is ``band[I, :, L:3L]``, the
-    lower one is ``band[I, :, :L]`` in its second-site columns and the
-    upper one ``band[I, :, 3L:]`` in its first-site columns (Haynsworth,
-    Linear Algebra Appl. 1, 1968).  The positive eigenvalues of the Schur
-    complement pivots D_I = B_I - C_I D_(I-1)^(-1) C_I* add up to those of
-    A; one loop of N/2 steps computes them for all arcs at once.
-
-    The couplings are read cyclically: C_0 is the corner block A[0, P-1]
-    (P = N/2), exact zero for a finite operator.  A periodic operator
-    eliminates superblocks 0, ..., P-2 and carries one border column towards
-    P-1 (G_0 = C_0, G_I = -C_I D_(I-1)^(-1) G_(I-1), plus C_(P-1)* at
-    I = P-2); its last pivot is S = B_(P-1) - sum_I G_I* D_I^(-1) G_I.  At
-    P <= 2 the columns alias: P = 2 starts at G_0 = C_0 + C_1*, and P = 1
-    adds C_0 + C_0* to its one pivot.  Reads ``op.band`` only.  A pivot
-    eigenvalue within PIVOT_TOL of zero (an eigenvalue on an arc edge, or a
-    singular leading block) is a breakdown, never a count.
+    positive ones: by Sylvester's law of inertia, the number of positive
+    scalar pivots of its LDL*, which ``_eliminate`` streams one superblock
+    at a time for all arcs at once, in memory that grows with the arcs
+    but not with N.  Reads ``op.band`` only.  A scalar pivot within
+    PIVOT_TOL of zero (an eigenvalue on an arc edge, or a singular leading
+    block) is a breakdown, never a count.  Scalar pivots can be smaller
+    than the eigenvalues of their block: on 18 388 arcs (the 8 N L + 2
+    first-grid arcs of finite_zipper(0, 1, 1024, "haar-gauge", 0.85) and
+    (0, 2, 512, "cmv", 0.5), and 2 000 random arcs of (0, 3, 40,
+    "haar-gauge", 0.99)) the smallest was 9.7e-10, where the nearest
+    eigenvalue to an edge lay 5.0e-7 away, and every count equalled the
+    eigenvalues of the Schur-complement blocks.
     """
     phi = np.asarray(centers, dtype=float)
     delta = np.asarray(halfwidths, dtype=float)
@@ -382,39 +536,13 @@ def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
         raise ValidationError("arc centers must be finite")
     if not np.all((0.0 < delta) & (delta < np.pi)):  # also false for NaN
         raise ValidationError("arc half-widths must lie in (0, pi)")
-    L, P = op.L, len(op.band)
-    turn = np.exp(-1j * phi)[:, None, None]
-    lower = np.zeros((P, 1, 2 * L, 2 * L), dtype=complex)  # U[I, I-1]
-    lower[..., L:] = op.band[:, None, :, :L]
-    upper = np.zeros_like(lower)  # U[I-1, I]*, placed in row I
-    upper[..., :L, :] = mc.adj(np.roll(op.band, 1, axis=0)[:, None, :, 3 * L:])
-    C = 0.5 * (turn * lower + np.conj(turn) * upper)  # (N/2, arcs, 2L, 2L)
-    D = mc.hermitize(turn * op.band[:, None, :, L:3 * L]) - np.cos(delta)[:, None, None] * np.eye(2 * L)
-    border = op.periodic and P > 1
-    try:
-        with np.errstate(all="ignore"):  # a singular pivot is reported below
-            if P == 1:
-                D[0] += C[0] + mc.adj(C[0])
-            G = C[0]
-            for I in range(1, P - border):  # B_I becomes D_I in place
-                D[I] -= C[I] @ np.linalg.solve(D[I - 1], mc.adj(C[I]))
-                D[I] = mc.hermitize(D[I])
-                if border:
-                    X = np.linalg.solve(D[I - 1], G)
-                    D[-1] -= mc.adj(G) @ X
-                    G = -C[I] @ X
-            if border:
-                G = G + mc.adj(C[-1])
-                D[-1] = mc.hermitize(D[-1] - mc.adj(G) @ np.linalg.solve(D[-2], G))
-        pivots = np.linalg.eigvalsh(D).transpose(1, 0, 2).reshape(len(phi), -1)
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdownError("singular pivot: an eigenvalue lies on an arc edge") from None
-    small = ~(np.abs(pivots).min(axis=1, initial=np.inf) > PIVOT_TOL)  # NaN is small
+    positive, smallest, _ = _eliminate(op, phi, np.cos(delta))
+    small = ~(smallest > PIVOT_TOL)  # NaN is small
     if np.any(small):
         i = int(np.argmax(small))
         raise NumericalBreakdownError(f"zero pivot on the arc ({phi[i]:.6g}, {delta[i]:.6g}): "
                                       f"an eigenvalue lies on its edge")
-    return np.count_nonzero(pivots > 0, axis=1)
+    return positive
 
 
 def apply(op: BlockBandedUnitary, vec: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
-one band structure, three sweeps (a finite first grid that is short, a long
-finite chain whose Pruefer samples break down, a periodic narrow resonance),
-one arc count over a grid (finite and on a periodic fiber), the dense oracle
+one band structure, five sweeps (a finite first grid that is short, a long
+finite chain whose Pruefer samples break down, a periodic narrow resonance,
+and two sweeps past the dense cap whose first grids are short), one arc
+count over a grid (finite and on a periodic fiber), the dense oracle
 (assembly, dense spectrum) and one Gram-Schmidt run on each of four
 roundtrip measures: the two heaviest and the two most frequent in the
 ``measures`` workload.
@@ -14,15 +15,21 @@ run it explicitly with pytest-benchmark:
 Each benchmark records its work counts (sites walked, points and batched
 solves per Pruefer call and per E-chain, momenta and Pruefer calls per
 band structure, theta evaluated, Pruefer calls, the points whose Pruefer
-unitary broke down (the NaN matrices the calls return) and count calls
-per sweep) in ``extra_info``; counts do not depend on the machine,
-seconds do.  The calls use only entry points whose signatures are stable
-across versions, so the same file times an older checkout too; one that has no
+unitary broke down (the NaN matrices the calls return), count calls and
+arcs and inverse-iteration solves per sweep; the tracemalloc peak of an
+arc count and of a past-cap sweep) in ``extra_info``; counts do not depend
+on the machine, seconds do.  A past-cap sweep takes tens of seconds and
+gigabytes on an older checkout, so it runs once per measurement.  The
+calls use only entry points whose signatures are stable across versions,
+so the same file times an older checkout too; one that has no
 ``zipper.arc_counts`` skips ``test_arc_counts``, one whose count refuses
 periodic operators skips its periodic case, one whose periodic sweeps
 double their grid fails ``test_sweep[P1N100haar0999s0]``, and one whose
 Pruefer calls raise on a breakdown reads ``broken_points`` 0.
 """
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,17 +98,27 @@ def test_bands(benchmark, monkeypatch, L, N, ensemble):
     assert len(bs.spectra) == 64
 
 
+PAST_CAP = ("L1N1024haar085s0", "L2N512cmv05s0")
+
+
 @pytest.mark.parametrize("make, args", [(ensembles.finite_zipper, (7, 1, 24, "haar-gauge", 0.85)),
                                         (ensembles.finite_zipper, (0, 1, 128, "cmv", 0.5)),
-                                        (ensembles.periodic_zipper, (0, 1, 100, "haar-gauge", 0.999))],
-                         ids=["L1N24haar085s7", "L1N128cmv05s0", "P1N100haar0999s0"])
-def test_sweep(benchmark, monkeypatch, make, args):
+                                        (ensembles.periodic_zipper, (0, 1, 100, "haar-gauge", 0.999)),
+                                        (ensembles.finite_zipper, (0, 1, 1024, "haar-gauge", 0.85)),
+                                        (ensembles.finite_zipper, (0, 2, 512, "cmv", 0.5))],
+                         ids=["L1N24haar085s7", "L1N128cmv05s0", "P1N100haar0999s0", *PAST_CAP])
+def test_sweep(benchmark, monkeypatch, request, make, args):
     # the pinned spectra job whose first grid of 8 N L = 192 intervals finds
     # 12 of 24 crossings, a long chain on which many Pruefer calls break down,
-    # and a periodic narrow resonance that a doubling sweep never finished;
-    # thetas, prufer_calls and broken_points count prufer or prufer_periodic
+    # a periodic narrow resonance that a doubling sweep never finished, and two
+    # sweeps past the dense cap whose first grids are short; thetas,
+    # prufer_calls and broken_points count prufer or prufer_periodic,
+    # count_calls and count_arcs the arc counts, solves the inverse-iteration
+    # runs summed over their batched steps.  A past-cap sweep runs once in the
+    # timed span and once under tracemalloc (peak_mb), and is checked against
+    # the eigenphases of the dense matrix outside both
     z = make(*args)
-    points, broken, counts = [], [], []
+    points, broken, counts, arcs, solves = [], [], [], [], []
     name = "prufer" if z.flavor == "finite" else "prufer_periodic"
     phase = getattr(osc, name)
 
@@ -114,11 +131,35 @@ def test_sweep(benchmark, monkeypatch, make, args):
     monkeypatch.setattr(osc, name, counted)
     if hasattr(osc, "arc_counts"):
         arc_counts = osc.arc_counts
-        monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
-    osc.spectrum_by_oscillation(z)
+        monkeypatch.setattr(osc, "arc_counts", lambda op, centers, halfwidths: counts.append(1) or
+                            arcs.append(len(centers)) or arc_counts(op, centers, halfwidths))
+    if hasattr(osc, "_inverse_step"):
+        step = osc._inverse_step
+        monkeypatch.setattr(osc, "_inverse_step", lambda op, thetas, x: solves.append(len(thetas)) or
+                            step(op, thetas, x))
+    past_cap = request.node.callspec.id in PAST_CAP
+    if past_cap:
+        start = time.perf_counter()
+        spec = benchmark.pedantic(osc.spectrum_by_oscillation, (z,), rounds=1, iterations=1)
+        wall = time.perf_counter() - start
+    else:
+        spec = osc.spectrum_by_oscillation(z)
     benchmark.extra_info.update(sites=z.N, thetas=sum(points), prufer_calls=len(points),
-                                broken_points=sum(broken), count_calls=len(counts))
-    spec = benchmark(osc.spectrum_by_oscillation, z)
+                                broken_points=sum(broken), count_calls=len(counts), count_arcs=sum(arcs),
+                                solves=sum(solves))
+    if past_cap:
+        tracemalloc.start()
+        try:
+            osc.spectrum_by_oscillation(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        benchmark.extra_info.update(wall_s=wall, peak_mb=peak / 1e6)
+        dense = np.sort(np.mod(np.angle(np.linalg.eigvals(zp.assemble_finite(z).to_dense())), 2 * np.pi))
+        gap = np.abs(np.angle(np.exp(1j * (spec.expanded_thetas()[:, None] - dense[None, :]))))
+        assert gap.min(axis=1).max() < 1e-9 and gap.min(axis=0).max() < 1e-9
+    else:
+        spec = benchmark(osc.spectrum_by_oscillation, z)
     assert spec.total_multiplicity == z.N * z.L
 
 
@@ -138,7 +179,13 @@ def test_arc_counts(benchmark, periodic):
         op = zp.assemble_finite(ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85))
     edges = 0.37 * 2 * np.pi / 192 + np.arange(193) * (2 * np.pi / 192)
     centers, halfwidths = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    benchmark.extra_info.update(sites=op.N, arcs=len(centers))
+    tracemalloc.start()
+    try:
+        zp.arc_counts(op, centers, halfwidths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info.update(sites=op.N, arcs=len(centers), peak_mb=peak / 1e6)
     counts = benchmark(zp.arc_counts, op, centers, halfwidths)
     assert counts.sum() == 24
 

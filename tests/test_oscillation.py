@@ -519,7 +519,8 @@ def test_verify_reports_a_prufer_breakdown_as_a_breakdown(monkeypatch):
 def test_stall_instance_sweeps_in_few_batched_calls(monkeypatch):
     # gen --L 1 --N 24 --alpha-max 0.85 --seed 7: a doubling sweep went to
     # 24576 points, ~28400 calls at one call per theta; batched calls of at
-    # most SWEEP_BLOCK theta need a few dozen
+    # most SWEEP_BLOCK theta needed 31, and inverse iteration on the band
+    # finishes the counted brackets with no Pruefer call at all
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
@@ -528,14 +529,93 @@ def test_stall_instance_sweeps_in_few_batched_calls(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        if len(calls) > 200:
-            raise AssertionError("more than 200 Pruefer calls")
+        if len(calls) > 6:
+            raise AssertionError("more than 6 Pruefer calls")
         return prufer(*args, **kwargs)
 
     monkeypatch.setattr(osc, "prufer", counted)
     swept = osc.spectrum_by_oscillation(z)
     dense = zp.dense_spectrum(zp.assemble_finite(z))
     assert swept.total_multiplicity == dense.total_multiplicity == 24
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+@pytest.mark.parametrize("args", [(7, 1, 24, "haar-gauge", 0.85), (2, 1, 8, "haar-gauge", 0.95)],
+                         ids=["L1N24haar085s7", "L1N8haar095s2"])
+def test_counted_sweeps_finish_by_inverse_iteration(monkeypatch, args):
+    # the two counted sweeps of the spectra benchmark: 31 and 32 Pruefer calls
+    # when count bisection and ITP finished their brackets; now one count of the
+    # first grid and a few batched solves, exact to rounding instead of
+    # midpoints within refine_tol / 2
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(*args)
+    points = _counted_prufer(monkeypatch)
+    counts, solves = [], []
+    arc_counts, step = osc.arc_counts, osc._inverse_step
+    monkeypatch.setattr(osc, "arc_counts", lambda *a: counts.append(1) or arc_counts(*a))
+    monkeypatch.setattr(osc, "_inverse_step", lambda op, thetas, x: solves.append(len(thetas)) or step(op, thetas, x))
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert len(points) <= 6 and counts and len(solves) <= osc.INVERSE_STEPS
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-12
+
+
+def test_inverse_iteration_takes_its_runs_in_blocks(monkeypatch):
+    # 24 runs in blocks of 5: five solves per step, the same crossings
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
+    widths = []
+    solve = osc.shifted_solve
+    monkeypatch.setattr(osc, "INVERSE_BLOCK", 5)
+    monkeypatch.setattr(osc, "shifted_solve", lambda op, thetas, rhs: widths.append(len(thetas)) or
+                        solve(op, thetas, rhs))
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert widths[:5] == [5, 5, 5, 5, 4] and max(widths) == 5
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-12
+
+
+def test_inverse_iteration_that_leaves_its_bracket_falls_back_to_count_bisection(monkeypatch):
+    # every run turned half a circle away: each bracket goes back to the counts,
+    # which cut it unless its end phases agree with its count (then ITP finishes
+    # it), and its parts run again until the counts or ITP locate it
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
+    runs = _runs_leave_their_brackets(monkeypatch)
+    counts = []
+    arc_counts = osc.arc_counts
+    monkeypatch.setattr(osc, "arc_counts", lambda *a: counts.append(1) or arc_counts(*a))
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert runs[0] == 24 and len(counts) > 1
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+
+
+def test_inverse_iteration_that_passes_its_step_cap_falls_back_to_count_bisection(monkeypatch):
+    # a run whose residual never falls below refine_tol / 2 is handed back after
+    # INVERSE_STEPS solves
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.finite_zipper(2, 1, 8, "haar-gauge", 0.95)
+    runs = []
+    step = osc._inverse_step
+
+    def slow(op, thetas, x):
+        runs.append(len(thetas))
+        vectors, theta, radius = step(op, thetas, x)
+        return vectors, theta, np.maximum(radius, 1e-9)
+
+    monkeypatch.setattr(osc, "_inverse_step", slow)
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum(zp.assemble_finite(z))
+    assert runs[:osc.INVERSE_STEPS] == [runs[0]] * osc.INVERSE_STEPS
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
 
 
@@ -854,6 +934,21 @@ def _breaking_down_near(monkeypatch, centers, radius, name="prufer"):
     return broken
 
 
+def _runs_leave_their_brackets(monkeypatch):
+    """Turn every inverse-iteration step half a circle away from its run's theta;
+    the list gets the number of runs of every step."""
+    runs = []
+    step = osc._inverse_step
+
+    def astray(op, thetas, x):
+        runs.append(len(thetas))
+        vectors, theta, radius = step(op, thetas, x)
+        return vectors, theta + np.pi, radius
+
+    monkeypatch.setattr(osc, "_inverse_step", astray)
+    return runs
+
+
 @pytest.mark.parametrize("flavor, args, short, far, most_counts", [
     ("finite", (1, 1, 12, "cmv", 0.5), False, 2, 31), ("finite", (7, 1, 24, "haar-gauge", 0.85), True, 2, 31),
     ("finite", (0, 2, 16, "free"), False, 2, 29), ("finite", (3, 1, 16, "haar-gauge", 0.85), True, 3, 31),
@@ -868,7 +963,10 @@ def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch
     # bracket located by counts alone holds two crossings.  The brackets
     # whose samples break down are counted in the same lockstep as the
     # splits: in two count passes the three-far case took 60 count calls.
-    # A periodic sweep whose sample broke down used to stop there.
+    # A periodic sweep whose sample broke down used to stop there.  Where the
+    # first grid is short, its brackets of one eigenvalue finish by inverse
+    # iteration and are never sampled, so there every run is sent out of its
+    # bracket, which hands it back to the counts and the samples.
     from scatzip.cli import _cyclic_pairing
 
     periodic = flavor == "periodic"
@@ -883,6 +981,8 @@ def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch
     centers = dense.thetas[np.argsort(gap)[-far:]]
     broken = _breaking_down_near(monkeypatch, centers, 0.5 * np.sort(gap)[-far],
                                  "prufer_periodic" if periodic else "prufer")
+    if short:
+        _runs_leave_their_brackets(monkeypatch)
     counts = []
     arc_counts = osc.arc_counts
     monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
@@ -900,7 +1000,9 @@ def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch
                          ids=["finite", "periodic"])
 def test_a_first_grid_point_that_breaks_down_sends_its_sweep_to_the_counts(monkeypatch, flavor, args):
     # grid point 17 of the first grid breaks down, which used to stop the sweep;
-    # one of its two intervals holds an eigenvalue, which counts alone locate
+    # one of its two intervals holds an eigenvalue.  The first count and inverse
+    # iteration locate every eigenvalue; with every run sent out of its bracket,
+    # counts alone locate them
     from scatzip.cli import _cyclic_pairing
 
     periodic = flavor == "periodic"
@@ -911,9 +1013,16 @@ def test_a_first_grid_point_that_breaks_down_sends_its_sweep_to_the_counts(monke
     counts = []
     arc_counts = osc.arc_counts
     monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
-    swept = osc.spectrum_by_oscillation(z)
     dense = zp.dense_spectrum((zp.assemble_periodic if periodic else zp.assemble_finite)(z))
-    assert len(broken) == 1 and len(counts) > 1
+    swept = osc.spectrum_by_oscillation(z)
+    assert len(broken) == 1 and len(counts) == 1
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-12
+    runs = _runs_leave_their_brackets(monkeypatch)
+    broken.clear()
+    counts.clear()
+    swept = osc.spectrum_by_oscillation(z)
+    assert runs and len(broken) == 1 and len(counts) > 1
     assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
 

@@ -328,6 +328,35 @@ def test_arc_counts_match_the_dense_spectrum(args, k):
     assert 0 < counts.max() and counts.min() == 0
 
 
+@pytest.mark.parametrize("kind", ["finite", "periodic", "fiber"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_arc_counts_match_dense_counts_on_random_arcs(kind, L):
+    # every N from the aliased N = 2 and 4 up to 24, every ensemble, the free one
+    # included.  A sweep's arcs from pi / 2 below a grid point are a quarter turn
+    # wide at the opposite grid point, where the free zipper puts zeros on the
+    # diagonal of invertible pivot blocks; the periodic free zipper has no diagonal
+    # blocks at all, so there the first pivot block itself is -cos(pi / 2) = 6e-17
+    rng = np.random.default_rng([L, len(kind)])
+    arcs = 0
+    for N in (2, 4, 6, 24):
+        for ensemble in ("cmv", "haar-gauge", "free"):
+            if kind == "finite":
+                op = zp.assemble_finite(ensembles.finite_zipper(N + L, L, N, ensemble, 0.9))
+            else:
+                z = ensembles.periodic_zipper(N + L, L, N, ensemble, 0.9)
+                op = zp.assemble_periodic(z) if kind == "periodic" else zp.fiber(z, rng.uniform(-np.pi, np.pi) / N)
+            thetas = zp.dense_spectrum(op).expanded_thetas()
+            centers = rng.uniform(0.0, 2 * np.pi, 60)
+            quarter = 10 if kind == "finite" else 0
+            halfwidths = np.r_[rng.uniform(1e-3, np.pi - 1e-3, 60 - quarter), np.full(quarter, 0.5 * np.pi)]
+            gap = np.abs(np.angle(np.exp(1j * (thetas[None, :] - centers[:, None]))))
+            clear = np.abs(gap - halfwidths[:, None]).min(axis=1) > 1e-9  # no eigenvalue on an edge
+            counts = zp.arc_counts(op, centers[clear], halfwidths[clear])
+            assert np.array_equal(counts, (gap[clear] < halfwidths[clear, None]).sum(axis=1)), (N, ensemble)
+            arcs += clear.sum()
+    assert arcs > 0.9 * 12 * 60
+
+
 @pytest.mark.parametrize("L", [1, 2])
 def test_arc_counts_see_an_eigenvalue_at_zero_with_its_multiplicity(L):
     # the free N = 4 zipper has the eigenvalues 1, i, -1, -i, each of multiplicity L
@@ -345,17 +374,95 @@ def test_arc_counts_refuse_an_eigenvalue_on_an_edge():
 
 
 def test_arc_counts_read_the_band_alone(monkeypatch):
+    # and so do the solves and the steps of inverse iteration
+    from scatzip import oscillation as osc
+
     cases = [(ensembles.finite_zipper(7, 2, 8, "haar-gauge", 0.85), zp.assemble_finite),
              (ensembles.periodic_zipper(7, 2, 8, "haar-gauge", 0.85), zp.assemble_periodic)]
     centers, halfwidths = np.linspace(0.1, 6.0, 40), np.linspace(0.05, 3.0, 40)
-    before = [zp.arc_counts(assemble(z), centers, halfwidths) for z, assemble in cases]
+    rhs = np.random.default_rng(3).standard_normal((16, 40)) + 0j
+
+    def read(op):
+        return (zp.arc_counts(op, centers, halfwidths), zp.shifted_solve(op, centers, rhs),
+                *osc._inverse_step(op, centers, None))
+
+    before = [read(assemble(z)) for z, assemble in cases]
     for z, _ in cases:
         z.phi_table()[3] = 1e3 * np.eye(4)  # corrupt the cached phi table in place
         assert np.abs(z.phi_table()[3] - 1e3 * np.eye(4)).max() == 0
     for name in ("propagate", "chart_chain"):
         monkeypatch.setattr(tr, name, lambda *a, **k: pytest.fail("the count ran a transfer chain"))
-    for (z, assemble), counts in zip(cases, before):
-        assert np.array_equal(zp.arc_counts(assemble(z), centers, halfwidths), counts)
+    for (z, assemble), expected in zip(cases, before):
+        for out, ref in zip(read(assemble(z)), expected):
+            assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("kind", ["finite", "periodic", "fiber"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_shifted_solve_matches_a_dense_solve(kind, L):
+    # H(theta) = 1 - Re(e^(-i theta) U) is nearly singular next to an eigenvalue,
+    # so the check is the backward error; ||H|| <= 2
+    rng = np.random.default_rng([L, 7])
+    for N in (2, 4, 10):
+        if kind == "finite":
+            op = zp.assemble_finite(ensembles.finite_zipper(N, L, N, "haar-gauge", 0.9))
+        else:
+            z = ensembles.periodic_zipper(N, L, N, "cmv", 0.9)
+            op = zp.assemble_periodic(z) if kind == "periodic" else zp.fiber(z, 0.3 / N)
+        U = op.to_dense()
+        thetas = rng.uniform(0.0, 2 * np.pi, 5)
+        rhs = rng.standard_normal((op.dim, 5)) + 1j * rng.standard_normal((op.dim, 5))
+        x = zp.shifted_solve(op, thetas, rhs)
+        for j, theta in enumerate(thetas):
+            H = np.eye(op.dim) - 0.5 * (np.exp(-1j * theta) * U + np.exp(1j * theta) * U.conj().T)
+            assert np.linalg.norm(H @ x[:, j] - rhs[:, j]) < 1e-13 * np.linalg.norm(x[:, j]), (N, j)
+    with pytest.raises(ValidationError, match=r"rhs must have shape"):
+        zp.shifted_solve(op, thetas, rhs[:, :4])
+
+
+def test_shifted_solve_takes_its_columns_in_chunks(monkeypatch):
+    op = zp.assemble_finite(ensembles.finite_zipper(2, 2, 12, "cmv", 0.9))
+    rng = np.random.default_rng(4)
+    thetas = rng.uniform(0.0, 2 * np.pi, 7)
+    rhs = rng.standard_normal((op.dim, 7)) + 1j * rng.standard_normal((op.dim, 7))
+    widths = []
+    eliminate = zp._eliminate
+    monkeypatch.setattr(zp, "SOLVE_BLOCK", 3 * 6 * 16 * 2)  # factors of two columns
+    monkeypatch.setattr(zp, "_eliminate", lambda op, phi, *a: widths.append(len(phi)) or eliminate(op, phi, *a))
+    x = zp.shifted_solve(op, thetas, rhs)
+    assert widths == [2, 2, 2, 1]
+    U = op.to_dense()
+    for j, theta in enumerate(thetas):
+        H = np.eye(op.dim) - 0.5 * (np.exp(-1j * theta) * U + np.exp(1j * theta) * U.conj().T)
+        assert np.linalg.norm(H @ x[:, j] - rhs[:, j]) < 1e-13 * np.linalg.norm(x[:, j]), j
+
+
+@pytest.mark.parametrize("args", [(0, 1, 256, "haar-gauge", 0.85), (0, 2, 128, "cmv", 0.5)],
+                         ids=["L1N256haar085", "L2N128cmv05"])
+def test_arc_counts_stream_their_superblocks(args):
+    # the first count of a short sweep: both grid halves from pi / 2 below their
+    # first theta, 8 N L + 2 arcs.  Stacking every superblock of every arc
+    # peaked at 67 MB and 135 MB; one superblock at a time needs a few MB
+    import tracemalloc
+
+    op = zp.assemble_finite(ensembles.finite_zipper(*args))
+    grid = 8 * op.dim
+    thetas = 2 * np.pi * (0.37 + np.arange(grid + 1)) / grid
+    h = grid // 2
+    x = np.r_[thetas[:h + 1], thetas[h:]]
+    anchor = np.repeat(thetas[[0, h]] - 0.5 * np.pi, [h + 1, grid - h + 1])
+    centers, halfwidths = 0.5 * (x + anchor), 0.5 * (x - anchor)
+    tracemalloc.start()
+    try:
+        counts = zp.arc_counts(op, centers, halfwidths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(centers) == grid + 2
+    assert peak < 8e6, f"{peak / 1e6:.1f} MB"
+    expected, margin = _dense_arc_counts(zp.dense_spectrum(op).expanded_thetas(), centers, halfwidths)
+    assert margin > 1e-9
+    assert np.array_equal(counts, expected)
 
 
 def test_arc_counts_reject_bad_arcs():
