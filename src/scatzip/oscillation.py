@@ -49,14 +49,18 @@ down finishes on the counts alone.  All of them share one lockstep loop
 count call per level.  No sweep samples a second grid.
 
 Bands are one sweep over all momenta, or over chunks of them where the
-momentum grid would make the phase table too large.  The fiber at momentum
-k scales each transfer by e^(ik), so its doubled Pruefer unitary is the
+momentum grid would make the phase table too large, and a spectrum is the
+same sweep at the one momentum 0 (``_sweep``).  The fiber at momentum k
+scales each transfer by e^(ik), so its doubled Pruefer unitary is the
 untwisted one with the diagonal blocks scaled by e^(-iNk) and e^(iNk) (the
 Floquet twist).  The sweep carries a member index on every sample row and
 bracket: one untwisted ``prufer_periodic`` chain per theta serves every
-momentum, and only the momenta whose first grid is short count their arcs,
-each on the band stack of its own fiber; their brackets finish by counts,
-not by inverse iteration.
+momentum.  Under the similarity diag(e^(ikr)) over the sites r the fiber is
+the periodic operator with its two wrapped blocks scaled by e^(iNk) and
+e^(-iNk), so the momenta whose first grid is short count their arcs and
+solve their runs on the one band stack of ``assemble_periodic``, each arc
+and run at its own momentum: one count call per level for all of them, and
+no fiber is assembled.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .transfer import TransferFactory, chart_chain, pair_table
 from .zipper import (TWO_PI, BlockBandedUnitary, SpectrumResult, Zipper, _circular_clusters, apply, arc_counts,
-                     assemble_finite, assemble_periodic, fiber, shifted_solve)
+                     assemble_finite, assemble_periodic, shifted_solve)
 
 # Most theta one batched Pruefer evaluation takes, and most matrices one
 # eigvals call takes; bounds the frame and phase-matrix stacks in memory when
@@ -507,20 +511,6 @@ def _phase_family(zipper: Zipper) -> Callable[[np.ndarray], np.ndarray]:
     return lambda thetas: phase(zipper, np.exp(1j * np.asarray(thetas)))
 
 
-def _sweep_grid(zipper: Zipper, grid_size: Optional[int], refine_tol: float) -> int:
-    """The theta grid of a sweep over the N L eigenvalues of ``zipper`` (default
-    8 N L), checked to be an integer at or above the sampling floor 4 N L, with
-    ``refine_tol`` checked to lie in (0, 2 pi / grid)."""
-    total = zipper.N * zipper.L
-    grid = grid_size if grid_size is not None else 8 * total
-    if not (isinstance(grid, (int, np.integer)) and grid >= 4 * total):  # also rejects NaN
-        raise ValidationError(f"grid size {grid} must be an integer at or above the sampling floor "
-                              f"{4 * total}")
-    if not 0.0 < refine_tol < TWO_PI / grid:  # also false for NaN
-        raise ValidationError(f"refine tolerance must lie in (0, 2 pi / {grid}), got {refine_tol}")
-    return grid
-
-
 def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
                             refine_tol: float = 1e-10) -> SpectrumResult:
     """All N L eigenvalues of a finite or periodic zipper by Pruefer-phase crossing counting.
@@ -529,19 +519,54 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     2L eigenphases of the doubled ``prufer_periodic``; both certify a short
     first grid by ``arc_counts`` on the band stack of ``assemble_finite`` or
     ``assemble_periodic``, and finish its brackets of one eigenvalue by
-    inverse iteration on the same band stack (``_inverse_step``).
+    inverse iteration on the same band stack (``_inverse_step``).  This is
+    the sweep of ``bands`` at the one momentum 0.
     """
     if not isinstance(zipper, Zipper):
         raise ValidationError("oscillation spectra need a finite or periodic zipper")
-    grid = _sweep_grid(zipper, grid_size, refine_tol)
-    assemble = assemble_finite if zipper.flavor == "finite" else assemble_periodic
-    op = functools.cache(lambda: assemble(zipper))  # a sweep that never counts never assembles
-    return sweep_spectrum(_phase_family(zipper), zipper.N * zipper.L, grid,
-                          lambda members, centers, halfwidths: arc_counts(op(), centers, halfwidths),
-                          refine_tol, iterate=lambda members, thetas, x: _inverse_step(op(), thetas, x)).spectra[0]
+    return _sweep(zipper, np.zeros(1), grid_size, refine_tol)[0]
 
 
-def _inverse_step(op: BlockBandedUnitary, thetas: np.ndarray, x: Optional[np.ndarray]) -> tuple:
+def _sweep(zipper: Zipper, ks: np.ndarray, grid_size: Optional[int], refine_tol: float) -> list:
+    """The oscillation spectra of ``zipper`` at the momenta ``ks`` (0 alone for a finite one).
+
+    The theta grid has ``grid_size`` intervals (default 8 N L), checked to be
+    an integer at or above the sampling floor 4 N L, with ``refine_tol``
+    checked to lie in (0, 2 pi / grid).
+
+    The fiber at momentum k scales every transfer by e^(ik), so after N
+    sites the acted rows of the doubled frame carry e^(iNk): the frame is
+    D (a; b) with D = diag(1, e^(iNk)) on L x L blocks, its chart D C D*,
+    and the fiber's Pruefer unitary W_k = D (W_0 S) D* S = diag(1, e^(iNk))
+    W_0 diag(e^(-iNk), 1), with S the block swap.  So one untwisted
+    Pruefer chain per theta serves every momentum, and member k of the
+    sweep scales the diagonal blocks of W_0 by e^(-iNk) and e^(iNk).  The
+    momenta go to ``sweep_spectrum`` in chunks of at most
+    BANDS_SAMPLE_ROWS // (grid + 1).  Their arc counts and inverse-iteration
+    steps all read one band stack, assembled on the first count, with the
+    momentum of each arc or run (``zipper.arc_counts``, ``_inverse_step``).
+    """
+    total = zipper.N * zipper.L
+    grid = grid_size if grid_size is not None else 8 * total
+    if not (isinstance(grid, (int, np.integer)) and grid >= 4 * total):  # also rejects NaN
+        raise ValidationError(f"grid size {grid} must be an integer at or above the sampling floor {4 * total}")
+    if not 0.0 < refine_tol < TWO_PI / grid:  # also false for NaN
+        raise ValidationError(f"refine tolerance must lie in (0, 2 pi / {grid}), got {refine_tol}")
+    L, twist = zipper.L, np.exp(1j * zipper.N * ks)[:, None, None]
+    twists = np.ones((len(ks), 2 * L, 2 * L), dtype=complex)
+    twists[:, :L, :L] = np.conj(twist)
+    twists[:, L:, L:] = twist
+    op = functools.cache(lambda: (assemble_finite if zipper.flavor == "finite" else assemble_periodic)(zipper))
+    chunk = max(1, BANDS_SAMPLE_ROWS // (grid + 1))  # momenta per sweep
+    spectra = []
+    for i in range(0, len(ks), chunk):  # member m of the chunk from i has the momentum ks[i + m]
+        spectra += sweep_spectrum(_phase_family(zipper), total, grid, lambda m, c, h: arc_counts(op(), c, h, ks[i + m]),
+                                  refine_tol, twists=twists[i:i + chunk] if zipper.flavor == "periodic" else UNTWISTED,
+                                  iterate=lambda m, thetas, x: _inverse_step(op(), thetas, x, ks[i + m])).spectra
+    return spectra
+
+
+def _inverse_step(op: BlockBandedUnitary, thetas: np.ndarray, x: Optional[np.ndarray], momenta: np.ndarray) -> tuple:
     """One step of shifted inverse iteration with a Rayleigh-quotient update, for every run at once.
 
     Row j of ``x`` is the vector of run j; runs past len(x) (all of them
@@ -550,7 +575,9 @@ def _inverse_step(op: BlockBandedUnitary, thetas: np.ndarray, x: Optional[np.nda
     theta_j to arg(y_j* U y_j), taken within pi of theta_j.  Returns the
     rows y_j, the new theta_j and the residuals ||U y_j - e^(i theta_j) y_j||:
     U is normal, so an eigenvalue lies within that distance of
-    e^(i theta_j) (Bauer and Fike, Numer. Math. 2, 1960).  A run whose
+    e^(i theta_j) (Bauer and Fike, Numer. Math. 2, 1960).  U is the fiber
+    of ``op`` at ``momenta[j]``, the momentum of run j (0 is ``op`` itself),
+    as ``shifted_solve`` and ``zipper.apply`` take it.  A run whose
     solve breaks down gets NaN.  Runs go INVERSE_BLOCK at a time, which
     bounds the temporaries of the solve and of ``zipper.apply``.
     """
@@ -561,9 +588,9 @@ def _inverse_step(op: BlockBandedUnitary, thetas: np.ndarray, x: Optional[np.nda
     with np.errstate(all="ignore"):  # a breakdown is NaN, read by the caller
         for i in range(0, len(thetas), INVERSE_BLOCK):
             part = slice(i, i + INVERSE_BLOCK)
-            y = shifted_solve(op, thetas[part], rows[part].T)
+            y = shifted_solve(op, thetas[part], rows[part].T, momenta[part])
             y /= np.linalg.norm(y, axis=0)
-            Uy = apply(op, y)
+            Uy = apply(op, y, momenta[part])
             theta[part] = thetas[part] + np.angle(np.einsum("ij,ij->j", y.conj(), Uy) * np.exp(-1j * thetas[part]))
             radius[part] = np.linalg.norm(Uy - np.exp(1j * theta[part]) * y, axis=0)
             rows[part] = y.T
@@ -630,41 +657,18 @@ def bands(zipper: Zipper, k_grid_size: int, grid_size: Optional[int] = None,
           refine_tol: float = 1e-10) -> BandStructure:
     """Band structure: the oscillation spectra of the fibers at all momenta, in one sweep.
 
-    Every transfer of the fiber at momentum k is the untwisted one times
-    e^(ik), so after N sites the acted rows of the doubled frame carry
-    e^(iNk): the frame is D (a; b) with D = diag(1, e^(iNk)) on L x L
-    blocks, its chart D C D*, and the fiber's Pruefer unitary
-    W_k = D (W_0 S) D* S = diag(1, e^(iNk)) W_0 diag(e^(-iNk), 1), with S
-    the block swap.  So the untwisted ``prufer_periodic`` chain runs once
-    per theta, and member k of the sweep scales the diagonal blocks of W_0
-    by e^(-iNk) and e^(iNk).  The momenta go to ``sweep_spectrum`` in
-    chunks of at most BANDS_SAMPLE_ROWS // (grid + 1), one sweep each.  A
-    momentum whose first grid comes up short counts its arcs on the band
-    stack of its fiber (``zipper.fiber``), assembled for it alone on its
-    first count.  The dense ``zipper.fiber`` remains the independent check.
+    The sweep of ``spectrum_by_oscillation`` at every momentum of
+    ``momentum_grid`` (``_sweep``): the untwisted ``prufer_periodic`` chain
+    runs once per theta, member k twists it by the Floquet factors
+    e^(-iNk) and e^(iNk), and the momenta whose first grid comes up short
+    count their arcs and finish their brackets of one eigenvalue by inverse
+    iteration on the one band stack of ``assemble_periodic``, each at its
+    own momentum.  No fiber is assembled; the dense ``zipper.fiber``
+    remains the independent check.
     """
     if zipper.flavor != "periodic":
         raise ValidationError("bands needs a periodic zipper")
     if not (isinstance(k_grid_size, (int, np.integer)) and k_grid_size >= 1):  # also rejects NaN
         raise ValidationError(f"momentum grid size must be an integer >= 1, got {k_grid_size!r}")
-    grid = _sweep_grid(zipper, grid_size, refine_tol)
     ks = momentum_grid(zipper.N, k_grid_size)
-    L, c = zipper.L, np.exp(1j * zipper.N * ks)[:, None, None]
-    twists = np.ones((len(ks), 2 * L, 2 * L), dtype=complex)
-    twists[:, :L, :L] = np.conj(c)
-    twists[:, L:, L:] = c
-    fibers = functools.cache(lambda i: fiber(zipper, ks[i]))  # assembled on a momentum's first count
-    wfn = _phase_family(zipper)
-    chunk = max(1, BANDS_SAMPLE_ROWS // (grid + 1))  # momenta per sweep
-    spectra = []
-    for i in range(0, len(ks), chunk):
-        def arc_count(members, centers, halfwidths, start=i):
-            out = np.zeros(len(members), dtype=int)
-            for j in np.unique(members):
-                arcs = members == j
-                out[arcs] = arc_counts(fibers(start + int(j)), centers[arcs], halfwidths[arcs])
-            return out
-
-        spectra += sweep_spectrum(wfn, zipper.N * L, grid, arc_count, refine_tol,
-                                  twists=twists[i:i + chunk]).spectra
-    return BandStructure(ks, spectra)
+    return BandStructure(ks, _sweep(zipper, ks, grid_size, refine_tol))

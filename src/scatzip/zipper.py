@@ -18,7 +18,10 @@ for one.
 The band stack alone also gives eigenvalue counts on arcs (``arc_counts``)
 and the shifted solves of inverse iteration (``shifted_solve``): both are
 one streamed LDL* of a Hermitian part of the operator, block tridiagonal in
-the superblocks of the band rows (``_eliminate``).
+the superblocks of the band rows (``_eliminate``).  Both, and ``apply``,
+take a momentum per column: the Bloch-Floquet fiber at momentum k is the
+periodic operator with its two wrapped blocks twisted by e^(+-iNk), so one
+band stack serves every fiber.
 
 Also provides the dense spectral oracle used to cross-check the
 oscillation-theory solvers: eigenvalues of the unitary are obtained by
@@ -360,8 +363,9 @@ def fiber(zipper: Zipper, k: float) -> BlockBandedUnitary:
     return assemble_periodic(fiber_zipper(zipper, k))
 
 
-def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, rhs: Optional[np.ndarray] = None) -> tuple:
-    """Scalar LDL* of A = Re(e^(-i phi_j) U) - cos_delta_j for every column j, streamed by superblocks.
+def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, momenta=0.0,
+               rhs: Optional[np.ndarray] = None) -> tuple:
+    """Scalar LDL* of A = Re(e^(-i phi_j) U_j) - cos_delta_j for every column j, streamed by superblocks.
 
     A is block tridiagonal in the 2L x 2L superblocks of the band rows,
     read cyclically: B_I = A[I, I] from ``band[I, :, L:3L]``, and C_I =
@@ -380,6 +384,15 @@ def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, rhs: Optional
     Every superblock is taken in the basis of ``_mixing(2L)``, which
     changes the scalar pivots but neither the number of positive ones nor
     the solution.  Memory does not grow with N.
+
+    U_j is U twisted to its Bloch-Floquet fiber at ``momenta[j]`` = k (0,
+    the default, is U itself).  The fiber scales every site-to-site hop by
+    e^(+-ik), and the similarity D = diag(e^(ikr)) over the sites r, which
+    keeps the inertia and maps the solutions by D, moves all of that onto
+    the two hops around the corner: U[0, N-1] e^(iNk) and U[N-1, 0]
+    e^(-iNk), that is ``band[0, :, :L]`` and ``band[P-1, :, 3L:]``.  Both
+    sit in C_0 alone, which becomes C_0 e^(iNk), and only P = 1 and the
+    border read C_0, so the twist costs one factor per column there.
 
     Returns the number of positive scalar pivots and the smallest |pivot|
     (NaN if one is NaN) per column; with ``rhs``, a (P, 2L, columns)
@@ -402,9 +415,6 @@ def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, rhs: Optional
     diagonal = np.stack([diagonal, mc.adj(diagonal)], axis=-1)
     shift = np.eye(m)[:, :, None] * cos_delta
 
-    def adjoint(C):
-        return C.conj().transpose(1, 0, 2)
-
     def superblocks():  # (B_I, C_I) for I = 1, ..., P - 1 - border, built a few superblocks at a time
         step = max(1, STREAM_BLOCK // (m * m * len(phi)))
         for start in range(1, P - border, step):
@@ -415,10 +425,13 @@ def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, rhs: Optional
     smallest = np.full(len(phi), np.inf)
     stream = superblocks()
     cur = diagonal[0] @ half - shift
+    if P == 1 or border:  # C_0 at the momentum of every column, and its adjoint
+        wrapped = coupling[0] @ half * np.exp(1j * op.N * np.asarray(momenta))
+        edge = wrapped.conj().transpose(1, 0, 2)
     if P == 1:
-        cur += coupling[0] @ half + adjoint(coupling[0] @ half)
+        cur += wrapped + edge
     if border:
-        edge, corner = adjoint(coupling[0] @ half), diagonal[P - 1] @ half - shift
+        corner = diagonal[P - 1] @ half - shift
     if rhs is not None:
         rhs = np.einsum("ji,Pjn->Pin", R.conj(), rhs)
         factors, y, y_border = [], rhs[0], rhs[P - 1]
@@ -484,40 +497,56 @@ def _mixing(m: int) -> np.ndarray:
     return R
 
 
-def shifted_solve(op: BlockBandedUnitary, thetas, rhs) -> np.ndarray:
-    """The solution x_j of H(theta_j) x_j = rhs_j for every column j of the (dim, n) ``rhs``.
+def _momenta(momenta, shape: tuple) -> np.ndarray:
+    """``momenta`` as finite floats broadcast to the columns ``shape``."""
+    k = np.asarray(momenta, dtype=float)
+    if not np.all(np.isfinite(k)):
+        raise ValidationError("momenta must be finite")
+    try:
+        return np.broadcast_to(k, shape)
+    except ValueError:
+        raise ValidationError(f"momenta must broadcast to the columns {shape}, got {k.shape}") from None
 
-    H(theta) = 1 - Re(e^(-i theta) U) = (U - e^(i theta))* (U - e^(i theta)) / 2
-    is Hermitian, positive semidefinite and block tridiagonal on the
-    superblocks of the band, so ``_eliminate`` factors it as it counts, at
-    cos(delta) = 1; near an eigenvalue e^(i theta) it is nearly singular,
-    which is what inverse iteration wants.  The columns are solved in
-    chunks whose kept factors hold at most SOLVE_BLOCK entries.  Reads
-    ``op.band`` only; a column whose elimination meets a zero pivot comes
-    back inf or NaN.
+
+def shifted_solve(op: BlockBandedUnitary, thetas, rhs, momenta=0.0) -> np.ndarray:
+    """The solution x_j of H_j(theta_j) x_j = rhs_j for every column j of the (dim, n) ``rhs``.
+
+    H_j(theta) = 1 - Re(e^(-i theta) U_j) = (U_j - e^(i theta))* (U_j -
+    e^(i theta)) / 2, with U_j the fiber of U at ``momenta[j]`` (see
+    ``_eliminate``; 0 is U itself), is Hermitian, positive semidefinite and
+    block tridiagonal on the superblocks of the band, so ``_eliminate``
+    factors it as it counts, at cos(delta) = 1; near an eigenvalue
+    e^(i theta) it is nearly singular, which is what inverse iteration
+    wants.  The columns are solved in chunks whose kept factors hold at
+    most SOLVE_BLOCK entries.  Reads ``op.band`` only; a column whose
+    elimination meets a zero pivot comes back inf or NaN.
     """
     thetas = np.asarray(thetas, dtype=float)
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.shape != (op.dim, len(thetas)):
         raise ValidationError(f"rhs must have shape ({op.dim}, {len(thetas)}), got {rhs.shape}")
+    k = _momenta(momenta, thetas.shape)
     P, m = op.N // 2, 2 * op.L
     chunk = max(1, SOLVE_BLOCK // (3 * P * m * m))
     x = np.empty_like(rhs)
     for i in range(0, len(thetas), chunk):
         part = rhs[:, i:i + chunk].reshape(P, m, -1)
-        x[:, i:i + chunk] = -_eliminate(op, thetas[i:i + chunk], 1.0, part)[2].reshape(op.dim, -1)
+        x[:, i:i + chunk] = -_eliminate(op, thetas[i:i + chunk], 1.0, k[i:i + chunk], part)[2].reshape(op.dim, -1)
     return x
 
 
-def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
+def arc_counts(op: BlockBandedUnitary, centers, halfwidths, momenta=0.0) -> np.ndarray:
     """Number of eigenvalues e^(i theta) with |theta - phi| < delta, for every arc (phi, delta).
 
-    U is normal, so A = Re(e^(-i phi) U) - cos(delta) has the eigenvalues
-    cos(theta_j - phi) - cos(delta), and the count is the number of
-    positive ones: by Sylvester's law of inertia, the number of positive
-    scalar pivots of its LDL*, which ``_eliminate`` streams one superblock
-    at a time for all arcs at once, in memory that grows with the arcs
-    but not with N.  Reads ``op.band`` only.  A scalar pivot within
+    The eigenvalues are those of U, or with ``momenta`` those of its
+    Bloch-Floquet fiber at the momentum of each arc (``_eliminate`` twists
+    the wrapped blocks), so arcs of many momenta take one call on one band
+    stack.  U is normal, so A = Re(e^(-i phi) U) - cos(delta) has the
+    eigenvalues cos(theta_j - phi) - cos(delta), and the count is the
+    number of positive ones: by Sylvester's law of inertia, the number of
+    positive scalar pivots of its LDL*, which ``_eliminate`` streams one
+    superblock at a time for all arcs at once, in memory that grows with
+    the arcs but not with N.  Reads ``op.band`` only.  A scalar pivot within
     PIVOT_TOL of zero (an eigenvalue on an arc edge, or a singular leading
     block) is a breakdown, never a count.  Scalar pivots can be smaller
     than the eigenvalues of their block: on 18 388 arcs (the 8 N L + 2
@@ -536,7 +565,7 @@ def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
         raise ValidationError("arc centers must be finite")
     if not np.all((0.0 < delta) & (delta < np.pi)):  # also false for NaN
         raise ValidationError("arc half-widths must lie in (0, pi)")
-    positive, smallest, _ = _eliminate(op, phi, np.cos(delta))
+    positive, smallest, _ = _eliminate(op, phi, np.cos(delta), _momenta(momenta, phi.shape))
     small = ~(smallest > PIVOT_TOL)  # NaN is small
     if np.any(small):
         i = int(np.argmax(small))
@@ -545,14 +574,21 @@ def arc_counts(op: BlockBandedUnitary, centers, halfwidths) -> np.ndarray:
     return positive
 
 
-def apply(op: BlockBandedUnitary, vec: np.ndarray) -> np.ndarray:
-    """Matrix-vector (or matrix-block) product using only the band: one gathered stacked matmul."""
+def apply(op: BlockBandedUnitary, vec: np.ndarray, momenta=0.0) -> np.ndarray:
+    """Matrix-vector (or matrix-block) product using only the band: one gathered stacked matmul.
+
+    With ``momenta`` each column is multiplied by the fiber at its momentum
+    k, the operator whose wrapped blocks carry e^(iNk) and e^(-iNk) (see
+    ``_eliminate``): the gathered columns those blocks meet are scaled.
+    """
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim not in (1, 2) or len(vec) != op.dim:
         raise ValidationError(f"vector length must be {op.dim}, got shape {vec.shape}")
+    twist = np.exp(1j * op.N * _momenta(momenta, vec.shape[1:]))
     m = vec[0].size  # columns per site block: 1 for a vector
-    cols = vec.reshape(op.N, op.L, m)[op._column_sites()].reshape(op.N // 2, 4 * op.L, m)
-    return (op.band @ cols).reshape(vec.shape)
+    cols = vec.reshape(op.N, op.L, m)[op._column_sites()]  # (P, 4, L, m)
+    cols[0, 0], cols[-1, 3] = cols[0, 0] * twist, cols[-1, 3] * np.conj(twist)
+    return (op.band @ cols.reshape(op.N // 2, 4 * op.L, m)).reshape(vec.shape)
 
 
 # -- dense spectral oracle ----------------------------------------------------

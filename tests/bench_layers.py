@@ -1,11 +1,12 @@
 """Per-layer timings: one Pruefer call, one E-chain, one frame propagation,
-one band structure, five sweeps (a finite first grid that is short, a long
-finite chain whose Pruefer samples break down, a periodic narrow resonance,
-and two sweeps past the dense cap whose first grids are short), one arc
-count over a grid (finite and on a periodic fiber), the dense oracle
-(assembly, dense spectrum) and one Gram-Schmidt run on each of four
-roundtrip measures: the two heaviest and the two most frequent in the
-``measures`` workload.
+three band structures (one of them short on its first grid at many
+momenta), five sweeps (a finite first grid that is short, a long finite
+chain whose Pruefer samples break down, a periodic narrow resonance, and
+two sweeps past the dense cap whose first grids are short), one arc count
+over a grid (finite and on a periodic fiber), the dense oracle (assembly,
+dense spectrum) and one Gram-Schmidt run on each of four roundtrip
+measures: the two heaviest and the two most frequent in the ``measures``
+workload.
 
 Not part of the test suite (the file name does not match ``test_*.py``);
 run it explicitly with pytest-benchmark:
@@ -13,8 +14,9 @@ run it explicitly with pytest-benchmark:
     python -m pytest tests/bench_layers.py --benchmark-json=out.json
 
 Each benchmark records its work counts (sites walked, points and batched
-solves per Pruefer call and per E-chain, momenta and Pruefer calls per
-band structure, theta evaluated, Pruefer calls, the points whose Pruefer
+solves per Pruefer call and per E-chain, momenta, Pruefer calls, count
+calls and arcs and inverse-iteration solves per band structure, theta
+evaluated, Pruefer calls, the points whose Pruefer
 unitary broke down (the NaN matrices the calls return), count calls and
 arcs and inverse-iteration solves per sweep; the tracemalloc peak of an
 arc count and of a past-cap sweep) in ``extra_info``; counts do not depend
@@ -80,10 +82,31 @@ def test_prufer_periodic_call(benchmark, monkeypatch, L):
     assert W.shape == (len(w), 2 * L, 2 * L)
 
 
-@pytest.mark.parametrize("L, N, ensemble", [(1, 2, "cmv"), (2, 8, "haar-gauge")], ids=["L1N2", "L2N8"])
-def test_bands(benchmark, monkeypatch, L, N, ensemble):
-    # 64 momenta, as the bands job of the spectra workload and the CLI default
-    z = ensembles.periodic_zipper(7, L, N, ensemble)
+def _count_calls(monkeypatch) -> tuple:
+    """Wrap ``osc.arc_counts`` and ``osc._inverse_step`` where the checkout has them;
+    the lists get one entry per count call, the arcs of every call and the runs
+    of every inverse-iteration step.  The wrappers pass their arguments on as
+    they come, so the same file runs on checkouts whose calls take more."""
+    counts, arcs, solves = [], [], []
+    if hasattr(osc, "arc_counts"):
+        arc_counts = osc.arc_counts
+        monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arcs.append(len(args[1])) or
+                            arc_counts(*args))
+    if hasattr(osc, "_inverse_step"):
+        step = osc._inverse_step
+        monkeypatch.setattr(osc, "_inverse_step", lambda *args: solves.append(len(args[1])) or step(*args))
+    return counts, arcs, solves
+
+
+@pytest.mark.parametrize("args, momenta", [((7, 1, 2, "cmv"), 64), ((7, 2, 8, "haar-gauge"), 64),
+                                           ((6, 1, 8, "haar-gauge", 0.99), 256)],
+                         ids=["L1N2", "L2N8", "P1N8haar099s6"])
+def test_bands(benchmark, monkeypatch, args, momenta):
+    # 64 momenta, as the bands job of the spectra workload and the CLI default,
+    # and a zipper whose first grid comes up short at many of 256 momenta;
+    # count_calls and count_arcs count the arc counts, solves the
+    # inverse-iteration runs summed over their batched steps
+    z = ensembles.periodic_zipper(*args)
     calls = []
     prufer_periodic = osc.prufer_periodic
 
@@ -92,10 +115,12 @@ def test_bands(benchmark, monkeypatch, L, N, ensemble):
         return prufer_periodic(*args, **kwargs)
 
     monkeypatch.setattr(osc, "prufer_periodic", counted)
-    osc.bands(z, 64)
-    benchmark.extra_info.update(sites=N, momenta=64, prufer_periodic_calls=len(calls))
-    bs = benchmark(osc.bands, z, 64)
-    assert len(bs.spectra) == 64
+    counts, arcs, solves = _count_calls(monkeypatch)
+    osc.bands(z, momenta)
+    benchmark.extra_info.update(sites=z.N, momenta=momenta, prufer_periodic_calls=len(calls),
+                                count_calls=len(counts), count_arcs=sum(arcs), solves=sum(solves))
+    bs = benchmark(osc.bands, z, momenta)
+    assert len(bs.spectra) == momenta
 
 
 PAST_CAP = ("L1N1024haar085s0", "L2N512cmv05s0")
@@ -118,7 +143,7 @@ def test_sweep(benchmark, monkeypatch, request, make, args):
     # timed span and once under tracemalloc (peak_mb), and is checked against
     # the eigenphases of the dense matrix outside both
     z = make(*args)
-    points, broken, counts, arcs, solves = [], [], [], [], []
+    points, broken = [], []
     name = "prufer" if z.flavor == "finite" else "prufer_periodic"
     phase = getattr(osc, name)
 
@@ -129,14 +154,7 @@ def test_sweep(benchmark, monkeypatch, request, make, args):
         return W
 
     monkeypatch.setattr(osc, name, counted)
-    if hasattr(osc, "arc_counts"):
-        arc_counts = osc.arc_counts
-        monkeypatch.setattr(osc, "arc_counts", lambda op, centers, halfwidths: counts.append(1) or
-                            arcs.append(len(centers)) or arc_counts(op, centers, halfwidths))
-    if hasattr(osc, "_inverse_step"):
-        step = osc._inverse_step
-        monkeypatch.setattr(osc, "_inverse_step", lambda op, thetas, x: solves.append(len(thetas)) or
-                            step(op, thetas, x))
+    counts, arcs, solves = _count_calls(monkeypatch)
     past_cap = request.node.callspec.id in PAST_CAP
     if past_cap:
         start = time.perf_counter()

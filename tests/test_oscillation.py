@@ -277,29 +277,56 @@ def test_bands_is_one_sweep_with_few_prufer_calls(monkeypatch):
 def test_bands_count_only_the_momenta_whose_first_grid_is_short(monkeypatch):
     # at 6 of these 16 momenta the default grid of 64 misses a crossing; a
     # doubling sweep sampled 64 more theta for those six, the count samples
-    # no second grid and assembles the fibers of those six alone
+    # no second grid.  Their arcs are counted, and their brackets of one
+    # eigenvalue solved, on the one band stack of the periodic operator, each
+    # at its own momentum: no fiber is assembled, and every level of
+    # ``_locate`` makes at most one count call for all six
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.periodic_zipper(6, 1, 8, "haar-gauge", 0.99)
-    calls, fibers = [], []
-    sample_grid, fiber = osc._sample_grid, osc.fiber
+    calls, levels, counts = [], [], []
+    sample_grid, below, arc_counts = osc._sample_grid, osc._below, osc.arc_counts
 
     def recorded(wfn, thetas, twists):
         calls.append((len(thetas), len(twists)))
         return sample_grid(wfn, thetas, twists)
 
-    def assembled(zipper, k):
-        fibers.append(k)
-        return fiber(zipper, k)
+    def counted(*args):
+        counts.append(args)
+        return arc_counts(*args)
 
     monkeypatch.setattr(osc, "_sample_grid", recorded)
-    monkeypatch.setattr(osc, "fiber", assembled)
-    bs = osc.bands(z, 16)
+    monkeypatch.setattr(osc, "_below", lambda *args: levels.append(1) or below(*args))
+    monkeypatch.setattr(osc, "arc_counts", counted)
+    with monkeypatch.context() as patch:
+        for name in ("fiber", "fiber_zipper"):
+            patch.setattr(zp, name, lambda *args: pytest.fail("bands assembled a fiber"))
+        bs = osc.bands(z, 16)
     assert calls == [(65, 16)]
-    assert len(fibers) == len(set(fibers)) == 6 and set(fibers) <= set(bs.ks)
+    assert counts and len(counts) == len(levels)  # one count call per count of a level
+    assert all(args[0] is counts[0][0] for args in counts)
+    assert np.array_equal(counts[0][0].band, zp.assemble_periodic(z).band)
+    assert len(set(counts[0][3])) == 6 and set(counts[0][3]) <= set(bs.ks)  # the short momenta, in one call
     for k, swept in zip(bs.ks, bs.spectra):
         dense = zp.dense_spectrum(zp.fiber(z, k))
-        assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
+        assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+        assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-12
+
+
+def test_bands_of_a_narrow_periodic_resonance_match_the_dense_fibers(monkeypatch):
+    # every momentum of this zipper counts: finished by count bisection on
+    # per-fiber band stacks, the bands took 29 prufer_periodic calls and erred
+    # 6.1e-11; inverse iteration at each momentum takes a few
+    from scatzip.cli import _cyclic_pairing
+
+    z = ensembles.periodic_zipper(0, 1, 100, "haar-gauge", 0.999)
+    points = _counted_prufer(monkeypatch, "prufer_periodic")
+    bs = osc.bands(z, 8)
+    assert len(points) <= 8
+    for k, swept in zip(bs.ks, bs.spectra):
+        dense = zp.dense_spectrum(zp.fiber(z, k))
+        assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+        assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-12
 
 
 @pytest.mark.parametrize("k_grid", [2.5, float("nan"), "3", 0], ids=["2.5", "nan", "'3'", "0"])
@@ -554,7 +581,7 @@ def test_counted_sweeps_finish_by_inverse_iteration(monkeypatch, args):
     counts, solves = [], []
     arc_counts, step = osc.arc_counts, osc._inverse_step
     monkeypatch.setattr(osc, "arc_counts", lambda *a: counts.append(1) or arc_counts(*a))
-    monkeypatch.setattr(osc, "_inverse_step", lambda op, thetas, x: solves.append(len(thetas)) or step(op, thetas, x))
+    monkeypatch.setattr(osc, "_inverse_step", lambda *args: solves.append(len(args[1])) or step(*args))
     swept = osc.spectrum_by_oscillation(z)
     dense = zp.dense_spectrum(zp.assemble_finite(z))
     assert len(points) <= 6 and counts and len(solves) <= osc.INVERSE_STEPS
@@ -570,8 +597,7 @@ def test_inverse_iteration_takes_its_runs_in_blocks(monkeypatch):
     widths = []
     solve = osc.shifted_solve
     monkeypatch.setattr(osc, "INVERSE_BLOCK", 5)
-    monkeypatch.setattr(osc, "shifted_solve", lambda op, thetas, rhs: widths.append(len(thetas)) or
-                        solve(op, thetas, rhs))
+    monkeypatch.setattr(osc, "shifted_solve", lambda *args: widths.append(len(args[1])) or solve(*args))
     swept = osc.spectrum_by_oscillation(z)
     dense = zp.dense_spectrum(zp.assemble_finite(z))
     assert widths[:5] == [5, 5, 5, 5, 4] and max(widths) == 5
@@ -606,9 +632,9 @@ def test_inverse_iteration_that_passes_its_step_cap_falls_back_to_count_bisectio
     runs = []
     step = osc._inverse_step
 
-    def slow(op, thetas, x):
-        runs.append(len(thetas))
-        vectors, theta, radius = step(op, thetas, x)
+    def slow(*args):
+        runs.append(len(args[1]))
+        vectors, theta, radius = step(*args)
         return vectors, theta, np.maximum(radius, 1e-9)
 
     monkeypatch.setattr(osc, "_inverse_step", slow)
@@ -866,16 +892,16 @@ def test_periodic_sweep_finds_every_crossing_next_to_a_narrow_resonance(monkeypa
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
 
 
-def _counted_prufer(monkeypatch):
-    """Wrap ``osc.prufer``; the list gets the number of theta of every call."""
+def _counted_prufer(monkeypatch, name="prufer"):
+    """Wrap ``osc.prufer`` (or ``osc.<name>``); the list gets the number of theta of every call."""
     points = []
-    prufer = osc.prufer
+    prufer = getattr(osc, name)
 
     def counted(zipper, z, *args, **kwargs):
         points.append(np.size(z))
         return prufer(zipper, z, *args, **kwargs)
 
-    monkeypatch.setattr(osc, "prufer", counted)
+    monkeypatch.setattr(osc, name, counted)
     return points
 
 
@@ -940,9 +966,9 @@ def _runs_leave_their_brackets(monkeypatch):
     runs = []
     step = osc._inverse_step
 
-    def astray(op, thetas, x):
-        runs.append(len(thetas))
-        vectors, theta, radius = step(op, thetas, x)
+    def astray(*args):
+        runs.append(len(args[1]))
+        vectors, theta, radius = step(*args)
         return vectors, theta + np.pi, radius
 
     monkeypatch.setattr(osc, "_inverse_step", astray)

@@ -277,9 +277,18 @@ def test_band_is_even_layer_times_odd_layer(flavor, L, N):
         assert not op.band[0, :, :L].any() and not op.band[-1, :, 3 * L:].any()
 
 
+def _twisted_dense(op, k):
+    """The dense operator with its wrapped blocks scaled by e^(iNk) (row site 1) and e^(-iNk) (row site N)."""
+    band = op.band.copy()
+    band[0, :, :op.L] *= np.exp(1j * op.N * k)
+    band[-1, :, 3 * op.L:] *= np.exp(-1j * op.N * k)
+    return zp.BlockBandedUnitary(op.L, op.N, band, op.periodic).to_dense()
+
+
 @pytest.mark.parametrize("L", [1, 2])
 @pytest.mark.parametrize("N", [2, 4, 8])
 def test_apply_matches_dense_on_periodic_and_random_bands(rng, L, N):
+    # and with momenta: a scalar one for a vector, one per column of a block
     band = rng.standard_normal((N // 2, 2 * L, 4 * L)) + 1j * rng.standard_normal((N // 2, 2 * L, 4 * L))
     ops = [zp.fiber(ensembles.periodic_zipper(N, L, N), 0.4), zp.BlockBandedUnitary(L, N, band, periodic=True)]
     for op in ops:
@@ -289,6 +298,12 @@ def test_apply_matches_dense_on_periodic_and_random_bands(rng, L, N):
             out = zp.apply(op, v)
             assert out.shape == v.shape
             assert np.linalg.norm(out - X @ v) < 1e-12 * np.linalg.norm(v)
+            k = rng.uniform(-np.pi, np.pi, v.shape[1:]) / N
+            out = zp.apply(op, v, k)
+            columns = zip(np.atleast_1d(k), v.reshape(op.dim, -1).T)
+            expected = np.stack([_twisted_dense(op, kj) @ vj for kj, vj in columns], axis=-1).reshape(v.shape)
+            assert np.linalg.norm(out - expected) < 1e-12 * np.linalg.norm(v)
+            assert np.linalg.norm(out - X @ v) > 1e-3 * np.linalg.norm(v)  # the wrapped blocks were twisted
 
 
 def _dense_arc_counts(thetas, centers, halfwidths):
@@ -328,30 +343,40 @@ def test_arc_counts_match_the_dense_spectrum(args, k):
     assert 0 < counts.max() and counts.min() == 0
 
 
-@pytest.mark.parametrize("kind", ["finite", "periodic", "fiber"])
+@pytest.mark.parametrize("kind", ["finite", "periodic", "fiber", "momenta"])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_arc_counts_match_dense_counts_on_random_arcs(kind, L):
     # every N from the aliased N = 2 and 4 up to 24, every ensemble, the free one
     # included.  A sweep's arcs from pi / 2 below a grid point are a quarter turn
     # wide at the opposite grid point, where the free zipper puts zeros on the
     # diagonal of invertible pivot blocks; the periodic free zipper has no diagonal
-    # blocks at all, so there the first pivot block itself is -cos(pi / 2) = 6e-17
+    # blocks at all, so there the first pivot block itself is -cos(pi / 2) = 6e-17.
+    # "momenta" spreads the arcs of one call on the periodic band over four
+    # momenta, each checked against the dense fiber at its momentum
     rng = np.random.default_rng([L, len(kind)])
     arcs = 0
     for N in (2, 4, 6, 24):
         for ensemble in ("cmv", "haar-gauge", "free"):
+            momenta = np.zeros(60)
             if kind == "finite":
                 op = zp.assemble_finite(ensembles.finite_zipper(N + L, L, N, ensemble, 0.9))
             else:
                 z = ensembles.periodic_zipper(N + L, L, N, ensemble, 0.9)
-                op = zp.assemble_periodic(z) if kind == "periodic" else zp.fiber(z, rng.uniform(-np.pi, np.pi) / N)
-            thetas = zp.dense_spectrum(op).expanded_thetas()
+                op = zp.assemble_periodic(z) if kind != "fiber" else zp.fiber(z, rng.uniform(-np.pi, np.pi) / N)
+            if kind == "momenta":
+                momenta = (rng.uniform(-np.pi, np.pi, 4) / N)[np.arange(60) % 4]
+                thetas = np.array([zp.dense_spectrum(zp.fiber(z, k)).expanded_thetas() for k in momenta])
+            else:
+                thetas = zp.dense_spectrum(op).expanded_thetas()[None, :]
             centers = rng.uniform(0.0, 2 * np.pi, 60)
             quarter = 10 if kind == "finite" else 0
             halfwidths = np.r_[rng.uniform(1e-3, np.pi - 1e-3, 60 - quarter), np.full(quarter, 0.5 * np.pi)]
-            gap = np.abs(np.angle(np.exp(1j * (thetas[None, :] - centers[:, None]))))
+            gap = np.abs(np.angle(np.exp(1j * (thetas - centers[:, None]))))
             clear = np.abs(gap - halfwidths[:, None]).min(axis=1) > 1e-9  # no eigenvalue on an edge
-            counts = zp.arc_counts(op, centers[clear], halfwidths[clear])
+            if kind == "momenta":
+                counts = zp.arc_counts(op, centers[clear], halfwidths[clear], momenta[clear])
+            else:
+                counts = zp.arc_counts(op, centers[clear], halfwidths[clear])
             assert np.array_equal(counts, (gap[clear] < halfwidths[clear, None]).sum(axis=1)), (N, ensemble)
             arcs += clear.sum()
     assert arcs > 0.9 * 12 * 60
@@ -374,17 +399,19 @@ def test_arc_counts_refuse_an_eigenvalue_on_an_edge():
 
 
 def test_arc_counts_read_the_band_alone(monkeypatch):
-    # and so do the solves and the steps of inverse iteration
+    # and so do the solves and the steps of inverse iteration, with momenta too
     from scatzip import oscillation as osc
 
     cases = [(ensembles.finite_zipper(7, 2, 8, "haar-gauge", 0.85), zp.assemble_finite),
              (ensembles.periodic_zipper(7, 2, 8, "haar-gauge", 0.85), zp.assemble_periodic)]
     centers, halfwidths = np.linspace(0.1, 6.0, 40), np.linspace(0.05, 3.0, 40)
+    momenta = np.linspace(-np.pi, np.pi, 40) / 8
     rhs = np.random.default_rng(3).standard_normal((16, 40)) + 0j
 
     def read(op):
         return (zp.arc_counts(op, centers, halfwidths), zp.shifted_solve(op, centers, rhs),
-                *osc._inverse_step(op, centers, None))
+                *osc._inverse_step(op, centers, None, np.zeros(40)), zp.arc_counts(op, centers, halfwidths, momenta),
+                zp.shifted_solve(op, centers, rhs, momenta), *osc._inverse_step(op, centers, None, momenta))
 
     before = [read(assemble(z)) for z, assemble in cases]
     for z, _ in cases:
@@ -397,23 +424,29 @@ def test_arc_counts_read_the_band_alone(monkeypatch):
             assert np.array_equal(out, ref)
 
 
-@pytest.mark.parametrize("kind", ["finite", "periodic", "fiber"])
+@pytest.mark.parametrize("kind", ["finite", "periodic", "fiber", "momenta"])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_shifted_solve_matches_a_dense_solve(kind, L):
     # H(theta) = 1 - Re(e^(-i theta) U) is nearly singular next to an eigenvalue,
-    # so the check is the backward error; ||H|| <= 2
+    # so the check is the backward error; ||H|| <= 2.  "momenta" solves every
+    # column at its own momentum, against U with its wrapped blocks twisted
     rng = np.random.default_rng([L, 7])
     for N in (2, 4, 10):
         if kind == "finite":
             op = zp.assemble_finite(ensembles.finite_zipper(N, L, N, "haar-gauge", 0.9))
         else:
             z = ensembles.periodic_zipper(N, L, N, "cmv", 0.9)
-            op = zp.assemble_periodic(z) if kind == "periodic" else zp.fiber(z, 0.3 / N)
-        U = op.to_dense()
+            op = zp.assemble_periodic(z) if kind != "fiber" else zp.fiber(z, 0.3 / N)
         thetas = rng.uniform(0.0, 2 * np.pi, 5)
         rhs = rng.standard_normal((op.dim, 5)) + 1j * rng.standard_normal((op.dim, 5))
-        x = zp.shifted_solve(op, thetas, rhs)
+        if kind == "momenta":
+            momenta = rng.uniform(-np.pi, np.pi, 5) / N
+            x = zp.shifted_solve(op, thetas, rhs, momenta)
+        else:
+            momenta = np.zeros(5)
+            x = zp.shifted_solve(op, thetas, rhs)
         for j, theta in enumerate(thetas):
+            U = _twisted_dense(op, momenta[j])
             H = np.eye(op.dim) - 0.5 * (np.exp(-1j * theta) * U + np.exp(1j * theta) * U.conj().T)
             assert np.linalg.norm(H @ x[:, j] - rhs[:, j]) < 1e-13 * np.linalg.norm(x[:, j]), (N, j)
     with pytest.raises(ValidationError, match=r"rhs must have shape"):
@@ -474,3 +507,27 @@ def test_arc_counts_reject_bad_arcs():
         zp.arc_counts(op, [np.nan], [0.1])
     with pytest.raises(ValidationError, match="1-D of one length"):
         zp.arc_counts(op, [1.0, 2.0], [0.1])
+
+
+@pytest.mark.parametrize("call", ["arc_counts", "shifted_solve", "apply"])
+@pytest.mark.parametrize("momenta, message", [
+    (np.nan, "momenta must be finite"), ([0.1, np.inf], "momenta must be finite"),
+    ([0.1, 0.2, 0.3], r"momenta must broadcast to the columns \(2,\), got \(3,\)"),
+    (np.zeros((2, 2)), r"momenta must broadcast to the columns \(2,\), got \(2, 2\)")],
+    ids=["nan", "inf", "three for two", "two-dimensional"])
+def test_momenta_must_be_finite_and_broadcast_to_the_columns(call, momenta, message):
+    op = zp.assemble_periodic(ensembles.periodic_zipper(1, 1, 4))
+    thetas, rhs = np.array([1.0, 2.0]), np.ones((4, 2), dtype=complex)
+    calls = {"arc_counts": lambda k: zp.arc_counts(op, thetas, [0.1, 0.2], k),
+             "shifted_solve": lambda k: zp.shifted_solve(op, thetas, rhs, k),
+             "apply": lambda k: zp.apply(op, rhs, k)}
+    with pytest.raises(ValidationError, match=message):
+        calls[call](momenta)
+
+
+def test_a_vector_takes_one_momentum():
+    op = zp.assemble_periodic(ensembles.periodic_zipper(1, 1, 4))
+    v = np.arange(4.0) + 0j
+    assert np.allclose(zp.apply(op, v, 0.2), zp.apply(op, v[:, None], [0.2])[:, 0])
+    with pytest.raises(ValidationError, match=r"momenta must broadcast to the columns \(\), got \(1,\)"):
+        zp.apply(op, v, [0.2])
