@@ -100,9 +100,10 @@ LOCATE_MAX_LEVELS = 60
 # Solves an inverse-iteration run takes at most before its bracket goes back
 # to count bisection.
 INVERSE_STEPS = 6
-# Most runs one inverse-iteration step solves and applies the operator to at
-# once: at N L = 1024 a thousand runs in one piece took 40-70 MB more RSS.
-INVERSE_BLOCK = 256
+# Most entries one piece of inverse-iteration runs holds in the factors its
+# solve keeps and in its ``apply`` (see ``_inverse_step``): at N L = 1024 a
+# thousand runs in one piece took 40-70 MB more RSS.
+SOLVE_BLOCK = 2 ** 21
 
 
 def _check_circle(z):
@@ -578,16 +579,22 @@ def _inverse_step(op: BlockBandedUnitary, thetas: np.ndarray, x: Optional[np.nda
     e^(i theta_j) (Bauer and Fike, Numer. Math. 2, 1960).  U is the fiber
     of ``op`` at ``momenta[j]``, the momentum of run j (0 is ``op`` itself),
     as ``shifted_solve`` and ``zipper.apply`` take it.  A run whose
-    solve breaks down gets NaN.  Runs go INVERSE_BLOCK at a time, which
-    bounds the temporaries of the solve and of ``zipper.apply``.
+    solve breaks down gets NaN.
+
+    This is the one place that batches the runs.  ``shifted_solve`` keeps
+    the factors of every column it is given, 3 P m^2 entries (P = N / 2,
+    m = 2 L), and ``zipper.apply`` gathers and multiplies 4 N L more, so
+    the runs go in pieces that hold at most SOLVE_BLOCK such entries, and
+    memory does not grow with the number of runs.
     """
     fresh = len(thetas) - (0 if x is None else len(x))
     draw = np.random.default_rng(fresh).standard_normal((2, fresh, op.dim))
     rows = np.concatenate(([] if x is None else [x]) + [draw[0] + 1j * draw[1]])
     theta, radius = np.empty(len(thetas)), np.empty(len(thetas))
+    piece = max(1, SOLVE_BLOCK // (3 * len(op.band) * (2 * op.L) ** 2 + 4 * op.dim))  # runs per piece
     with np.errstate(all="ignore"):  # a breakdown is NaN, read by the caller
-        for i in range(0, len(thetas), INVERSE_BLOCK):
-            part = slice(i, i + INVERSE_BLOCK)
+        for i in range(0, len(thetas), piece):
+            part = slice(i, i + piece)
             y = shifted_solve(op, thetas[part], rows[part].T, momenta[part])
             y /= np.linalg.norm(y, axis=0)
             Uy = apply(op, y, momenta[part])

@@ -18,7 +18,11 @@ for one.
 The band stack alone also gives eigenvalue counts on arcs (``arc_counts``)
 and the shifted solves of inverse iteration (``shifted_solve``): both are
 one streamed LDL* of a Hermitian part of the operator, block tridiagonal in
-the superblocks of the band rows (``_eliminate``).  Both, and ``apply``,
+the superblocks of the band rows (``_eliminate``), which builds each
+superblock in the step that eliminates it.  A count holds a few
+superblocks per arc at any N; a solve keeps the factors of every column it
+is given, so its caller bounds the columns (``oscillation._inverse_step``,
+which also gathers ``apply`` for them).  Both, and ``apply``,
 take a momentum per column: the Bloch-Floquet fiber at momentum k is the
 periodic operator with its two wrapped blocks twisted by e^(+-iNk), so one
 band stack serves every fiber.
@@ -48,10 +52,6 @@ DENSE_CLUSTER_TOL = 1e-7  # eigenphases of dense_spectrum closer than this are o
 TWO_PI = 2.0 * np.pi
 # Smallest |scalar pivot| of its LDL* that ``arc_counts`` reads as a sign.
 PIVOT_TOL = 1e-14
-# Most factor entries one ``shifted_solve`` pass keeps for its back substitution.
-SOLVE_BLOCK = 2 ** 21
-# Most entries of the diagonal and coupling blocks ``_eliminate`` builds at once.
-STREAM_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -383,7 +383,10 @@ def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, momenta=0.0,
     aliases into C_0* + C_1, and P = 1 adds C_0 + C_0* to its one block.
     Every superblock is taken in the basis of ``_mixing(2L)``, which
     changes the scalar pivots but neither the number of positive ones nor
-    the solution.  Memory does not grow with N.
+    the solution.  Step I builds B_(I+1) and C_(I+1) from the band as it
+    fills its window, so a count holds a few superblocks per column at any
+    N; a solve also keeps the multipliers of every window, up to 3 P (2L)^2
+    entries per column, and its caller bounds the columns.
 
     U_j is U twisted to its Bloch-Floquet fiber at ``momenta[j]`` = k (0,
     the default, is U itself).  The fiber scales every site-to-site hop by
@@ -414,16 +417,8 @@ def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, momenta=0.0,
     coupling = np.stack([lower, upper], axis=-1)  # (P, m, m, 2): C_I = coupling[I] @ half
     diagonal = np.stack([diagonal, mc.adj(diagonal)], axis=-1)
     shift = np.eye(m)[:, :, None] * cos_delta
-
-    def superblocks():  # (B_I, C_I) for I = 1, ..., P - 1 - border, built a few superblocks at a time
-        step = max(1, STREAM_BLOCK // (m * m * len(phi)))
-        for start in range(1, P - border, step):
-            part = slice(start, min(start + step, P - border))
-            yield from zip(diagonal[part] @ half - shift, coupling[part] @ half)
-
     positive = np.zeros(len(phi), dtype=int)
     smallest = np.full(len(phi), np.inf)
-    stream = superblocks()
     cur = diagonal[0] @ half - shift
     if P == 1 or border:  # C_0 at the momentum of every column, and its adjoint
         wrapped = coupling[0] @ half * np.exp(1j * op.N * np.asarray(momenta))
@@ -443,8 +438,9 @@ def _eliminate(op: BlockBandedUnitary, phi: np.ndarray, cos_delta, momenta=0.0,
             w = m * (1 + nxt + carry)
             W = np.empty((w, w, len(phi)), dtype=complex)
             W[:m, :m] = cur
-            if nxt:
-                W[m:2 * m, m:2 * m], W[m:2 * m, :m] = next(stream)
+            if nxt:  # B_(I+1) and C_(I+1)
+                W[m:2 * m, m:2 * m] = diagonal[I + 1] @ half - shift
+                W[m:2 * m, :m] = coupling[I + 1] @ half
             if carry:
                 W[w - m:, :m] = edge + coupling[P - 1] @ half if I == P - 2 else edge
                 W[w - m:, m:w - m] = 0.0
@@ -517,21 +513,26 @@ def shifted_solve(op: BlockBandedUnitary, thetas, rhs, momenta=0.0) -> np.ndarra
     block tridiagonal on the superblocks of the band, so ``_eliminate``
     factors it as it counts, at cos(delta) = 1; near an eigenvalue
     e^(i theta) it is nearly singular, which is what inverse iteration
-    wants.  The columns are solved in chunks whose kept factors hold at
-    most SOLVE_BLOCK entries.  Reads ``op.band`` only; a column whose
-    elimination meets a zero pivot comes back inf or NaN.
+    wants.  All columns go through one ``_eliminate`` call, which keeps up
+    to 3 P (2L)^2 factor entries per column (P = N/2) for its back
+    substitution; the caller bounds the columns, because it knows what
+    else a column costs it (``oscillation._inverse_step``).  The solution
+    comes back in the memory layout of ``rhs``, in which the callers'
+    column norms and Rayleigh quotients are rounded.  Reads ``op.band``
+    only; a column whose elimination meets a zero pivot comes back inf or
+    NaN.
     """
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ValidationError(f"thetas must be 1-D, got shape {thetas.shape}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValidationError("thetas must be finite")
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.shape != (op.dim, len(thetas)):
         raise ValidationError(f"rhs must have shape ({op.dim}, {len(thetas)}), got {rhs.shape}")
     k = _momenta(momenta, thetas.shape)
-    P, m = op.N // 2, 2 * op.L
-    chunk = max(1, SOLVE_BLOCK // (3 * P * m * m))
     x = np.empty_like(rhs)
-    for i in range(0, len(thetas), chunk):
-        part = rhs[:, i:i + chunk].reshape(P, m, -1)
-        x[:, i:i + chunk] = -_eliminate(op, thetas[i:i + chunk], 1.0, k[i:i + chunk], part)[2].reshape(op.dim, -1)
+    x[:] = -_eliminate(op, thetas, 1.0, k, rhs.reshape(op.N // 2, 2 * op.L, len(thetas)))[2].reshape(op.dim, -1)
     return x
 
 

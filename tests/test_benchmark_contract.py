@@ -40,17 +40,23 @@ def test_dense_spectrum_of_a_fiber():
 
 def test_oscillation_entry_points_are_looked_up_at_call_time(monkeypatch):
     # the benchmark replaces these three names on the module with counting
-    # wrappers (functools.wraps); spectra and bands must call through them
+    # wrappers (functools.wraps); spectra and bands must call through them,
+    # and its traced round reads total_multiplicity off every sweep_spectrum return
     hits = dict.fromkeys(("prufer", "prufer_periodic", "sweep_spectrum"), 0)
+    sweeps = []
     for name in hits:
         def guard(fn, name=name):
             @functools.wraps(fn)
             def counted(*args, **kwargs):
                 hits[name] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if name == "sweep_spectrum":
+                    sweeps.append(out)
+                return out
             return counted
         monkeypatch.setattr(osc, name, guard(getattr(osc, name)))
     finite, periodic = ensembles.finite_zipper(3, 1, 4), ensembles.periodic_zipper(3, 1, 2)
     assert osc.spectrum_by_oscillation(finite).total_multiplicity == 4
     assert osc.bands(periodic, 2).eigenphase_table().shape == (2, 2)
     assert hits["sweep_spectrum"] == 2 and hits["prufer"] > 0 and hits["prufer_periodic"] > 0
+    assert [r.total_multiplicity for r in sweeps] == [4, 2 * 2]  # N L eigenvalues at each of 2 momenta

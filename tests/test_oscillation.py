@@ -590,13 +590,14 @@ def test_counted_sweeps_finish_by_inverse_iteration(monkeypatch, args):
 
 
 def test_inverse_iteration_takes_its_runs_in_blocks(monkeypatch):
-    # 24 runs in blocks of 5: five solves per step, the same crossings
+    # 24 runs in blocks of 5: five solves per step, the same crossings.  A run
+    # holds 3 P m^2 kept factors and 4 N L apply entries (P = 12, m = 2, N L = 24)
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
     widths = []
     solve = osc.shifted_solve
-    monkeypatch.setattr(osc, "INVERSE_BLOCK", 5)
+    monkeypatch.setattr(osc, "SOLVE_BLOCK", 5 * (3 * 12 * 2 ** 2 + 4 * 24))
     monkeypatch.setattr(osc, "shifted_solve", lambda *args: widths.append(len(args[1])) or solve(*args))
     swept = osc.spectrum_by_oscillation(z)
     dense = zp.dense_spectrum(zp.assemble_finite(z))
@@ -741,6 +742,38 @@ def test_sweep_splits_every_interval_of_a_fast_branch():
     assert res.multiplicities.tolist() == [1] * 40
     gap = np.abs(res.thetas[:, None] - expected[None, :])
     assert np.minimum(gap, 2 * np.pi - gap).min(axis=0).max() < 1e-9
+
+
+def test_locate_raises_when_the_counts_of_a_cut_disagree():
+    # the counts of the first grid hold, then every count lies by 100: a left
+    # half cannot hold more eigenvalues than its bracket
+    wfn = _diagonal_family([lambda t: 40 * t])
+    count, calls = _arc_count(2 * np.pi * np.arange(40) / 40), []
+
+    def lying(members, centers, halfwidths):
+        calls.append(1)
+        return count(members, centers, halfwidths) + (100 if len(calls) > 1 else 0)
+
+    with pytest.raises(NumericalBreakdownError, match=r"arc counts of \[\d\.\d+, \d\.\d+\] disagree: "
+                                                      r"10[0-3] in its left half of [23]$"):
+        osc.sweep_spectrum(wfn, 40, 16, lying)
+    assert len(calls) == 2
+
+
+def test_locate_raises_when_the_counts_miss_a_bracket_whose_sample_broke_down():
+    # the grid certifies the one crossing at 2.5; the next sample breaks down,
+    # so the bracket is counted at both ends, and a count that finds nothing
+    # there contradicts the sweep
+    family, calls = _counted(_diagonal_family([lambda t: t - 2.5]))
+
+    def wfn(thetas):
+        W = family(thetas)
+        return W if len(calls) == 1 else np.full_like(W, np.nan)
+
+    with pytest.raises(NumericalBreakdownError, match=r"arc counts find 0 eigenvalues in "
+                                                      r"\[\d\.\d+, \d\.\d+\], the sweep 1$"):
+        osc.sweep_spectrum(wfn, 1, 16, lambda members, centers, halfwidths: np.zeros(len(members), dtype=int))
+    assert calls == [17, 1]
 
 
 def _counted(wfn):

@@ -360,6 +360,25 @@ def test_limit_f_reads_both_radii_off_one_propagation(monkeypatch):
         assert abs(res.log_posterior_error - 0.5 * both) <= 1e-9, L
 
 
+def test_a_breakdown_of_the_frame_discs_leaves_the_radii_unknown(monkeypatch):
+    # limit_f keeps its value and certified radius and drops the a-posteriori
+    # ones; log_radius_norm returns None
+    sem = ensembles.semi_infinite_zipper(81, 1, "cmv")
+    w = 0.35 - 0.2j
+    before = weyl.limit_f(sem, w, 5e-2)
+    assert before.posterior_error is not None and before.log_posterior_error is not None
+
+    def broken(*args, **kwargs):
+        raise NumericalBreakdownError("the frame normalizer lost rank")
+
+    monkeypatch.setattr(weyl, "_frame_discs", broken)
+    res = weyl.limit_f(sem, w, 5e-2)
+    assert np.array_equal(res.f_value, before.f_value)
+    assert (res.n_used, res.certified_error) == (before.n_used, before.certified_error)
+    assert res.posterior_error is None and res.log_posterior_error is None
+    assert weyl.log_radius_norm(sem, w, res.n_used) is None
+
+
 def test_disc_chart_raises_once_the_radius_is_below_the_resolution_of_f():
     # pinned instance: at these z the disc radius is 1e-41 to 1e-23 while F
     # is only known to about 1e-16, so a chart would return noise (defects

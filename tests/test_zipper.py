@@ -453,21 +453,25 @@ def test_shifted_solve_matches_a_dense_solve(kind, L):
         zp.shifted_solve(op, thetas, rhs[:, :4])
 
 
-def test_shifted_solve_takes_its_columns_in_chunks(monkeypatch):
+def test_shifted_solve_takes_its_columns_in_one_elimination(monkeypatch):
+    # the caller bounds the columns (oscillation._inverse_step); the solve keeps
+    # the layout of rhs, in which the caller's column sums are rounded
     op = zp.assemble_finite(ensembles.finite_zipper(2, 2, 12, "cmv", 0.9))
     rng = np.random.default_rng(4)
     thetas = rng.uniform(0.0, 2 * np.pi, 7)
-    rhs = rng.standard_normal((op.dim, 7)) + 1j * rng.standard_normal((op.dim, 7))
+    rhs = rng.standard_normal((7, op.dim)) + 1j * rng.standard_normal((7, op.dim))
     widths = []
     eliminate = zp._eliminate
-    monkeypatch.setattr(zp, "SOLVE_BLOCK", 3 * 6 * 16 * 2)  # factors of two columns
     monkeypatch.setattr(zp, "_eliminate", lambda op, phi, *a: widths.append(len(phi)) or eliminate(op, phi, *a))
-    x = zp.shifted_solve(op, thetas, rhs)
-    assert widths == [2, 2, 2, 1]
     U = op.to_dense()
-    for j, theta in enumerate(thetas):
-        H = np.eye(op.dim) - 0.5 * (np.exp(-1j * theta) * U + np.exp(1j * theta) * U.conj().T)
-        assert np.linalg.norm(H @ x[:, j] - rhs[:, j]) < 1e-13 * np.linalg.norm(x[:, j]), j
+    for layout in (rhs.T, np.ascontiguousarray(rhs.T)):
+        widths.clear()
+        x = zp.shifted_solve(op, thetas, layout)
+        assert widths == [7]
+        assert x.flags.f_contiguous == layout.flags.f_contiguous and x.flags.c_contiguous == layout.flags.c_contiguous
+        for j, theta in enumerate(thetas):
+            H = np.eye(op.dim) - 0.5 * (np.exp(-1j * theta) * U + np.exp(1j * theta) * U.conj().T)
+            assert np.linalg.norm(H @ x[:, j] - layout[:, j]) < 1e-13 * np.linalg.norm(x[:, j]), j
 
 
 @pytest.mark.parametrize("args", [(0, 1, 256, "haar-gauge", 0.85), (0, 2, 128, "cmv", 0.5)],
@@ -507,6 +511,16 @@ def test_arc_counts_reject_bad_arcs():
         zp.arc_counts(op, [np.nan], [0.1])
     with pytest.raises(ValidationError, match="1-D of one length"):
         zp.arc_counts(op, [1.0, 2.0], [0.1])
+
+
+@pytest.mark.parametrize("thetas, message", [
+    (0.3, r"thetas must be 1-D, got shape \(\)"), ([[0.3]], r"thetas must be 1-D, got shape \(1, 1\)"),
+    ([np.nan], "thetas must be finite"), ([np.inf], "thetas must be finite")],
+    ids=["scalar", "two-dimensional", "nan", "inf"])
+def test_shifted_solve_rejects_bad_thetas(thetas, message):
+    op = zp.assemble_finite(_free_finite(1, 4))
+    with pytest.raises(ValidationError, match=message):
+        zp.shifted_solve(op, thetas, np.ones((4, 1), dtype=complex))
 
 
 @pytest.mark.parametrize("call", ["arc_counts", "shifted_solve", "apply"])
