@@ -37,16 +37,18 @@ finite zipper and for the doubled periodic phase at every momentum, and
 ``zipper.arc_counts`` reads them off the band stack by inertia.  So a sweep
 whose first grid comes up short, or breaks down at a grid point, counts its
 intervals.  Every bracket is then either certified, trusting its seam
-passages, or counted.  A counted bracket of one eigenvalue finishes by
-shifted inverse iteration on the band stack (``zipper.shifted_solve``), with
-Rayleigh-quotient updates of its shift, and is located once the Bauer-Fike
-arc of its residual lies inside it; a run that leaves its bracket, or takes
-INVERSE_STEPS solves, hands it back to the counts.  Any other counted one
-is cut at its midpoint, sampled there only between two known phases, until
-its seam passages agree with its count; a certified one whose sample breaks
-down finishes on the counts alone.  All of them share one lockstep loop
-(``_locate``), with at most one batched solve, one batched sample and one
-count call per level.  No sweep samples a second grid.
+passages, or counted, trusting the counts alone; a certified one whose
+sample breaks down turns counted.  A counted bracket is never sampled: it
+is cut at its midpoint and counted there, down to refine_tol.  One of one
+eigenvalue finishes by shifted inverse iteration on the band stack
+(``zipper.shifted_solve``) instead, with Rayleigh-quotient updates of its
+shift, and is located once the Bauer-Fike arc of its residual lies inside
+it; a run that leaves its bracket hands it back to the counts, which cut
+it, and its parts run again, while one that takes INVERSE_STEPS solves
+leaves its bracket to the counts for good.  All of them share one lockstep
+loop (``_locate``), with at most one batched solve, one batched sample at
+the ITP points and one count call per level.  So a counting sweep samples
+its first grid alone.
 
 Bands are one sweep over all momenta, or over chunks of them where the
 momentum grid would make the phase table too large, and a spectrum is the
@@ -270,46 +272,44 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Shrink all brackets in lockstep until each locates its crossings.
 
     A bracket [lo, hi] of family member ``members[i]`` holds ``count``
-    crossings and knows the sorted eigenphases ``lo_phases`` and
-    ``hi_phases`` at its ends (a NaN row where unknown); ``sample(thetas,
-    members)`` gives such rows, NaN where a sample breaks down.
-    ``certified`` is (members, lo, hi, lo_phases, hi_phases, count) of
-    brackets that trust their seam passages; ``counted`` adds (anchor,
-    base): ``base`` eigenvalues lie ``_below`` lo from ``anchor``.  Each
-    level makes at most one ``sample`` and one ``arc_count`` call.
+    crossings.  ``certified`` is (members, lo, hi, lo_phases, hi_phases,
+    count) of brackets that trust their seam passages and know the sorted
+    eigenphases at their ends; ``sample(thetas, members)`` gives such rows,
+    NaN where a sample breaks down.  ``counted`` is (members, lo, hi, count,
+    anchor, base, solves) of brackets that trust the counts alone: ``base``
+    eigenvalues lie ``_below`` lo from ``anchor``.  Each level makes at most
+    one ``sample`` call, at the ITP points, and one ``arc_count`` call.
 
-    A counted bracket whose known end phases agree with its count becomes
-    certified.  Every other one is cut at its midpoint, sampled there if
-    both its end phases are known, and counted there; its parts keep its
-    anchor.  Every certified bracket takes an ITP step (interpolate,
-    truncate, project; Oliveira and Takahashi 2020, with k1 = 0.2 /
-    width0, k2 = 2, n0 = 1) on the centroid h of its c crossing branches:
-    the mean of the top c phases minus 2 pi before the passage, of the
-    bottom c phases after it, which is continuous and increasing in theta;
-    at c = 1 it is the seam branch itself.  A cluster of c crossings at one
-    eigenvalue is a root of h, which ITP reaches superlinearly on smooth
-    branches, and its projection keeps every bracket within one halving of
-    bisection, so it never needs more than one level more.  width0 (hi -
-    lo when the bracket became certified) and the step count restart
-    whenever a step changes the bracket's count.  The points keep
-    refine_tol / 4 from the ends, so that the far end moves once the
+    Every counted bracket is cut at its midpoint and counted there, never
+    sampled; its parts keep its anchor and its solves.  Every certified
+    bracket takes an ITP step (interpolate, truncate, project; Oliveira and
+    Takahashi 2020, with k1 = 0.2 / width0, k2 = 2, n0 = 1) on the centroid
+    h of its c crossing branches: the mean of the top c phases minus 2 pi
+    before the passage, of the bottom c phases after it, which is
+    continuous and increasing in theta; at c = 1 it is the seam branch
+    itself.  A cluster of c crossings at one eigenvalue is a root of h,
+    which ITP reaches superlinearly on smooth branches, and its projection
+    keeps every bracket within one halving of bisection, so it never needs
+    more than one level more.  width0 (the starting hi - lo) and the step
+    count restart whenever a step changes the bracket's count.  The points
+    keep refine_tol / 4 from the ends, so that the far end moves once the
     interpolant sits on the root.  The left part gets min(s, count)
     crossings, with s the seam passages from lo to the new point, and the
     right part the rest.  A certified bracket whose sample is a NaN row
-    becomes counted, from pi below its midpoint and with unknown phases,
-    once the counts at its ends confirm its count.  Parts without a
-    crossing are dropped.
+    turns counted, from pi below its midpoint, once the counts at its ends
+    confirm its count.  Parts without a crossing are dropped.
 
-    With ``iterate``, every counted bracket of count 1 (a new one at the
-    start of a level) starts a run at its midpoint instead: each level
-    makes one ``iterate(members, thetas, vectors)`` call for every run,
-    which returns the runs' vectors, their new thetas and residual radii
-    (``_inverse_step``).  A run is located at its theta once the arc of
-    radius 2 arcsin(r / 2) around it, where a normal operator has an
-    eigenvalue, lies inside its bracket, which holds exactly one, and is
-    at most refine_tol / 2 wide.  A run whose theta leaves its bracket, or
-    that has taken INVERSE_STEPS solves, hands its bracket back to the
-    counted ones at the same level; the parts of its cut start runs again.
+    With ``iterate``, every counted bracket of count 1 with fewer than
+    INVERSE_STEPS solves (a new one at the start of a level) starts a run
+    at its midpoint instead: each level makes one ``iterate(members,
+    thetas, vectors)`` call for every run, which returns the runs' vectors,
+    their new thetas and residual radii (``_inverse_step``).  A run is
+    located at its theta once the arc of radius 2 arcsin(r / 2) around it,
+    where a normal operator has an eigenvalue, lies inside its bracket,
+    which holds exactly one, and is at most refine_tol / 2 wide.  A run
+    whose theta leaves its bracket hands it back to be cut at the same
+    level with its solves reset, so its parts run again; one that has taken
+    INVERSE_STEPS solves hands it back with them kept, to the counts alone.
 
     A bracket stops at width refine_tol, or when no float lies inside it,
     and is returned once per crossing: a certified one at 2 pi if it holds
@@ -322,37 +322,32 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     steps = np.zeros(len(lo))  # ITP steps taken since
     done = []
     rank = np.arange(lo_phases.shape[1])  # sorted position of each phase
-    runs, vectors = tuple(a[:0] for a in counted) + (lo[:0], count[:0]), None  # counted, theta, solves
+    runs, vectors = tuple(a[:0] for a in counted) + (lo[:0],), None  # counted, theta
     for level in range(LOCATE_MAX_LEVELS + 1):
         last = level == LOCATE_MAX_LEVELS
         if iterate is not None and len(counted[0]):  # counted brackets of one eigenvalue start runs
-            start = counted[5] == 1
-            runs = tuple(np.concatenate([a, b[start]]) for a, b in zip(
-                runs, (*counted, 0.5 * (counted[1] + counted[2]), np.zeros(len(start), dtype=int))))
+            start = (counted[3] == 1) & (counted[6] < INVERSE_STEPS)
+            runs = tuple(np.concatenate([a, b[start]])
+                         for a, b in zip(runs, (*counted, 0.5 * (counted[1] + counted[2]))))
             counted = tuple(a[~start] for a in counted)
         if len(runs[0]):  # one batched factor-and-solve for every run
-            r_members, r_lo, r_hi, solves = runs[0], runs[1], runs[2], runs[9] + 1
-            vectors, theta, radius = iterate(r_members, runs[8], vectors)
+            r_members, r_lo, r_hi, solves = runs[0], runs[1], runs[2], runs[6] + 1
+            vectors, theta, radius = iterate(r_members, runs[7], vectors)
             arc = 2.0 * np.arcsin(np.minimum(0.5 * radius, 1.0))  # NaN where the solve broke down
+            inside = (r_lo < theta) & (theta < r_hi)
             located = (r_lo < theta - arc) & (theta + arc < r_hi) & (arc <= 0.5 * refine_tol)
-            back = ~located & (~((r_lo < theta) & (theta < r_hi)) | (solves >= INVERSE_STEPS) | last)
+            back = ~located & (~inside | (solves >= INVERSE_STEPS) | last)
             done.append((r_members[located], theta[located]))
-            counted = tuple(np.concatenate([a, b[back]]) for a, b in zip(counted, runs[:8]))
+            counted = tuple(np.concatenate([a, b[back]]) for a, b in zip(
+                counted, (*runs[:6], np.where(inside, solves, 0))))
             keep = ~(located | back)
-            runs, vectors = tuple(a[keep] for a in (*runs[:8], theta, solves)), vectors[keep]
-        if len(counted[0]):
-            c_lo, c_hi, c_lo_phases, c_hi_phases, c_count = counted[1:6]
-            known = ~np.isnan(c_lo_phases[:, 0] + c_hi_phases[:, 0])
-            agree = known & (_seam_passages(c_lo_phases, c_hi_phases) == c_count)
-            members, lo, hi, lo_phases, hi_phases, count, width0, steps = (
-                np.concatenate([a, b[agree]]) for a, b in zip(
-                    (members, lo, hi, lo_phases, hi_phases, count, width0, steps),
-                    (*counted[:6], c_hi - c_lo, np.zeros(len(c_lo)))))
+            runs, vectors = tuple(a[keep] for a in (*runs[:6], solves, theta)), vectors[keep]
+        if len(counted[0]):  # counted brackets stop at width refine_tol
+            c_lo, c_hi, c_count = counted[1:4]
             c_mid = 0.5 * (c_lo + c_hi)
-            fine = ~agree & ((c_hi - c_lo <= refine_tol) | (c_mid <= c_lo) | (c_mid >= c_hi) | last)
+            fine = (c_hi - c_lo <= refine_tol) | (c_mid <= c_lo) | (c_mid >= c_hi) | last
             done.append((np.repeat(counted[0][fine], c_count[fine]), np.repeat(c_mid[fine], c_count[fine])))
-            cut = ~(agree | fine)
-            counted, c_mid, known = tuple(a[cut] for a in counted), c_mid[cut], known[cut]
+            counted = tuple(a[~fine] for a in counted)
         mid = 0.5 * (lo + hi)
         width = hi - lo
         top = np.where(rank >= len(rank) - count[:, None], lo_phases, 0.0).sum(axis=1) / count
@@ -366,7 +361,7 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
         done.append((np.repeat(members[fine], count[fine]), np.repeat(theta[fine], count[fine])))
         members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps = (
             a[~fine] for a in (members, lo, hi, mid, width, interp, lo_phases, hi_phases, count, width0, steps))
-        c_members, c_lo, c_hi, c_lo_phases, c_hi_phases, c_count, anchor, base = counted
+        c_members, c_lo, c_hi, c_count, anchor, base, c_solves = counted
         if len(lo) == len(c_lo) == len(runs[0]) == 0:
             break
         side = np.sign(mid - interp)
@@ -377,14 +372,7 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
         x = np.where(np.abs(x - mid) <= radius, x, mid - side * radius)
         x = np.clip(x, np.maximum(lo + 0.25 * refine_tol, np.nextafter(lo, hi)),
                     np.minimum(hi - 0.25 * refine_tol, np.nextafter(hi, lo)))
-        if len(c_lo):  # one sample call: the ITP points, then the cut midpoints between known phases
-            c_q = np.full(c_lo_phases.shape, np.nan)  # the rows at the cut midpoints, NaN where not sampled
-            points = np.r_[x, c_mid[known]]
-            q = sample(points, np.r_[members, c_members[known]]) if len(points) else c_q[:0]
-            c_q[known], q = q[len(x):], q[:len(x)]
-        else:
-            q = sample(x, members) if len(x) else lo_phases  # nothing is counted
-            c_mid, c_q = c_lo, c_lo_phases
+        q = sample(x, members) if len(x) else lo_phases
         lost = np.isnan(q[:, 0])  # a sample that broke down; never read as a phase
         gone = tuple(a[lost] for a in (members, lo, hi, count)) if np.any(lost) else ()
         if gone:
@@ -399,10 +387,11 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
         same = count == before
         width0 = np.where(same, width0, hi - lo)
         steps = np.where(same, steps + 1, 0)
-        # one count call: the cut midpoints, then both ends of each bracket whose sample broke down
+        # one count call: the counted midpoints, then both ends of each bracket whose sample broke down
         if len(c_lo) or gone:
             g_members, g_lo, g_hi, g_count = gone or (c_members[:0], c_lo[:0], c_lo[:0], c_count[:0])
             g_anchor = 0.5 * (g_lo + g_hi) - np.pi
+            c_mid = 0.5 * (c_lo + c_hi)
             at, g_base, g_top = np.split(_below(arc_count, np.r_[c_members, g_members, g_members],
                                                 np.r_[c_mid, g_lo, g_hi], np.r_[anchor, g_anchor, g_anchor]),
                                          [len(c_lo), len(c_lo) + len(g_lo)])
@@ -418,11 +407,10 @@ def _locate(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 raise NumericalBreakdownError(f"arc counts find {g_top[i] - g_base[i]} eigenvalues in "
                                               f"[{g_lo[i]:.6g}, {g_hi[i]:.6g}], the sweep {g_count[i]}")
             l, r = left > 0, c_count > left
-            unknown = np.full((len(g_lo), len(rank)), np.nan)
             counted = tuple(np.concatenate(parts) for parts in (
                 (c_members[l], c_members[r], g_members), (c_lo[l], c_mid[r], g_lo), (c_mid[l], c_hi[r], g_hi),
-                (c_lo_phases[l], c_q[r], unknown), (c_q[l], c_hi_phases[r], unknown),
-                (left[l], (c_count - left)[r], g_count), (anchor[l], anchor[r], g_anchor), (base[l], at[r], g_base)))
+                (left[l], (c_count - left)[r], g_count), (anchor[l], anchor[r], g_anchor), (base[l], at[r], g_base),
+                (c_solves[l], c_solves[r], np.zeros_like(g_count))))
     return tuple(np.concatenate(parts) for parts in zip(*done))
 
 
@@ -456,12 +444,11 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
     halfwidths[i]) (``zipper.arc_counts`` on its band stack).  The
     intervals of a member whose grid matches ``expected_total`` and holds
     no NaN row trust their seam passages; every interval of any other
-    member is counted, each grid half from pi / 2 below its first theta.
-    All of them go to ``_locate`` as brackets, certified or counted, and
-    are split and refined there in one lockstep.  A sweep whose grid
-    matches for every member never counts.  With ``iterate`` (one step of
-    inverse iteration for a batch of runs, as ``_inverse_step``), counted
-    brackets of one eigenvalue finish by inverse iteration instead.
+    member is counted, each grid half from pi / 2 below its first theta,
+    and never sampled again.  All of them go to ``_locate`` in one
+    lockstep, where ``iterate`` (one step of inverse iteration for a batch
+    of runs, as ``_inverse_step``), if given, finishes the counted brackets
+    of one eigenvalue.
 
     One sweep covers the K monotone families of ``twists``, a (K, m, m)
     stack of unit-modulus factors (or anything broadcasting to it; the
@@ -494,8 +481,7 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
             raise NumericalBreakdownError(f"arc counts of member {short[i]} find {holds[i].sum()} eigenvalues "
                                           f"in the grid intervals, expected {expected_total}")
     j, i = np.nonzero(holds)
-    counted = (short[j], thetas[i], thetas[i + 1], samples[short[j], i], samples[short[j], i + 1], holds[j, i],
-               anchors[(i >= h) * 1], base[j, i])
+    counted = (short[j], thetas[i], thetas[i + 1], holds[j, i], anchors[(i >= h) * 1], base[j, i], np.zeros_like(i))
     members, crossings = _locate(lambda thetas, members: _sample_rows(wfn, thetas, twists, members),
                                  arc_count, certified, counted, refine_tol, iterate)
     return FamilySpectra([_circular_clusters(crossings[members == j], 10.0 * refine_tol)[0]
@@ -507,7 +493,9 @@ def sweep_spectrum(wfn: Callable[[np.ndarray], np.ndarray], expected_total: int,
 def _phase_family(zipper: Zipper) -> Callable[[np.ndarray], np.ndarray]:
     """thetas -> stack of Pruefer unitaries at exp(i theta), one batched call:
     ``prufer`` for finite zippers, ``prufer_periodic`` for periodic ones,
-    all reading the phi table the zipper holds."""
+    all reading the phi table the zipper holds.  Any other zipper is rejected."""
+    if not isinstance(zipper, Zipper):
+        raise ValidationError("oscillation spectra need a finite or periodic zipper")
     phase = prufer if zipper.flavor == "finite" else prufer_periodic
     return lambda thetas: phase(zipper, np.exp(1j * np.asarray(thetas)))
 
@@ -523,8 +511,6 @@ def spectrum_by_oscillation(zipper: Zipper, grid_size: Optional[int] = None,
     inverse iteration on the same band stack (``_inverse_step``).  This is
     the sweep of ``bands`` at the one momentum 0.
     """
-    if not isinstance(zipper, Zipper):
-        raise ValidationError("oscillation spectra need a finite or periodic zipper")
     return _sweep(zipper, np.zeros(1), grid_size, refine_tol)[0]
 
 
@@ -547,6 +533,7 @@ def _sweep(zipper: Zipper, ks: np.ndarray, grid_size: Optional[int], refine_tol:
     steps all read one band stack, assembled on the first count, with the
     momentum of each arc or run (``zipper.arc_counts``, ``_inverse_step``).
     """
+    wfn = _phase_family(zipper)
     total = zipper.N * zipper.L
     grid = grid_size if grid_size is not None else 8 * total
     if not (isinstance(grid, (int, np.integer)) and grid >= 4 * total):  # also rejects NaN
@@ -561,7 +548,7 @@ def _sweep(zipper: Zipper, ks: np.ndarray, grid_size: Optional[int], refine_tol:
     chunk = max(1, BANDS_SAMPLE_ROWS // (grid + 1))  # momenta per sweep
     spectra = []
     for i in range(0, len(ks), chunk):  # member m of the chunk from i has the momentum ks[i + m]
-        spectra += sweep_spectrum(_phase_family(zipper), total, grid, lambda m, c, h: arc_counts(op(), c, h, ks[i + m]),
+        spectra += sweep_spectrum(wfn, total, grid, lambda m, c, h: arc_counts(op(), c, h, ks[i + m]),
                                   refine_tol, twists=twists[i:i + chunk] if zipper.flavor == "periodic" else UNTWISTED,
                                   iterate=lambda m, thetas, x: _inverse_step(op(), thetas, x, ks[i + m])).spectra
     return spectra

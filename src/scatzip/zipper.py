@@ -47,7 +47,7 @@ from . import matrix_core as mc
 from .errors import NumericalBreakdownError, ValidationError
 from .scattering import ScatteringBlock, normal_form, phi
 
-DENSE_CAP = 512  # largest N*L the dense routines will touch by default
+DENSE_CAP = 512  # largest N*L the dense routines will touch
 DENSE_CLUSTER_TOL = 1e-7  # eigenphases of dense_spectrum closer than this are one eigenvalue
 TWO_PI = 2.0 * np.pi
 # Smallest |scalar pivot| of its LDL* that ``arc_counts`` reads as a sign.
@@ -683,14 +683,14 @@ def eig_unitary(U: np.ndarray):
     return hh + 1j * kk, vectors
 
 
-def dense_spectrum(op: BlockBandedUnitary, cap: int = DENSE_CAP, want_projections: bool = False):
+def dense_spectrum(op: BlockBandedUnitary, want_projections: bool = False):
     """Full spectrum of the assembled unitary via the Hermitian-pair oracle.
 
     With ``want_projections`` also returns, per distinct eigenvalue, the list
     of orthonormal eigenvectors (as columns), for spectral-projection use.
     """
-    if op.dim > cap:
-        raise ValidationError(f"dim {op.dim} exceeds dense cap {cap}")
+    if op.dim > DENSE_CAP:
+        raise ValidationError(f"dim {op.dim} exceeds dense cap {DENSE_CAP}")
     lam, vectors = eig_unitary(op.to_dense())
     result, groups = _circular_clusters(np.angle(lam), DENSE_CLUSTER_TOL)
     if want_projections:

@@ -19,8 +19,8 @@ calls and arcs and inverse-iteration solves per band structure, theta
 evaluated, Pruefer calls, the points whose Pruefer
 unitary broke down (the NaN matrices the calls return), count calls and
 arcs and inverse-iteration solves per sweep; the tracemalloc peak of an
-arc count and of a past-cap sweep) in ``extra_info``; counts do not depend
-on the machine, seconds do.  A past-cap sweep takes tens of seconds and
+arc count, of every sweep and of every band structure) in
+``extra_info``; counts do not depend on the machine, seconds do.  A past-cap sweep takes tens of seconds and
 gigabytes on an older checkout, so it runs once per measurement.  The
 calls use only entry points whose signatures are stable across versions,
 so the same file times an older checkout too; one that has no
@@ -82,6 +82,16 @@ def test_prufer_periodic_call(benchmark, monkeypatch, L):
     assert W.shape == (len(w), 2 * L, 2 * L)
 
 
+def _peak_mb(fn, *args) -> float:
+    """The tracemalloc peak of one call fn(*args), in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def _count_calls(monkeypatch) -> tuple:
     """Wrap ``osc.arc_counts`` and ``osc._inverse_step`` where the checkout has them;
     the lists get one entry per count call, the arcs of every call and the runs
@@ -105,7 +115,8 @@ def test_bands(benchmark, monkeypatch, args, momenta):
     # 64 momenta, as the bands job of the spectra workload and the CLI default,
     # and a zipper whose first grid comes up short at many of 256 momenta;
     # count_calls and count_arcs count the arc counts, solves the
-    # inverse-iteration runs summed over their batched steps
+    # inverse-iteration runs summed over their batched steps; peak_mb is the
+    # tracemalloc peak of one more band structure
     z = ensembles.periodic_zipper(*args)
     calls = []
     prufer_periodic = osc.prufer_periodic
@@ -119,6 +130,7 @@ def test_bands(benchmark, monkeypatch, args, momenta):
     osc.bands(z, momenta)
     benchmark.extra_info.update(sites=z.N, momenta=momenta, prufer_periodic_calls=len(calls),
                                 count_calls=len(counts), count_arcs=sum(arcs), solves=sum(solves))
+    benchmark.extra_info.update(peak_mb=_peak_mb(osc.bands, z, momenta))  # after the counts are read
     bs = benchmark(osc.bands, z, momenta)
     assert len(bs.spectra) == momenta
 
@@ -139,9 +151,10 @@ def test_sweep(benchmark, monkeypatch, request, make, args):
     # sweeps past the dense cap whose first grids are short; thetas,
     # prufer_calls and broken_points count prufer or prufer_periodic,
     # count_calls and count_arcs the arc counts, solves the inverse-iteration
-    # runs summed over their batched steps.  A past-cap sweep runs once in the
-    # timed span and once under tracemalloc (peak_mb), and is checked against
-    # the eigenphases of the dense matrix outside both
+    # runs summed over their batched steps.  Every sweep runs once more under
+    # tracemalloc (peak_mb).  A past-cap sweep runs once in the timed span
+    # (wall_s), and is checked against the eigenphases of the dense matrix
+    # outside both
     z = make(*args)
     points, broken = [], []
     name = "prufer" if z.flavor == "finite" else "prufer_periodic"
@@ -165,14 +178,9 @@ def test_sweep(benchmark, monkeypatch, request, make, args):
     benchmark.extra_info.update(sites=z.N, thetas=sum(points), prufer_calls=len(points),
                                 broken_points=sum(broken), count_calls=len(counts), count_arcs=sum(arcs),
                                 solves=sum(solves))
+    benchmark.extra_info.update(peak_mb=_peak_mb(osc.spectrum_by_oscillation, z))  # after the counts are read
     if past_cap:
-        tracemalloc.start()
-        try:
-            osc.spectrum_by_oscillation(z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        benchmark.extra_info.update(wall_s=wall, peak_mb=peak / 1e6)
+        benchmark.extra_info.update(wall_s=wall)
         dense = np.sort(np.mod(np.angle(np.linalg.eigvals(zp.assemble_finite(z).to_dense())), 2 * np.pi))
         gap = np.abs(np.angle(np.exp(1j * (spec.expanded_thetas()[:, None] - dense[None, :]))))
         assert gap.min(axis=1).max() < 1e-9 and gap.min(axis=0).max() < 1e-9
@@ -197,13 +205,7 @@ def test_arc_counts(benchmark, periodic):
         op = zp.assemble_finite(ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85))
     edges = 0.37 * 2 * np.pi / 192 + np.arange(193) * (2 * np.pi / 192)
     centers, halfwidths = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    tracemalloc.start()
-    try:
-        zp.arc_counts(op, centers, halfwidths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    benchmark.extra_info.update(sites=op.N, arcs=len(centers), peak_mb=peak / 1e6)
+    benchmark.extra_info.update(sites=op.N, arcs=len(centers), peak_mb=_peak_mb(zp.arc_counts, op, centers, halfwidths))
     counts = benchmark(zp.arc_counts, op, centers, halfwidths)
     assert counts.sum() == 24
 

@@ -118,6 +118,14 @@ def test_rotation_positivity_check_rejects_a_bad_theta_or_step(theta, h, name):
         osc.rotation_positivity_check(z, theta, h=h)
 
 
+def test_oscillation_entry_points_reject_a_semi_infinite_zipper():
+    # rotation_positivity_check used to name prufer_periodic, which it never asked for
+    z = ensembles.semi_infinite_zipper(0, 1)
+    for call in (lambda: osc.rotation_positivity_check(z, 0.3), lambda: osc.spectrum_by_oscillation(z)):
+        with pytest.raises(ValidationError, match=r"^oscillation spectra need a finite or periodic zipper$"):
+            call()
+
+
 def test_checkerboard_identity_and_form():
     assert np.allclose(checkerboard_sum(np.eye(2), np.eye(2)), np.eye(4))
     Lh = checkerboard_sum(mc.lform(2), mc.lform(2))
@@ -608,8 +616,7 @@ def test_inverse_iteration_takes_its_runs_in_blocks(monkeypatch):
 
 def test_inverse_iteration_that_leaves_its_bracket_falls_back_to_count_bisection(monkeypatch):
     # every run turned half a circle away: each bracket goes back to the counts,
-    # which cut it unless its end phases agree with its count (then ITP finishes
-    # it), and its parts run again until the counts or ITP locate it
+    # which cut it, and its parts run again until the counts locate it
     from scatzip.cli import _cyclic_pairing
 
     z = ensembles.finite_zipper(7, 1, 24, "haar-gauge", 0.85)
@@ -654,6 +661,34 @@ def _reference_shift(p, q, mono_tol=1e-7):
         if np.all(q[(j + s) % m] + 2 * np.pi * ((j + s) // m) - p >= -mono_tol):
             return s
     return None
+
+
+def test_a_run_past_its_step_cap_bisects_a_bracket_whose_sample_broke_down(monkeypatch):
+    # the first grid matches; the samples break down near the eigenvalue
+    # farthest from it, so that bracket turns counted, and its run, whose
+    # residual never falls below refine_tol / 2, spends INVERSE_STEPS solves.
+    # Its bracket then bisects by counts to refine_tol: restarted every
+    # seventh level instead, it stopped 5e-5 from the eigenvalue after 60 solves
+    z = ensembles.finite_zipper(1, 1, 12, "cmv", 0.5)
+    dense = zp.dense_spectrum(zp.assemble_finite(z)).expanded_thetas()
+    grid = 8 * z.N * z.L
+    thetas = osc.TWO_PI * (0.37 + np.arange(grid + 1)) / grid
+    gap = np.abs(np.angle(np.exp(1j * (dense[:, None] - thetas[None, :])))).min(axis=1)
+    far = dense[np.argmax(gap)]
+    broken = _breaking_down_near(monkeypatch, [far], 0.5 * gap.max())
+    solves = []
+    step = osc._inverse_step
+
+    def slow(*args):
+        solves.append(len(args[1]))
+        vectors, theta, radius = step(*args)
+        return vectors, theta, np.maximum(radius, 1e-9)
+
+    monkeypatch.setattr(osc, "_inverse_step", slow)
+    swept = osc.spectrum_by_oscillation(z).expanded_thetas()
+    assert broken and solves == [1] * len(solves) and len(solves) <= osc.INVERSE_STEPS
+    assert len(swept) == len(dense)
+    assert np.abs(np.angle(np.exp(1j * (swept - far)))).min() < 1e-9
 
 
 def test_seam_passages_match_the_scalar_shift_rule():
@@ -733,12 +768,15 @@ def test_sweep_refines_double_eigenvalues_on_their_centroid(monkeypatch):
 
 def test_sweep_splits_every_interval_of_a_fast_branch():
     # diag(exp(40 i theta)) turns 2.5 times per interval of a 16-point grid;
-    # one row counts at most one passage, so every interval disagrees with
-    # its count of 2 or 3 and is split, all 16 midpoints in one call
+    # one row counts at most one passage, so the grid comes up short, every
+    # interval is counted (2 or 3 crossings) and cut by counts, all 16
+    # midpoints in one count call, and nothing is sampled after the grid
     wfn, calls = _counted(_diagonal_family([lambda t: 40 * t]))
     expected = 2 * np.pi * np.arange(40) / 40
-    res = osc.sweep_spectrum(wfn, 40, 16, _arc_count(expected)).spectra[0]
-    assert calls[:2] == [17, 16]
+    count, arcs = _arc_count(expected), []
+    res = osc.sweep_spectrum(wfn, 40, 16, lambda *args: arcs.append(len(args[0])) or count(*args)).spectra[0]
+    assert calls == [17]
+    assert arcs[:2] == [18, 16]
     assert res.multiplicities.tolist() == [1] * 40
     gap = np.abs(res.thetas[:, None] - expected[None, :])
     assert np.minimum(gap, 2 * np.pi - gap).min(axis=0).max() < 1e-9
@@ -963,6 +1001,29 @@ def test_short_first_grid_splits_only_the_intervals_that_hide_crossings(monkeypa
     assert sum(points) <= 2000
 
 
+@pytest.mark.parametrize("flavor, args, calls", [("finite", (0, 1, 256, "cmv", 0.5), 3),
+                                                 ("periodic", (0, 1, 100, "haar-gauge", 0.999), 1)],
+                         ids=["L1N256cmv05s0", "P1N100haar0999s0"])
+def test_a_counting_sweep_samples_only_its_first_grid(monkeypatch, flavor, args, calls):
+    # counted brackets are cut by counts and finished by inverse iteration, never
+    # sampled: the Pruefer calls are those of the first grid, 8 N L + 1 theta
+    # in calls of at most SWEEP_BLOCK (16 and 3 calls when counted midpoints
+    # were sampled until their phases agreed with their counts)
+    from scatzip.cli import _cyclic_pairing
+
+    periodic = flavor == "periodic"
+    z = (ensembles.periodic_zipper if periodic else ensembles.finite_zipper)(*args)
+    points = _counted_prufer(monkeypatch, "prufer_periodic" if periodic else "prufer")
+    counts = []
+    arc_counts = osc.arc_counts
+    monkeypatch.setattr(osc, "arc_counts", lambda *a: counts.append(1) or arc_counts(*a))
+    swept = osc.spectrum_by_oscillation(z)
+    dense = zp.dense_spectrum((zp.assemble_periodic if periodic else zp.assemble_finite)(z))
+    assert counts and len(points) == calls and sum(points) == 8 * z.N * z.L + 1
+    assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
+    assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-12
+
+
 def test_matching_first_grid_never_counts(monkeypatch):
     calls = []
     monkeypatch.setattr(osc, "arc_counts", lambda *args: calls.append(1))
@@ -1023,9 +1084,9 @@ def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch
     # whose samples break down are counted in the same lockstep as the
     # splits: in two count passes the three-far case took 60 count calls.
     # A periodic sweep whose sample broke down used to stop there.  Where the
-    # first grid is short, its brackets of one eigenvalue finish by inverse
-    # iteration and are never sampled, so there every run is sent out of its
-    # bracket, which hands it back to the counts and the samples.
+    # first grid is short, its counted brackets are never sampled: even with
+    # every run sent out of its bracket, the counts cut them, and no Pruefer
+    # sample follows the first grid, so none breaks down.
     from scatzip.cli import _cyclic_pairing
 
     periodic = flavor == "periodic"
@@ -1040,13 +1101,17 @@ def test_brackets_whose_samples_break_down_finish_by_count_bisection(monkeypatch
     centers = dense.thetas[np.argsort(gap)[-far:]]
     broken = _breaking_down_near(monkeypatch, centers, 0.5 * np.sort(gap)[-far],
                                  "prufer_periodic" if periodic else "prufer")
+    points = _counted_prufer(monkeypatch, "prufer_periodic" if periodic else "prufer")
     if short:
         _runs_leave_their_brackets(monkeypatch)
     counts = []
     arc_counts = osc.arc_counts
     monkeypatch.setattr(osc, "arc_counts", lambda *args: counts.append(1) or arc_counts(*args))
     swept = osc.spectrum_by_oscillation(z)
-    assert broken
+    if short:
+        assert not broken and sum(points) == grid + 1
+    else:
+        assert broken
     assert len(counts) <= most_counts
     assert swept.multiplicities.tolist() == dense.multiplicities.tolist()
     assert _cyclic_pairing(dense.expanded_thetas(), swept.expanded_thetas())[1] < 1e-9
@@ -1090,9 +1155,11 @@ def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
     # h(s) = s + 2 arctan(1e6 tan(s / 2)) turns a full circle close to s = 0:
     # an interval (-a, b) around it sees h rise by 2 pi + a + b - 4e-6 (1/a + 1/b),
     # so the grid interval around c = 2 hides the crossing at c until a and b
-    # fall below about 0.002.  The other crossing is at c + pi.  Only that
-    # interval is split, one midpoint per level in the calls that refine the
-    # other crossing, where a doubling sweep would go to grid 2048.
+    # fall below about 0.002.  The other crossing is at c + pi.  The grid
+    # comes up short, so only the two intervals that hold crossings are
+    # counted and cut, two midpoints per count call down to refine_tol, and
+    # nothing is sampled after the grid, where a doubling sweep would go to
+    # grid 2048.
     c = 2.0
     crossings = np.array([c, c + np.pi])
     wfn, calls = _counted(_diagonal_family([lambda t: t - c + 2 * np.arctan(1e6 * np.tan((t - c) / 2))]))
@@ -1109,11 +1176,12 @@ def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
     assert res.multiplicities.tolist() == [1, 1]
     assert np.abs(res.thetas - crossings).max() < 1e-9
     split = arcs[1:]  # the levels after the counts of the first grid
-    assert calls[0] == 17 and arcs[0] == 18 and split == [1] * len(split) and 4 <= len(split) <= 8
-    # two members, both short, split their two intervals in lockstep
+    levels = int(np.ceil(np.log2(np.pi / 8 / 1e-10)))  # halvings from the grid width to refine_tol
+    assert calls == [17] and arcs[0] == 18 and split == [2] * levels
+    # two members, both short, split their four intervals in lockstep
     calls.clear()
     arcs.clear()
     twins = osc.sweep_spectrum(wfn, 2, 16, recorded([crossings, crossings]), twists=np.ones((2, 1, 1)))
-    assert calls[0] == 17 and arcs == [36] + [2] * len(split)
+    assert calls == [17] and arcs == [36] + [4] * levels
     for spectrum in twins.spectra:
         assert np.array_equal(spectrum.thetas, res.thetas)

@@ -180,10 +180,11 @@ def test_dense_spectrum_residuals(rng):
     assert spec.total_multiplicity == z.N * z.L
 
 
-def test_dense_spectrum_cap():
+def test_dense_spectrum_cap(monkeypatch):
     z = ensembles.finite_zipper(1, 2, 6)
+    monkeypatch.setattr(zp, "DENSE_CAP", 4)
     with pytest.raises(ValidationError, match="exceeds dense cap 4"):
-        zp.dense_spectrum(zp.assemble_finite(z), cap=4)
+        zp.dense_spectrum(zp.assemble_finite(z))
 
 
 def test_direct_sum_doubles_multiplicities():
