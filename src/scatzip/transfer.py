@@ -168,17 +168,19 @@ def chart_chain(table: np.ndarray, points: np.ndarray, start: np.ndarray, acted:
 
 @dataclass
 class SolutionFrame:
-    """A full-rank frame at a given site (2L x L, or taller with carried rows).
+    """A full-rank frame (2L x L, or taller with carried rows) after ``propagate``.
 
     ``matrix`` has orthonormal columns, and the right factor that the
     renormalization removed is exp(log_scale) * normalizer with
     ||normalizer||_F = 1; the raw frame is matrix @ normalizer * exp(log_scale).
-    Propagated from an array of B points, ``z`` is that array and every other
-    field gains a leading axis of length B.
+    The split is fixed only up to unit phases on the columns (matrix D,
+    D* normalizer for a diagonal unitary D), which leave the spanned plane,
+    the raw frame and every quantity read off them unchanged.  Propagated
+    from an array of B points, ``z`` is that array and every other field
+    gains a leading axis of length B.
     """
 
     matrix: np.ndarray
-    site: int
     z: complex
     normalizer: np.ndarray
     log_scale: float = 0.0
@@ -193,15 +195,6 @@ class SolutionFrame:
         return np.swapaxes(self.matrix.conj(), -1, -2) @ mc.lform(L) @ self.matrix
 
 
-def _qr_positive(A: np.ndarray):
-    """Reduced QR with positive-real R diagonal, for deterministic frames (stacks too)."""
-    Q, R = np.linalg.qr(A)
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    size = np.abs(d)
-    phase = np.divide(d, size, out=np.ones_like(d), where=size > 0)
-    return Q * phase[..., None, :], R / phase[..., :, None]
-
-
 def propagate(zipper, z, upto: int, factory: Optional[TransferFactory] = None,
               start: Optional[np.ndarray] = None) -> SolutionFrame:
     """Propagate a frame through T_1, ..., T_upto, from (1; 1) unless ``start`` is given.
@@ -209,10 +202,11 @@ def propagate(zipper, z, upto: int, factory: Optional[TransferFactory] = None,
     T_n acts on the last 2L rows of the frame; any rows above them are
     carried along unchanged (the doubled periodic frame carries the identity
     factor of 1 (+) T_n this way).  The frame is column-orthonormalized
-    after every step (QR), which only removes a right factor and therefore
-    leaves the spanned plane unchanged; the factor is accumulated as a
-    Frobenius-normalized matrix and a log scale.  ``transfer_product`` gives
-    the raw frame T_upto ... T_1 (1; 1) as the reference.
+    after every step by one QR, as LAPACK returns it, which only removes a
+    right factor and therefore leaves the spanned plane unchanged; the
+    factor is accumulated as a Frobenius-normalized matrix and a log scale.
+    ``transfer_product`` gives the raw frame T_upto ... T_1 (1; 1) as the
+    reference.
 
     ``z`` is one point or a 1-D array of B points; for an array all B frames
     run through the same site loop as one stack, with the normalizer and the
@@ -236,7 +230,7 @@ def propagate(zipper, z, upto: int, factory: Optional[TransferFactory] = None,
         frame[:, carried:] = phis[n - 1] @ frame[:, carried:]
         if even:
             frame[:, carried + L:] *= points
-        frame, R = _qr_positive(frame)
+        frame, R = np.linalg.qr(frame)
         M = R @ tau
         nu = np.linalg.norm(M, axis=(-2, -1))
         if not np.all(np.isfinite(nu) & (nu > 0.0)):
@@ -244,8 +238,8 @@ def propagate(zipper, z, upto: int, factory: Optional[TransferFactory] = None,
         tau = M / nu[:, None, None]
         log_scale += np.log(nu)
     if zs.ndim == 0:
-        return SolutionFrame(frame[0], upto, complex(zs), tau[0], float(log_scale[0]))
-    return SolutionFrame(frame, upto, zs, tau, log_scale)
+        return SolutionFrame(frame[0], complex(zs), tau[0], float(log_scale[0]))
+    return SolutionFrame(frame, zs, tau, log_scale)
 
 
 # -- quadratic forms ----------------------------------------------------------

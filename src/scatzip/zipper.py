@@ -52,6 +52,8 @@ DENSE_CLUSTER_TOL = 1e-7  # eigenphases of dense_spectrum closer than this are o
 TWO_PI = 2.0 * np.pi
 # Smallest |scalar pivot| of its LDL* that ``arc_counts`` reads as a sign.
 PIVOT_TOL = 1e-14
+# Largest ||g* g - 1||_2 of a site gauge; those that to-zipper recovers are unitary to ~1e-8.
+GAUGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,10 @@ class Zipper:
     ``sites`` holds the blocks S_first, ..., S_N as one normal-form triple
     (alpha, U, V) of (N - first + 1, L, L) stacks; ``matrices`` holds their
     2L x 2L matrices as one stack, built at construction by one batched
-    ``normal_form``.  ``block(n)`` builds the ScatteringBlock of one site
-    from its row on request, with its own normal form.
+    ``normal_form``.  Construction checks the sites first (``_check_sites``:
+    unitary gauges and ||alpha|| < 1, the rule a file load also meets).
+    ``block(n)`` builds the ScatteringBlock of one site from its row on
+    request, with its own normal form.
     """
 
     L: int
@@ -82,11 +86,7 @@ class Zipper:
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.N % 2 or self.N < 2:
             raise ValidationError(f"N must be even and >= 2, got {self.N}")
-        shape = (self.N - self.first + 1, self.L, self.L)
-        sites = tuple(mc.as_cstack(x) for x in self.sites)
-        if len(sites) != 3 or any(x.shape != shape for x in sites):
-            raise ValidationError(
-                f"sites must be three {shape} stacks (alpha, U, V), got {[x.shape for x in sites]}")
+        sites = _check_sites(self.sites, self.first, self.N, self.L)
         if self.flavor == "finite":
             for name, b in (("boundary_u", self.boundary_u), ("boundary_v", self.boundary_v)):
                 if b is None:
@@ -127,6 +127,30 @@ class Zipper:
         if self.flavor == "finite":
             table = np.concatenate([_boundary_transfer(self.boundary_u)[None], table])
         return table
+
+
+def _check_sites(sites, first: int, N: int, L: int) -> tuple:
+    """The (alpha, U, V) stacks of the blocks S_first, ..., S_N as complex (N - first + 1, L, L)
+    stacks, checked: unitary gauges (to GAUGE_TOL) and ||alpha|| < 1, the first faulty block named.
+
+    The 2-norms are taken only where the Frobenius norm, their upper bound, cannot decide.
+    """
+    shape = (N - first + 1, L, L)
+    sites = tuple(mc.as_cstack(x) for x in sites)
+    if len(sites) != 3 or any(x.shape != shape for x in sites):
+        raise ValidationError(f"sites must be three {shape} stacks (alpha, U, V), got {[x.shape for x in sites]}")
+    alpha, u, v = sites
+    stacks = np.stack([mc.adj(u) @ u - mc.eye(L), mc.adj(v) @ v - mc.eye(L), alpha], axis=1)
+    norms = np.linalg.norm(stacks, axis=(-2, -1))
+    unsure = norms >= (GAUGE_TOL, GAUGE_TOL, 1.0)
+    norms[unsure] = np.linalg.norm(stacks[unsure], 2, axis=(-2, -1))
+    bad = np.concatenate([norms[:, :2] > GAUGE_TOL, norms[:, 2:] >= 1.0], axis=1)
+    if bad.any():
+        i, which = divmod(int(np.argmax(bad)), 3)
+        fault = (f"||alpha|| = {norms[i, 2]:.3f} is not < 1" if which == 2
+                 else f"{'uv'[which]} has unitarity defect {norms[i, which]:.1e}")
+        raise ValidationError(f"block S_{first + i}: {fault}")
+    return sites
 
 
 def _boundary_unitary(name: str, b, L: int) -> np.ndarray:

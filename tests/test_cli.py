@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatzip import cli, ensembles, fileio, verify, weyl
+from scatzip import cli, ensembles, fileio, measures as ms, verify, weyl
 from scatzip.scattering import decompose_block
 
 
@@ -90,6 +90,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                           (to_zipper + ["--uniform-grid", "-3", "--L", "1"],
                            "the uniform grid needs m >= 1 atoms, got -3"),
                           (to_zipper + ["--uniform-grid", "4", "--L", "0"], "L must be >= 1, got 0"),
+                          (to_zipper + ["--uniform-grid", "4"], "--uniform-grid needs --L"),
+                          (to_zipper, "an input file is required unless --uniform-grid is given"),
                           (["weyl", str(zfin), "--grid", "nan:0.5:3,0:0.1:2"],
                            "4 grid points outside the punctured unit disc, e.g. nan"),
                           (["weyl", str(zfin), "--grid", "0.1:0.8:0,0:0.5:5"],
@@ -250,6 +252,15 @@ _RAGGED_MEASURE = {"L": 1, "atoms": [{"xi": [1.0, 0.0], "weight": _ROWS_OF_EYE3}
                                      {"xi": [-1.0, 0.0], "weight": [[[0.0, 0.0]]]}]}
 
 
+_FINITE_L1 = fileio.zipper_to_dict(ensembles.finite_zipper(0, 1, 4))
+_PERIODIC_L1 = fileio.zipper_to_dict(ensembles.periodic_zipper(0, 1, 4))
+_MEASURE_L1 = fileio.measure_to_dict(ms.spectral_measure_finite(ensembles.finite_zipper(0, 1, 4)))
+_TWO_BY_TWO = [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_L2_BLOCK_IN_L1 = _finite_doc_with(3, "alpha", _TWO_BY_TWO)
+_L2_BLOCK_IN_L1["blocks"][1].update(u=_TWO_BY_TWO, v=_TWO_BY_TWO)
+_SEMI_INFINITE_BAD_U = dict(_finite_doc_with(4, "u", [[[0.5, 0.0]]]), flavor="semi-infinite")
+
+
 @pytest.mark.parametrize("doc, argv, message", [
     (_finite_doc([[[float("nan"), 0.0]]]), ["spectrum"], "matrix has non-finite entries"),
     (_finite_doc([[[0.1, 0.0], [0.2, 0.0]]]), ["spectrum"],
@@ -269,15 +280,46 @@ _RAGGED_MEASURE = {"L": 1, "atoms": [{"xi": [1.0, 0.0], "weight": _ROWS_OF_EYE3}
     (_finite_doc_with(3, "alpha", [[[1.5, 0.0]]]), ["spectrum"], "block S_3: ||alpha|| = 1.500 is not < 1"),
     (_finite_doc_with(2, "alpha", [[[0.0, -1.0]]]), ["measure", "--direction", "roundtrip"],
      "block S_2: ||alpha|| = 1.000 is not < 1"),
+    (_finite_doc([[["a", 0.0]]]), ["spectrum"], "bad complex matrix: could not convert string to float"),
+    (_finite_doc([[0.1, 0.0]]), ["spectrum"],
+     "bad complex matrix: expected [re, im] pair entries, got shape (1, 2)"),
+    (dict(_FINITE_L1, flavor="twisted"), ["spectrum"], "unknown flavor 'twisted'"),
+    (_L2_BLOCK_IN_L1, ["spectrum"], "block S_3 has L=2, expected 1"),
+    ({"L": 1}, ["spectrum"], "bad.json: neither a zipper nor a measure document"),
+    (_MEASURE_L1, ["spectrum"], "spectrum needs a finite or periodic zipper file"),
+    (_PERIODIC_L1, ["weyl"], "weyl needs a finite zipper file"),
+    (_PERIODIC_L1, ["measure", "--direction", "to-measure"], "to-measure needs a finite zipper file"),
+    (_FINITE_L1, ["measure", "--direction", "to-zipper"], "to-zipper needs a measure file"),
+    (_MEASURE_L1, ["measure", "--direction", "roundtrip"], "roundtrip needs a finite zipper file"),
+    (_FINITE_L1, ["bands"], "bands needs a periodic zipper file"),
+    (_SEMI_INFINITE_BAD_U, ["spectrum"], "block S_4: u has unitarity defect 7.5e-01"),
 ], ids=["nan-alpha", "alpha-1x2-at-L1", "boundary-2x3-at-L2", "n-not-an-integer",
         "nan-atom", "ragged-weights", "extra-block-n5", "duplicate-block-n2",
         "u-not-unitary-spectrum", "u-not-unitary-weyl", "u-not-unitary-roundtrip",
-        "v-off-by-1e-5", "alpha-1.5", "alpha-on-the-circle"])
-def test_bad_input_files_exit_2(tmp_path, capsys, doc, argv, message):
+        "v-off-by-1e-5", "alpha-1.5", "alpha-on-the-circle",
+        "matrix-entry-not-a-number", "matrix-entry-not-a-pair", "unknown-flavor", "block-of-another-l",
+        "neither-document", "spectrum-of-a-measure", "weyl-of-periodic", "to-measure-of-periodic",
+        "to-zipper-of-a-zipper", "roundtrip-of-a-measure", "bands-of-finite", "semi-infinite-u-not-unitary"])
+def test_bad_input_files_exit_2(tmp_path, monkeypatch, capsys, doc, argv, message):
+    monkeypatch.chdir(tmp_path)  # the relative path that a message naming the file shows
     path = tmp_path / "bad.json"
     path.write_text(fileio.dumps(doc))
-    assert run_cli(argv[0], str(path), *argv[1:]) == 2
+    assert run_cli(argv[0], "bad.json", *argv[1:]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, argv, expected", [
+    (None, ["gen", "--L", "1", "--N", "4"], fileio.dumps(_FINITE_L1)),
+    (_MEASURE_L1, ["measure", "--direction", "to-measure", "--output", "-"], fileio.dumps(_MEASURE_L1)),
+], ids=["gen-default-output", "to-measure-of-a-measure"])
+def test_documents_written_to_stdout(tmp_path, capsys, doc, argv, expected):
+    files = []
+    if doc is not None:
+        path = tmp_path / "in.json"
+        path.write_text(fileio.dumps(doc))
+        files.append(str(path))
+    assert run_cli(argv[0], *files, *argv[1:]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("argv, seed", [
@@ -289,6 +331,20 @@ def test_bad_input_files_exit_2(tmp_path, capsys, doc, argv, message):
 def test_negative_seeds_exit_2(capsys, argv, seed):
     assert run_cli(*argv, "--seed", seed) == 2
     assert f"error: seed must be >= 0, got {seed}" in capsys.readouterr().err
+
+
+def test_roundtrip_keeps_recovered_gauges_past_the_file_tolerance(tmp_path):
+    # Gram-Schmidt recovers S_31 and S_32 of this instance with gauges unitary
+    # only to 1.6e-6 to 3.2e-6; the rebuilt prefix is not a file, so the
+    # roundtrip still reports
+    z = ensembles.finite_zipper(248, 2, 32, "haar-gauge")
+    gram = ms.gram_schmidt(ms.spectral_measure_finite(z), z.boundary_u, 34)
+    u = gram.sites[1]
+    assert np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2), 2, axis=(-2, -1)).max() > 1e-6
+    zfile, report = tmp_path / "z.json", tmp_path / "report.json"
+    zfile.write_text(fileio.dumps(fileio.zipper_to_dict(z)))
+    assert run_cli("measure", str(zfile), "--direction", "roundtrip", "--output", str(report)) == 0
+    assert json.loads(report.read_text())["max_f_match_error"] < 1e-8
 
 
 def test_recovered_zipper_files_pass_the_gauge_check(tmp_path):

@@ -1,5 +1,7 @@
 """Dense matrix utilities: square roots, polar factors, Moebius calculus."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,18 @@ def test_principal_sines_detect_common_direction(rng):
     s = mc.principal_sines(A, B)
     assert s[0] < 1e-12  # shared direction
     assert mc.subspace_intersection_dim(A, B) == 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mc.as_cstack(np.zeros(3)), ValidationError, "expected a matrix, got ndim=1"),
+    (lambda: mc.as_cmatrix(np.zeros((2, 2, 2))), ValidationError, "expected a matrix, got ndim=3"),
+    (lambda: mc.split_blocks(np.zeros((3, 3))), ValidationError,
+     "expected an even square matrix, got shape (3, 3)"),
+    (lambda: mc.hermitian_inv_sqrt(np.zeros((2, 2))), ValidationError,
+     "eigenvalue 0.000e+00 <= 1.0e-10, not safely positive"),
+    (lambda: mc.mobius_inverse(np.zeros((1, 1)), np.array([[0.0, 1.0], [1.0, 0.0]])),
+     NumericalBreakdownError, "W C - A is numerically singular"),
+], ids=["stack-of-a-vector", "matrix-of-a-stack", "odd-square", "inv-sqrt-of-zero", "mobius-inverse-singular"])
+def test_matrix_core_input_gates(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

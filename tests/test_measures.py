@@ -1,5 +1,7 @@
 """Matrix measures, Caratheodory transform, Gram-Schmidt, and the bijection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -352,3 +354,15 @@ def test_stop_reason_counts_the_support_by_weight_rank(L, N):
     assert g.stop_step == N + 1
     assert g.stop_reason == (f"degenerate Gram normalizer at step {N + 1}: "
                              f"measure support exhausted ({N * L} atoms of total rank {N * L})")
+
+
+_MU = ms.spectral_measure_finite(ensembles.finite_zipper(0, 1, 4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ms.gram_schmidt(_MU, 2 * np.eye(1), 4), "boundary U must be unitary"),
+    (lambda: ms.gram_schmidt(_MU, np.eye(2), 4), "boundary U size must match the measure"),
+], ids=["boundary-not-unitary", "boundary-size"])
+def test_measures_input_gates(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

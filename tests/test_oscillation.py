@@ -1185,3 +1185,14 @@ def test_arc_counted_sweep_splits_locally_where_doubling_would_go_global():
     assert calls == [17] and arcs == [36] + [4] * levels
     for spectrum in twins.spectra:
         assert np.array_equal(spectrum.thetas, res.thetas)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: osc.prufer(ensembles.periodic_zipper(0, 1, 4), 1.0), "prufer needs a finite zipper"),
+    (lambda: osc.prufer_periodic(ensembles.finite_zipper(0, 1, 4), 1.0),
+     "prufer_periodic needs a periodic zipper"),
+    (lambda: osc.bands(ensembles.finite_zipper(0, 1, 4), 4), "bands needs a periodic zipper"),
+], ids=["prufer-of-periodic", "prufer-periodic-of-finite", "bands-of-finite"])
+def test_oscillation_input_gates(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

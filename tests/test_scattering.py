@@ -1,5 +1,7 @@
 """Scattering blocks: normal form, unitarity relations, the phi bijection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,16 @@ def test_gauge_twist_matches_fiber_scaling():
     assert np.allclose(t_beta, np.exp(-1j * k) * beta)
     assert np.allclose(t_gamma, np.exp(1j * k) * gamma)
     assert np.allclose(t_delta, delta)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sc.build_block(0.1 * np.eye(1), 2 * np.eye(1), np.eye(1)),
+     "u_gauge has unitarity defect 3.000e+00 > 1.0e-10"),
+    (lambda: sc.ScatteringBlock(np.zeros((1, 1)), np.eye(2), np.eye(1)),
+     "alpha, u_gauge, v_gauge must share the same L x L shape"),
+    (lambda: sc.phi(np.eye(2)), "upper-right block is singular"),
+    (lambda: sc.phi_inverse(np.eye(2), tol=2.0), "lower-right block is singular"),
+], ids=["gauge-not-unitary", "gauge-shape", "phi-singular-beta", "phi-inverse-singular-d"])
+def test_scattering_input_gates(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

@@ -1,15 +1,17 @@
 """Transfer matrices, solution frames, quadratic forms, inhomogeneous solve."""
 
+import re
+
 import numpy as np
 import pytest
 
 from scatzip import ensembles, matrix_core as mc, transfer as tr
 from scatzip import zipper as zp
-from scatzip.errors import ValidationError
+from scatzip.errors import NumericalBreakdownError, ValidationError
 from scatzip.scattering import phi
 from scatzip.weyl import g_matrix
 
-from conftest import doubled_initial_frame, transfer_inverse_at
+from conftest import HandBuiltTable, doubled_initial_frame, transfer_inverse_at
 
 def test_transfer_odd_is_z_independent(rng):
     b = ensembles.random_block(rng, 2, "haar-gauge")
@@ -214,3 +216,23 @@ def test_transfer_rejects_non_finite_z(rng, z):
     if np.ndim(z) == 0:
         with pytest.raises(ValidationError, match="transfer matrices need a finite z, got"):
             tr.transfer_product(zipper, 4, z)
+
+
+def _zero_row_table(n):
+    """The phi table of ``finite_zipper(0, 1, 6)`` with row n - 1 (site n) set to zero."""
+    table = ensembles.finite_zipper(0, 1, 6).phi_table(6).copy()
+    table[n - 1] = 0.0
+    return HandBuiltTable(table)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tr.propagate(ensembles.finite_zipper(0, 1, 6), 0.5, 6, factory=_zero_row_table(3)),
+     NumericalBreakdownError, "renormalization factor degenerated at site 3"),
+    (lambda: tr.solve_inhomogeneous(ensembles.periodic_zipper(0, 1, 4), 0.5, [np.eye(1)] * 4),
+     ValidationError, "solve_inhomogeneous needs a finite zipper"),
+    (lambda: tr.solve_inhomogeneous(ensembles.finite_zipper(0, 1, 4), 0.5, [np.eye(1)] * 3),
+     ValidationError, "xi must be 4 blocks with 1 rows"),
+], ids=["zero-table-row", "inhomogeneous-periodic", "inhomogeneous-short-xi"])
+def test_transfer_input_gates(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,5 +1,7 @@
 """Resolvent boundary values, Weyl discs, and the semi-infinite limit."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -442,3 +444,14 @@ def test_a_wrongly_shaped_or_non_unitary_v_boundary_is_an_input_error(route):
         route(z, 0.3, v_boundary=np.eye(3))
     with pytest.raises(ValidationError, match="v_boundary is not unitary"):
         route(z, 0.3, v_boundary=2 * np.eye(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: weyl.f_matrix(ensembles.semi_infinite_zipper(0, 1), 0.5, upto=4),
+     "a right boundary unitary V is required"),
+    (lambda: weyl.f_matrix(ensembles.semi_infinite_zipper(0, 1), 0.5, v_boundary=np.eye(1)),
+     "a truncation length is required for semi-infinite zippers"),
+], ids=["semi-infinite-without-v", "semi-infinite-without-n"])
+def test_weyl_input_gates(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

@@ -1,5 +1,7 @@
 """Operator assembly, banded application, and the dense spectral oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,48 @@ def test_assemble_rejects_odd_n():
     sites = ensembles.random_blocks([np.random.default_rng(0)], 1, "free")
     with pytest.raises(ValidationError, match="N must be even and >= 2, got 3"):
         zp.Zipper(1, 3, "finite", sites, np.eye(1), np.eye(1))
+
+
+def _with_row(stacks, which, row, value):
+    """The (alpha, U, V) stacks with row ``row`` of stack ``which`` (0, 1, 2) set to ``value``."""
+    out = [x.copy() for x in stacks]
+    out[which][row] = value
+    return tuple(out)
+
+
+_Z8 = ensembles.finite_zipper(0, 1, 8)
+_P4 = ensembles.periodic_zipper(0, 2, 4)
+
+
+@pytest.mark.parametrize("flavor, sites, message", [
+    ("finite", (_Z8.sites[0], 2 * _Z8.sites[1], _Z8.sites[2]), "block S_2: u has unitarity defect 3.0e+00"),
+    ("finite", _with_row(_Z8.sites, 2, 3, [[1j * (1 + 1e-5)]]), "block S_5: v has unitarity defect 2.0e-05"),
+    ("finite", _with_row(_Z8.sites, 0, 5, [[1.5]]), "block S_7: ||alpha|| = 1.500 is not < 1"),
+    ("finite", _with_row(_with_row(_Z8.sites, 0, 4, [[-1.0]]), 1, 5, [[3.0]]),
+     "block S_6: ||alpha|| = 1.000 is not < 1"),
+    ("finite", _with_row(_with_row(_Z8.sites, 0, 2, [[2.0]]), 2, 2, [[2.0]]),
+     "block S_4: v has unitarity defect 3.0e+00"),
+    ("periodic", _with_row(_P4.sites, 1, 0, 2 * np.eye(2)), "block S_1: u has unitarity defect 3.0e+00"),
+    ("periodic", _with_row(_P4.sites, 0, 3, np.diag([1.25, 0.0])),
+     "block S_4: ||alpha|| = 1.250 is not < 1"),
+], ids=["u-doubled", "v-off-by-1e-5", "alpha-1.5", "alpha-on-the-circle-first", "v-before-alpha",
+        "periodic-u-at-s1", "periodic-alpha-2x2"])
+def test_library_zippers_check_their_sites(flavor, sites, message):
+    # the rule that file loads apply holds for every Zipper, built by the library too
+    base = _Z8 if flavor == "finite" else _P4
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        zp.Zipper(base.L, base.N, flavor, sites, base.boundary_u, base.boundary_v)
+
+
+def test_site_check_decides_on_the_2_norm():
+    # Frobenius norms above the bounds, 2-norms within them: the zipper is valid
+    alpha = np.repeat(np.diag([0.8, 0.8]).astype(complex)[None], 4, axis=0)
+    u = np.repeat(np.eye(2, dtype=complex)[None], 4, axis=0)
+    v = u * np.sqrt(1.0 + 0.9 * zp.GAUGE_TOL)
+    assert np.linalg.norm(alpha[0]) > 1.0
+    assert np.linalg.norm(mc.adj(v[0]) @ v[0] - np.eye(2)) > zp.GAUGE_TOL
+    z = zp.Zipper(2, 4, "periodic", (alpha, u, v))
+    assert np.array_equal(z.sites[2], v)
 
 
 @pytest.mark.parametrize("N", [0, -2])
@@ -546,3 +590,34 @@ def test_a_vector_takes_one_momentum():
     assert np.allclose(zp.apply(op, v, 0.2), zp.apply(op, v[:, None], [0.2])[:, 0])
     with pytest.raises(ValidationError, match=r"momenta must broadcast to the columns \(\), got \(1,\)"):
         zp.apply(op, v, [0.2])
+
+
+def _semi(block_fn):
+    return zp.SemiInfiniteZipper(1, np.eye(1), block_fn)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zp.Zipper(1, 8, "twisted", _Z8.sites), "unknown flavor 'twisted'"),
+    (lambda: zp.Zipper(1, 8, "finite", _Z8.sites[:2], np.eye(1), np.eye(1)),
+     "sites must be three (7, 1, 1) stacks (alpha, U, V), got [(7, 1, 1), (7, 1, 1)]"),
+    (lambda: zp.Zipper(1, 8, "finite", _Z8.sites, np.eye(1)), "finite zipper needs boundary_v"),
+    (lambda: _Z8.block(9), "missing block S_9"),
+    (lambda: _Z8.phi_table(10), "missing block S_10"),
+    (lambda: _semi(lambda start, stop: (np.zeros((1, 1, 1)),) * 3).extend(4),
+     "block_fn gave shapes [(1, 1, 1), (1, 1, 1), (1, 1, 1)] for sites 2..4"),
+    (lambda: _semi(zp.stored_block_fn(_Z8.sites, "the stored prefix")).block(1),
+     "semi-infinite blocks start at n = 2"),
+    (lambda: _semi(zp.stored_block_fn(_Z8.sites, "the stored prefix")).extend(10),
+     "block S_10 is beyond the stored prefix"),
+    (lambda: zp.direct_sum(_Z8, _P4), "direct sum needs matching N and flavor"),
+    (lambda: zp.assemble_finite(_P4), "assemble_finite needs a finite zipper"),
+    (lambda: zp.assemble_periodic(_Z8), "assemble_periodic needs a periodic zipper"),
+    (lambda: zp.fiber_zipper(_Z8, 0.1), "fibering applies to periodic zippers"),
+    (lambda: ensembles.finite_zipper(0, 1, 4, "gue"), "unknown ensemble 'gue'; choose from"),
+], ids=["unknown-flavor", "two-site-stacks", "no-boundary-v", "block-past-n", "phi-table-past-n",
+        "block-fn-shapes", "semi-infinite-block-1", "beyond-stored-prefix", "direct-sum-flavors",
+        "assemble-finite-of-periodic", "assemble-periodic-of-finite", "fiber-of-finite",
+        "unknown-ensemble"])
+def test_zipper_input_gates(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
